@@ -41,7 +41,6 @@ from .gates import (
     build_gate_circuit,
     build_mz_block,
     build_two_nv_mz_block,
-    feedforward_table,
     ideal_gate_unitary,
     load_shipped_circuit,
 )
@@ -79,7 +78,6 @@ from .state import (
     phase_aligned_deviation,
     spin_config_bits,
     spin_config_index,
-    states_close,
 )
 
 __version__ = "0.1.0"

@@ -35,22 +35,14 @@ from .netlist import (
     Netlist,
     apply_elements,
     balanced_product_input,
+    iter_nv_depths,
     product_input,
     run_netlist,
 )
-from .state import L, MINUS, PLUS, R
+from .state import L, MINUS, PLUS, R, kron_pairs
 
 INPUT_CONVENTIONS = ("balanced", "random")
 NORMALIZATIONS = ("postselected", "unnormalized")
-
-_CIRCUITS: dict[str, Netlist] = {}
-
-
-def _circuit(gate: str) -> Netlist:
-    net = _CIRCUITS.get(gate)
-    if net is None:
-        net = _CIRCUITS[gate] = build_gate_circuit(gate)
-    return net
 
 
 def _check_r(r_mag) -> None:
@@ -105,11 +97,7 @@ def efficiency_closed_form(gate: str, r_mag):
 
 
 def _ideal_spin_output(gate: str, spin_pairs) -> np.ndarray:
-    target = ideal_gate_unitary(gate)
-    vec = np.ones(1, dtype=complex)
-    for pair in spin_pairs:
-        vec = np.kron(vec, np.asarray(pair, dtype=complex))
-    return target.unitary @ vec
+    return ideal_gate_unitary(gate).unitary @ kron_pairs(spin_pairs)
 
 
 def _random_spin_pairs(rng: np.random.Generator, n: int) -> list[np.ndarray]:
@@ -154,7 +142,7 @@ def fidelity_simulated(
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
-    net = _circuit(gate)
+    net = build_gate_circuit(gate)
     values = []
     for state, pairs in _input_ensemble(net, convention, trials, seed):
         ideal = _ideal_spin_output(gate, pairs)
@@ -181,7 +169,7 @@ def efficiency_simulated(
 ) -> float:
     """Photon survival probability from full circuit simulation:
     the pre-detection squared norm, averaged over the input convention."""
-    net = _circuit(gate)
+    net = build_gate_circuit(gate)
     values = [
         apply_elements(net, state, r).norm2()
         for state, _ in _input_ensemble(net, convention, trials, seed)
@@ -199,10 +187,9 @@ def _nv_stages(net: Netlist):
     and form one stage; stages at increasing depth are traversed in
     sequence.  Returns {depth: [(start position, mode, [spin indices])]}.
     """
-    depth = {m: 0 for m in net.modes}
     open_runs: dict[str, int] = {}
     runs: list[dict] = []
-    for pos, el in enumerate(net.elements):
+    for pos, el, depth in iter_nv_depths(net):
         if el.kind is Kind.NV_SCATTER:
             m = el.in_modes[0]
             idx = open_runs.get(m)
@@ -211,17 +198,9 @@ def _nv_stages(net: Netlist):
                 open_runs[m] = len(runs) - 1
             else:
                 runs[idx]["spins"].append(el.spin)
-            depth[m] += 1
-        elif el.kind in (Kind.PBS_RL, Kind.BS5050, Kind.PBS_FS):
-            d = max(depth[m] for m in el.in_modes)
-            for m in el.in_modes:
-                depth[m] = 0
+        elif el.kind in (Kind.PBS_RL, Kind.BS5050, Kind.PBS_FS, Kind.HWP):
+            for m in el.in_modes + el.out_modes:
                 open_runs.pop(m, None)
-            for m in el.out_modes:
-                depth[m] = max(depth[m], d)
-                open_runs.pop(m, None)
-        elif el.kind is Kind.HWP:
-            open_runs.pop(el.in_modes[0], None)
     stages: dict[int, list] = {}
     for run in runs:
         stages.setdefault(run["depth"], []).append((run["start"], run["mode"], run["spins"]))
@@ -242,7 +221,7 @@ def efficiency_factorized(gate: str, r_mag: float) -> float:
     spins between passes.
     """
     _check_r(r_mag)
-    net = _circuit(gate)
+    net = build_gate_circuit(gate)
     n = net.n_spins
     stages = _nv_stages(net)
     basis_pairs = ((1.0, 0.0), (0.0, 1.0))

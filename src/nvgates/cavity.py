@@ -72,9 +72,6 @@ class ReflectionPair:
     r_hot: complex
     r_cold: complex
 
-    def magnitudes(self) -> tuple[float, float]:
-        return abs(self.r_hot), abs(self.r_cold)
-
 
 #: Idealization r -> 1, r0 = -1; used for exact ideal-circuit checks rather
 #: than a large-g limit.
@@ -114,7 +111,12 @@ def reflection_at_ratio(ratio: float) -> ReflectionPair:
 
 
 def resonant_pair(r_hot: float | complex) -> ReflectionPair:
-    """Reflection pair with a freely chosen hot amplitude and resonant cold = -1."""
+    """Reflection pair with a freely chosen hot amplitude and resonant cold = -1.
+
+    A passive cavity cannot amplify, so |r_hot| > 1 is rejected.
+    """
+    if not abs(r_hot) <= 1:  # also rejects NaN
+        raise ParameterError(f"hot reflection amplitude must satisfy |r_hot| <= 1, got {r_hot}")
     return ReflectionPair(r_hot=complex(r_hot), r_cold=-1.0 + 0.0j)
 
 

@@ -23,6 +23,7 @@ from . import analysis
 from .cavity import (
     CavityParams,
     IDEAL_PAIR,
+    ParameterError,
     ReflectionPair,
     kappa_from_quality_factor,
     quality_factor_conversions,
@@ -32,7 +33,7 @@ from .cavity import (
 )
 from .gates import GATE_NAMES, build_gate_circuit, ideal_gate_unitary
 from .netlist import balanced_product_input, load_netlist, product_input, run_netlist
-from .state import phase_aligned_deviation, spin_config_bits
+from .state import kron_pairs, phase_aligned_deviation, spin_config_bits
 
 IDEAL_TOLERANCE = 1e-10
 
@@ -60,12 +61,8 @@ def _reflection_from_args(args) -> ReflectionPair:
     return IDEAL_PAIR
 
 
-def _random_pairs(rng, n):
-    out = []
-    for _ in range(n):
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        out.append(v / np.linalg.norm(v))
-    return out
+def _regime_label(reflection: ReflectionPair) -> str:
+    return "ideal" if reflection == IDEAL_PAIR else f"r_hot={reflection.r_hot:.6g}"
 
 
 def _fmt_spin_state(spins) -> str:
@@ -85,14 +82,19 @@ def cmd_run(args) -> int:
     if args.input == "balanced":
         state = balanced_product_input(net)
     else:
-        amps = [complex(tok) for tok in args.input.split(",")]
+        usage = (f"--input needs {2 * net.n_spins} comma-separated amplitudes "
+                 f"(alpha,beta per spin) or 'balanced'")
+        try:
+            amps = [complex(tok) for tok in args.input.split(",")]
+        except ValueError:
+            raise UsageError(f"{usage}, got {args.input!r}") from None
         if len(amps) != 2 * net.n_spins:
-            raise UsageError(
-                f"--input needs {2 * net.n_spins} comma-separated amplitudes "
-                f"(alpha,beta per spin) or 'balanced'"
-            )
+            raise UsageError(usage)
         pairs = [np.array(amps[2 * k : 2 * k + 2]) for k in range(net.n_spins)]
-        pairs = [p / np.linalg.norm(p) for p in pairs]
+        norms = [np.linalg.norm(p) for p in pairs]
+        if not all(0 < nrm < math.inf for nrm in norms):
+            raise UsageError("--input: every spin's (alpha,beta) pair needs a finite, nonzero norm")
+        pairs = [p / nrm for p, nrm in zip(pairs, norms)]
         state = product_input(net, pairs)
     outcomes = run_netlist(net, state, reflection)
     survival = sum(o.probability for o in outcomes)
@@ -104,20 +106,21 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     net = build_gate_circuit(args.gate)
     reflection = _reflection_from_args(args)
-    ideal = args.ideal or (args.ratio is None and args.r_hot is None)
+    ideal = reflection == IDEAL_PAIR
     target = ideal_gate_unitary(args.gate)
     rng = np.random.default_rng(args.seed)
-    print(f"verify {args.gate}: trials={args.trials} seed={args.seed} "
-          f"regime={'ideal' if ideal else f'r_hot={reflection.r_hot:.6g}'}")
+    print(f"verify {args.gate}: trials={args.trials} seed={args.seed} regime={_regime_label(reflection)}")
     max_dev = 0.0
     fid_sum = 0.0
     fid_count = 0
     for _ in range(args.trials):
-        pairs = _random_pairs(rng, net.n_spins)
+        pairs = analysis._random_spin_pairs(rng, net.n_spins)
         state = product_input(net, pairs)
-        expected = target.unitary @ _kron_pairs(pairs)
+        expected = target.unitary @ kron_pairs(pairs)
         for outcome in run_netlist(net, state, reflection):
             if outcome.probability == 0.0:
                 continue
@@ -134,20 +137,12 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _kron_pairs(pairs):
-    v = np.ones(1, dtype=complex)
-    for p in pairs:
-        v = np.kron(v, np.asarray(p, dtype=complex))
-    return v
-
-
 def cmd_truth_table(args) -> int:
     net = build_gate_circuit(args.gate)
     reflection = _reflection_from_args(args)
     n = net.n_spins
     basis = [(1.0, 0.0), (0.0, 1.0)]
-    print(f"truth table for {args.gate} "
-          f"({'ideal' if getattr(args, 'ideal', False) or args.ratio is None else f'ratio={args.ratio}'})")
+    print(f"truth table for {args.gate} ({_regime_label(reflection)})")
     for cfg in range(2**n):
         bits = spin_config_bits(cfg, n)
         pairs = [basis[b] for b in bits]
@@ -295,7 +290,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:

@@ -15,19 +15,21 @@ nv) keep their wire's incoming label.  Unnamed interferometer arms use
 labels 20-27, ``vac`` is a shared never-occupied input port and ``w`` a
 shared always-empty recombination port.
 
-The circuits are generated here and also shipped as ``circuits/*.nv`` data
-files; a test asserts the two representations agree.
+Each circuit is defined only by its shipped data file ``circuits/<name>.nv``,
+feedforward table included; :func:`build_gate_circuit` parses it.  The
+block-matrix helpers give the closed-form operators of the interferometer
+building blocks for comparison with the simulated circuits.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from .cavity import IDEAL_PAIR, ReflectionPair
-from .elements import Element, Kind, Pauli
 from .netlist import Netlist, parse_netlist
 
 GATE_NAMES = ("cnot", "toffoli", "fredkin")
@@ -70,30 +72,6 @@ def ideal_gate_unitary(name: str) -> TargetGate:
     for src, dst in enumerate(perm):
         u[dst, src] = 1.0
     return TargetGate(name=name, unitary=u)
-
-
-def feedforward_table(name: str) -> tuple[tuple[str, tuple[Pauli, ...]], ...]:
-    """Outcome label -> per-spin corrections completing each gate."""
-    name = _canon(name)
-    I, Z, MZ = Pauli.I, Pauli.Z, Pauli.MINUS_Z
-    if name == "cnot":
-        return (
-            ("F9", (I, I)),
-            ("S9", (MZ, I)),
-        )
-    if name == "toffoli":
-        return (
-            ("F12", (I, I, I)),
-            ("S12", (I, Z, I)),
-            ("F13", (MZ, I, I)),
-            ("S13", (MZ, Z, I)),
-        )
-    return (
-        ("F12", (I, Z, Z)),
-        ("S12", (MZ, I, I)),
-        ("F13", (MZ, Z, Z)),
-        ("S13", (I, I, I)),
-    )
 
 
 def build_mz_block(routed_pol: str, r: ReflectionPair = IDEAL_PAIR) -> np.ndarray:
@@ -144,139 +122,18 @@ def build_two_nv_mz_block(
     return np.diag(diag)
 
 
-def _el(kind: Kind, ins=(), outs=(), spin=None) -> Element:
-    return Element(kind, tuple(ins), tuple(outs), spin=spin)
-
-
-def _build_cnot() -> Netlist:
-    # Wires: in -> PBS(1, 2); NV1 on 2; recombine on 4; HWP; split to 7 (R,
-    # to NV2) and 6 (L, free); recombine on 9; F/S detection on 9.
-    e = [
-        _el(Kind.PBS_RL, ("in", "vac"), ("1", "2")),
-        _el(Kind.NV_SCATTER, ("2",), ("2",), spin=0),
-        _el(Kind.PBS_RL, ("1", "2"), ("4", "w")),
-        _el(Kind.HWP, ("4",), ("4",)),
-        _el(Kind.SPIN_H, spin=1),
-        _el(Kind.PBS_RL, ("4", "vac"), ("7", "6")),
-        _el(Kind.NV_SCATTER, ("7",), ("7",), spin=1),
-        _el(Kind.PBS_RL, ("7", "6"), ("9", "w")),
-        _el(Kind.SPIN_H, spin=1),
-    ]
-    return Netlist(
-        n_spins=2,
-        modes=("in", "1", "2", "4", "6", "7", "9", "vac", "w"),
-        elements=tuple(e),
-        detectors=("9",),
-        feedforward=feedforward_table("cnot"),
-    )
-
-
-def _build_toffoli() -> Netlist:
-    # Control-1 block onto wire 1, HWP, split to 3 (R) / 4 (L).  Each branch
-    # passes an HWP-wrapped NV2 block (L-routed on the 4-branch, R-routed on
-    # the 3-branch) ending on wires 10 and 9; the 9-branch then passes the
-    # spin-Hadamard-wrapped NV3 block onto wire 11; 10 and 11 interfere at
-    # the BS into detectors 12 and 13.
-    e = [
-        _el(Kind.PBS_RL, ("in", "vac"), ("20", "21")),
-        _el(Kind.NV_SCATTER, ("21",), ("21",), spin=0),
-        _el(Kind.PBS_RL, ("20", "21"), ("1", "w")),
-        _el(Kind.HWP, ("1",), ("1",)),
-        _el(Kind.PBS_RL, ("1", "vac"), ("3", "4")),
-        # branch 4 -> 10: L-routed NV2 block
-        _el(Kind.HWP, ("4",), ("4",)),
-        _el(Kind.PBS_RL, ("4", "vac"), ("22", "23")),
-        _el(Kind.NV_SCATTER, ("23",), ("23",), spin=1),
-        _el(Kind.PBS_RL, ("22", "23"), ("10", "w")),
-        _el(Kind.HWP, ("10",), ("10",)),
-        # branch 3 -> 9: R-routed NV2 block
-        _el(Kind.HWP, ("3",), ("3",)),
-        _el(Kind.PBS_RL, ("3", "vac"), ("24", "25")),
-        _el(Kind.NV_SCATTER, ("24",), ("24",), spin=1),
-        _el(Kind.PBS_RL, ("24", "25"), ("9", "w")),
-        _el(Kind.HWP, ("9",), ("9",)),
-        # branch 9 -> 11: L-routed NV3 block wrapped in spin Hadamards
-        _el(Kind.SPIN_H, spin=2),
-        _el(Kind.PBS_RL, ("9", "vac"), ("26", "27")),
-        _el(Kind.NV_SCATTER, ("27",), ("27",), spin=2),
-        _el(Kind.PBS_RL, ("26", "27"), ("11", "w")),
-        _el(Kind.SPIN_H, spin=2),
-        _el(Kind.BS5050, ("10", "11"), ("12", "13")),
-    ]
-    return Netlist(
-        n_spins=3,
-        modes=(
-            "in", "1", "3", "4", "9", "10", "11", "12", "13",
-            "20", "21", "22", "23", "24", "25", "26", "27", "vac", "w",
-        ),
-        elements=tuple(e),
-        detectors=("12", "13"),
-        feedforward=feedforward_table("toffoli"),
-    )
-
-
-def _build_fredkin() -> Netlist:
-    # Same control-1 front end as the toffoli.  Both branches then pass an
-    # HWP-wrapped R-routed block holding NV2 then NV3 in one arm (onto wires
-    # 10 and 9); the 9-branch passes an L-routed NV3-then-NV2 block wrapped
-    # in spin Hadamards on both targets (onto wire 11); BS into 12/13.
-    e = [
-        _el(Kind.PBS_RL, ("in", "vac"), ("20", "21")),
-        _el(Kind.NV_SCATTER, ("21",), ("21",), spin=0),
-        _el(Kind.PBS_RL, ("20", "21"), ("1", "w")),
-        _el(Kind.HWP, ("1",), ("1",)),
-        _el(Kind.PBS_RL, ("1", "vac"), ("3", "4")),
-        # branch 4 -> 10
-        _el(Kind.HWP, ("4",), ("4",)),
-        _el(Kind.PBS_RL, ("4", "vac"), ("22", "23")),
-        _el(Kind.NV_SCATTER, ("22",), ("22",), spin=1),
-        _el(Kind.NV_SCATTER, ("22",), ("22",), spin=2),
-        _el(Kind.PBS_RL, ("22", "23"), ("10", "w")),
-        _el(Kind.HWP, ("10",), ("10",)),
-        # branch 3 -> 9
-        _el(Kind.HWP, ("3",), ("3",)),
-        _el(Kind.PBS_RL, ("3", "vac"), ("24", "25")),
-        _el(Kind.NV_SCATTER, ("24",), ("24",), spin=1),
-        _el(Kind.NV_SCATTER, ("24",), ("24",), spin=2),
-        _el(Kind.PBS_RL, ("24", "25"), ("9", "w")),
-        _el(Kind.HWP, ("9",), ("9",)),
-        # swap block on branch 9 -> 11
-        _el(Kind.SPIN_H, spin=2),
-        _el(Kind.SPIN_H, spin=1),
-        _el(Kind.PBS_RL, ("9", "vac"), ("26", "27")),
-        _el(Kind.NV_SCATTER, ("27",), ("27",), spin=2),
-        _el(Kind.NV_SCATTER, ("27",), ("27",), spin=1),
-        _el(Kind.PBS_RL, ("26", "27"), ("11", "w")),
-        _el(Kind.SPIN_H, spin=2),
-        _el(Kind.SPIN_H, spin=1),
-        _el(Kind.BS5050, ("10", "11"), ("12", "13")),
-    ]
-    return Netlist(
-        n_spins=3,
-        modes=(
-            "in", "1", "3", "4", "9", "10", "11", "12", "13",
-            "20", "21", "22", "23", "24", "25", "26", "27", "vac", "w",
-        ),
-        elements=tuple(e),
-        detectors=("12", "13"),
-        feedforward=feedforward_table("fredkin"),
-    )
-
-
-_BUILDERS = {"cnot": _build_cnot, "toffoli": _build_toffoli, "fredkin": _build_fredkin}
-
-
+@functools.cache
 def build_gate_circuit(name: str) -> Netlist:
-    """The gate circuit with its feedforward table, generated in code."""
-    return _BUILDERS[_canon(name)]()
+    """The gate circuit with its feedforward table, parsed once from its
+    shipped .nv file; every call returns the same immutable netlist."""
+    return parse_netlist(shipped_circuit_text(name))
+
+
+#: Alias of :func:`build_gate_circuit`.
+load_shipped_circuit = build_gate_circuit
 
 
 def shipped_circuit_text(name: str) -> str:
     """Contents of the shipped .nv data file for a gate."""
     name = _canon(name)
     return resources.files("nvgates").joinpath(f"circuits/{name}.nv").read_text(encoding="utf-8")
-
-
-def load_shipped_circuit(name: str) -> Netlist:
-    """Parse the shipped .nv data file for a gate."""
-    return parse_netlist(shipped_circuit_text(name))

@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .cavity import IDEAL_PAIR, ReflectionPair
-from .elements import Element, Kind, Pauli, apply_element
+from .elements import _PAULI_DIAG, Element, Kind, Pauli, WiringError, apply_element
 from .state import (
     DimensionMismatchError,
     HybridState,
@@ -139,6 +139,16 @@ def _expect_arrow(toks, pos: int, line: int, directive: str):
         raise NetlistError(
             DiagnosticKind.ARITY_MISMATCH, line, col, f"{directive} expects '->' here"
         )
+
+
+# routing directive -> (element kind, input count, operand form); each writes
+# two outputs.  pbs takes two inputs here although Element allows one:
+# serialize_netlist writes every pbs in the two-input form.
+_ROUTERS = {
+    "pbs": (Kind.PBS_RL, 2, "in1 in2 -> out1 out2"),
+    "bs": (Kind.BS5050, 2, "in1 in2 -> out1 out2"),
+    "pbsfs": (Kind.PBS_FS, 1, "in -> outF outS"),
+}
 
 
 class _Parser:
@@ -268,31 +278,20 @@ def parse_netlist(text: str) -> Netlist:
                 p.modes.append(tok)
                 p.mode_set.add(tok)
 
-        elif head == "pbs" or head == "bs":
-            if len(args) != 5:
+        elif head in _ROUTERS:
+            kind, n_in, form = _ROUTERS[head]
+            if len(args) != n_in + 3:
                 raise NetlistError(
-                    DiagnosticKind.ARITY_MISMATCH,
-                    lineno,
-                    head_col,
-                    f"{head} expects: {head} in1 in2 -> out1 out2",
+                    DiagnosticKind.ARITY_MISMATCH, lineno, head_col, f"{head} expects: {head} {form}"
                 )
-            _expect_arrow(toks, 3, lineno, head)
-            ins, outs = args[:2], args[3:]
-            kind = Kind.PBS_RL if head == "pbs" else Kind.BS5050
-            el = Element(kind, (ins[0][0], ins[1][0]), (outs[0][0], outs[1][0]), line=lineno)
+            _expect_arrow(toks, n_in + 1, lineno, head)
+            ins, outs = args[:n_in], args[n_in + 1 :]
+            names, _ = zip(*args)
+            try:
+                el = Element(kind, names[:n_in], names[n_in + 1 :], line=lineno)
+            except WiringError as exc:
+                raise NetlistError(DiagnosticKind.ARITY_MISMATCH, lineno, head_col, str(exc)) from None
             p.add_element(el, ins, outs, lineno)
-
-        elif head == "pbsfs":
-            if len(args) != 4:
-                raise NetlistError(
-                    DiagnosticKind.ARITY_MISMATCH,
-                    lineno,
-                    head_col,
-                    "pbsfs expects: pbsfs in -> outF outS",
-                )
-            _expect_arrow(toks, 2, lineno, "pbsfs")
-            el = Element(Kind.PBS_FS, (args[0][0],), (args[2][0], args[3][0]), line=lineno)
-            p.add_element(el, args[:1], args[2:], lineno)
 
         elif head == "hwp":
             if len(args) != 1:
@@ -462,13 +461,10 @@ def apply_spin_ops(spins: SpinState, ops) -> SpinState:
     ops = tuple(Pauli(op) for op in ops)
     if len(ops) != n:
         raise DimensionMismatchError(f"{len(ops)} operators for {n} spins")
-    a = spins.amps.reshape((2,) * n).copy()
+    a = spins.amps.reshape((2,) * n)
     for k, op in enumerate(ops):
-        if op is Pauli.I:
-            continue
-        diag = np.array([1.0, -1.0]) if op is Pauli.Z else np.array([-1.0, 1.0])
-        a = np.moveaxis(a, k, -1) * diag
-        a = np.moveaxis(a, -1, k)
+        if op is not Pauli.I:
+            a = np.moveaxis(np.moveaxis(a, k, -1) * _PAULI_DIAG[op], -1, k)
     return SpinState(a.reshape(-1))
 
 
@@ -500,14 +496,19 @@ def run_netlist(
     return outcomes
 
 
-def max_nv_path_depth(net: Netlist) -> int:
-    """Largest number of NV reflections along any single photon path.
+def iter_nv_depths(net: Netlist):
+    """Yield (position, element, depth) for each element in file order.
 
-    Propagates a per-mode counter through the wiring: an NV element increments
-    its mode's counter; PBS/BS outputs take the max over their inputs.
+    ``depth`` maps each mode to the number of NV reflections on the photon
+    path reaching it just before the element acts.  An NV element increments
+    its mode's counter; PBS/BS outputs take the max over their inputs, whose
+    counters reset because the amplitude has left them.  It is one dict,
+    updated in place, so after the walk it holds the counts at the end of
+    the circuit.
     """
-    depth = {m: 0 for m in net.modes}
-    for el in net.elements:
+    depth = dict.fromkeys(net.modes, 0)
+    for pos, el in enumerate(net.elements):
+        yield pos, el, depth
         if el.kind is Kind.NV_SCATTER:
             depth[el.in_modes[0]] += 1
         elif el.kind in (Kind.PBS_RL, Kind.BS5050, Kind.PBS_FS):
@@ -516,9 +517,15 @@ def max_nv_path_depth(net: Netlist) -> int:
                 depth[m] = 0
             for m in el.out_modes:
                 depth[m] = max(depth[m], d)
-    if net.detectors:
-        return max(depth[m] for m in net.detectors)
-    return max(depth.values())
+
+
+def max_nv_path_depth(net: Netlist) -> int:
+    """Largest number of NV reflections along any single photon path that
+    reaches a detector (any mode, if the circuit declares no detector)."""
+    depth = dict.fromkeys(net.modes, 0)
+    for _, _, depth in iter_nv_depths(net):
+        pass
+    return max(depth[m] for m in net.detectors or net.modes)
 
 
 def nv_element_count(net: Netlist) -> int:

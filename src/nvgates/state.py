@@ -155,6 +155,15 @@ def _check_pair(pair, what: str) -> np.ndarray:
     return v
 
 
+def kron_pairs(pairs) -> np.ndarray:
+    """Spin-register vector of a product state: the Kronecker product of the
+    per-spin amplitude pairs, spin 0 most significant."""
+    vec = np.ones(1, dtype=complex)
+    for pair in pairs:
+        vec = np.kron(vec, np.asarray(pair, dtype=complex))
+    return vec
+
+
 def make_product_state(pol_amps, photon_mode, spin_amps, modes) -> HybridState:
     """Tensor product of a photon polarization state at one mode with N spins.
 
@@ -165,9 +174,7 @@ def make_product_state(pol_amps, photon_mode, spin_amps, modes) -> HybridState:
     pol = _check_pair(pol_amps, "photon polarization pair")
     spins = [_check_pair(s, f"spin {k} pair") for k, s in enumerate(spin_amps)]
     n = len(spins)
-    cfg = np.ones(1, dtype=complex)
-    for s in spins:
-        cfg = np.kron(cfg, s)
+    cfg = kron_pairs(spins)
     amps = np.zeros((2, len(modes), 2**n), dtype=complex)
     state = HybridState(modes, n, amps)  # validates modes before indexing
     mi = state.mode_index(photon_mode)
@@ -199,13 +206,6 @@ def partial_trace_photon_collapse(state: HybridState, outcome: str, mode):
     if prob <= 0.0:
         return 0.0, SpinState(np.zeros_like(spin))
     return prob, SpinState(spin / math.sqrt(prob))
-
-
-def states_close(a: HybridState, b: HybridState, atol: float = NORM_ATOL) -> bool:
-    """Exact (global-phase-sensitive) amplitude comparison."""
-    if a.modes != b.modes or a.n_spins != b.n_spins:
-        return False
-    return bool(np.max(np.abs(a.amps - b.amps)) <= atol)
 
 
 def phase_aligned_deviation(actual: np.ndarray, expected: np.ndarray) -> float:

@@ -81,7 +81,7 @@ def test_fidelity_simulated_full_loss_returns_nan(monkeypatch):
     # a circuit whose only element absorbs every branch when both reflection
     # amplitudes vanish: the photon is lost with certainty
     dead = parse_netlist("spins 2\nmodes in\nnv in spin_0\ndetect in\n")
-    monkeypatch.setitem(analysis._CIRCUITS, "cnot", dead)
+    monkeypatch.setattr(analysis, "build_gate_circuit", lambda gate: dead)
     f = fidelity_simulated("cnot", ReflectionPair(0.0, 0.0))
     assert math.isnan(f)
 

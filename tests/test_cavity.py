@@ -13,6 +13,7 @@ from nvgates.cavity import (
     quality_factor_conversions,
     reflection_at_ratio,
     reflection_coefficient,
+    resonant_pair,
     scatter,
 )
 from nvgates.elements import apply_hwp, apply_spin_hadamard
@@ -48,6 +49,10 @@ def test_invalid_parameters_rejected():
         CavityParams(g=1.0, kappa=1.0, gamma=-2.0)
     with pytest.raises(ParameterError):
         CavityParams(g=-1.0, kappa=1.0, gamma=1.0)
+    for r_hot in (2.0, -1.5, 0.8 + 0.8j, float("nan")):
+        with pytest.raises(ParameterError):
+            resonant_pair(r_hot)
+    assert resonant_pair(-1.0).r_hot == -1.0
 
 
 def test_detuned_reflection_physical_and_complex():

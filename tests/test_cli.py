@@ -27,6 +27,18 @@ def test_verify_unknown_gate_usage_error():
     assert main(["verify", "hadamard"]) == 2
 
 
+def test_verify_rejects_zero_trials(capsys):
+    assert main(["verify", "cnot", "--trials", "0"]) == 2
+    assert "PASS" not in capsys.readouterr().out
+
+
+def test_gain_reflection_is_usage_error(capsys):
+    # |r_hot| > 1 would be an optical gain, which a passive cavity cannot give
+    assert main(["verify", "cnot", "--r-hot", "2"]) == 2
+    assert main(["truth-table", "cnot", "--r-hot", "-1.5"]) == 2
+    assert "|r_hot| <= 1" in capsys.readouterr().err
+
+
 def test_truth_table_toffoli(capsys):
     assert main(["truth-table", "toffoli", "--ideal"]) == 0
     out = capsys.readouterr().out
@@ -34,6 +46,17 @@ def test_truth_table_toffoli(capsys):
     assert len(rows) == 8
     assert any("|--+> -> " in r and "|---" in r for r in rows)
     assert any("|---> -> " in r and "|--+" in r for r in rows)
+
+
+def test_regime_header_names_the_simulated_regime(capsys):
+    assert main(["truth-table", "cnot", "--r-hot", "0.5"]) == 0
+    assert main(["verify", "cnot", "--r-hot", "0.5", "--trials", "2"]) == 0
+    header_tt, header_verify = (line for line in capsys.readouterr().out.splitlines()
+                                if line.startswith(("truth table", "verify")))
+    assert header_tt == "truth table for cnot (r_hot=0.5+0j)"
+    assert header_verify.endswith("regime=r_hot=0.5+0j")
+    assert main(["truth-table", "cnot"]) == 0
+    assert capsys.readouterr().out.startswith("truth table for cnot (ideal)")
 
 
 def test_truth_table_cnot_matches_unitary(capsys):
@@ -77,6 +100,17 @@ def test_run_with_explicit_input(capsys, tmp_path):
     assert main(["run", str(path), "--input", "0,1,1,0"]) == 0
     out = capsys.readouterr().out
     assert "|-->" in out  # control |-> flips target |+> -> |->
+
+
+def test_run_rejects_bad_input_amplitudes(capsys, tmp_path):
+    from nvgates.gates import shipped_circuit_text
+
+    path = tmp_path / "cnot.nv"
+    path.write_text(shipped_circuit_text("cnot"), encoding="utf-8")
+    for bad in ("abc", "0,0,1,0", "1,0,nan,1"):
+        assert main(["run", str(path), "--input", bad]) == 2, bad
+    out = capsys.readouterr().out
+    assert "nan" not in out
 
 
 def test_sweep_writes_deterministic_csv(tmp_path, capsys):

@@ -77,6 +77,13 @@ def test_diagnostic_arity_mismatch():
     _expect_error("spins 1\nmodes a\nhwp a a\n", DiagnosticKind.ARITY_MISMATCH, 3)
 
 
+def test_diagnostic_overlapping_wires():
+    # Element rejects the wiring; the parser must still say where
+    err = _expect_error("spins 1\nmodes a b c\npbs a b -> c b\n", DiagnosticKind.ARITY_MISMATCH, 3)
+    assert err.column == 1
+    _expect_error("spins 1\nmodes a b c\nbs a a -> b c\n", DiagnosticKind.ARITY_MISMATCH, 3)
+
+
 def test_diagnostic_spin_out_of_range():
     _expect_error("spins 3\nmodes m9\nnv m9 spin_5\n", DiagnosticKind.SPIN_RANGE, 3)
     _expect_error("spins 2\nmodes a\nspinh 7\n", DiagnosticKind.SPIN_RANGE, 3)
