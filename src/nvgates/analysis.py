@@ -34,10 +34,11 @@ from .gates import GATE_NAMES, build_gate_circuit, ideal_gate_unitary
 from .netlist import (
     Netlist,
     apply_elements,
-    balanced_product_input,
+    basis_response_input,
     iter_nv_depths,
-    product_input,
+    outcome_maps,
     run_netlist,
+    widen,
 )
 from .state import L, MINUS, PLUS, R, kron_pairs
 
@@ -96,31 +97,31 @@ def efficiency_closed_form(gate: str, r_mag):
     raise ValueError(f"unknown gate {gate!r}")
 
 
-def _ideal_spin_output(gate: str, spin_pairs) -> np.ndarray:
-    return ideal_gate_unitary(gate).unitary @ kron_pairs(spin_pairs)
+def _random_spin_inputs(rng: np.random.Generator, n: int, trials: int) -> np.ndarray:
+    """``trials`` random product inputs of n spins, shape (trials, 2**n).
+
+    Each spin's pair takes two standard-normal draws for its real parts and
+    two for its imaginary parts, trial by trial and spin by spin, and is
+    normalized.  The squared norms are summed as the two dot products of
+    ``np.linalg.norm``, so the pairs equal a pair-by-pair draw bit for bit.
+    """
+    draws = rng.normal(size=(trials, n, 2, 1, 2))
+    re, im = draws[:, :, 0], draws[:, :, 1]  # (trials, n, 1, 2)
+    norm2 = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    pairs = (re + 1j * im) / np.sqrt(norm2)
+    return kron_pairs(pairs[:, :, 0].swapaxes(0, 1))
 
 
-def _random_spin_pairs(rng: np.random.Generator, n: int) -> list[np.ndarray]:
-    pairs = []
-    for _ in range(n):
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        pairs.append(v / np.linalg.norm(v))
-    return pairs
-
-
-def _input_ensemble(net: Netlist, convention: str, trials: int, seed):
-    """Yield (input state, spin pairs) for one convention."""
-    b = 1.0 / math.sqrt(2.0)
+def _spin_inputs(n: int, convention: str, trials: int, seed) -> np.ndarray:
+    """Spin input vectors of one convention, shape (inputs, 2**n)."""
     if convention == "balanced":
-        pairs = [np.array([b, b], dtype=complex)] * net.n_spins
-        yield balanced_product_input(net), pairs
-    elif convention == "random":
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            pairs = _random_spin_pairs(rng, net.n_spins)
-            yield product_input(net, pairs), pairs
-    else:
-        raise ValueError(f"unknown input convention {convention!r}")
+        b = 1.0 / math.sqrt(2.0)
+        return kron_pairs([(b, b)] * n)[None, :]
+    if convention == "random":
+        if trials < 1:
+            raise ValueError(f"the random convention needs at least 1 trial, got {trials}")
+        return _random_spin_inputs(np.random.default_rng(seed), n, trials)
+    raise ValueError(f"unknown input convention {convention!r}")
 
 
 def fidelity_simulated(
@@ -139,24 +140,23 @@ def fidelity_simulated(
     (loss is accounted separately, in the efficiency); ``unnormalized``
     returns sum_o p_o F_o (loss counts as infidelity).  Returns NaN if the
     photon is lost with certainty.
+
+    The circuit runs once, widened (see :func:`netlist.basis_response_input`);
+    each input is then a product with the outcome maps.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
     net = build_gate_circuit(gate)
-    values = []
-    for state, pairs in _input_ensemble(net, convention, trials, seed):
-        ideal = _ideal_spin_output(gate, pairs)
-        weighted = 0.0
-        total = 0.0
-        for outcome in run_netlist(net, state, r):
-            if outcome.probability == 0.0:
-                continue
-            f = abs(np.vdot(ideal, outcome.spins.amps)) ** 2
-            weighted += outcome.probability * f
-            total += outcome.probability
-        if total == 0.0:
-            return math.nan
-        values.append(weighted / total if normalization == "postselected" else weighted)
+    inputs = _spin_inputs(net.n_spins, convention, trials, seed)
+    outcomes = run_netlist(widen(net), basis_response_input(net), r)
+    out = outcome_maps(outcomes, net.n_spins) @ inputs.T  # (outcome, config, input)
+    ideal = ideal_gate_unitary(gate).unitary @ inputs.T
+    # p_o F_o = |<ideal|unnormalized outcome state>|^2
+    weighted = np.sum(np.abs(np.sum(ideal.conj() * out, axis=1)) ** 2, axis=0)
+    total = np.sum(np.abs(out) ** 2, axis=(0, 1))
+    if not np.all(total > 0.0):
+        return math.nan
+    values = weighted / total if normalization == "postselected" else weighted
     return float(np.mean(values))
 
 
@@ -168,13 +168,13 @@ def efficiency_simulated(
     seed: int | None = 0,
 ) -> float:
     """Photon survival probability from full circuit simulation:
-    the pre-detection squared norm, averaged over the input convention."""
+    the pre-detection squared norm, averaged over the input convention.
+    Like :func:`fidelity_simulated`, it runs the widened circuit once."""
     net = build_gate_circuit(gate)
-    values = [
-        apply_elements(net, state, r).norm2()
-        for state, _ in _input_ensemble(net, convention, trials, seed)
-    ]
-    return float(np.mean(values))
+    inputs = _spin_inputs(net.n_spins, convention, trials, seed)
+    final = apply_elements(widen(net), basis_response_input(net), r)
+    out = final.amps.reshape(-1, 2**net.n_spins) @ inputs.T
+    return float(np.mean(np.sum(np.abs(out) ** 2, axis=0)))
 
 
 def _nv_stages(net: Netlist):
@@ -224,23 +224,17 @@ def efficiency_factorized(gate: str, r_mag: float) -> float:
     net = build_gate_circuit(gate)
     n = net.n_spins
     stages = _nv_stages(net)
-    basis_pairs = ((1.0, 0.0), (0.0, 1.0))
-    inputs = []
-    for cfg in range(2**n):
-        pairs = [basis_pairs[(cfg >> (n - 1 - k)) & 1] for k in range(n)]
-        inputs.append(product_input(net, pairs))
-
+    wide = widen(net)
+    start_state = basis_response_input(net)
     eta = 1.0
     for depth_key in sorted(stages):
         stage_loss = 0.0
         for start, mode, spins in stages[depth_key]:
-            # ensemble-averaged branch weights on this wire before the run
-            weights = np.zeros((2, 2**n))
-            for state in inputs:
-                before = apply_elements(net, state, IDEAL_PAIR, upto=start)
-                mi = before.mode_index(mode)
-                weights += np.abs(before.amps[:, mi, :]) ** 2
-            weights /= len(inputs)
+            # branch weights on this wire before the run, averaged over the
+            # ancilla axis, i.e. over all spin basis inputs
+            before = apply_elements(wide, start_state, IDEAL_PAIR, upto=start)
+            sq = np.abs(before.amps[:, before.mode_index(mode), :].reshape(2, 2**n, 2**n)) ** 2
+            weights = sum(sq[..., c] for c in range(2**n)) / 2**n
             for pol in (R, L):
                 for cfg in range(2**n):
                     f2 = 1.0

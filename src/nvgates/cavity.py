@@ -16,6 +16,7 @@ r = (g^2 - k*y/4)/(g^2 + k*y/4) and r0 = -1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,9 @@ class CavityParams:
     omega_p: float = 0.0
 
     def __post_init__(self):
+        for name in ("g", "kappa", "gamma", "omega_c", "omega_0", "omega_p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kappa <= 0:
             raise ParameterError(f"cavity damping rate must be positive, got {self.kappa}")
         if self.gamma <= 0:
@@ -56,8 +60,7 @@ class CavityParams:
     @classmethod
     def from_coupling_ratio(cls, ratio: float) -> CavityParams:
         """Resonant parameters with kappa = gamma = 1 and g = ratio*sqrt(kappa*gamma)."""
-        if ratio < 0:
-            raise ParameterError(f"coupling ratio must be nonnegative, got {ratio}")
+        _check_ratio(ratio)
         return cls(g=float(ratio), kappa=1.0, gamma=1.0)
 
     @property
@@ -97,10 +100,14 @@ def reflection_coefficient(params: CavityParams) -> ReflectionPair:
     return ReflectionPair(r_hot=r_hot, r_cold=r_cold)
 
 
+def _check_ratio(ratio: float) -> None:
+    if not 0 <= ratio < math.inf:  # also rejects NaN
+        raise ParameterError(f"coupling ratio must be finite and nonnegative, got {ratio}")
+
+
 def coupling_ratio_to_r(ratio: float) -> float:
     """Resonant hot reflection amplitude for a given g/sqrt(kappa*gamma)."""
-    if ratio < 0:
-        raise ParameterError(f"coupling ratio must be nonnegative, got {ratio}")
+    _check_ratio(ratio)
     x = ratio * ratio
     return (x - 0.25) / (x + 0.25)
 
@@ -128,10 +135,10 @@ def kappa_from_quality_factor(q: float, wavelength: float) -> float:
     :func:`quality_factor_conventions` for the angular/ordinary variants; the
     literature is not consistent about which is meant.
     """
-    if q <= 0:
-        raise ParameterError(f"quality factor must be positive, got {q}")
-    if wavelength <= 0:
-        raise ParameterError(f"wavelength must be positive, got {wavelength}")
+    if not 0 < q < math.inf:
+        raise ParameterError(f"quality factor must be finite and positive, got {q}")
+    if not 0 < wavelength < math.inf:
+        raise ParameterError(f"wavelength must be finite and positive, got {wavelength}")
     return SPEED_OF_LIGHT / (wavelength * q)
 
 
@@ -165,17 +172,11 @@ def scatter(state: HybridState, nv_index: int, mode, r: ReflectionPair) -> Hybri
     if not 0 <= nv_index < state.n_spins:
         raise ParameterError(f"spin index {nv_index} out of range for {state.n_spins} spins")
     mi = state.mode_index(mode)
-    n = state.n_spins
-    a = state.amps.reshape((2, len(state.modes)) + (2,) * n).copy()
-    for pol, spin_val, factor in (
-        (R, PLUS, r.r_hot),
-        (L, MINUS, r.r_hot),
-        (R, MINUS, r.r_cold),
-        (L, PLUS, r.r_cold),
-    ):
-        sl: list = [slice(None)] * (2 + n)
-        sl[0] = pol
-        sl[1] = mi
-        sl[2 + nv_index] = spin_val
-        a[tuple(sl)] *= factor
-    return state.with_amps(a.reshape(state.amps.shape))
+    a = state.amps.copy()
+    # axes: polarization, mode, spins before nv_index, nv_index, spins after
+    view = a.reshape(2, len(state.modes), -1, 2, 1 << (state.n_spins - 1 - nv_index))
+    view[R, mi, :, PLUS] *= r.r_hot
+    view[L, mi, :, MINUS] *= r.r_hot
+    view[R, mi, :, MINUS] *= r.r_cold
+    view[L, mi, :, PLUS] *= r.r_cold
+    return state.with_amps(a)

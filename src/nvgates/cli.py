@@ -32,8 +32,16 @@ from .cavity import (
     resonant_pair,
 )
 from .gates import GATE_NAMES, build_gate_circuit, ideal_gate_unitary
-from .netlist import balanced_product_input, load_netlist, product_input, run_netlist
-from .state import kron_pairs, phase_aligned_deviation, spin_config_bits
+from .netlist import (
+    balanced_product_input,
+    basis_response_input,
+    load_netlist,
+    outcome_maps,
+    product_input,
+    run_netlist,
+    widen,
+)
+from .state import phase_aligned_deviation, spin_config_bits
 
 IDEAL_TOLERANCE = 1e-10
 
@@ -65,14 +73,16 @@ def _regime_label(reflection: ReflectionPair) -> str:
     return "ideal" if reflection == IDEAL_PAIR else f"r_hot={reflection.r_hot:.6g}"
 
 
+def _ket(index: int, n: int) -> str:
+    return "".join("+" if b == 0 else "-" for b in spin_config_bits(index, n))
+
+
 def _fmt_spin_state(spins) -> str:
-    n = spins.n_spins
     parts = []
     for idx, amp in enumerate(spins.amps):
         if abs(amp) < 1e-9:
             continue
-        ket = "".join("+" if b == 0 else "-" for b in spin_config_bits(idx, n))
-        parts.append(f"({amp.real:+.6f}{amp.imag:+.6f}j)|{ket}>")
+        parts.append(f"({amp.real:+.6f}{amp.imag:+.6f}j)|{_ket(idx, spins.n_spins)}>")
     return " ".join(parts) if parts else "(null)"
 
 
@@ -105,6 +115,12 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _outcome_maps(net, reflection) -> np.ndarray:
+    """Per-outcome spin maps of ``net`` from one widened run."""
+    outcomes = run_netlist(widen(net), basis_response_input(net), reflection)
+    return outcome_maps(outcomes, net.n_spins)
+
+
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
@@ -114,20 +130,16 @@ def cmd_verify(args) -> int:
     target = ideal_gate_unitary(args.gate)
     rng = np.random.default_rng(args.seed)
     print(f"verify {args.gate}: trials={args.trials} seed={args.seed} regime={_regime_label(reflection)}")
-    max_dev = 0.0
-    fid_sum = 0.0
-    fid_count = 0
-    for _ in range(args.trials):
-        pairs = analysis._random_spin_pairs(rng, net.n_spins)
-        state = product_input(net, pairs)
-        expected = target.unitary @ kron_pairs(pairs)
-        for outcome in run_netlist(net, state, reflection):
-            if outcome.probability == 0.0:
-                continue
-            max_dev = max(max_dev, phase_aligned_deviation(outcome.spins.amps, expected))
-            fid_sum += abs(np.vdot(expected, outcome.spins.amps)) ** 2
-            fid_count += 1
-    avg_fid = fid_sum / fid_count if fid_count else math.nan
+    inputs = analysis._random_spin_inputs(rng, net.n_spins, args.trials)
+    # (outcome, trial, config): the unnormalized output of every input on every outcome
+    out = np.swapaxes(_outcome_maps(net, reflection) @ inputs.T, 1, 2)
+    probs = np.sum(np.abs(out) ** 2, axis=-1)
+    seen = probs > 0.0
+    states = out[seen] / np.sqrt(probs[seen])[:, None]
+    expected = np.broadcast_to(inputs @ target.unitary.T, out.shape)[seen]
+    max_dev = phase_aligned_deviation(states, expected) if states.size else 0.0
+    fids = np.abs(np.sum(expected.conj() * states, axis=-1)) ** 2
+    avg_fid = float(np.mean(fids)) if fids.size else math.nan
     print(f"max deviation from ideal gate (per outcome, up to global phase): {max_dev:.3e}")
     print(f"mean post-selected outcome fidelity: {avg_fid:.9f}")
     if ideal:
@@ -141,25 +153,28 @@ def cmd_truth_table(args) -> int:
     net = build_gate_circuit(args.gate)
     reflection = _reflection_from_args(args)
     n = net.n_spins
-    basis = [(1.0, 0.0), (0.0, 1.0)]
+    labels = net.outcome_labels()
+    # column c of each map is the outcome's output for basis input c
+    maps = _outcome_maps(net, reflection)
     print(f"truth table for {args.gate} ({_regime_label(reflection)})")
     for cfg in range(2**n):
-        bits = spin_config_bits(cfg, n)
-        pairs = [basis[b] for b in bits]
-        state = product_input(net, pairs)
-        ket_in = "".join("+" if b == 0 else "-" for b in bits)
         cells = []
-        for outcome in run_netlist(net, state, reflection):
-            if outcome.probability < 1e-12:
+        for label, column in zip(labels, maps[:, :, cfg]):
+            prob = float(np.sum(np.abs(column) ** 2))
+            if prob < 1e-12:
                 continue
-            top = int(np.argmax(np.abs(outcome.spins.amps)))
-            ket_out = "".join("+" if b == 0 else "-" for b in spin_config_bits(top, n))
-            cells.append(f"{outcome.label}: |{ket_out}> p={outcome.probability:.6f}")
-        print(f"  |{ket_in}> -> " + " ; ".join(cells))
+            top = int(np.argmax(np.abs(column)))
+            cells.append(f"{label}: |{_ket(top, n)}> p={prob:.6f}")
+        print(f"  |{_ket(cfg, n)}> -> " + " ; ".join(cells))
     return 0
 
 
 def cmd_sweep(args) -> int:
+    for flag, value in (("--min", args.min), ("--max", args.max)):
+        if not math.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value}")
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     if args.min < 0:
         raise UsageError("--min must be nonnegative")
     if args.steps < 2:

@@ -156,18 +156,19 @@ def apply_pbs_rl(state: HybridState, in_modes, out_modes) -> HybridState:
     el = Element(Kind.PBS_RL, tuple(in_modes), tuple(out_modes))
     idx = [state.mode_index(m) for m in el.in_modes]
     odx = [state.mode_index(m) for m in el.out_modes]
-    a = state.amps.copy()
-    for k, i in enumerate(idx):
-        a[R, i], a[R, odx[k]] = a[R, odx[k]].copy(), a[R, i].copy()
-        a[L, i], a[L, odx[1 - k]] = a[L, odx[1 - k]].copy(), a[L, i].copy()
+    src = state.amps
+    a = src.copy()
+    for k, i in enumerate(idx):  # the swapped slot pairs are disjoint
+        a[R, i], a[R, odx[k]] = src[R, odx[k]], src[R, i]
+        a[L, i], a[L, odx[1 - k]] = src[L, odx[1 - k]], src[L, i]
     return state.with_amps(a)
 
 
 def apply_hwp(state: HybridState, mode) -> HybridState:
     """Photon Hadamard on one mode (half-wave plate at 22.5 degrees)."""
     mi = state.mode_index(mode)
+    r_amp, l_amp = state.amps[R, mi], state.amps[L, mi]
     a = state.amps.copy()
-    r_amp, l_amp = a[R, mi].copy(), a[L, mi].copy()
     a[R, mi] = (r_amp + l_amp) * _SQRT1_2
     a[L, mi] = (r_amp - l_amp) * _SQRT1_2
     return state.with_amps(a)
@@ -183,9 +184,9 @@ def apply_bs(state: HybridState, in_modes, out_modes) -> HybridState:
     el = Element(Kind.BS5050, tuple(in_modes), tuple(out_modes))
     i0, i1 = (state.mode_index(m) for m in el.in_modes)
     o0, o1 = (state.mode_index(m) for m in el.out_modes)
-    a = state.amps.copy()
-    a0, a1 = a[:, i0, :].copy(), a[:, i1, :].copy()
-    b0, b1 = a[:, o0, :].copy(), a[:, o1, :].copy()
+    src = state.amps
+    a0, a1, b0, b1 = src[:, i0, :], src[:, i1, :], src[:, o0, :], src[:, o1, :]
+    a = src.copy()
     a[:, o0, :] = (a0 + a1) * _SQRT1_2
     a[:, o1, :] = (a1 - a0) * _SQRT1_2
     a[:, i0, :] = (b0 - b1) * _SQRT1_2
@@ -222,15 +223,18 @@ def apply_pbs_fs(state: HybridState, in_mode, out_modes) -> HybridState:
 def _spin_transform(state: HybridState, spin_index: int, mat_or_diag: np.ndarray) -> HybridState:
     if not 0 <= spin_index < state.n_spins:
         raise StateError(f"spin index {spin_index} out of range for {state.n_spins} spins")
-    n = state.n_spins
-    a = state.spin_view().copy()
-    a = np.moveaxis(a, 2 + spin_index, -1)
+    lower = 1 << (state.n_spins - 1 - spin_index)
+    a = state.amps.reshape(-1, 2, lower)
+    a0, a1 = a[:, 0], a[:, 1]
+    out = np.empty_like(a)
     if mat_or_diag.ndim == 1:
-        a = a * mat_or_diag
+        out[:, 0] = a0 * mat_or_diag[0]
+        out[:, 1] = a1 * mat_or_diag[1]
     else:
-        a = a @ mat_or_diag.T
-    a = np.moveaxis(a, -1, 2 + spin_index)
-    return state.with_amps(a.reshape(state.amps.shape))
+        (m00, m01), (m10, m11) = mat_or_diag.tolist()
+        out[:, 0] = a0 * m00 + a1 * m01
+        out[:, 1] = a0 * m10 + a1 * m11
+    return state.with_amps(out.reshape(state.amps.shape))
 
 
 def apply_spin_hadamard(state: HybridState, spin_index: int) -> HybridState:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -461,11 +461,11 @@ def apply_spin_ops(spins: SpinState, ops) -> SpinState:
     ops = tuple(Pauli(op) for op in ops)
     if len(ops) != n:
         raise DimensionMismatchError(f"{len(ops)} operators for {n} spins")
-    a = spins.amps.reshape((2,) * n)
+    a = spins.amps
     for k, op in enumerate(ops):
         if op is not Pauli.I:
-            a = np.moveaxis(np.moveaxis(a, k, -1) * _PAULI_DIAG[op], -1, k)
-    return SpinState(a.reshape(-1))
+            a = (a.reshape(-1, 2, 1 << (n - 1 - k)) * _PAULI_DIAG[op][:, None]).reshape(-1)
+    return SpinState(a)
 
 
 def run_netlist(
@@ -547,3 +547,50 @@ def product_input(net: Netlist, spin_pairs, photon_mode: str | None = None) -> H
         spin_pairs,
         net.modes,
     )
+
+
+def widen(net: Netlist) -> Netlist:
+    """``net`` on 2n spins, where spins n..2n-1 are idle ancillas.
+
+    Elements keep their spin indices, and every feedforward rule gets ``I``
+    on the ancillas, so no operation touches them.  See
+    :func:`basis_response_input` for the state that makes this useful.
+    """
+    n = net.n_spins
+    feedforward = None if net.feedforward is None else tuple(
+        (label, ops + (Pauli.I,) * n) for label, ops in net.feedforward
+    )
+    return replace(net, n_spins=2 * n, feedforward=feedforward)
+
+
+def basis_response_input(net: Netlist) -> HybridState:
+    """Start state of ``widen(net)`` that runs every spin-basis input at once.
+
+    Ancilla configuration c carries ``product_input(net, basis config c)``,
+    so the state is sum_c |input_c>|c>, with squared norm 2**n.  The circuit
+    is linear and leaves the ancillas idle, so after any run the amplitudes
+    at ancilla configuration c are its response to basis input c, and its
+    response to a spin input vector v is the contraction with v over the
+    ancilla axis (the last axis of ``amps.reshape(..., 2**n)``).
+
+    Every basis input holds the same photon amplitudes, at its own spin
+    configuration, so they are taken from the all-|+> input and put on the
+    diagonal (circuit configuration c, ancilla configuration c).
+    """
+    dim = 2**net.n_spins
+    photon = product_input(net, [(1.0, 0.0)] * net.n_spins).amps[:, :, :1]
+    amps = np.zeros((2, len(net.modes), dim, dim), dtype=complex)
+    amps[:, :, range(dim), range(dim)] = photon
+    return HybridState(net.modes, 2 * net.n_spins, amps.reshape(2, len(net.modes), dim * dim))
+
+
+def outcome_maps(outcomes, n_spins: int) -> np.ndarray:
+    """Per-outcome spin maps of a widened run, shape (outcomes, 2**n, 2**n).
+
+    ``outcomes`` is ``run_netlist(widen(net), basis_response_input(net), ...)``;
+    map o takes a spin input vector of the n circuit spins to outcome o's
+    unnormalized, feedforward-corrected spin output, whose squared norm is
+    the outcome's probability for that input.
+    """
+    dim = 2**n_spins
+    return np.stack([math.sqrt(o.probability) * o.spins.amps.reshape(dim, dim) for o in outcomes])

@@ -138,7 +138,20 @@ class HybridState:
         return 1.0 - self.norm2()
 
     def with_amps(self, amps: np.ndarray) -> HybridState:
-        return HybridState(self.modes, self.n_spins, amps)
+        """A state on the same (modes, spins) space holding ``amps``.
+
+        For element kernels: ``amps`` must be a fresh complex array that the
+        caller no longer writes to.  It is taken over without a copy and
+        made read-only; only its shape is checked.
+        """
+        if amps.shape != self.amps.shape:
+            raise DimensionMismatchError(
+                f"amplitude array has shape {amps.shape}, expected {self.amps.shape}"
+            )
+        amps.setflags(write=False)
+        new = object.__new__(HybridState)
+        vars(new).update(modes=self.modes, n_spins=self.n_spins, amps=amps)
+        return new
 
     def spin_view(self) -> np.ndarray:
         """Read-only view reshaped to (2, n_modes, 2, 2, ..., 2)."""
@@ -149,18 +162,24 @@ def _check_pair(pair, what: str) -> np.ndarray:
     v = np.asarray(pair, dtype=complex)
     if v.shape != (2,):
         raise DimensionMismatchError(f"{what} must be a pair of amplitudes, got shape {v.shape}")
-    n2 = float(np.sum(np.abs(v) ** 2))
-    if abs(n2 - 1.0) > NORM_ATOL:
+    n2 = float(np.vdot(v, v).real)
+    if not abs(n2 - 1.0) <= NORM_ATOL:
         raise NormalizationError(f"{what} has squared norm {n2!r}, expected 1 within {NORM_ATOL}")
     return v
 
 
 def kron_pairs(pairs) -> np.ndarray:
     """Spin-register vector of a product state: the Kronecker product of the
-    per-spin amplitude pairs, spin 0 most significant."""
-    vec = np.ones(1, dtype=complex)
+    per-spin amplitude pairs, spin 0 most significant.
+
+    Pairs may carry leading batch axes, shape (..., 2), which broadcast; the
+    result then has shape (..., 2**n).
+    """
+    pairs = iter(pairs)
+    vec = np.array(next(pairs, 1.0), dtype=complex, ndmin=1)
     for pair in pairs:
-        vec = np.kron(vec, np.asarray(pair, dtype=complex))
+        prod = vec[..., :, None] * np.asarray(pair, dtype=complex)[..., None, :]
+        vec = prod.reshape(prod.shape[:-2] + (-1,))
     return vec
 
 
@@ -174,12 +193,12 @@ def make_product_state(pol_amps, photon_mode, spin_amps, modes) -> HybridState:
     pol = _check_pair(pol_amps, "photon polarization pair")
     spins = [_check_pair(s, f"spin {k} pair") for k, s in enumerate(spin_amps)]
     n = len(spins)
-    cfg = kron_pairs(spins)
+    try:
+        mi = modes.index(str(photon_mode))
+    except ValueError:
+        raise ModeError(f"unknown mode {photon_mode!r}; declared modes: {modes}") from None
     amps = np.zeros((2, len(modes), 2**n), dtype=complex)
-    state = HybridState(modes, n, amps)  # validates modes before indexing
-    mi = state.mode_index(photon_mode)
-    amps[R, mi, :] = pol[0] * cfg
-    amps[L, mi, :] = pol[1] * cfg
+    amps[:, mi, :] = pol[:, None] * kron_pairs(spins)
     return HybridState(modes, n, amps)
 
 
@@ -212,12 +231,15 @@ def phase_aligned_deviation(actual: np.ndarray, expected: np.ndarray) -> float:
     """Max amplitude deviation after removing one optimal global phase.
 
     Gate-equivalence assertions permit a single global phase; everything else
-    (relative phases, moduli) must match.
+    (relative phases, moduli) must match.  Stacked vectors, shape (..., d),
+    are each aligned with their own phase, and the largest deviation over
+    all of them is returned.
     """
-    actual = np.asarray(actual, dtype=complex).ravel()
-    expected = np.asarray(expected, dtype=complex).ravel()
+    actual = np.asarray(actual, dtype=complex)
+    expected = np.asarray(expected, dtype=complex)
     if actual.shape != expected.shape:
         raise DimensionMismatchError("cannot compare vectors of different shapes")
-    ov = np.vdot(expected, actual)
-    phase = ov / abs(ov) if abs(ov) > 0 else 1.0
+    ov = np.sum(expected.conj() * actual, axis=-1, keepdims=True)
+    mag = np.abs(ov)
+    phase = np.divide(ov, mag, out=np.ones_like(ov), where=mag > 0)
     return float(np.max(np.abs(actual - phase * expected)))

@@ -55,6 +55,24 @@ def test_invalid_parameters_rejected():
     assert resonant_pair(-1.0).r_hot == -1.0
 
 
+def test_non_finite_parameters_rejected():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ParameterError):
+            coupling_ratio_to_r(bad)
+        with pytest.raises(ParameterError):
+            reflection_at_ratio(bad)
+        with pytest.raises(ParameterError):
+            CavityParams.from_coupling_ratio(bad)
+        for field in ("g", "kappa", "gamma", "omega_c", "omega_0", "omega_p"):
+            kwargs = {"g": 1.0, "kappa": 1.0, "gamma": 1.0, field: bad}
+            with pytest.raises(ParameterError, match=field):
+                CavityParams(**kwargs)
+        with pytest.raises(ParameterError):
+            kappa_from_quality_factor(bad, 637e-9)
+        with pytest.raises(ParameterError):
+            kappa_from_quality_factor(1e5, bad)
+
+
 def test_detuned_reflection_physical_and_complex():
     params = CavityParams(g=2.0, kappa=1.0, gamma=0.3, omega_c=0.7, omega_0=0.2, omega_p=0.0)
     pair = reflection_coefficient(params)

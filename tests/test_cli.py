@@ -184,3 +184,37 @@ def test_params_without_arguments_usage_error(capsys):
 
 def test_run_missing_file_runtime_error():
     assert main(["run", "/no/such/file.nv"]) == 1
+
+
+def test_non_finite_ratio_is_usage_error(capsys, tmp_path):
+    from nvgates.gates import shipped_circuit_text
+
+    path = tmp_path / "cnot.nv"
+    path.write_text(shipped_circuit_text("cnot"), encoding="utf-8")
+    for bad in ("nan", "inf"):
+        for argv in (
+            ["run", str(path), "--ratio", bad],
+            ["verify", "cnot", "--ratio", bad, "--trials", "2"],
+            ["truth-table", "cnot", "--ratio", bad],
+            ["params", "--ratio", bad],
+        ):
+            assert main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert "nan" not in captured.out.lower()
+
+
+def test_sweep_rejects_non_finite_bounds(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    assert main(["sweep", "--max", "inf", "--out", out]) == 2
+    assert "--max" in capsys.readouterr().err
+    assert main(["sweep", "--min", "nan", "--out", out]) == 2
+    assert "--min" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_rejects_zero_trials(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--convention", "random", "--trials", "0", "--out", str(out)]) == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()

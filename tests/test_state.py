@@ -62,6 +62,11 @@ def test_product_state_rejects_unnormalized():
         make_product_state((1, 1), "in", [(1, 0)], MODES2)
     with pytest.raises(NormalizationError):
         make_product_state((1, 0), "in", [(0.5, 0.5)], MODES2)
+    # a NaN amplitude has no norm to compare, and must not pass the check
+    with pytest.raises(NormalizationError):
+        make_product_state((1, 0), "in", [(float("nan"), 1.0)], MODES2)
+    with pytest.raises(NormalizationError):
+        make_product_state((float("inf"), 0), "in", [(1, 0)], MODES2)
 
 
 def test_overlap_self_and_orthogonal(rng):
