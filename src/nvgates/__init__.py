@@ -33,7 +33,6 @@ from .elements import (
     apply_pbs_fs,
     apply_pbs_rl,
     apply_spin_hadamard,
-    apply_spin_pauli,
 )
 from .gates import (
     GATE_NAMES,

@@ -12,9 +12,9 @@ Conventions (all sign choices matter for the downstream interference):
 - PBS in the F/S basis: the (|R>+|L>)/sqrt2 component routes to the F output,
   (|R>-|L>)/sqrt2 to the S output, keeping its polarization state.
 - Spin Hadamard: |+> -> (|+>+|->)/sqrt2, |-> -> (|+>-|->)/sqrt2.
-- Spin Paulis in the {|+>, |->} basis: Z = |+><+| - |-><-| and
-  -Z = -|+><+| + |-><-| (Z up to global phase; the distinction matters for
-  feedforward bookkeeping).
+- Spin Paulis (feedforward corrections) in the {|+>, |->} basis:
+  Z = |+><+| - |-><-| and -Z = -|+><+| + |-><-| (Z up to global phase; the
+  distinction matters for feedforward bookkeeping).
 
 Every routing element is realized as a genuine unitary on the whole mode
 space: besides the forward routing above, content already sitting on an
@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,13 +42,14 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
 class Kind(Enum):
+    """Element kinds; each value is the kind's ``.nv`` directive."""
+
     PBS_RL = "pbs"
     PBS_FS = "pbsfs"
     HWP = "hwp"
     BS5050 = "bs"
     NV_SCATTER = "nv"
     SPIN_H = "spinh"
-    SPIN_PAULI = "spinpauli"
 
 
 class Pauli(Enum):
@@ -56,87 +58,93 @@ class Pauli(Enum):
     MINUS_Z = "-Z"
 
 
+# Operand form of each kind's directive: ``in``/``out`` an input/output
+# wire, ``m`` one wire rewritten in place, ``spin_k`` or ``k`` a spin index.
+FORMS = {
+    Kind.PBS_RL: "in in -> out out",
+    Kind.PBS_FS: "in -> out out",
+    Kind.HWP: "m",
+    Kind.BS5050: "in in -> out out",
+    Kind.NV_SCATTER: "m spin_k",
+    Kind.SPIN_H: "k",
+}
+
+
+class _Layout(NamedTuple):
+    """A form taken apart once: operand count, index of ``->``, slices of the
+    input and output wires, whether they are one wire rewritten in place,
+    spin operand index and prefix, an Element's (inputs, outputs, no spin)
+    shape, and a ``format(*in_modes, *out_modes, spin)`` template."""
+
+    n_ops: int
+    arrow: int | None
+    ins: slice
+    outs: slice
+    in_place: bool  # also true of a kind without wires
+    spin: int | None
+    spin_prefix: str
+    shape: tuple[int, int, bool]
+    template: str
+
+
+def _span(positions) -> slice:
+    return slice(positions[0], positions[-1] + 1) if positions else slice(0)
+
+
+def _layout(kind: Kind, form: str) -> _Layout:
+    ops = form.split()
+    ins = [i for i, op in enumerate(ops) if op in ("in", "m")]
+    outs = [i for i, op in enumerate(ops) if op in ("out", "m")]
+    spin = next((i for i, op in enumerate(ops) if op in ("k", "spin_k")), None)
+    prefix = "" if spin is None else ops[spin][:-1]
+    fields = {i: f"{{{j}}}" for j, i in enumerate(ins + outs)}  # an m takes its output field
+    if spin is not None:
+        fields[spin] = f"{prefix}{{{len(ins) + len(outs)}}}"
+    return _Layout(
+        len(ops),
+        ops.index("->") if "->" in ops else None,
+        _span(ins),
+        _span(outs),
+        ins == outs,
+        spin,
+        prefix,
+        (len(ins), len(outs), spin is None),
+        " ".join([kind.value, *(fields.get(i, op) for i, op in enumerate(ops))]),
+    )
+
+
+LAYOUTS = {kind: _layout(kind, form) for kind, form in FORMS.items()}
+
+
 class WiringError(StateError):
-    """An element's in/out wiring overlaps in a way that merges occupied modes."""
+    """An element's operands do not fit its kind's form, or its in/out
+    wiring overlaps in a way that merges occupied modes."""
 
 
 @dataclass(frozen=True)
 class Element:
-    """One circuit component with its mode wiring and optional spin target."""
+    """One circuit component with its mode wiring and optional spin target,
+    shaped as its kind's entry in :data:`FORMS`."""
 
     kind: Kind
     in_modes: tuple[str, ...] = ()
     out_modes: tuple[str, ...] = ()
     spin: int | None = None
-    pauli: Pauli | None = None
     line: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "in_modes", tuple(str(m) for m in self.in_modes))
-        object.__setattr__(self, "out_modes", tuple(str(m) for m in self.out_modes))
-        _ARITY_CHECKS[self.kind](self)
+        ins = tuple(map(str, self.in_modes))
+        outs = tuple(map(str, self.out_modes))
+        object.__setattr__(self, "in_modes", ins)
+        object.__setattr__(self, "out_modes", outs)
+        lay = LAYOUTS[self.kind]
+        if (len(ins), len(outs), self.spin is None) != lay.shape:
+            form = f"{self.kind.value} {FORMS[self.kind]}"
+            raise WiringError(f"{self.kind.value} takes: {form}; got {ins} -> {outs}, spin {self.spin}")
+        if (outs != ins) if lay.in_place else (len({*ins, *outs}) != len(ins) + len(outs)):
+            raise WiringError(f"{self.kind.value} wires {ins} -> {outs} must be one wire in place, "
+                              "or distinct: a shared wire would merge occupied modes")
 
-
-def _check_pbs_rl(el: Element):
-    if not (1 <= len(el.in_modes) <= 2) or len(el.out_modes) != 2:
-        raise WiringError("pbs takes 1-2 input modes and exactly 2 output modes")
-    _check_distinct(el)
-
-
-def _check_pbs_fs(el: Element):
-    if len(el.in_modes) != 1 or len(el.out_modes) != 2:
-        raise WiringError("pbsfs takes 1 input mode and 2 output modes")
-    _check_distinct(el)
-
-
-def _check_hwp(el: Element):
-    if len(el.in_modes) != 1 or el.out_modes != el.in_modes:
-        raise WiringError("hwp acts in place on a single mode")
-
-
-def _check_bs(el: Element):
-    if len(el.in_modes) != 2 or len(el.out_modes) != 2:
-        raise WiringError("bs takes exactly 2 input and 2 output modes")
-    _check_distinct(el)
-
-
-def _check_nv(el: Element):
-    if len(el.in_modes) != 1 or el.out_modes != el.in_modes:
-        raise WiringError("nv acts in place on a single mode")
-    if el.spin is None:
-        raise WiringError("nv needs a spin target")
-
-
-def _check_spin_only(el: Element):
-    if el.in_modes or el.out_modes:
-        raise WiringError("spin operations take no modes")
-    if el.spin is None:
-        raise WiringError("spin operations need a spin index")
-    if el.kind is Kind.SPIN_PAULI and el.pauli is None:
-        raise WiringError("spin Pauli needs an operator")
-
-
-def _check_distinct(el: Element):
-    if len(set(el.in_modes)) != len(el.in_modes):
-        raise WiringError(f"duplicate input modes {el.in_modes}")
-    if len(set(el.out_modes)) != len(el.out_modes):
-        raise WiringError(f"duplicate output modes {el.out_modes}")
-    if set(el.in_modes) & set(el.out_modes):
-        raise WiringError(
-            f"input modes {el.in_modes} and output modes {el.out_modes} overlap; "
-            "routing through a shared wire would merge occupied modes"
-        )
-
-
-_ARITY_CHECKS = {
-    Kind.PBS_RL: _check_pbs_rl,
-    Kind.PBS_FS: _check_pbs_fs,
-    Kind.HWP: _check_hwp,
-    Kind.BS5050: _check_bs,
-    Kind.NV_SCATTER: _check_nv,
-    Kind.SPIN_H: _check_spin_only,
-    Kind.SPIN_PAULI: _check_spin_only,
-}
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _SQRT1_2
 _PAULI_DIAG = {
@@ -149,9 +157,10 @@ _PAULI_DIAG = {
 def apply_pbs_rl(state: HybridState, in_modes, out_modes) -> HybridState:
     """Route R to the same-index output and L to the opposite one.
 
-    With a single input mode the absent port is vacuum.  The routing is a
-    permutation of (polarization, wire) slots, swapping each input slot with
-    its destination, so the operation is exactly unitary.
+    An input port that no photon reaches is a declared, never-occupied mode
+    (a vacuum port).  The routing is a permutation of (polarization, wire)
+    slots, swapping each input slot with its destination, so the operation
+    is exactly unitary.
     """
     el = Element(Kind.PBS_RL, tuple(in_modes), tuple(out_modes))
     idx = [state.mode_index(m) for m in el.in_modes]
@@ -220,31 +229,18 @@ def apply_pbs_fs(state: HybridState, in_mode, out_modes) -> HybridState:
     return state.with_amps(a)
 
 
-def _spin_transform(state: HybridState, spin_index: int, mat_or_diag: np.ndarray) -> HybridState:
+def apply_spin_hadamard(state: HybridState, spin_index: int) -> HybridState:
+    """Hadamard on one electron spin."""
     if not 0 <= spin_index < state.n_spins:
         raise StateError(f"spin index {spin_index} out of range for {state.n_spins} spins")
     lower = 1 << (state.n_spins - 1 - spin_index)
     a = state.amps.reshape(-1, 2, lower)
     a0, a1 = a[:, 0], a[:, 1]
+    (m00, m01), (m10, m11) = _HADAMARD.tolist()
     out = np.empty_like(a)
-    if mat_or_diag.ndim == 1:
-        out[:, 0] = a0 * mat_or_diag[0]
-        out[:, 1] = a1 * mat_or_diag[1]
-    else:
-        (m00, m01), (m10, m11) = mat_or_diag.tolist()
-        out[:, 0] = a0 * m00 + a1 * m01
-        out[:, 1] = a0 * m10 + a1 * m11
+    out[:, 0] = a0 * m00 + a1 * m01
+    out[:, 1] = a0 * m10 + a1 * m11
     return state.with_amps(out.reshape(state.amps.shape))
-
-
-def apply_spin_hadamard(state: HybridState, spin_index: int) -> HybridState:
-    """Hadamard on one electron spin."""
-    return _spin_transform(state, spin_index, _HADAMARD)
-
-
-def apply_spin_pauli(state: HybridState, spin_index: int, op: Pauli) -> HybridState:
-    """I, Z, or -Z on one electron spin."""
-    return _spin_transform(state, spin_index, _PAULI_DIAG[Pauli(op)])
 
 
 def apply_element(state: HybridState, el: Element, reflection: ReflectionPair = IDEAL_PAIR) -> HybridState:
@@ -261,6 +257,4 @@ def apply_element(state: HybridState, el: Element, reflection: ReflectionPair = 
         return scatter(state, el.spin, el.in_modes[0], reflection)
     if el.kind is Kind.SPIN_H:
         return apply_spin_hadamard(state, el.spin)
-    if el.kind is Kind.SPIN_PAULI:
-        return apply_spin_pauli(state, el.spin, el.pauli)
     raise StateError(f"unhandled element kind {el.kind}")

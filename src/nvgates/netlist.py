@@ -14,6 +14,12 @@ endings, ASCII identifiers:
     detect m
     feedforward OUTCOME: spin_k OP ...
 
+Element operands follow the kind's form in :data:`nvgates.elements.FORMS`,
+which the parser and :func:`serialize_netlist` both read; ``pbs`` and ``bs``
+take two inputs, so an unused port is a declared mode nothing occupies.  A
+state of more than :data:`MAX_AMPLITUDES` (2 * |modes| * 2**N) amplitudes
+is rejected at the spin count.
+
 Elements execute in file order.  The photon's path must be feed-forward: no
 directive may read a mode whose only writers appear later in the file (PBS
 and BS write their outputs; hwp and nv read and rewrite their mode in place,
@@ -33,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .cavity import IDEAL_PAIR, ReflectionPair
-from .elements import _PAULI_DIAG, Element, Kind, Pauli, WiringError, apply_element
+from .elements import _PAULI_DIAG, FORMS, LAYOUTS, Element, Kind, Pauli, WiringError, apply_element
 from .state import (
     DimensionMismatchError,
     HybridState,
@@ -41,6 +47,8 @@ from .state import (
     make_product_state,
     partial_trace_photon_collapse,
 )
+
+MAX_AMPLITUDES = 2**24  # largest state (2 * |modes| * 2**spins) a netlist may declare
 
 
 class DiagnosticKind(Enum):
@@ -111,49 +119,23 @@ def _tokenize(raw: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", code)]
 
 
-def _parse_spin_token(tok: str, line: int, col: int) -> int:
-    if not tok.startswith("spin_"):
-        raise NetlistError(
-            DiagnosticKind.INVALID_TOKEN, line, col, f"expected spin_<k>, got {tok!r}"
-        )
+def _parse_int(tok: str, line: int, col: int, prefix: str = "") -> int:
+    """Integer k of a ``<prefix><k>`` token, such as ``3`` or ``spin_3``."""
     try:
-        return int(tok[5:])
+        if tok.startswith(prefix):
+            return int(tok[len(prefix) :])
     except ValueError:
-        raise NetlistError(
-            DiagnosticKind.INVALID_TOKEN, line, col, f"bad spin index in {tok!r}"
-        ) from None
+        pass
+    raise NetlistError(DiagnosticKind.INVALID_TOKEN, line, col, f"expected {prefix}<integer>, got {tok!r}")
 
 
-def _parse_int(tok: str, line: int, col: int, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise NetlistError(
-            DiagnosticKind.INVALID_TOKEN, line, col, f"{what} must be an integer, got {tok!r}"
-        ) from None
-
-
-def _expect_arrow(toks, pos: int, line: int, directive: str):
-    if pos >= len(toks) or toks[pos][0] != "->":
-        col = toks[pos][1] if pos < len(toks) else toks[-1][1] + len(toks[-1][0])
-        raise NetlistError(
-            DiagnosticKind.ARITY_MISMATCH, line, col, f"{directive} expects '->' here"
-        )
-
-
-# routing directive -> (element kind, input count, operand form); each writes
-# two outputs.  pbs takes two inputs here although Element allows one:
-# serialize_netlist writes every pbs in the two-input form.
-_ROUTERS = {
-    "pbs": (Kind.PBS_RL, 2, "in1 in2 -> out1 out2"),
-    "bs": (Kind.BS5050, 2, "in1 in2 -> out1 out2"),
-    "pbsfs": (Kind.PBS_FS, 1, "in -> outF outS"),
-}
+_DIRECTIVES = {kind.value: (kind, layout) for kind, layout in LAYOUTS.items()}
 
 
 class _Parser:
     def __init__(self):
         self.n_spins: int | None = None
+        self.spins_at = (0, 0)  # line and column of the spin count
         self.modes: list[str] = []
         self.mode_set: set[str] = set()
         self.elements: list[Element] = []
@@ -173,7 +155,10 @@ class _Parser:
                     DiagnosticKind.UNDECLARED_MODE, line, col, f"mode {tok!r} is not declared"
                 )
 
-    def require_spin(self, k: int, line: int, col: int):
+    def spin_index(self, token, line: int, prefix: str) -> int:
+        """The spin a ``(<prefix><k>, column)`` token names, after ``spins``."""
+        tok, col = token
+        k = _parse_int(tok, line, col, prefix)
         if self.n_spins is None:
             raise NetlistError(
                 DiagnosticKind.MISSING_DECLARATION, line, col, "spins must be declared first"
@@ -185,19 +170,26 @@ class _Parser:
                 col,
                 f"spin index {k} out of range for spins {self.n_spins}",
             )
+        return k
+
+    def check_size(self):
+        n, modes = self.n_spins, max(len(self.modes), 1)
+        # an n that exceeds the cap alone is refused before 2**n is formed
+        if n is not None and (n >= MAX_AMPLITUDES.bit_length() or 2 * modes << n > MAX_AMPLITUDES):
+            raise NetlistError(
+                DiagnosticKind.SPIN_RANGE, *self.spins_at,
+                f"spins {n} with {modes} modes exceeds the cap of {MAX_AMPLITUDES} amplitudes (2*modes*2**spins)",
+            )
 
     def record_reads(self, toks, line):
         for tok, col in toks:
             self.reads.append((self.position, tok, line, col))
 
-    def record_writes(self, toks):
-        for tok, _ in toks:
-            self.writes.setdefault(tok, self.position)
-
     def add_element(self, el: Element, read_toks, write_toks, line):
         self.require_modes(read_toks + write_toks, line)
         self.record_reads(read_toks, line)
-        self.record_writes(write_toks)
+        for tok, _ in write_toks:
+            self.writes.setdefault(tok, self.position)
         self.elements.append(el)
         self.position += 1
 
@@ -219,7 +211,10 @@ class _Parser:
                     col,
                     f"mode {mode!r} is read here but only written later",
                 )
-        labels = {f"{b}{m}" for m in self.detectors for b in ("F", "S")}
+        net = Netlist(
+            self.n_spins, tuple(self.modes), tuple(self.elements), tuple(self.detectors), tuple(self.feedforward) or None
+        )
+        labels = set(net.outcome_labels())
         for label, line, col in self.ff_locations:
             if label not in labels:
                 raise NetlistError(
@@ -228,13 +223,7 @@ class _Parser:
                     col,
                     f"feedforward outcome {label!r} matches no detector",
                 )
-        return Netlist(
-            n_spins=self.n_spins,
-            modes=tuple(self.modes),
-            elements=tuple(self.elements),
-            detectors=tuple(self.detectors),
-            feedforward=tuple(self.feedforward) if self.feedforward else None,
-        )
+        return net
 
 
 def parse_netlist(text: str) -> Netlist:
@@ -258,12 +247,14 @@ def parse_netlist(text: str) -> Netlist:
                 raise NetlistError(
                     DiagnosticKind.DUPLICATE_DECLARATION, lineno, head_col, "spins already declared"
                 )
-            n = _parse_int(args[0][0], lineno, args[0][1], "spin count")
+            n = _parse_int(args[0][0], lineno, args[0][1])
             if n <= 0:
                 raise NetlistError(
                     DiagnosticKind.INVALID_TOKEN, lineno, args[0][1], "spin count must be positive"
                 )
             p.n_spins = n
+            p.spins_at = (lineno, args[0][1])
+            p.check_size()
 
         elif head == "modes":
             if not args:
@@ -277,51 +268,26 @@ def parse_netlist(text: str) -> Netlist:
                     )
                 p.modes.append(tok)
                 p.mode_set.add(tok)
+            p.check_size()
 
-        elif head in _ROUTERS:
-            kind, n_in, form = _ROUTERS[head]
-            if len(args) != n_in + 3:
+        elif head in _DIRECTIVES:
+            kind, lay = _DIRECTIVES[head]
+            if len(args) != lay.n_ops:
                 raise NetlistError(
-                    DiagnosticKind.ARITY_MISMATCH, lineno, head_col, f"{head} expects: {head} {form}"
+                    DiagnosticKind.ARITY_MISMATCH, lineno, head_col, f"{head} expects: {head} {FORMS[kind]}"
                 )
-            _expect_arrow(toks, n_in + 1, lineno, head)
-            ins, outs = args[:n_in], args[n_in + 1 :]
+            if lay.arrow is not None and args[lay.arrow][0] != "->":
+                raise NetlistError(
+                    DiagnosticKind.ARITY_MISMATCH, lineno, args[lay.arrow][1], f"{head} expects '->' here"
+                )
+            spin = None if lay.spin is None else p.spin_index(args[lay.spin], lineno, lay.spin_prefix)
             names, _ = zip(*args)
             try:
-                el = Element(kind, names[:n_in], names[n_in + 1 :], line=lineno)
+                el = Element(kind, names[lay.ins], names[lay.outs], spin, line=lineno)
             except WiringError as exc:
                 raise NetlistError(DiagnosticKind.ARITY_MISMATCH, lineno, head_col, str(exc)) from None
-            p.add_element(el, ins, outs, lineno)
-
-        elif head == "hwp":
-            if len(args) != 1:
-                raise NetlistError(
-                    DiagnosticKind.ARITY_MISMATCH, lineno, head_col, "hwp expects: hwp m"
-                )
-            el = Element(Kind.HWP, (args[0][0],), (args[0][0],), line=lineno)
-            # in-place: transforms the wire's content, introduces nothing,
-            # so it does not count as a writer for the ordering check
-            p.add_element(el, args, [], lineno)
-
-        elif head == "nv":
-            if len(args) != 2:
-                raise NetlistError(
-                    DiagnosticKind.ARITY_MISMATCH, lineno, head_col, "nv expects: nv m spin_k"
-                )
-            k = _parse_spin_token(args[1][0], lineno, args[1][1])
-            p.require_spin(k, lineno, args[1][1])
-            el = Element(Kind.NV_SCATTER, (args[0][0],), (args[0][0],), spin=k, line=lineno)
-            p.add_element(el, args[:1], [], lineno)  # in-place, like hwp
-
-        elif head == "spinh":
-            if len(args) != 1:
-                raise NetlistError(
-                    DiagnosticKind.ARITY_MISMATCH, lineno, head_col, "spinh expects: spinh k"
-                )
-            k = _parse_int(args[0][0], lineno, args[0][1], "spin index")
-            p.require_spin(k, lineno, args[0][1])
-            p.elements.append(Element(Kind.SPIN_H, spin=k, line=lineno))
-            p.position += 1
+            # an in-place element introduces nothing: its wire is not written
+            p.add_element(el, args[lay.ins], [] if lay.in_place else args[lay.outs], lineno)
 
         elif head == "detect":
             if len(args) != 1:
@@ -366,8 +332,7 @@ def parse_netlist(text: str) -> Netlist:
             ops = [Pauli.I] * p.n_spins
             seen: set[int] = set()
             for (sp_tok, sp_col), (op_tok, op_col) in zip(body[0::2], body[1::2]):
-                k = _parse_spin_token(sp_tok, lineno, sp_col)
-                p.require_spin(k, lineno, sp_col)
+                k = p.spin_index((sp_tok, sp_col), lineno, "spin_")
                 if k in seen:
                     raise NetlistError(
                         DiagnosticKind.DUPLICATE_DECLARATION, lineno, sp_col, f"spin_{k} listed twice"
@@ -397,23 +362,8 @@ def parse_netlist(text: str) -> Netlist:
 def serialize_netlist(net: Netlist) -> str:
     """Canonical text form; ``parse_netlist(serialize_netlist(n)) == n``."""
     lines = [f"spins {net.n_spins}", "modes " + " ".join(net.modes)]
-    for el in net.elements:
-        if el.kind is Kind.PBS_RL:
-            lines.append(f"pbs {el.in_modes[0]} {el.in_modes[1]} -> {el.out_modes[0]} {el.out_modes[1]}")
-        elif el.kind is Kind.BS5050:
-            lines.append(f"bs {el.in_modes[0]} {el.in_modes[1]} -> {el.out_modes[0]} {el.out_modes[1]}")
-        elif el.kind is Kind.PBS_FS:
-            lines.append(f"pbsfs {el.in_modes[0]} -> {el.out_modes[0]} {el.out_modes[1]}")
-        elif el.kind is Kind.HWP:
-            lines.append(f"hwp {el.in_modes[0]}")
-        elif el.kind is Kind.NV_SCATTER:
-            lines.append(f"nv {el.in_modes[0]} spin_{el.spin}")
-        elif el.kind is Kind.SPIN_H:
-            lines.append(f"spinh {el.spin}")
-        else:
-            raise ValueError(f"element kind {el.kind} has no netlist form")
-    for mode in net.detectors:
-        lines.append(f"detect {mode}")
+    lines += [LAYOUTS[el.kind].template.format(*el.in_modes, *el.out_modes, el.spin) for el in net.elements]
+    lines += [f"detect {mode}" for mode in net.detectors]
     for label, ops in net.feedforward or ():
         body = " ".join(f"spin_{k} {op.value}" for k, op in enumerate(ops))
         lines.append(f"feedforward {label}: {body}")
@@ -485,14 +435,13 @@ def run_netlist(
     state = apply_elements(net, state, reflection)
     table = net.feedforward_map if apply_feedforward else {}
     outcomes = []
-    for mode in net.detectors:
-        for basis in ("F", "S"):
-            prob, spins = partial_trace_photon_collapse(state, basis, mode)
-            label = f"{basis}{mode}"
-            ops = table.get(label)
-            if ops is not None and not spins.is_null:
-                spins = apply_spin_ops(spins, ops)
-            outcomes.append(Outcome(label=label, mode=mode, basis=basis, probability=prob, spins=spins))
+    for label in net.outcome_labels():
+        basis, mode = label[0], label[1:]
+        prob, spins = partial_trace_photon_collapse(state, basis, mode)
+        ops = table.get(label)
+        if ops is not None and not spins.is_null:
+            spins = apply_spin_ops(spins, ops)
+        outcomes.append(Outcome(label=label, mode=mode, basis=basis, probability=prob, spins=spins))
     return outcomes
 
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from nvgates.elements import Kind, Pauli
+from nvgates.elements import Kind
 from nvgates.netlist import Netlist
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -145,20 +145,6 @@ def element_matrix(el, modes, n_spins: int, reflection) -> np.ndarray:
                     sign = 1.0 if spin_bit == 0 else -1.0
                     mat[flat(pol, mi, flipped if spin_bit == 0 else cfg, n_modes, n_cfg), src] += sign * SQ2
 
-    elif el.kind is Kind.SPIN_PAULI:
-        bit_shift = n_spins - 1 - el.spin
-        for pol in (0, 1):
-            for mi in range(n_modes):
-                for cfg in range(n_cfg):
-                    src = flat(pol, mi, cfg, n_modes, n_cfg)
-                    spin_bit = (cfg >> bit_shift) & 1
-                    if el.pauli is Pauli.I:
-                        val = 1.0
-                    elif el.pauli is Pauli.Z:
-                        val = 1.0 if spin_bit == 0 else -1.0
-                    else:
-                        val = -1.0 if spin_bit == 0 else 1.0
-                    mat[src, src] = val
     else:
         raise ValueError(f"no oracle matrix for {el.kind}")
 

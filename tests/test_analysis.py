@@ -180,6 +180,9 @@ def test_convention_report_structure():
 def test_convention_report_requires_unit_endpoint():
     with pytest.raises(ValueError):
         fidelity_convention_report(r_grid=[0.0, 0.5])
+    # close to 1 is not 1: the values at |r| = 1 would be NaN
+    with pytest.raises(ValueError):
+        fidelity_convention_report(gates=("cnot",), r_grid=[0, 0.5, 1 - 1e-10], trials=2)
 
 
 def test_sweep_zero_ratio_edge():

@@ -186,6 +186,15 @@ def test_run_missing_file_runtime_error():
     assert main(["run", "/no/such/file.nv"]) == 1
 
 
+def test_run_rejects_oversized_state(capsys, tmp_path):
+    # 2 * 1 mode * 2**40 amplitudes: refused at parse time, never allocated
+    path = tmp_path / "big.nv"
+    path.write_text("spins 40\nmodes a\ndetect a\n", encoding="utf-8")
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "line 1, col 7" in err and "[spin-range]" in err
+
+
 def test_non_finite_ratio_is_usage_error(capsys, tmp_path):
     from nvgates.gates import shipped_circuit_text
 

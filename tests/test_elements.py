@@ -8,7 +8,6 @@ import pytest
 from nvgates.elements import (
     Element,
     Kind,
-    Pauli,
     WiringError,
     apply_bs,
     apply_element,
@@ -16,7 +15,6 @@ from nvgates.elements import (
     apply_pbs_fs,
     apply_pbs_rl,
     apply_spin_hadamard,
-    apply_spin_pauli,
 )
 from nvgates.state import HybridState, L, MINUS, PLUS, R, make_product_state
 
@@ -50,10 +48,29 @@ def test_pbs_splits_superposition_keeping_norm():
     assert out.norm2() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_pbs_single_input_form():
-    out = apply_pbs_rl(_photon(BALANCED), ("in",), ("1", "2"))
-    assert out.amps[R, MODES.index("1"), 0] == pytest.approx(SQ2)
-    assert out.amps[L, MODES.index("2"), 0] == pytest.approx(SQ2)
+def test_pbs_single_input_rejected():
+    # pbs takes exactly two inputs; an unused port is a never-occupied mode
+    with pytest.raises(WiringError):
+        apply_pbs_rl(_photon(BALANCED), ("in",), ("1", "2"))
+    with pytest.raises(WiringError):
+        Element(Kind.PBS_RL, ("in",), ("1", "2"))
+
+
+@pytest.mark.parametrize(
+    "kind, in_modes, out_modes, spin",
+    [
+        (Kind.HWP, ("a",), ("a",), 0),  # a spin the form has no place for
+        (Kind.PBS_FS, ("a",), ("b", "c"), 1),
+        (Kind.NV_SCATTER, ("a",), ("a",), None),  # a missing spin
+        (Kind.SPIN_H, (), (), None),
+        (Kind.SPIN_H, ("a",), ("a",), 0),  # modes on a spin-only kind
+        (Kind.HWP, ("a",), ("b",), None),  # an in-place kind moving its wire
+        (Kind.BS5050, ("a", "b", "c"), ("d",), None),
+    ],
+)
+def test_element_rejects_operands_outside_its_form(kind, in_modes, out_modes, spin):
+    with pytest.raises(WiringError):
+        Element(kind, in_modes, out_modes, spin)
 
 
 def test_pbs_overlapping_wiring_rejected():
@@ -149,18 +166,6 @@ def test_spin_hadamard_action_and_involution(rng):
     assert np.abs(twice.amps - st2.amps).max() < 1e-12
 
 
-def test_spin_pauli_semantics(rng):
-    st = make_product_state((1, 0), "in", [(1, 0)], MODES)
-    out = apply_spin_pauli(st, 0, Pauli.MINUS_Z)
-    assert out.amps[R, 0, PLUS] == -1.0
-    st = make_product_state(BALANCED, "in", random_spin_pairs(rng, 2), MODES)
-    zz = apply_spin_pauli(apply_spin_pauli(st, 1, Pauli.Z), 1, Pauli.Z)
-    assert np.abs(zz.amps - st.amps).max() < 1e-12
-    mz = apply_spin_pauli(st, 1, Pauli.MINUS_Z)
-    z = apply_spin_pauli(st, 1, Pauli.Z)
-    assert np.abs(mz.amps + z.amps).max() < 1e-12  # -Z = -1 * Z
-
-
 def test_photon_spin_operations_commute(rng):
     st = make_product_state(BALANCED, "in", random_spin_pairs(rng, 2), MODES)
     a = apply_spin_hadamard(apply_hwp(st, "in"), 0)
@@ -176,7 +181,6 @@ def test_photon_spin_operations_commute(rng):
         Element(Kind.HWP, ("2",), ("2",)),
         Element(Kind.BS5050, ("in", "1"), ("2", "3")),
         Element(Kind.SPIN_H, spin=1),
-        Element(Kind.SPIN_PAULI, spin=0, pauli=Pauli.MINUS_Z),
     ],
 )
 def test_non_nv_elements_unitary_on_random_states(rng, element):
@@ -197,7 +201,6 @@ def test_non_nv_elements_unitary_on_random_states(rng, element):
         Element(Kind.BS5050, ("1", "2"), ("3", "in")),
         Element(Kind.NV_SCATTER, ("1",), ("1",), spin=0),
         Element(Kind.SPIN_H, spin=1),
-        Element(Kind.SPIN_PAULI, spin=1, pauli=Pauli.Z),
     ],
 )
 def test_elements_match_oracle_matrices(rng, element):

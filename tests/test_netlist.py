@@ -5,6 +5,7 @@ import pytest
 
 from nvgates.elements import Kind, Pauli
 from nvgates.netlist import (
+    MAX_AMPLITUDES,
     DiagnosticKind,
     NetlistError,
     apply_spin_ops,
@@ -84,9 +85,105 @@ def test_diagnostic_overlapping_wires():
     _expect_error("spins 1\nmodes a b c\nbs a a -> b c\n", DiagnosticKind.ARITY_MISMATCH, 3)
 
 
+ARITY = DiagnosticKind.ARITY_MISMATCH
+INVALID, SPIN_RANGE = DiagnosticKind.INVALID_TOKEN, DiagnosticKind.SPIN_RANGE
+UNDECLARED, MISSING = DiagnosticKind.UNDECLARED_MODE, DiagnosticKind.MISSING_DECLARATION
+DIAGNOSTIC_HEADER = "spins 2\nmodes a b c d\n"
+
+
+# (element line, kind, column); the line is parsed as line 3 after
+# DIAGNOSTIC_HEADER, or as line 2 after "modes a b c d" when it starts with "!"
+# (a spin used before any spins declaration).
+@pytest.mark.parametrize(
+    "line, kind, column",
+    [
+        # too many operands
+        ("pbs a b -> c d a", ARITY, 1),
+        ("pbsfs a -> b c d", ARITY, 1),
+        ("bs a b -> c d a", ARITY, 1),
+        ("hwp a b", ARITY, 1),
+        ("nv a spin_0 b", ARITY, 1),
+        ("nv a spin_x b", ARITY, 1),
+        ("spinh 0 1", ARITY, 1),
+        ("  hwp a b", ARITY, 3),
+        # too few operands
+        ("pbs a b -> c", ARITY, 1),
+        ("pbs a -> c d", ARITY, 1),
+        ("pbsfs a -> b", ARITY, 1),
+        ("bs a b c d", ARITY, 1),
+        ("hwp", ARITY, 1),
+        ("nv a", ARITY, 1),
+        ("spinh", ARITY, 1),
+        # a misplaced '->': blamed where the arrow should stand
+        ("pbs a b c -> d", ARITY, 9),
+        ("pbs a -> b c d", ARITY, 10),
+        ("pbsfs a b -> c", ARITY, 9),
+        ("bs a b c -> d", ARITY, 8),
+        ("hwp ->", UNDECLARED, 5),
+        ("nv -> spin_0", UNDECLARED, 4),
+        # a bad spin_k token, a non-integer spinh
+        ("nv a spin_x", INVALID, 6),
+        ("nv a 0", INVALID, 6),
+        ("nv a ->", INVALID, 6),
+        ("spinh x", INVALID, 7),
+        ("spinh spin_0", INVALID, 7),
+        # a spin out of range, checked before the modes
+        ("nv a spin_2", SPIN_RANGE, 6),
+        ("nv a spin_-1", SPIN_RANGE, 6),
+        ("nv q spin_9", SPIN_RANGE, 6),
+        ("spinh 2", SPIN_RANGE, 7),
+        ("spinh -1", SPIN_RANGE, 7),
+        # an undeclared mode
+        ("pbs a q -> c d", UNDECLARED, 7),
+        ("pbsfs q -> b c", UNDECLARED, 7),
+        ("bs a b -> c q", UNDECLARED, 13),
+        ("hwp q", UNDECLARED, 5),
+        ("  hwp q", UNDECLARED, 7),
+        ("nv q spin_0", UNDECLARED, 4),
+        # overlapping wires, checked before the modes
+        ("pbs a b -> c b", ARITY, 1),
+        ("pbs a q -> c q", ARITY, 1),
+        ("pbsfs a -> a b", ARITY, 1),
+        ("bs a a -> b c", ARITY, 1),
+        ("bs a b -> c c", ARITY, 1),
+        # a spin used before `spins`
+        ("!nv a spin_0", MISSING, 6),
+        ("!spinh 0", MISSING, 7),
+    ],
+)
+def test_element_diagnostics_table(line, kind, column):
+    if line.startswith("!"):
+        text, lineno = f"modes a b c d\n{line[1:]}\n", 2
+    else:
+        text, lineno = f"{DIAGNOSTIC_HEADER}{line}\n", 3
+    err = _expect_error(text, kind, lineno)
+    assert err.column == column, err
+
+
 def test_diagnostic_spin_out_of_range():
     _expect_error("spins 3\nmodes m9\nnv m9 spin_5\n", DiagnosticKind.SPIN_RANGE, 3)
     _expect_error("spins 2\nmodes a\nspinh 7\n", DiagnosticKind.SPIN_RANGE, 3)
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("spins 40\nmodes a\ndetect a\n", 1, 7),
+        ("spins 1000000000000000000000\nmodes a\n", 1, 7),  # 2**n is never evaluated
+        ("spins 24\nmodes a\n", 1, 7),  # 2 * 1 * 2**24
+        ("spins 23\nmodes a b\n", 1, 7),  # over the cap only once the modes are known
+        ("modes a b c\nspins  22\n", 2, 8),
+    ],
+)
+def test_state_size_capped_at_the_spin_count(text, line, column):
+    assert MAX_AMPLITUDES == 2**24
+    err = _expect_error(text, DiagnosticKind.SPIN_RANGE, line)
+    assert err.column == column
+
+
+def test_state_size_at_the_cap_accepted():
+    assert parse_netlist("spins 23\nmodes a\n").n_spins == 23
+    assert parse_netlist("spins 22\nmodes a b\n").n_spins == 22
 
 
 def test_diagnostic_non_topological():

@@ -1,0 +1,95 @@
+"""Property tests: serializing a netlist and parsing the text gives it back.
+
+Generated netlists use every element kind, declared modes that nothing
+occupies (vacuum ports), detectors in any order and feedforward tables of
+``I``/``Z``/``-Z`` keyed by the detectors' outcome labels.  Mode labels are
+identifiers.
+"""
+
+import string
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nvgates.elements import Element, Kind, Pauli, WiringError
+from nvgates.netlist import Netlist, parse_netlist, serialize_netlist
+
+_HEAD = string.ascii_letters + "_"
+LABELS = st.builds(str.__add__, st.sampled_from(_HEAD), st.text(_HEAD + string.digits, max_size=5))
+SETTINGS = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def netlists(draw):
+    n_spins = draw(st.integers(1, 3))
+    modes: list[str] = []
+
+    def new_mode():
+        label = draw(LABELS)
+        while label in modes:
+            label += "_"
+        modes.append(label)
+        return label
+
+    def read():
+        # a wire already declared, or a new one that nothing occupies
+        return draw(st.sampled_from(modes)) if modes and draw(st.booleans()) else new_mode()
+
+    spins = st.integers(0, n_spins - 1)
+    elements = []
+    for kind in draw(st.lists(st.sampled_from(list(Kind)), max_size=10)):
+        if kind is Kind.SPIN_H:
+            elements.append(Element(kind, spin=draw(spins)))
+        elif kind in (Kind.HWP, Kind.NV_SCATTER):
+            m = (read(),)
+            elements.append(Element(kind, m, m, draw(spins) if kind is Kind.NV_SCATTER else None))
+        else:
+            ins = [read()]
+            if kind is not Kind.PBS_FS:
+                second = read()
+                ins.append(second if second != ins[0] else new_mode())
+            # outputs are new wires, so no wire is read before it is written
+            elements.append(Element(kind, tuple(ins), (new_mode(), new_mode())))
+    for _ in range(draw(st.integers(int(not modes), 2))):  # at least one mode
+        new_mode()
+    detectors = tuple(draw(st.lists(st.sampled_from(modes), unique=True)))
+    net = Netlist(n_spins, tuple(modes), tuple(elements), detectors)
+    ops = st.tuples(*[st.sampled_from(list(Pauli))] * n_spins)
+    table = draw(st.dictionaries(st.sampled_from(net.outcome_labels()), ops)) if detectors else {}
+    return Netlist(n_spins, net.modes, net.elements, detectors, tuple(table.items()) or None)
+
+
+@SETTINGS
+@given(netlists())
+def test_parse_of_serialized_netlist_gives_it_back(net):
+    text = serialize_netlist(net)
+    assert parse_netlist(text) == net
+    assert serialize_netlist(parse_netlist(text)) == text
+
+
+# no form takes more than two wires on a side; distinct labels, since a
+# repeated wire is always rejected
+WIRES = st.lists(st.sampled_from("abcdef"), max_size=2, unique=True).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(Kind)), WIRES, WIRES, st.none() | st.integers(0, 2))
+def test_every_constructible_element_serializes(kind, in_modes, out_modes, spin):
+    try:
+        el = Element(kind, in_modes, out_modes, spin)
+    except WiringError:
+        return
+    net = Netlist(3, tuple("abcdef"), (el,), ())
+    assert parse_netlist(serialize_netlist(net)) == net
+
+
+def test_generator_reaches_every_kind():
+    seen = set()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(netlists())
+    def collect(net):
+        seen.update(el.kind for el in net.elements)
+
+    collect()
+    assert seen == set(Kind)

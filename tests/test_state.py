@@ -24,6 +24,7 @@ from nvgates.state import (
 from conftest import BALANCED, random_amplitude_pair, random_spin_pairs, kron_pairs
 
 MODES2 = ("in", "a", "b")
+MODES_VAC = MODES2 + ("vac",)  # "vac": the second input port of a pbs
 
 
 def test_spin_config_indexing_roundtrip():
@@ -155,15 +156,15 @@ def test_collapse_outcome_completeness(rng):
 
 def test_linearity_of_elements(rng):
     for _ in range(10):
-        a = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
-        b = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
-        x = HybridState(MODES2, 2, a)
-        y = HybridState(MODES2, 2, b)
+        a = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+        b = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+        x = HybridState(MODES_VAC, 2, a)
+        y = HybridState(MODES_VAC, 2, b)
         za, zb = 0.6 - 0.2j, -0.1 + 0.9j
-        combo = HybridState(MODES2, 2, za * a + zb * b)
+        combo = HybridState(MODES_VAC, 2, za * a + zb * b)
         for op in (
             lambda s: apply_hwp(s, "a"),
-            lambda s: apply_pbs_rl(s, ("in",), ("a", "b")),
+            lambda s: apply_pbs_rl(s, ("in", "vac"), ("a", "b")),
             lambda s: apply_spin_hadamard(s, 1),
             lambda s: scatter(s, 0, "in", IDEAL_PAIR),
         ):
@@ -185,8 +186,8 @@ def test_norm_monotonic_under_scatter(rng):
 
 
 def test_ideal_unitarity_norm_preserved(rng):
-    st = make_product_state(BALANCED, "in", random_spin_pairs(rng, 2), MODES2)
-    st = apply_pbs_rl(st, ("in",), ("a", "b"))
+    st = make_product_state(BALANCED, "in", random_spin_pairs(rng, 2), MODES_VAC)
+    st = apply_pbs_rl(st, ("in", "vac"), ("a", "b"))
     st = scatter(st, 0, "a", IDEAL_PAIR)
     st = apply_hwp(st, "a")
     st = apply_spin_hadamard(st, 1)
