@@ -12,6 +12,7 @@ The default output directory for relative paths can be set with the
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -60,11 +61,10 @@ def _resolve_out(path: str) -> Path:
 
 
 def _reflection_from_args(args) -> ReflectionPair:
-    if getattr(args, "ideal", False):
-        return IDEAL_PAIR
-    if getattr(args, "r_hot", None) is not None:
+    # the regime flags exclude one another; none, or --ideal, is ideal
+    if args.r_hot is not None:
         return resonant_pair(args.r_hot)
-    if getattr(args, "ratio", None) is not None:
+    if args.ratio is not None:
         return reflection_at_ratio(args.ratio)
     return IDEAL_PAIR
 
@@ -126,7 +126,6 @@ def cmd_verify(args) -> int:
         raise UsageError("--trials must be at least 1")
     net = build_gate_circuit(args.gate)
     reflection = _reflection_from_args(args)
-    ideal = reflection == IDEAL_PAIR
     target = ideal_gate_unitary(args.gate)
     rng = np.random.default_rng(args.seed)
     print(f"verify {args.gate}: trials={args.trials} seed={args.seed} regime={_regime_label(reflection)}")
@@ -142,7 +141,7 @@ def cmd_verify(args) -> int:
     avg_fid = float(np.mean(fids)) if fids.size else math.nan
     print(f"max deviation from ideal gate (per outcome, up to global phase): {max_dev:.3e}")
     print(f"mean post-selected outcome fidelity: {avg_fid:.9f}")
-    if ideal:
+    if reflection == IDEAL_PAIR:
         ok = max_dev <= IDEAL_TOLERANCE
         print(f"ideal-regime check: {'PASS' if ok else 'FAIL'} (tolerance {IDEAL_TOLERANCE:g})")
         return 0 if ok else 1
@@ -238,6 +237,7 @@ def cmd_params(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process, shared by every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nvgates",
@@ -246,9 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_regime(p):
-        p.add_argument("--ideal", action="store_true", help="ideal reflection pair (r=1, r0=-1)")
-        p.add_argument("--ratio", type=float, help="coupling ratio g/sqrt(kappa*gamma), resonant")
-        p.add_argument("--r-hot", dest="r_hot", type=float, help="explicit hot reflection amplitude")
+        regime = p.add_mutually_exclusive_group()
+        regime.add_argument("--ideal", action="store_true", help="ideal reflection pair (r=1, r0=-1)")
+        regime.add_argument("--ratio", type=float, help="coupling ratio g/sqrt(kappa*gamma), resonant")
+        regime.add_argument("--r-hot", dest="r_hot", type=float, help="explicit hot reflection amplitude")
 
     p_run = sub.add_parser("run", help="run a netlist file and print detector outcomes")
     p_run.add_argument("netlist", help="path to a .nv circuit file")

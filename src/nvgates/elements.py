@@ -121,6 +121,19 @@ class WiringError(StateError):
     wiring overlaps in a way that merges occupied modes."""
 
 
+def _wires(kind: Kind, in_modes, out_modes, spin) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """A ``kind`` element's (input, output) wire labels, as strings; raises
+    :class:`WiringError` unless they fit its form and do not overlap."""
+    ins, outs = tuple(map(str, in_modes)), tuple(map(str, out_modes))
+    lay = LAYOUTS[kind]
+    if (len(ins), len(outs), spin is None) != lay.shape:
+        raise WiringError(f"{kind.value} takes: {kind.value} {FORMS[kind]}; got {ins} -> {outs}, spin {spin}")
+    if (outs != ins) if lay.in_place else (len({*ins, *outs}) != len(ins) + len(outs)):
+        raise WiringError(f"{kind.value} wires {ins} -> {outs} must be one wire in place, "
+                          "or distinct: a shared wire would merge occupied modes")
+    return ins, outs
+
+
 @dataclass(frozen=True)
 class Element:
     """One circuit component with its mode wiring and optional spin target,
@@ -133,17 +146,9 @@ class Element:
     line: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        ins = tuple(map(str, self.in_modes))
-        outs = tuple(map(str, self.out_modes))
+        ins, outs = _wires(self.kind, self.in_modes, self.out_modes, self.spin)
         object.__setattr__(self, "in_modes", ins)
         object.__setattr__(self, "out_modes", outs)
-        lay = LAYOUTS[self.kind]
-        if (len(ins), len(outs), self.spin is None) != lay.shape:
-            form = f"{self.kind.value} {FORMS[self.kind]}"
-            raise WiringError(f"{self.kind.value} takes: {form}; got {ins} -> {outs}, spin {self.spin}")
-        if (outs != ins) if lay.in_place else (len({*ins, *outs}) != len(ins) + len(outs)):
-            raise WiringError(f"{self.kind.value} wires {ins} -> {outs} must be one wire in place, "
-                              "or distinct: a shared wire would merge occupied modes")
 
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _SQRT1_2
@@ -162,9 +167,9 @@ def apply_pbs_rl(state: HybridState, in_modes, out_modes) -> HybridState:
     slots, swapping each input slot with its destination, so the operation
     is exactly unitary.
     """
-    el = Element(Kind.PBS_RL, tuple(in_modes), tuple(out_modes))
-    idx = [state.mode_index(m) for m in el.in_modes]
-    odx = [state.mode_index(m) for m in el.out_modes]
+    in_modes, out_modes = _wires(Kind.PBS_RL, in_modes, out_modes, None)
+    idx = [state.mode_index(m) for m in in_modes]
+    odx = [state.mode_index(m) for m in out_modes]
     src = state.amps
     a = src.copy()
     for k, i in enumerate(idx):  # the swapped slot pairs are disjoint
@@ -190,9 +195,9 @@ def apply_bs(state: HybridState, in_modes, out_modes) -> HybridState:
     backward direction is the Hermitian completion, making the element an
     involutory unitary on the four wires.
     """
-    el = Element(Kind.BS5050, tuple(in_modes), tuple(out_modes))
-    i0, i1 = (state.mode_index(m) for m in el.in_modes)
-    o0, o1 = (state.mode_index(m) for m in el.out_modes)
+    in_modes, out_modes = _wires(Kind.BS5050, in_modes, out_modes, None)
+    i0, i1 = (state.mode_index(m) for m in in_modes)
+    o0, o1 = (state.mode_index(m) for m in out_modes)
     src = state.amps
     a0, a1, b0, b1 = src[:, i0, :], src[:, i1, :], src[:, o0, :], src[:, o1, :]
     a = src.copy()
@@ -210,9 +215,9 @@ def apply_pbs_fs(state: HybridState, in_mode, out_modes) -> HybridState:
     (|R>-|L>)/sqrt2.  Unitary completion: the F component of the F output
     and the S component of the S output swap back to the input wire.
     """
-    el = Element(Kind.PBS_FS, (in_mode,), tuple(out_modes))
-    mi = state.mode_index(el.in_modes[0])
-    of, os_ = (state.mode_index(m) for m in el.out_modes)
+    (in_mode,), out_modes = _wires(Kind.PBS_FS, (in_mode,), out_modes, None)
+    mi = state.mode_index(in_mode)
+    of, os_ = (state.mode_index(m) for m in out_modes)
     a = state.amps.copy()
     f_in = (a[R, mi] + a[L, mi]) * _SQRT1_2
     s_in = (a[R, mi] - a[L, mi]) * _SQRT1_2

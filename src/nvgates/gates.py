@@ -49,10 +49,6 @@ class TargetGate:
     name: str
     unitary: np.ndarray
 
-    @property
-    def n_spins(self) -> int:
-        return self.unitary.shape[0].bit_length() - 1
-
 
 def ideal_gate_unitary(name: str) -> TargetGate:
     """Permutation matrix over spin configurations, spin 0 most significant.

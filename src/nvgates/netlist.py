@@ -101,16 +101,21 @@ class Netlist:
         return tuple(f"{basis}{mode}" for mode in self.detectors for basis in ("F", "S"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Outcome:
-    """One detector result: its label, mode, basis state, probability and
-    the (feedforward-corrected, renormalized) spin register state."""
+    """One detector result: its label (F or S, then the mode), probability,
+    and read-only, feedforward-corrected spin ``amps``, unnormalized."""
 
     label: str
-    mode: str
-    basis: str
     probability: float
-    spins: SpinState
+    amps: np.ndarray
+
+    @property
+    def spins(self) -> SpinState:
+        """The renormalized spin state; null when the probability is 0."""
+        if self.probability <= 0.0:
+            return SpinState(np.zeros_like(self.amps))
+        return SpinState(self.amps / math.sqrt(self.probability))
 
 
 def _tokenize(raw: str) -> list[tuple[str, int]]:
@@ -405,17 +410,17 @@ def apply_elements(
     return state
 
 
-def apply_spin_ops(spins: SpinState, ops) -> SpinState:
-    """Apply per-spin Pauli corrections (I, Z, -Z) to a spin register state."""
-    n = spins.n_spins
+def apply_spin_ops(amps: np.ndarray, ops) -> np.ndarray:
+    """Apply per-spin Pauli corrections (I, Z, -Z) to spin register
+    amplitudes of shape (..., 2**n), one operator per spin."""
     ops = tuple(Pauli(op) for op in ops)
-    if len(ops) != n:
-        raise DimensionMismatchError(f"{len(ops)} operators for {n} spins")
-    a = spins.amps
+    n = len(ops)
+    if amps.shape[-1] != 1 << n:
+        raise DimensionMismatchError(f"{n} operators for {amps.shape[-1]} spin amplitudes")
     for k, op in enumerate(ops):
         if op is not Pauli.I:
-            a = (a.reshape(-1, 2, 1 << (n - 1 - k)) * _PAULI_DIAG[op][:, None]).reshape(-1)
-    return SpinState(a)
+            amps = (amps.reshape(-1, 2, 1 << (n - 1 - k)) * _PAULI_DIAG[op][:, None]).reshape(amps.shape)
+    return amps
 
 
 def run_netlist(
@@ -426,22 +431,22 @@ def run_netlist(
 ) -> list[Outcome]:
     """Apply all elements, then enumerate every detector outcome.
 
-    Each detector station measures its mode in the F/S basis; the returned
-    spin states are renormalized and, when the netlist carries a feedforward
-    table, corrected by the outcome's single-spin operations.  Outcome
-    probabilities sum to the pre-detection squared norm when the detectors
-    cover all occupied modes.
+    Detection is one linear map: one F/S projection of every detector mode,
+    then each outcome's feedforward rule, with nothing renormalized (see
+    :attr:`Outcome.spins`).  Outcome probabilities sum to the pre-detection
+    squared norm when the detectors cover all occupied modes.
     """
     state = apply_elements(net, state, reflection)
     table = net.feedforward_map if apply_feedforward else {}
+    amps = partial_trace_photon_collapse(state, net.detectors).reshape(-1, 2**net.n_spins)
+    probs = np.sum(np.abs(amps) ** 2, axis=-1).tolist()
     outcomes = []
-    for label in net.outcome_labels():
-        basis, mode = label[0], label[1:]
-        prob, spins = partial_trace_photon_collapse(state, basis, mode)
+    for label, a, prob in zip(net.outcome_labels(), amps, probs):
         ops = table.get(label)
-        if ops is not None and not spins.is_null:
-            spins = apply_spin_ops(spins, ops)
-        outcomes.append(Outcome(label=label, mode=mode, basis=basis, probability=prob, spins=spins))
+        if ops is not None:
+            a = apply_spin_ops(a, ops)
+        a.setflags(write=False)
+        outcomes.append(Outcome(label, prob, a))
     return outcomes
 
 
@@ -537,9 +542,9 @@ def outcome_maps(outcomes, n_spins: int) -> np.ndarray:
     """Per-outcome spin maps of a widened run, shape (outcomes, 2**n, 2**n).
 
     ``outcomes`` is ``run_netlist(widen(net), basis_response_input(net), ...)``;
-    map o takes a spin input vector of the n circuit spins to outcome o's
-    unnormalized, feedforward-corrected spin output, whose squared norm is
+    map o, outcome o's amplitudes as a matrix, takes a spin input vector of
+    the n circuit spins to the outcome's spin output, whose squared norm is
     the outcome's probability for that input.
     """
     dim = 2**n_spins
-    return np.stack([math.sqrt(o.probability) * o.spins.amps.reshape(dim, dim) for o in outcomes])
+    return np.stack([o.amps for o in outcomes]).reshape(-1, dim, dim)

@@ -67,11 +67,8 @@ def spin_config_bits(index: int, n_spins: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class SpinState:
-    """Spin-only state vector over 2**n_spins configurations.
-
-    ``is_null`` flags the empty state returned by a zero-probability
-    photon collapse.
-    """
+    """Spin-only state vector over 2**n_spins configurations; ``is_null``
+    flags the empty state of a zero-probability detector outcome."""
 
     amps: np.ndarray
 
@@ -92,9 +89,6 @@ class SpinState:
     @property
     def is_null(self) -> bool:
         return not np.any(self.amps)
-
-    def norm2(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,22 +203,16 @@ def overlap(a: HybridState, b: HybridState) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def partial_trace_photon_collapse(state: HybridState, outcome: str, mode):
-    """Project the photon at ``mode`` onto |F> or |S> and drop it.
+def partial_trace_photon_collapse(state: HybridState, modes) -> np.ndarray:
+    """Project the photon at each of ``modes`` onto |F> and |S> and drop it.
 
-    F = (|R>+|L>)/sqrt(2), S = (|R>-|L>)/sqrt(2).  Returns
-    ``(probability, spin_state)`` where the spin state is renormalized; a
-    zero-probability outcome returns the flagged null spin state.
+    F = (|R>+|L>)/sqrt(2), S = (|R>-|L>)/sqrt(2).  Returns the unnormalized
+    spin amplitudes, shape (len(modes), 2, 2**n_spins), F before S; a row's
+    squared norm is its outcome's probability, and a zero state gives zero rows.
     """
-    if outcome not in ("F", "S"):
-        raise StateError(f"detector outcome must be 'F' or 'S', got {outcome!r}")
-    mi = state.mode_index(mode)
-    sign = 1.0 if outcome == "F" else -1.0
-    spin = (state.amps[R, mi, :] + sign * state.amps[L, mi, :]) / math.sqrt(2)
-    prob = float(np.sum(np.abs(spin) ** 2))
-    if prob <= 0.0:
-        return 0.0, SpinState(np.zeros_like(spin))
-    return prob, SpinState(spin / math.sqrt(prob))
+    idx = [state.mode_index(m) for m in modes]
+    r, l = state.amps[R, idx], state.amps[L, idx]
+    return np.stack([r + l, r - l], axis=1) / math.sqrt(2)
 
 
 def phase_aligned_deviation(actual: np.ndarray, expected: np.ndarray) -> float:

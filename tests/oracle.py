@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from nvgates.elements import Kind
+from nvgates.elements import Kind, Pauli
 from nvgates.netlist import Netlist
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -163,3 +163,28 @@ def circuit_matrix(net: Netlist, reflection) -> np.ndarray:
 def apply_circuit(net: Netlist, state, reflection) -> np.ndarray:
     """Flattened output amplitudes of the whole circuit, oracle route."""
     return circuit_matrix(net, reflection) @ state.amps.reshape(-1)
+
+
+def detect(net: Netlist, amps) -> list[tuple[str, float, np.ndarray]]:
+    """(label, probability, spin amplitudes) of every detector outcome of the
+    final amplitudes ``amps``, shape (2, modes, 2**n), from the definitions:
+    F = (R+L)/sqrt2 and S = (R-L)/sqrt2 projected out of the detector's mode,
+    then the outcome's feedforward operators, with Z = diag(1, -1) and
+    -Z = diag(-1, 1) on their spin.  The spin amplitudes stay unnormalized,
+    so their squared norm is the probability."""
+    n = net.n_spins
+    feedforward = dict(net.feedforward or ())
+    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    outcomes = []
+    for mode in net.detectors:
+        mi = net.modes.index(mode)
+        for basis, sign in (("F", 1.0), ("S", -1.0)):
+            label = f"{basis}{mode}"
+            spins = (amps[0, mi] + sign * amps[1, mi]) * SQ2
+            for k, op in enumerate(feedforward.get(label, ())):
+                if op is Pauli.Z:
+                    spins = spins * (1 - 2 * bits[:, k])
+                elif op is Pauli.MINUS_Z:
+                    spins = spins * (2 * bits[:, k] - 1)
+            outcomes.append((label, float(np.sum(np.abs(spins) ** 2)), spins))
+    return outcomes

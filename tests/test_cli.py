@@ -227,3 +227,29 @@ def test_sweep_rejects_zero_trials(tmp_path, capsys):
     assert main(["sweep", "--convention", "random", "--trials", "0", "--out", str(out)]) == 2
     assert "--trials" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_regime_flags_exclude_one_another(capsys, tmp_path):
+    from nvgates.gates import shipped_circuit_text
+
+    path = tmp_path / "cnot.nv"
+    path.write_text(shipped_circuit_text("cnot"), encoding="utf-8")
+    pairs = (["--ratio", "2", "--r-hot", "0.5"], ["--ideal", "--r-hot", "0.5"], ["--ideal", "--ratio", "2"])
+    for command in (["run", str(path)], ["verify", "cnot", "--trials", "2"], ["truth-table", "cnot"]):
+        for flags in pairs:
+            assert main(command + flags) == 2, command + flags
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
+def test_repeated_main_calls_agree(capsys):
+    # the parser is built once per process and shared by every call
+    argvs = (["verify", "toffoli", "--ratio", "2", "--trials", "5", "--seed", "1"],
+             ["truth-table", "cnot", "--r-hot", "0.5"], ["verify", "cnot", "--trials", "0"], ["verify"])
+    runs = []
+    for _ in range(2):
+        codes = [main(argv) for argv in argvs]
+        runs.append((codes, capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == [0, 0, 2, 2]

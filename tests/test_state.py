@@ -1,5 +1,7 @@
 """Hybrid-state construction, overlap, collapse, and global invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -99,12 +101,13 @@ def test_overlap_dimension_mismatch():
 def test_collapse_basic_fs_split():
     # photon |R> = (|F>+|S>)/sqrt2: each outcome has probability 1/2
     st = make_product_state((1, 0), "in", [(1, 0)], MODES2)
-    p_f, spins_f = partial_trace_photon_collapse(st, "F", "in")
-    p_s, spins_s = partial_trace_photon_collapse(st, "S", "in")
-    assert p_f == pytest.approx(0.5, abs=1e-12)
-    assert p_s == pytest.approx(0.5, abs=1e-12)
-    assert spins_f.amps[0] == pytest.approx(1.0, abs=1e-12)
-    assert not spins_f.is_null
+    rows = partial_trace_photon_collapse(st, ["in"])
+    assert rows.shape == (1, 2, 2)
+    (f, s), = rows
+    assert np.sum(np.abs(f) ** 2) == pytest.approx(0.5, abs=1e-12)
+    assert np.sum(np.abs(s) ** 2) == pytest.approx(0.5, abs=1e-12)
+    assert f[0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
+    assert s[0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
 
 def test_collapse_pre_detection_gate_state():
@@ -120,38 +123,35 @@ def test_collapse_pre_detection_gate_state():
     amps[R, m, 3] = bc * at
     amps[R, m, 2] = bc * bt
     st = HybridState(MODES2, 2, amps)
-    prob, spins = partial_trace_photon_collapse(st, "F", "a")
-    assert prob == pytest.approx(0.5, abs=1e-12)
-    expected = np.array([ac * at, ac * bt, bc * bt, bc * at])
-    assert np.abs(spins.amps - expected).max() < 1e-12
+    f = partial_trace_photon_collapse(st, ["a"])[0, 0]
+    assert np.sum(np.abs(f) ** 2) == pytest.approx(0.5, abs=1e-12)
+    expected = np.array([ac * at, ac * bt, bc * bt, bc * at]) * math.sqrt(0.5)
+    assert np.abs(f - expected).max() < 1e-12
 
 
 def test_collapse_zero_norm_flags_null():
+    # the projection is linear: a zero state gives zero rows, not an error
     st = make_product_state((1, 0), "in", [(1, 0)], MODES2)
     zero = HybridState(st.modes, st.n_spins, np.zeros_like(st.amps))
-    prob, spins = partial_trace_photon_collapse(zero, "F", "in")
-    assert prob == 0.0
-    assert spins.is_null
+    rows = partial_trace_photon_collapse(zero, MODES2)
+    assert rows.shape == (3, 2, 2)
+    assert not np.any(rows)
 
 
 def test_collapse_unknown_mode():
     st = make_product_state((1, 0), "in", [(1, 0)], MODES2)
     with pytest.raises(ModeError):
-        partial_trace_photon_collapse(st, "F", "nope")
+        partial_trace_photon_collapse(st, ["in", "nope"])
 
 
 def test_collapse_outcome_completeness(rng):
-    # sum of F/S probabilities over every mode equals the squared norm
+    # squared norms of the F/S rows over every mode sum to the squared norm
     for _ in range(20):
         amps = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
         amps *= 0.3  # subnormalized
         st = HybridState(MODES2, 2, amps)
-        total = 0.0
-        for mode in MODES2:
-            for basis in ("F", "S"):
-                p, _ = partial_trace_photon_collapse(st, basis, mode)
-                total += p
-        assert total == pytest.approx(st.norm2(), abs=1e-12)
+        rows = partial_trace_photon_collapse(st, MODES2)
+        assert np.sum(np.abs(rows) ** 2) == pytest.approx(st.norm2(), abs=1e-12)
 
 
 def test_linearity_of_elements(rng):

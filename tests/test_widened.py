@@ -83,27 +83,17 @@ def _interpreter_runs(net, target, pair, inputs):
 def _oracle_runs(net, target, matrix, inputs):
     """Dense circuit matrix; collapse and feedforward from their definitions."""
     n_cfg = 2**net.n_spins
-    ff = dict(net.feedforward)
     b = 1.0 / math.sqrt(2.0)
-    bits = (np.arange(n_cfg)[:, None] >> (net.n_spins - 1 - np.arange(net.n_spins))) & 1
     per_input = []
     for pairs in inputs:
         spin_in = kron_pairs(pairs)
         vec = np.zeros((2, len(net.modes), n_cfg), dtype=complex)
         vec[:, 0, :] = b * spin_in  # photon (|R>+|L>)/sqrt2 on the first mode
         amps = (matrix @ vec.reshape(-1)).reshape(vec.shape)
-        outcomes = []
-        for mode in net.detectors:
-            mi = net.modes.index(mode)
-            for basis, sign in (("F", 1.0), ("S", -1.0)):
-                spins = (amps[0, mi] + sign * amps[1, mi]) * b
-                for k, op in enumerate(ff[f"{basis}{mode}"]):
-                    if op is Pauli.Z:
-                        spins = spins * (1 - 2 * bits[:, k])
-                    elif op is Pauli.MINUS_Z:
-                        spins = spins * (2 * bits[:, k] - 1)
-                p = float(np.sum(np.abs(spins) ** 2))
-                outcomes.append((p, spins / math.sqrt(p) if p else spins, target @ spin_in))
+        outcomes = [
+            (p, spins / math.sqrt(p) if p else spins, target @ spin_in)
+            for _, p, spins in oracle.detect(net, amps)
+        ]
         per_input.append((outcomes, float(np.sum(np.abs(amps) ** 2))))
     return per_input
 
