@@ -71,6 +71,17 @@ def test_diagnostic_unknown_directive():
     assert err.column == 1
 
 
+def test_diagnostic_undeclared_mode():
+    _expect_error("spins 1\nmodes a\nhwp q\n", DiagnosticKind.UNDECLARED_MODE, 3)
+
+
+def test_diagnostic_overlapping_wires():
+    # Element rejects the wiring; the parser must still say where
+    err = _expect_error("spins 1\nmodes a b c\npbs a b -> c b\n", DiagnosticKind.ARITY_MISMATCH, 3)
+    assert err.column == 1
+    _expect_error("spins 1\nmodes a b c\nbs a a -> b c\n", DiagnosticKind.ARITY_MISMATCH, 3)
+
+
 ARITY = DiagnosticKind.ARITY_MISMATCH
 INVALID, SPIN_RANGE = DiagnosticKind.INVALID_TOKEN, DiagnosticKind.SPIN_RANGE
 UNDECLARED, MISSING = DiagnosticKind.UNDECLARED_MODE, DiagnosticKind.MISSING_DECLARATION
