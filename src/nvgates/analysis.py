@@ -6,24 +6,28 @@ circuit (pre-detection squared norm).  Both are available two ways:
 
 - closed forms in the hot-reflection magnitude |r| (functions of |r| only,
   with the cold reflection at its resonant value -1), and
-- direct state-vector simulation of the gate circuits at an arbitrary
-  reflection pair.
+- direct simulation of the gate circuits at an arbitrary reflection pair,
+  evaluated from each circuit's exact polynomial in r_hot
+  (:func:`compile_circuit`).
 
-The two do NOT have to agree: the closed forms treat every cavity pass as an
-independent branch-averaged attenuation, whereas in an exact simulation the
-loss at one pass reweights the branches seen by later passes.
-:func:`efficiency_factorized` reconstructs the independent-pass model from
-the circuit structure itself and matches the closed forms to machine
-precision; :func:`fidelity_convention_report` quantifies the residuals of
-the simulated quantities against the closed forms for every input/
-normalization convention.
+The closed-form fidelity is the squared overlap of the whole photon-spin
+state before detection with its ideal (|r| = 1) counterpart, balanced
+input, so it keeps the photon-spin correlations between cavity passes.
+The closed-form efficiency does NOT: it treats every pass as an independent
+branch-averaged attenuation, whereas in an exact simulation the loss at one
+pass reweights the branches seen by later passes.
+:func:`efficiency_factorized` reconstructs that independent-pass model from
+the circuit structure itself and matches the closed-form efficiency to
+machine precision; :func:`fidelity_convention_report` quantifies the
+residuals of the simulated quantities against the closed forms for every
+input/normalization convention.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +40,7 @@ from .netlist import (
     apply_elements,
     basis_response_input,
     iter_nv_depths,
-    outcome_maps,
+    nv_element_count,
     run_netlist,
     widen,
 )
@@ -124,6 +128,85 @@ def _spin_inputs(n: int, convention: str, trials: int, seed) -> np.ndarray:
     raise ValueError(f"unknown input convention {convention!r}")
 
 
+class _FormalHot:
+    """r_hot as a formal variable.  The last log2(slots) spin bits are a
+    coefficient register: entry j of each run of ``slots`` entries along the
+    last axis holds the coefficient of r_hot**j.  ``view *= r_hot``, as in
+    :func:`cavity.scatter`, moves each coefficient up one entry and raises
+    rather than drop an occupied top entry; other arithmetic is a TypeError.
+    """
+
+    def __init__(self, slots: int):
+        self.slots = slots
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is not np.multiply or method != "__call__" or out is None or inputs[1] is not self:
+            return NotImplemented
+        (source, _), (target,) = inputs, out
+        coeffs = source.reshape(source.shape[:-1] + (-1, self.slots))
+        if np.any(coeffs[..., -1]):
+            raise OverflowError(f"an r_hot**{self.slots} term does not fit the {self.slots}-slot coefficient register")
+        shifted = np.zeros_like(coeffs)
+        shifted[..., 1:] = coeffs[..., :-1]
+        target[...] = shifted.reshape(target.shape)
+        return target
+
+
+class CompiledCircuit:
+    """A circuit's detection rows as exact polynomials in r_hot at one r_cold.
+
+    ``coefficients[j, row]`` is the r_hot**j coefficient of the row's 2**n x
+    2**n map from a spin input vector to its unnormalized, feedforward-
+    corrected spin output; a row is one (mode, F or S) pair.  The first
+    ``n_outcomes`` rows are the detectors', in ``outcome_labels`` order; the
+    rest are undetected modes the photon reaches, so all rows together hold
+    the pre-detection norm.
+    """
+
+    def __init__(self, n_outcomes: int, coefficients: np.ndarray):
+        self.n_outcomes = n_outcomes
+        self.coefficients = coefficients  # (degree + 1, rows, 2**n, 2**n), read-only
+
+    def maps(self, r_hot) -> np.ndarray:
+        """Every row's map at ``r_hot``, shape (rows, 2**n, 2**n)."""
+        powers = np.full(len(self.coefficients), r_hot, dtype=complex)
+        powers[0] = 1.0
+        powers = np.cumprod(powers)
+        return (powers @ self.coefficients.reshape(len(powers), -1)).reshape(self.coefficients.shape[1:])
+
+
+def compile_circuit(net: Netlist, r_cold: complex) -> CompiledCircuit:
+    """``net``'s detection rows as polynomials in r_hot, from one run.
+
+    The run is :func:`run_netlist` on ``widen(net, extra)`` from
+    ``basis_response_input(net, extra)``, every mode detected, r_hot the
+    formal variable of :class:`_FormalHot`.  The ``extra`` spins hold K =
+    2**extra coefficients, K the smallest power of two above the NV count,
+    which bounds the degree.  The run makes the interpreter's own float
+    operations, so exact zeros stay exact; all-zero undetected rows and
+    slots above the degree are dropped.  Compiled on first use and kept on
+    ``net``, for the last r_cold only.
+    """
+    memo = net._compiled
+    compiled = memo.get(r_cold)
+    if compiled is None:
+        extra = nv_element_count(net).bit_length()
+        undetected = tuple(m for m in net.modes if m not in net.detectors)
+        wide = replace(widen(net, extra), detectors=net.detectors + undetected)
+        formal = ReflectionPair(r_hot=_FormalHot(1 << extra), r_cold=r_cold)
+        outcomes = run_netlist(wide, basis_response_input(net, extra), formal)
+        dim, n_outcomes = 2**net.n_spins, 2 * len(net.detectors)
+        coefficients = np.moveaxis(np.stack([o.amps for o in outcomes]).reshape(-1, dim, dim, 1 << extra), -1, 0)
+        reached = np.any(coefficients, axis=(0, 2, 3))
+        reached[:n_outcomes] = True
+        degree = max(np.flatnonzero(np.any(coefficients, axis=(1, 2, 3))), default=0)
+        coefficients = np.ascontiguousarray(coefficients[: degree + 1, reached])
+        coefficients.setflags(write=False)
+        memo.clear()
+        compiled = memo[r_cold] = CompiledCircuit(n_outcomes, coefficients)
+    return compiled
+
+
 def fidelity_simulated(
     gate: str,
     r: ReflectionPair,
@@ -141,15 +224,15 @@ def fidelity_simulated(
     returns sum_o p_o F_o (loss counts as infidelity).  Returns NaN if the
     photon is lost with certainty.
 
-    The circuit runs once, widened (see :func:`netlist.basis_response_input`);
-    each input is then a product with the outcome maps.
+    The outcome maps are the gate's :func:`compile_circuit` evaluated at
+    r_hot; each input is then a product with them.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
     net = build_gate_circuit(gate)
     inputs = _spin_inputs(net.n_spins, convention, trials, seed)
-    outcomes = run_netlist(widen(net), basis_response_input(net), r)
-    out = outcome_maps(outcomes, net.n_spins) @ inputs.T  # (outcome, config, input)
+    compiled = compile_circuit(net, r.r_cold)
+    out = compiled.maps(r.r_hot)[: compiled.n_outcomes] @ inputs.T  # (outcome, config, input)
     ideal = ideal_gate_unitary(gate).unitary @ inputs.T
     # p_o F_o = |<ideal|unnormalized outcome state>|^2
     weighted = np.sum(np.abs(np.sum(ideal.conj() * out, axis=1)) ** 2, axis=0)
@@ -167,14 +250,13 @@ def efficiency_simulated(
     trials: int = 32,
     seed: int | None = 0,
 ) -> float:
-    """Photon survival probability from full circuit simulation:
-    the pre-detection squared norm, averaged over the input convention.
-    Like :func:`fidelity_simulated`, it runs the widened circuit once."""
+    """Photon survival probability from full circuit simulation: the
+    pre-detection squared norm, averaged over the input convention, read
+    from every row of the gate's :func:`compile_circuit` at r_hot."""
     net = build_gate_circuit(gate)
     inputs = _spin_inputs(net.n_spins, convention, trials, seed)
-    final = apply_elements(widen(net), basis_response_input(net), r)
-    out = final.amps.reshape(-1, 2**net.n_spins) @ inputs.T
-    return float(np.mean(np.sum(np.abs(out) ** 2, axis=0)))
+    out = compile_circuit(net, r.r_cold).maps(r.r_hot) @ inputs.T  # (row, config, input)
+    return float(np.mean(np.sum(np.abs(out) ** 2, axis=(0, 1))))
 
 
 def _nv_stages(net: Netlist):
@@ -216,9 +298,9 @@ def efficiency_factorized(gate: str, r_mag: float) -> float:
     each branch loses 1 - |f|^2 with f its accumulated scatter factor, and
     the per-pass survival factors multiply.  Matches
     :func:`efficiency_closed_form` to machine precision for all three gates,
-    which identifies the modeling assumption behind the closed forms; an
-    exact simulation deviates because loss correlates the photon with the
-    spins between passes.
+    which identifies the modeling assumption behind the closed-form
+    efficiencies; an exact simulation deviates because loss correlates the
+    photon with the spins between passes.
     """
     _check_r(r_mag)
     net = build_gate_circuit(gate)
@@ -358,11 +440,15 @@ class ConventionReport:
             f"best-matching fidelity mode: inputs={self.best[0]}, normalization={self.best[1]} "
             f"(max residual {self.best_max_residual:.3e})",
             "",
-            "The closed forms model each NV reflection as an independent",
-            "branch-averaged attenuation (see efficiency_factorized, which",
-            "reproduces them exactly); exact state-vector simulation retains",
-            "photon-spin correlations between passes, so nonzero residuals at",
-            "|r| < 1 are expected and are a property of the model, not a bug.",
+            "The closed-form fidelity is the overlap of the whole state before",
+            "detection (balanced input) with its |r| = 1 counterpart, which no",
+            "mode above computes: each of them reads the detected, feedforward-",
+            "corrected spin states.  The closed-form efficiency models each NV",
+            "reflection as an independent branch-averaged attenuation (see",
+            "efficiency_factorized, which reproduces it exactly); the exact",
+            "simulation retains photon-spin correlations between passes.  So",
+            "nonzero residuals at |r| < 1 are expected and are a property of",
+            "the models, not a bug.",
         ]
         return "\n".join(lines)
 

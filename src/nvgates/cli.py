@@ -35,12 +35,9 @@ from .cavity import (
 from .gates import GATE_NAMES, build_gate_circuit, ideal_gate_unitary
 from .netlist import (
     balanced_product_input,
-    basis_response_input,
     load_netlist,
-    outcome_maps,
     product_input,
     run_netlist,
-    widen,
 )
 from .state import phase_aligned_deviation, spin_config_bits
 
@@ -116,9 +113,9 @@ def cmd_run(args) -> int:
 
 
 def _outcome_maps(net, reflection) -> np.ndarray:
-    """Per-outcome spin maps of ``net`` from one widened run."""
-    outcomes = run_netlist(widen(net), basis_response_input(net), reflection)
-    return outcome_maps(outcomes, net.n_spins)
+    """Per-outcome spin maps of ``net``, from its compiled circuit."""
+    compiled = analysis.compile_circuit(net, reflection.r_cold)
+    return compiled.maps(reflection.r_hot)[: compiled.n_outcomes]
 
 
 def cmd_verify(args) -> int:

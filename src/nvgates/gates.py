@@ -55,8 +55,13 @@ def ideal_gate_unitary(name: str) -> TargetGate:
 
     cnot: flips spin 1 iff spin 0 is |->.  toffoli: flips spin 2 iff spins
     0 and 1 are both |->.  fredkin: swaps spins 1 and 2 iff spin 0 is |->.
+    Each gate's target is built once; its ``unitary`` is read-only.
     """
-    name = _canon(name)
+    return _target_gate(_canon(name))
+
+
+@functools.cache
+def _target_gate(name: str) -> TargetGate:
     if name == "cnot":
         perm = [0, 1, 3, 2]
     elif name == "toffoli":
@@ -67,6 +72,7 @@ def ideal_gate_unitary(name: str) -> TargetGate:
     u = np.zeros((dim, dim), dtype=complex)
     for src, dst in enumerate(perm):
         u[dst, src] = 1.0
+    u.setflags(write=False)
     return TargetGate(name=name, unitary=u)
 
 

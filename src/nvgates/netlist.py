@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -87,6 +87,8 @@ class Netlist:
     elements: tuple[Element, ...]
     detectors: tuple[str, ...]
     feedforward: tuple[FeedforwardRule, ...] | None = None
+    # memo of nvgates.analysis.compile_circuit, keyed by r_cold; one entry at most
+    _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def feedforward_map(self) -> dict[str, tuple[Pauli, ...]]:
@@ -388,10 +390,16 @@ def _check_dimensions(net: Netlist, state: HybridState):
         )
 
 
-def iter_element_states(net: Netlist, state: HybridState, reflection: ReflectionPair = IDEAL_PAIR):
-    """Yield (element, state-after-element) while applying the circuit."""
+def iter_element_states(
+    net: Netlist,
+    state: HybridState,
+    reflection: ReflectionPair = IDEAL_PAIR,
+    upto: int | None = None,
+):
+    """Yield (element, state-after-element) while applying the first
+    ``upto`` elements (all, if None)."""
     _check_dimensions(net, state)
-    for el in net.elements:
+    for el in net.elements[:upto]:
         state = apply_element(state, el, reflection)
         yield el, state
 
@@ -403,10 +411,8 @@ def apply_elements(
     upto: int | None = None,
 ) -> HybridState:
     """Apply the first ``upto`` elements (all, if None) and return the state."""
-    _check_dimensions(net, state)
-    elements = net.elements if upto is None else net.elements[:upto]
-    for el in elements:
-        state = apply_element(state, el, reflection)
+    for _, state in iter_element_states(net, state, reflection, upto):
+        pass
     return state
 
 
@@ -503,29 +509,30 @@ def product_input(net: Netlist, spin_pairs, photon_mode: str | None = None) -> H
     )
 
 
-def widen(net: Netlist) -> Netlist:
-    """``net`` on 2n spins, where spins n..2n-1 are idle ancillas.
+def widen(net: Netlist, extra: int = 0) -> Netlist:
+    """``net`` on 2n + ``extra`` spins, where spins n.. are idle ancillas.
 
     Elements keep their spin indices, and every feedforward rule gets ``I``
     on the ancillas, so no operation touches them.  See
     :func:`basis_response_input` for the state that makes this useful.
     """
-    n = net.n_spins
+    idle = net.n_spins + extra
     feedforward = None if net.feedforward is None else tuple(
-        (label, ops + (Pauli.I,) * n) for label, ops in net.feedforward
+        (label, ops + (Pauli.I,) * idle) for label, ops in net.feedforward
     )
-    return replace(net, n_spins=2 * n, feedforward=feedforward)
+    return replace(net, n_spins=net.n_spins + idle, feedforward=feedforward)
 
 
-def basis_response_input(net: Netlist) -> HybridState:
-    """Start state of ``widen(net)`` that runs every spin-basis input at once.
+def basis_response_input(net: Netlist, extra: int = 0) -> HybridState:
+    """Start state of ``widen(net, extra)`` that runs every spin-basis input at once.
 
     Ancilla configuration c carries ``product_input(net, basis config c)``,
     so the state is sum_c |input_c>|c>, with squared norm 2**n.  The circuit
     is linear and leaves the ancillas idle, so after any run the amplitudes
     at ancilla configuration c are its response to basis input c, and its
     response to a spin input vector v is the contraction with v over the
-    ancilla axis (the last axis of ``amps.reshape(..., 2**n)``).
+    ancilla axis (the last axis of ``amps.reshape(..., 2**n)`` when
+    ``extra`` is 0).  The ``extra`` idle spins start in |+...+>.
 
     Every basis input holds the same photon amplitudes, at its own spin
     configuration, so they are taken from the all-|+> input and put on the
@@ -533,18 +540,6 @@ def basis_response_input(net: Netlist) -> HybridState:
     """
     dim = 2**net.n_spins
     photon = product_input(net, [(1.0, 0.0)] * net.n_spins).amps[:, :, :1]
-    amps = np.zeros((2, len(net.modes), dim, dim), dtype=complex)
-    amps[:, :, range(dim), range(dim)] = photon
-    return HybridState(net.modes, 2 * net.n_spins, amps.reshape(2, len(net.modes), dim * dim))
-
-
-def outcome_maps(outcomes, n_spins: int) -> np.ndarray:
-    """Per-outcome spin maps of a widened run, shape (outcomes, 2**n, 2**n).
-
-    ``outcomes`` is ``run_netlist(widen(net), basis_response_input(net), ...)``;
-    map o, outcome o's amplitudes as a matrix, takes a spin input vector of
-    the n circuit spins to the outcome's spin output, whose squared norm is
-    the outcome's probability for that input.
-    """
-    dim = 2**n_spins
-    return np.stack([o.amps for o in outcomes]).reshape(-1, dim, dim)
+    amps = np.zeros((2, len(net.modes), dim, dim, 1 << extra), dtype=complex)
+    amps[:, :, range(dim), range(dim), 0] = photon
+    return HybridState(net.modes, 2 * net.n_spins + extra, amps.reshape(2, len(net.modes), -1))

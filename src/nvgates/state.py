@@ -147,10 +147,6 @@ class HybridState:
         vars(new).update(modes=self.modes, n_spins=self.n_spins, amps=amps)
         return new
 
-    def spin_view(self) -> np.ndarray:
-        """Read-only view reshaped to (2, n_modes, 2, 2, ..., 2)."""
-        return self.amps.reshape((2, len(self.modes)) + (2,) * self.n_spins)
-
 
 def _check_pair(pair, what: str) -> np.ndarray:
     v = np.asarray(pair, dtype=complex)

@@ -158,7 +158,7 @@ def test_pbs_fs_equals_hwp_pbs_hwp(rng):
 def test_spin_hadamard_action_and_involution(rng):
     st = make_product_state((1, 0), "in", [(1, 0), (0, 1)], MODES)
     out = apply_spin_hadamard(st, 0)
-    view = out.spin_view()
+    view = out.amps.reshape(2, len(MODES), 2, 2)  # (pol, mode, spin 0, spin 1)
     assert view[R, 0, PLUS, MINUS] == pytest.approx(SQ2)
     assert view[R, 0, MINUS, MINUS] == pytest.approx(SQ2)
     st2 = make_product_state(BALANCED, "1", random_spin_pairs(rng, 2), MODES)

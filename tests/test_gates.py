@@ -107,6 +107,15 @@ def test_ideal_unitary_examples():
     assert fredkin[dst, src] == 1.0
 
 
+def test_ideal_unitary_built_once_and_read_only():
+    for name in GATE_NAMES:
+        target = ideal_gate_unitary(name)
+        assert ideal_gate_unitary(name.upper()) is target
+        assert not target.unitary.flags.writeable
+        with pytest.raises(ValueError):
+            target.unitary[0, 0] = 0.0
+
+
 # --- circuits -------------------------------------------------------------
 
 def test_shipped_circuit_files():

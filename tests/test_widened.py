@@ -1,9 +1,11 @@
 """Widened runs: every spin-basis input from one interpreter pass.
 
-``fidelity_simulated``, ``efficiency_simulated`` and ``nvgates verify`` run
-each circuit once, on n extra idle ancilla spins, and evaluate every input
-from that run.  These tests pin the widened path to two references written
-here: a per-input interpreter loop and the dense oracle of ``oracle.py``.
+``fidelity_simulated``, ``efficiency_simulated`` and ``nvgates verify``
+evaluate every input from one compile of each circuit, a run on n extra idle
+ancilla spins (plus its coefficient register in r_hot; see
+``test_compiled.py``).  These tests pin the metrics to two references
+written here, a per-input interpreter loop and the dense oracle of
+``oracle.py``, and count the element applications the compile costs.
 """
 
 import math
@@ -22,7 +24,7 @@ from nvgates.elements import (
     apply_pbs_rl,
     apply_spin_hadamard,
 )
-from nvgates.gates import GATE_NAMES, build_gate_circuit, ideal_gate_unitary
+from nvgates.gates import GATE_NAMES, build_gate_circuit, ideal_gate_unitary, shipped_circuit_text
 from nvgates.netlist import (
     apply_elements,
     basis_response_input,
@@ -222,8 +224,16 @@ def _count_passes(monkeypatch):
     return calls
 
 
+def _fresh_circuits(monkeypatch, *modules):
+    """Serve ``modules`` one newly parsed netlist per gate, with nothing compiled yet."""
+    fresh = {gate: netlist.parse_netlist(shipped_circuit_text(gate)) for gate in GATE_NAMES}
+    for module in modules:
+        monkeypatch.setattr(module, "build_gate_circuit", lambda gate: fresh[gate.lower()])
+
+
 @pytest.mark.parametrize("gate", GATE_NAMES)
 def test_sweep_item_runs_at_most_two_passes(monkeypatch, gate):
+    _fresh_circuits(monkeypatch, analysis)
     calls = _count_passes(monkeypatch)
     (rec,) = analysis.sweep([gate], [2.0], "random", trials=16, seed=5)
     assert 0 < rec.fidelity_sim <= 1
@@ -232,7 +242,23 @@ def test_sweep_item_runs_at_most_two_passes(monkeypatch, gate):
 
 @pytest.mark.parametrize("gate", GATE_NAMES)
 def test_verify_runs_at_most_one_pass(monkeypatch, capsys, gate):
+    _fresh_circuits(monkeypatch, cli)
     calls = _count_passes(monkeypatch)
     assert cli.main(["verify", gate, "--trials", "20", "--seed", "4", "--ratio", "2.5"]) == 0
     assert len(calls) <= len(build_gate_circuit(gate).elements)
     assert "mean post-selected outcome fidelity" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gate", GATE_NAMES)
+def test_compiled_circuit_serves_later_ratios_without_a_pass(monkeypatch, capsys, gate):
+    _fresh_circuits(monkeypatch, analysis, cli)
+    calls = _count_passes(monkeypatch)
+    analysis.sweep([gate], [2.0], "random", trials=16, seed=5)
+    assert len(calls) == len(build_gate_circuit(gate).elements)  # the compile
+    calls.clear()
+    (rec,) = analysis.sweep([gate], [3.5], "random", trials=16, seed=6)
+    assert 0 < rec.fidelity_sim <= 1
+    assert cli.main(["verify", gate, "--trials", "20", "--seed", "4", "--ratio", "6"]) == 0
+    assert cli.main(["truth-table", gate, "--r-hot", "0.3"]) == 0
+    assert calls == []
+    capsys.readouterr()
