@@ -32,19 +32,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cavity import IDEAL_PAIR, ReflectionPair, coupling_ratio_to_r, resonant_pair
+from .cavity import IDEAL_PAIR, ReflectionPair, coupling_ratio_to_r, resonant_pair, scatter
 from .elements import Kind
 from .gates import GATE_NAMES, build_gate_circuit, ideal_gate_unitary
 from .netlist import (
     Netlist,
-    apply_elements,
+    apply_elements,  # noqa: F401 -- unused here, but perfbench/tracing.py wraps it at this name
     basis_response_input,
+    iter_element_states,
     iter_nv_depths,
     nv_element_count,
     run_netlist,
     widen,
 )
-from .state import L, MINUS, PLUS, R, kron_pairs
+from .state import kron_pairs
 
 INPUT_CONVENTIONS = ("balanced", "random")
 NORMALIZATIONS = ("postselected", "unnormalized")
@@ -101,31 +102,29 @@ def efficiency_closed_form(gate: str, r_mag):
     raise ValueError(f"unknown gate {gate!r}")
 
 
-def _random_spin_inputs(rng: np.random.Generator, n: int, trials: int) -> np.ndarray:
-    """``trials`` random product inputs of n spins, shape (trials, 2**n).
+def _spin_inputs(n: int, convention: str, trials: int, seed) -> np.ndarray:
+    """Spin input vectors of one convention, shape (inputs, 2**n).
 
-    Each spin's pair takes two standard-normal draws for its real parts and
-    two for its imaginary parts, trial by trial and spin by spin, and is
-    normalized.  The squared norms are summed as the two dot products of
-    ``np.linalg.norm``, so the pairs equal a pair-by-pair draw bit for bit.
+    ``balanced`` is the one input with every spin (|+>+|->)/sqrt2.
+    ``random`` draws ``trials`` product inputs from
+    ``np.random.default_rng(seed)``: each spin's pair takes two
+    standard-normal draws for its real parts and two for its imaginary
+    parts, trial by trial and spin by spin, and is normalized.  The squared
+    norms are summed as the two dot products of ``np.linalg.norm``, so the
+    pairs equal a pair-by-pair draw bit for bit.
     """
-    draws = rng.normal(size=(trials, n, 2, 1, 2))
+    if convention == "balanced":
+        b = 1.0 / math.sqrt(2.0)
+        return kron_pairs([(b, b)] * n)[None, :]
+    if convention != "random":
+        raise ValueError(f"unknown input convention {convention!r}")
+    if trials < 1:
+        raise ValueError(f"the random convention needs at least 1 trial, got {trials}")
+    draws = np.random.default_rng(seed).normal(size=(trials, n, 2, 1, 2))
     re, im = draws[:, :, 0], draws[:, :, 1]  # (trials, n, 1, 2)
     norm2 = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
     pairs = (re + 1j * im) / np.sqrt(norm2)
     return kron_pairs(pairs[:, :, 0].swapaxes(0, 1))
-
-
-def _spin_inputs(n: int, convention: str, trials: int, seed) -> np.ndarray:
-    """Spin input vectors of one convention, shape (inputs, 2**n)."""
-    if convention == "balanced":
-        b = 1.0 / math.sqrt(2.0)
-        return kron_pairs([(b, b)] * n)[None, :]
-    if convention == "random":
-        if trials < 1:
-            raise ValueError(f"the random convention needs at least 1 trial, got {trials}")
-        return _random_spin_inputs(np.random.default_rng(seed), n, trials)
-    raise ValueError(f"unknown input convention {convention!r}")
 
 
 class _FormalHot:
@@ -259,74 +258,47 @@ def efficiency_simulated(
     return float(np.mean(np.sum(np.abs(out) ** 2, axis=(0, 1))))
 
 
-def _nv_stages(net: Netlist):
-    """Group NV elements into interferometric passes ("stages").
-
-    A *run* is a maximal sequence of NV reflections on one wire with no
-    intervening element on that wire; the photon amplitude crossing a run
-    accumulates the product of its scatter factors.  Runs whose wires sit at
-    the same NV-path depth are parallel alternatives of one physical pass
-    and form one stage; stages at increasing depth are traversed in
-    sequence.  Returns {depth: [(start position, mode, [spin indices])]}.
-    """
-    open_runs: dict[str, int] = {}
-    runs: list[dict] = []
-    for pos, el, depth in iter_nv_depths(net):
-        if el.kind is Kind.NV_SCATTER:
-            m = el.in_modes[0]
-            idx = open_runs.get(m)
-            if idx is None:
-                runs.append({"start": pos, "mode": m, "spins": [el.spin], "depth": depth[m]})
-                open_runs[m] = len(runs) - 1
-            else:
-                runs[idx]["spins"].append(el.spin)
-        elif el.kind in (Kind.PBS_RL, Kind.BS5050, Kind.PBS_FS, Kind.HWP):
-            for m in el.in_modes + el.out_modes:
-                open_runs.pop(m, None)
-    stages: dict[int, list] = {}
-    for run in runs:
-        stages.setdefault(run["depth"], []).append((run["start"], run["mode"], run["spins"]))
-    return stages
-
-
 def efficiency_factorized(gate: str, r_mag: float) -> float:
     """Independent-pass reconstruction of the closed-form efficiency.
 
-    Treats each interferometric pass (see :func:`_nv_stages`) as an
-    uncorrelated attenuation: branch weights at each pass are taken from the
-    *ideal* circuit averaged over all spin basis inputs (photon balanced),
-    each branch loses 1 - |f|^2 with f its accumulated scatter factor, and
-    the per-pass survival factors multiply.  Matches
-    :func:`efficiency_closed_form` to machine precision for all three gates,
-    which identifies the modeling assumption behind the closed-form
-    efficiencies; an exact simulation deviates because loss correlates the
-    photon with the spins between passes.
+    A *run* is a maximal sequence of NV reflections on one wire with no
+    other element on that wire between them (``spinh`` has no wire, so it
+    does not end a run).  Runs at the same NV-path depth
+    (:func:`iter_nv_depths`) are parallel alternatives of one physical
+    *pass*; passes at increasing depth are traversed in sequence.
+
+    The model takes every state from one pass of the *ideal* circuit over
+    all spin basis inputs at once (:func:`basis_response_input`, photon
+    balanced).  Each run's reflections are applied, at
+    ``resonant_pair(r_mag)``, to the ideal state before the run; the norm
+    they remove, over the 2**n inputs, is the run's loss.  A pass loses the
+    sum over its runs, and the pass survivals multiply.  Matches :func:`efficiency_closed_form` to
+    machine precision for all three gates, which identifies the modeling
+    assumption behind the closed-form efficiencies; an exact simulation
+    deviates because loss correlates the photon with the spins between
+    passes.
     """
     _check_r(r_mag)
     net = build_gate_circuit(gate)
-    n = net.n_spins
-    stages = _nv_stages(net)
-    wide = widen(net)
-    start_state = basis_response_input(net)
-    eta = 1.0
-    for depth_key in sorted(stages):
-        stage_loss = 0.0
-        for start, mode, spins in stages[depth_key]:
-            # branch weights on this wire before the run, averaged over the
-            # ancilla axis, i.e. over all spin basis inputs
-            before = apply_elements(wide, start_state, IDEAL_PAIR, upto=start)
-            sq = np.abs(before.amps[:, before.mode_index(mode), :].reshape(2, 2**n, 2**n)) ** 2
-            weights = sum(sq[..., c] for c in range(2**n)) / 2**n
-            for pol in (R, L):
-                for cfg in range(2**n):
-                    f2 = 1.0
-                    for spin in spins:
-                        bit = (cfg >> (n - 1 - spin)) & 1
-                        hot = (pol == R and bit == PLUS) or (pol == L and bit == MINUS)
-                        f2 *= r_mag**2 if hot else 1.0  # |r_cold| = 1 on resonance
-                    stage_loss += weights[pol, cfg] * (1.0 - f2)
-        eta *= 1.0 - stage_loss
-    return float(eta)
+    pair = resonant_pair(r_mag)
+    start = basis_response_input(net)
+    before = [start] + [state for _, state in iter_element_states(widen(net), start, IDEAL_PAIR)]
+    runs = []  # [depth, ideal state before the run, that state after the run's reflections]
+    open_runs: dict[str, list] = {}
+    for pos, el, depth in iter_nv_depths(net):
+        if el.kind is not Kind.NV_SCATTER:
+            for m in el.in_modes + el.out_modes:
+                open_runs.pop(m, None)
+            continue
+        m = el.in_modes[0]
+        if m not in open_runs:
+            open_runs[m] = [depth[m], before[pos], before[pos]]
+            runs.append(open_runs[m])
+        open_runs[m][2] = scatter(open_runs[m][2], el.spin, m, pair)
+    pass_loss: dict[int, float] = {}
+    for d, ideal, lossy in runs:
+        pass_loss[d] = pass_loss.get(d, 0.0) + (ideal.norm2() - lossy.norm2()) / 2**net.n_spins
+    return math.prod((1.0 - pass_loss[d] for d in sorted(pass_loss)), start=1.0)
 
 
 @dataclass(frozen=True)

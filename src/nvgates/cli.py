@@ -124,9 +124,8 @@ def cmd_verify(args) -> int:
     net = build_gate_circuit(args.gate)
     reflection = _reflection_from_args(args)
     target = ideal_gate_unitary(args.gate)
-    rng = np.random.default_rng(args.seed)
     print(f"verify {args.gate}: trials={args.trials} seed={args.seed} regime={_regime_label(reflection)}")
-    inputs = analysis._random_spin_inputs(rng, net.n_spins, args.trials)
+    inputs = analysis._spin_inputs(net.n_spins, "random", args.trials, args.seed)
     # (outcome, trial, config): the unnormalized output of every input on every outcome
     out = np.swapaxes(_outcome_maps(net, reflection) @ inputs.T, 1, 2)
     probs = np.sum(np.abs(out) ** 2, axis=-1)

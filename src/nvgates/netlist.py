@@ -390,28 +390,17 @@ def _check_dimensions(net: Netlist, state: HybridState):
         )
 
 
-def iter_element_states(
-    net: Netlist,
-    state: HybridState,
-    reflection: ReflectionPair = IDEAL_PAIR,
-    upto: int | None = None,
-):
-    """Yield (element, state-after-element) while applying the first
-    ``upto`` elements (all, if None)."""
+def iter_element_states(net: Netlist, state: HybridState, reflection: ReflectionPair = IDEAL_PAIR):
+    """Yield (element, state-after-element) while applying every element."""
     _check_dimensions(net, state)
-    for el in net.elements[:upto]:
+    for el in net.elements:
         state = apply_element(state, el, reflection)
         yield el, state
 
 
-def apply_elements(
-    net: Netlist,
-    state: HybridState,
-    reflection: ReflectionPair = IDEAL_PAIR,
-    upto: int | None = None,
-) -> HybridState:
-    """Apply the first ``upto`` elements (all, if None) and return the state."""
-    for _, state in iter_element_states(net, state, reflection, upto):
+def apply_elements(net: Netlist, state: HybridState, reflection: ReflectionPair = IDEAL_PAIR) -> HybridState:
+    """Apply every element and return the state."""
+    for _, state in iter_element_states(net, state, reflection):
         pass
     return state
 
@@ -429,12 +418,7 @@ def apply_spin_ops(amps: np.ndarray, ops) -> np.ndarray:
     return amps
 
 
-def run_netlist(
-    net: Netlist,
-    state: HybridState,
-    reflection: ReflectionPair = IDEAL_PAIR,
-    apply_feedforward: bool = True,
-) -> list[Outcome]:
+def run_netlist(net: Netlist, state: HybridState, reflection: ReflectionPair = IDEAL_PAIR) -> list[Outcome]:
     """Apply all elements, then enumerate every detector outcome.
 
     Detection is one linear map: one F/S projection of every detector mode,
@@ -443,7 +427,7 @@ def run_netlist(
     squared norm when the detectors cover all occupied modes.
     """
     state = apply_elements(net, state, reflection)
-    table = net.feedforward_map if apply_feedforward else {}
+    table = net.feedforward_map
     amps = partial_trace_photon_collapse(state, net.detectors).reshape(-1, 2**net.n_spins)
     probs = np.sum(np.abs(amps) ** 2, axis=-1).tolist()
     outcomes = []
@@ -492,21 +476,16 @@ def nv_element_count(net: Netlist) -> int:
     return sum(1 for el in net.elements if el.kind is Kind.NV_SCATTER)
 
 
-def balanced_product_input(net: Netlist, photon_mode: str | None = None) -> HybridState:
+def balanced_product_input(net: Netlist) -> HybridState:
     """Photon (|R>+|L>)/sqrt2 at the input mode, every spin (|+>+|->)/sqrt2."""
     b = 1.0 / math.sqrt(2.0)
-    return product_input(net, [(b, b)] * net.n_spins, photon_mode)
+    return product_input(net, [(b, b)] * net.n_spins)
 
 
-def product_input(net: Netlist, spin_pairs, photon_mode: str | None = None) -> HybridState:
+def product_input(net: Netlist, spin_pairs) -> HybridState:
     """Photon (|R>+|L>)/sqrt2 at the input mode with the given spin pairs."""
     b = 1.0 / math.sqrt(2.0)
-    return make_product_state(
-        (b, b),
-        photon_mode if photon_mode is not None else net.input_mode,
-        spin_pairs,
-        net.modes,
-    )
+    return make_product_state((b, b), net.input_mode, spin_pairs, net.modes)
 
 
 def widen(net: Netlist, extra: int = 0) -> Netlist:

@@ -127,10 +127,6 @@ class HybridState:
     def norm2(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
 
-    def loss(self) -> float:
-        """Accumulated photon-loss probability, 1 - |psi|^2."""
-        return 1.0 - self.norm2()
-
     def with_amps(self, amps: np.ndarray) -> HybridState:
         """A state on the same (modes, spins) space holding ``amps``.
 

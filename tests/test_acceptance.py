@@ -161,12 +161,12 @@ def test_criterion_2_paper_traced_states():
         # cnot traces: after the first recombination, after the HWP, final
         net = build_gate_circuit("cnot")
         c, t = random_spin_pairs(rng, 2)
-        state = product_input(net, [c, t])
-        got_control_block = apply_elements(net, state, IDEAL_PAIR, upto=3).amps
+        states = [st.amps for _, st in iter_element_states(net, product_input(net, [c, t]), IDEAL_PAIR)]
+        got_control_block = states[2]  # after 3 elements
         assert np.abs(got_control_block - _expected_cnot_after_control_block(net, c, t)).max() <= 1e-12
-        got_after_hadamard = apply_elements(net, state, IDEAL_PAIR, upto=4).amps
+        got_after_hadamard = states[3]  # after 4 elements
         assert np.abs(got_after_hadamard - _expected_cnot_after_photon_hadamard(net, c, t)).max() <= 1e-12
-        got_pre_detection = apply_elements(net, state, IDEAL_PAIR).amps
+        got_pre_detection = states[-1]
         assert np.abs(got_pre_detection - _expected_cnot_pre_detection(net, c, t)).max() <= 1e-12
 
         net = build_gate_circuit("toffoli")

@@ -98,7 +98,7 @@ def test_simulated_random_convention_deterministic():
 def test_factorized_matches_closed_form_exactly():
     # the independent-pass reconstruction IS the closed-form model
     for gate in GATE_NAMES:
-        for r in np.linspace(0.0, 1.0, 11):
+        for r in np.linspace(0.0, 1.0, 101):  # criterion 5's grid
             assert efficiency_factorized(gate, r) == pytest.approx(
                 efficiency_closed_form(gate, r), abs=1e-12
             ), (gate, r)

@@ -1,5 +1,7 @@
 """Netlist grammar, diagnostics, round-trip, and interpreter semantics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -256,12 +258,12 @@ def test_norm_monotone_through_elements(rng):
 
 
 def test_manual_feedforward_composition(rng):
-    # disabling the table and applying the same ops per outcome is identical
+    # dropping the table and applying the same ops per outcome is identical
     net = parse_netlist(SMALL)
     state = balanced_product_input(net)
     pair = random_reflection(rng)
-    with_ff = run_netlist(net, state, pair, apply_feedforward=True)
-    without = run_netlist(net, state, pair, apply_feedforward=False)
+    with_ff = run_netlist(net, state, pair)
+    without = run_netlist(replace(net, feedforward=None), state, pair)
     table = net.feedforward_map
     for auto, raw in zip(with_ff, without):
         assert auto.probability == pytest.approx(raw.probability, abs=1e-15)

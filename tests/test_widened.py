@@ -250,6 +250,14 @@ def test_verify_runs_at_most_one_pass(monkeypatch, capsys, gate):
 
 
 @pytest.mark.parametrize("gate", GATE_NAMES)
+def test_factorized_efficiency_applies_each_element_once(monkeypatch, gate):
+    # one ideal pass over the widened circuit holds every state the model reads
+    calls = _count_passes(monkeypatch)
+    analysis.efficiency_factorized(gate, 0.3)
+    assert calls == list(build_gate_circuit(gate).elements)
+
+
+@pytest.mark.parametrize("gate", GATE_NAMES)
 def test_compiled_circuit_serves_later_ratios_without_a_pass(monkeypatch, capsys, gate):
     _fresh_circuits(monkeypatch, analysis, cli)
     calls = _count_passes(monkeypatch)
