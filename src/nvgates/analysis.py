@@ -165,6 +165,7 @@ class CompiledCircuit:
     def __init__(self, n_outcomes: int, coefficients: np.ndarray):
         self.n_outcomes = n_outcomes
         self.coefficients = coefficients  # (degree + 1, rows, 2**n, 2**n), read-only
+        self.last = None  # (arguments, metrics) of the last int-seeded _simulate call
 
     def maps(self, r_hot) -> np.ndarray:
         """Every row's map at ``r_hot``, shape (rows, 2**n, 2**n)."""
@@ -206,6 +207,38 @@ def compile_circuit(net: Netlist, r_cold: complex) -> CompiledCircuit:
     return compiled
 
 
+def _simulate(gate: str, r: ReflectionPair, convention: str, trials: int, seed: int | None) -> tuple:
+    """The fidelity of ``gate`` at ``r`` in each of :data:`NORMALIZATIONS`,
+    in that order, then its efficiency.
+
+    The inputs of ``convention`` are drawn once, the gate's
+    :func:`compile_circuit` is evaluated once at r_hot, and every metric is
+    read from their one product, which holds every row's output for every
+    input.  The result of the last call with an int seed, which draws the
+    same inputs every time, is kept on the compiled circuit, so the
+    fidelity and efficiency of one sweep point make one product.
+    """
+    net = build_gate_circuit(gate)
+    compiled = compile_circuit(net, r.r_cold)
+    key = (gate, r.r_hot, convention, trials, seed) if isinstance(seed, int) else None
+    if key is not None and compiled.last is not None and compiled.last[0] == key:
+        return compiled.last[1]
+    inputs = _spin_inputs(net.n_spins, convention, trials, seed)
+    out = compiled.maps(r.r_hot) @ inputs.T  # (row, config, input)
+    detected = out[: compiled.n_outcomes]
+    ideal = ideal_gate_unitary(gate).unitary @ inputs.T
+    # p_o F_o = |<ideal|unnormalized outcome state>|^2
+    weighted = np.sum(np.abs(np.sum(ideal.conj() * detected, axis=1)) ** 2, axis=0)
+    total = np.sum(np.abs(detected) ** 2, axis=(0, 1))
+    efficiency = float(np.mean(np.sum(np.abs(out) ** 2, axis=(0, 1))))
+    if np.all(total > 0.0):
+        metrics = float(np.mean(weighted / total)), float(np.mean(weighted)), efficiency
+    else:
+        metrics = math.nan, math.nan, efficiency
+    compiled.last = None if key is None else (key, metrics)
+    return metrics
+
+
 def fidelity_simulated(
     gate: str,
     r: ReflectionPair,
@@ -221,25 +254,11 @@ def fidelity_simulated(
     ideal gate output.  ``postselected`` returns sum_o p_o F_o / sum_o p_o
     (loss is accounted separately, in the efficiency); ``unnormalized``
     returns sum_o p_o F_o (loss counts as infidelity).  Returns NaN if the
-    photon is lost with certainty.
-
-    The outcome maps are the gate's :func:`compile_circuit` evaluated at
-    r_hot; each input is then a product with them.
+    photon is lost with certainty.  Read from :func:`_simulate`.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
-    net = build_gate_circuit(gate)
-    inputs = _spin_inputs(net.n_spins, convention, trials, seed)
-    compiled = compile_circuit(net, r.r_cold)
-    out = compiled.maps(r.r_hot)[: compiled.n_outcomes] @ inputs.T  # (outcome, config, input)
-    ideal = ideal_gate_unitary(gate).unitary @ inputs.T
-    # p_o F_o = |<ideal|unnormalized outcome state>|^2
-    weighted = np.sum(np.abs(np.sum(ideal.conj() * out, axis=1)) ** 2, axis=0)
-    total = np.sum(np.abs(out) ** 2, axis=(0, 1))
-    if not np.all(total > 0.0):
-        return math.nan
-    values = weighted / total if normalization == "postselected" else weighted
-    return float(np.mean(values))
+    return _simulate(gate, r, convention, trials, seed)[NORMALIZATIONS.index(normalization)]
 
 
 def efficiency_simulated(
@@ -251,11 +270,8 @@ def efficiency_simulated(
 ) -> float:
     """Photon survival probability from full circuit simulation: the
     pre-detection squared norm, averaged over the input convention, read
-    from every row of the gate's :func:`compile_circuit` at r_hot."""
-    net = build_gate_circuit(gate)
-    inputs = _spin_inputs(net.n_spins, convention, trials, seed)
-    out = compile_circuit(net, r.r_cold).maps(r.r_hot) @ inputs.T  # (row, config, input)
-    return float(np.mean(np.sum(np.abs(out) ** 2, axis=(0, 1))))
+    from every row of the gate's compiled circuit by :func:`_simulate`."""
+    return _simulate(gate, r, convention, trials, seed)[-1]
 
 
 def efficiency_factorized(gate: str, r_mag: float) -> float:
@@ -324,7 +340,9 @@ def sweep(
     """Closed-form and simulated metrics over a grid of coupling ratios.
 
     The resonant mapping ratio -> r is used throughout; records are sorted
-    by ratio, then gate name.  Deterministic for fixed inputs.
+    by ratio, then gate name.  Deterministic for fixed inputs.  With an int
+    seed, each point's fidelity and efficiency come from one product of
+    :func:`_simulate`.
     """
     records = []
     for ratio in coupling_ratios:
@@ -438,17 +456,20 @@ def fidelity_convention_report(
     r_grid = tuple(float(x) for x in r_grid)
     if r_grid[-1] != 1.0:
         raise ValueError(f"the grid must end exactly at |r| = 1 for the exactness check, got {r_grid[-1]!r}")
+    simulated = {
+        (convention, gate): [_simulate(gate, resonant_pair(r_mag), convention, trials, seed) for r_mag in r_grid]
+        for convention in INPUT_CONVENTIONS
+        for gate in gates
+    }
     residuals = []
     best = None
     for convention in INPUT_CONVENTIONS:
-        for normalization in NORMALIZATIONS:
+        for k, normalization in enumerate(NORMALIZATIONS):
             worst_f_all = 0.0
             for gate in gates:
                 worst_f = worst_e = 0.0
-                for r_mag in r_grid:
-                    pair = resonant_pair(r_mag)
-                    f_sim = fidelity_simulated(gate, pair, convention, normalization, trials, seed)
-                    e_sim = efficiency_simulated(gate, pair, convention, trials, seed)
+                for r_mag, metrics in zip(r_grid, simulated[convention, gate]):
+                    f_sim, e_sim = metrics[k], metrics[-1]
                     worst_f = max(worst_f, abs(f_sim - fidelity_closed_form(gate, r_mag)))
                     worst_e = max(worst_e, abs(e_sim - efficiency_closed_form(gate, r_mag)))
                 residuals.append(

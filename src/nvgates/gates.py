@@ -124,10 +124,15 @@ def build_two_nv_mz_block(
     return np.diag(diag)
 
 
-@functools.cache
 def build_gate_circuit(name: str) -> Netlist:
     """The gate circuit with its feedforward table, parsed once from its
-    shipped .nv file; every call returns the same immutable netlist."""
+    shipped .nv file; every call, in any letter case, returns the same
+    immutable netlist."""
+    return _gate_circuit(_canon(name))
+
+
+@functools.cache
+def _gate_circuit(name: str) -> Netlist:
     return parse_netlist(shipped_circuit_text(name))
 
 

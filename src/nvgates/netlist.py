@@ -32,7 +32,6 @@ the feedforward table.  Pauli tokens are ``I``, ``Z`` and ``-Z``.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -45,6 +44,7 @@ from .state import (
     HybridState,
     SpinState,
     make_product_state,
+    null_spin_state,
     partial_trace_photon_collapse,
 )
 
@@ -114,93 +114,109 @@ class Outcome:
 
     @property
     def spins(self) -> SpinState:
-        """The renormalized spin state; null when the probability is 0."""
+        """The renormalized spin state.  Every outcome of probability 0 on
+        2**n configurations shares one read-only null state."""
         if self.probability <= 0.0:
-            return SpinState(np.zeros_like(self.amps))
-        return SpinState(self.amps / math.sqrt(self.probability))
+            return null_spin_state(self.amps.size)
+        return SpinState.adopt(self.amps / math.sqrt(self.probability))
 
 
-def _tokenize(raw: str) -> list[tuple[str, int]]:
-    """Split a source line into (token, 1-based column) pairs, dropping comments."""
-    code = raw.split("#", 1)[0]
-    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", code)]
+def _tokens(raw: str) -> list[str]:
+    """The whitespace-separated tokens of a source line, comment dropped."""
+    return raw.split("#", 1)[0].split()
 
 
-def _parse_int(tok: str, line: int, col: int, prefix: str = "") -> int:
-    """Integer k of a ``<prefix><k>`` token, such as ``3`` or ``spin_3``."""
-    try:
-        if tok.startswith(prefix):
-            return int(tok[len(prefix) :])
-    except ValueError:
-        pass
-    raise NetlistError(DiagnosticKind.INVALID_TOKEN, line, col, f"expected {prefix}<integer>, got {tok!r}")
+def _column(raw: str, index: int) -> int:
+    """1-based column of token ``index`` of :func:`_tokens` in ``raw``.
+
+    Only diagnostics need columns, so one is found only when a diagnostic is
+    raised: each token is looked up with ``str.index`` just past the one
+    before it.  ``str.split()`` splits on the same whitespace as the pattern
+    ``\\S+``, so this is the start of the index-th ``\\S+`` match, plus 1.
+    """
+    end = 0
+    for tok in _tokens(raw)[: index + 1]:
+        start = raw.index(tok, end)
+        end = start + len(tok)
+    return start + 1
 
 
-_DIRECTIVES = {kind.value: (kind, layout) for kind, layout in LAYOUTS.items()}
+# directive -> (kind, layout, token indices of its input wires, of its
+# output wires); the directive itself is token 0
+_DIRECTIVES = {
+    kind.value: (kind, lay, range(1, lay.n_ops + 1)[lay.ins], range(1, lay.n_ops + 1)[lay.outs])
+    for kind, lay in LAYOUTS.items()
+}
 
 
 class _Parser:
-    def __init__(self):
+    def __init__(self, lines: list[str]):
+        self.lines = lines
         self.n_spins: int | None = None
-        self.spins_at = (0, 0)  # line and column of the spin count
+        self.spins_line = 0  # line of the spin count, token 1
         self.modes: list[str] = []
         self.mode_set: set[str] = set()
         self.elements: list[Element] = []
         self.detectors: list[str] = []
         self.feedforward: list[FeedforwardRule] = []
-        # (reader position, mode, line, col); elements and detect lines share
-        # one position counter so the ordering check covers both.
+        # (reader position, mode, line, token index); elements and detect
+        # lines share one position counter so the ordering check covers both.
         self.reads: list[tuple[int, str, int, int]] = []
         self.writes: dict[str, int] = {}  # mode -> first writer position
         self.position = 0
-        self.ff_locations: list[tuple[str, int, int]] = []
+        self.ff_lines: list[int] = []  # line of each feedforward rule; its label is token 1
 
-    def require_modes(self, toks, line):
-        for tok, col in toks:
-            if tok not in self.mode_set:
-                raise NetlistError(
-                    DiagnosticKind.UNDECLARED_MODE, line, col, f"mode {tok!r} is not declared"
-                )
+    def error(self, kind: DiagnosticKind, line: int, index: int, message: str) -> NetlistError:
+        """A diagnostic at token ``index`` of ``line``; its column is found here."""
+        return NetlistError(kind, line, _column(self.lines[line - 1], index), message)
 
-    def spin_index(self, token, line: int, prefix: str) -> int:
-        """The spin a ``(<prefix><k>, column)`` token names, after ``spins``."""
-        tok, col = token
-        k = _parse_int(tok, line, col, prefix)
+    def int_at(self, toks, i: int, line: int, prefix: str = "") -> int:
+        """Integer k of a ``<prefix><k>`` token ``toks[i]``, such as ``3`` or ``spin_3``."""
+        tok = toks[i]
+        try:
+            if tok.startswith(prefix):
+                return int(tok[len(prefix) :])
+        except ValueError:
+            pass
+        raise self.error(DiagnosticKind.INVALID_TOKEN, line, i, f"expected {prefix}<integer>, got {tok!r}")
+
+    def spin_index(self, toks, i: int, line: int, prefix: str) -> int:
+        """The spin a ``<prefix><k>`` token ``toks[i]`` names, after ``spins``."""
+        k = self.int_at(toks, i, line, prefix)
         if self.n_spins is None:
-            raise NetlistError(
-                DiagnosticKind.MISSING_DECLARATION, line, col, "spins must be declared first"
-            )
+            raise self.error(DiagnosticKind.MISSING_DECLARATION, line, i, "spins must be declared first")
         if not 0 <= k < self.n_spins:
-            raise NetlistError(
-                DiagnosticKind.SPIN_RANGE,
-                line,
-                col,
-                f"spin index {k} out of range for spins {self.n_spins}",
+            raise self.error(
+                DiagnosticKind.SPIN_RANGE, line, i, f"spin index {k} out of range for spins {self.n_spins}"
             )
         return k
+
+    def require_modes(self, toks, indices, line: int):
+        for i in indices:
+            if toks[i] not in self.mode_set:
+                raise self.error(DiagnosticKind.UNDECLARED_MODE, line, i, f"mode {toks[i]!r} is not declared")
 
     def check_size(self):
         n, modes = self.n_spins, max(len(self.modes), 1)
         # an n that exceeds the cap alone is refused before 2**n is formed
         if n is not None and (n >= MAX_AMPLITUDES.bit_length() or 2 * modes << n > MAX_AMPLITUDES):
-            raise NetlistError(
-                DiagnosticKind.SPIN_RANGE, *self.spins_at,
+            raise self.error(
+                DiagnosticKind.SPIN_RANGE, self.spins_line, 1,
                 f"spins {n} with {modes} modes exceeds the cap of {MAX_AMPLITUDES} amplitudes (2*modes*2**spins)",
             )
 
-    def record_reads(self, toks, line):
-        for tok, col in toks:
-            self.reads.append((self.position, tok, line, col))
-
-    def add_element(self, el: Element, read_toks, write_toks, line):
-        self.require_modes(read_toks + write_toks, line)
-        self.record_reads(read_toks, line)
-        for tok, _ in write_toks:
-            self.writes.setdefault(tok, self.position)
+    def add_element(self, el: Element, toks, reads, writes, line: int):
+        self.require_modes(toks, reads, line)
+        self.require_modes(toks, writes, line)
+        for i in reads:
+            self.reads.append((self.position, toks[i], line, i))
+        for i in writes:
+            self.writes.setdefault(toks[i], self.position)
         self.elements.append(el)
         self.position += 1
 
-    def finish(self, last_line: int) -> Netlist:
+    def finish(self) -> Netlist:
+        last_line = len(self.lines) + 1
         if self.n_spins is None:
             raise NetlistError(
                 DiagnosticKind.MISSING_DECLARATION, last_line, 1, "missing spins declaration"
@@ -209,26 +225,20 @@ class _Parser:
             raise NetlistError(
                 DiagnosticKind.MISSING_DECLARATION, last_line, 1, "missing modes declaration"
             )
-        for pos, mode, line, col in self.reads:
+        for pos, mode, line, i in self.reads:
             first_write = self.writes.get(mode)
             if first_write is not None and first_write > pos:
-                raise NetlistError(
-                    DiagnosticKind.NON_TOPOLOGICAL,
-                    line,
-                    col,
-                    f"mode {mode!r} is read here but only written later",
+                raise self.error(
+                    DiagnosticKind.NON_TOPOLOGICAL, line, i, f"mode {mode!r} is read here but only written later"
                 )
         net = Netlist(
             self.n_spins, tuple(self.modes), tuple(self.elements), tuple(self.detectors), tuple(self.feedforward) or None
         )
-        labels = set(net.outcome_labels())
-        for label, line, col in self.ff_locations:
-            if label not in labels:
-                raise NetlistError(
-                    DiagnosticKind.UNKNOWN_OUTCOME,
-                    line,
-                    col,
-                    f"feedforward outcome {label!r} matches no detector",
+        detected = set(self.detectors)
+        for (label, _), line in zip(self.feedforward, self.ff_lines):
+            if label[1:] not in detected:  # the label is F or S, then a mode
+                raise self.error(
+                    DiagnosticKind.UNKNOWN_OUTCOME, line, 1, f"feedforward outcome {label!r} matches no detector"
                 )
         return net
 
@@ -236,134 +246,95 @@ class _Parser:
 def parse_netlist(text: str) -> Netlist:
     """Parse and validate a netlist; raises :class:`NetlistError` with a
     diagnostic kind and line/column on the first problem found."""
-    p = _Parser()
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        last_line = lineno
-        toks = _tokenize(raw)
+    lines = text.splitlines()
+    p = _Parser(lines)
+    for lineno, raw in enumerate(lines, 1):
+        toks = _tokens(raw)
         if not toks:
             continue
-        (head, head_col), args = toks[0], toks[1:]
+        head = toks[0]
 
-        if head == "spins":
-            if len(args) != 1:
-                raise NetlistError(
-                    DiagnosticKind.ARITY_MISMATCH, lineno, head_col, "spins takes one count"
-                )
+        if head in _DIRECTIVES:
+            kind, lay, ins, outs = _DIRECTIVES[head]
+            if len(toks) != lay.n_ops + 1:
+                raise p.error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, f"{head} expects: {head} {FORMS[kind]}")
+            if lay.arrow is not None and toks[lay.arrow + 1] != "->":
+                raise p.error(DiagnosticKind.ARITY_MISMATCH, lineno, lay.arrow + 1, f"{head} expects '->' here")
+            spin = None if lay.spin is None else p.spin_index(toks, lay.spin + 1, lineno, lay.spin_prefix)
+            try:
+                el = Element(kind, toks[ins.start : ins.stop], toks[outs.start : outs.stop], spin, line=lineno)
+            except WiringError as exc:
+                raise p.error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, str(exc)) from None
+            # an in-place element introduces nothing: its wire is not written
+            p.add_element(el, toks, ins, () if lay.in_place else outs, lineno)
+
+        elif head == "detect":
+            if len(toks) != 2:
+                raise p.error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, "detect expects: detect m")
+            tok = toks[1]
+            p.require_modes(toks, (1,), lineno)
+            if tok in p.detectors:
+                raise p.error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, 1, f"detector on {tok!r} redeclared")
+            p.reads.append((p.position, tok, lineno, 1))
+            p.detectors.append(tok)
+            p.position += 1
+
+        elif head == "spins":
+            if len(toks) != 2:
+                raise p.error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, "spins takes one count")
             if p.n_spins is not None:
-                raise NetlistError(
-                    DiagnosticKind.DUPLICATE_DECLARATION, lineno, head_col, "spins already declared"
-                )
-            n = _parse_int(args[0][0], lineno, args[0][1])
+                raise p.error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, 0, "spins already declared")
+            n = p.int_at(toks, 1, lineno)
             if n <= 0:
-                raise NetlistError(
-                    DiagnosticKind.INVALID_TOKEN, lineno, args[0][1], "spin count must be positive"
-                )
+                raise p.error(DiagnosticKind.INVALID_TOKEN, lineno, 1, "spin count must be positive")
             p.n_spins = n
-            p.spins_at = (lineno, args[0][1])
+            p.spins_line = lineno
             p.check_size()
 
         elif head == "modes":
-            if not args:
-                raise NetlistError(
-                    DiagnosticKind.ARITY_MISMATCH, lineno, head_col, "modes needs at least one label"
-                )
-            for tok, col in args:
+            if len(toks) == 1:
+                raise p.error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, "modes needs at least one label")
+            for i, tok in enumerate(toks[1:], 1):
                 if tok in p.mode_set:
-                    raise NetlistError(
-                        DiagnosticKind.DUPLICATE_DECLARATION, lineno, col, f"mode {tok!r} redeclared"
-                    )
+                    raise p.error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, i, f"mode {tok!r} redeclared")
                 p.modes.append(tok)
                 p.mode_set.add(tok)
             p.check_size()
 
-        elif head in _DIRECTIVES:
-            kind, lay = _DIRECTIVES[head]
-            if len(args) != lay.n_ops:
-                raise NetlistError(
-                    DiagnosticKind.ARITY_MISMATCH, lineno, head_col, f"{head} expects: {head} {FORMS[kind]}"
-                )
-            if lay.arrow is not None and args[lay.arrow][0] != "->":
-                raise NetlistError(
-                    DiagnosticKind.ARITY_MISMATCH, lineno, args[lay.arrow][1], f"{head} expects '->' here"
-                )
-            spin = None if lay.spin is None else p.spin_index(args[lay.spin], lineno, lay.spin_prefix)
-            names, _ = zip(*args)
-            try:
-                el = Element(kind, names[lay.ins], names[lay.outs], spin, line=lineno)
-            except WiringError as exc:
-                raise NetlistError(DiagnosticKind.ARITY_MISMATCH, lineno, head_col, str(exc)) from None
-            # an in-place element introduces nothing: its wire is not written
-            p.add_element(el, args[lay.ins], [] if lay.in_place else args[lay.outs], lineno)
-
-        elif head == "detect":
-            if len(args) != 1:
-                raise NetlistError(
-                    DiagnosticKind.ARITY_MISMATCH, lineno, head_col, "detect expects: detect m"
-                )
-            tok, col = args[0]
-            p.require_modes(args, lineno)
-            if tok in p.detectors:
-                raise NetlistError(
-                    DiagnosticKind.DUPLICATE_DECLARATION, lineno, col, f"detector on {tok!r} redeclared"
-                )
-            p.record_reads(args, lineno)
-            p.detectors.append(tok)
-            p.position += 1
-
         elif head == "feedforward":
-            if not args or not args[0][0].endswith(":"):
-                raise NetlistError(
-                    DiagnosticKind.ARITY_MISMATCH,
-                    lineno,
-                    head_col,
-                    "feedforward expects: feedforward OUTCOME: spin_k OP ...",
+            if len(toks) == 1 or not toks[1].endswith(":"):
+                raise p.error(
+                    DiagnosticKind.ARITY_MISMATCH, lineno, 0, "feedforward expects: feedforward OUTCOME: spin_k OP ..."
                 )
-            label, label_col = args[0][0][:-1], args[0][1]
+            label = toks[1][:-1]
             if not label or label[0] not in ("F", "S"):
-                raise NetlistError(
-                    DiagnosticKind.INVALID_TOKEN, lineno, label_col, f"bad outcome label {label!r}"
-                )
-            body = args[1:]
-            if len(body) % 2 != 0:
-                raise NetlistError(
-                    DiagnosticKind.ARITY_MISMATCH,
-                    lineno,
-                    head_col,
-                    "feedforward body must be spin/operator pairs",
-                )
+                raise p.error(DiagnosticKind.INVALID_TOKEN, lineno, 1, f"bad outcome label {label!r}")
+            if len(toks) % 2 != 0:  # the body after the label is spin/operator pairs
+                raise p.error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, "feedforward body must be spin/operator pairs")
             if p.n_spins is None:
-                raise NetlistError(
-                    DiagnosticKind.MISSING_DECLARATION, lineno, head_col, "spins must be declared first"
-                )
+                raise p.error(DiagnosticKind.MISSING_DECLARATION, lineno, 0, "spins must be declared first")
             ops = [Pauli.I] * p.n_spins
             seen: set[int] = set()
-            for (sp_tok, sp_col), (op_tok, op_col) in zip(body[0::2], body[1::2]):
-                k = p.spin_index((sp_tok, sp_col), lineno, "spin_")
+            for i in range(2, len(toks), 2):
+                k = p.spin_index(toks, i, lineno, "spin_")
                 if k in seen:
-                    raise NetlistError(
-                        DiagnosticKind.DUPLICATE_DECLARATION, lineno, sp_col, f"spin_{k} listed twice"
-                    )
+                    raise p.error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, i, f"spin_{k} listed twice")
                 seen.add(k)
                 try:
-                    ops[k] = Pauli(op_tok)
+                    ops[k] = Pauli(toks[i + 1])
                 except ValueError:
-                    raise NetlistError(
-                        DiagnosticKind.INVALID_TOKEN, lineno, op_col, f"unknown operator {op_tok!r}"
+                    raise p.error(
+                        DiagnosticKind.INVALID_TOKEN, lineno, i + 1, f"unknown operator {toks[i + 1]!r}"
                     ) from None
             if any(label == existing for existing, _ in p.feedforward):
-                raise NetlistError(
-                    DiagnosticKind.DUPLICATE_DECLARATION, lineno, label_col, f"outcome {label!r} listed twice"
-                )
+                raise p.error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, 1, f"outcome {label!r} listed twice")
             p.feedforward.append((label, tuple(ops)))
-            p.ff_locations.append((label, lineno, label_col))
+            p.ff_lines.append(lineno)
 
         else:
-            raise NetlistError(
-                DiagnosticKind.UNKNOWN_DIRECTIVE, lineno, head_col, f"unknown directive {head!r}"
-            )
+            raise p.error(DiagnosticKind.UNKNOWN_DIRECTIVE, lineno, 0, f"unknown directive {head!r}")
 
-    return p.finish(last_line + 1)
+    return p.finish()
 
 
 def serialize_netlist(net: Netlist) -> str:
@@ -428,15 +399,21 @@ def run_netlist(net: Netlist, state: HybridState, reflection: ReflectionPair = I
     """
     state = apply_elements(net, state, reflection)
     table = net.feedforward_map
+    labels = net.outcome_labels()
     amps = partial_trace_photon_collapse(state, net.detectors).reshape(-1, 2**net.n_spins)
-    probs = np.sum(np.abs(amps) ** 2, axis=-1).tolist()
-    outcomes = []
-    for label, a, prob in zip(net.outcome_labels(), amps, probs):
+    for row, label in enumerate(labels):
         ops = table.get(label)
         if ops is not None:
-            a = apply_spin_ops(a, ops)
-        a.setflags(write=False)
-        outcomes.append(Outcome(label, prob, a))
+            amps[row] = apply_spin_ops(amps[row], ops)
+    amps.setflags(write=False)
+    probs = np.sum(np.abs(amps) ** 2, axis=-1).tolist()
+    outcomes = []
+    for label, a, prob in zip(labels, amps, probs):
+        # a read-only row view, set without the frozen dataclass's __init__
+        outcome = object.__new__(Outcome)
+        fields = vars(outcome)
+        fields["label"], fields["probability"], fields["amps"] = label, prob, a
+        outcomes.append(outcome)
     return outcomes
 
 

@@ -13,6 +13,7 @@ States are immutable values; every operation returns a new state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,6 +83,16 @@ class SpinState:
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
 
+    @classmethod
+    def adopt(cls, amps: np.ndarray) -> SpinState:
+        """A state holding ``amps``, a fresh 1-D complex array of length
+        2**n that the caller no longer writes to.  It is taken over without
+        a copy and made read-only; nothing else is checked."""
+        amps.setflags(write=False)
+        new = object.__new__(cls)
+        vars(new)["amps"] = amps
+        return new
+
     @property
     def n_spins(self) -> int:
         return self.amps.size.bit_length() - 1
@@ -89,6 +100,12 @@ class SpinState:
     @property
     def is_null(self) -> bool:
         return not np.any(self.amps)
+
+
+@functools.cache
+def null_spin_state(dim: int) -> SpinState:
+    """The read-only all-zero state on ``dim`` configurations, one per ``dim``."""
+    return SpinState(np.zeros(dim, dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)

@@ -95,6 +95,23 @@ def test_simulated_random_convention_deterministic():
     assert a != c
 
 
+def test_sweep_point_draws_its_inputs_once(monkeypatch):
+    from nvgates import analysis
+
+    draws = []
+    spin_inputs = analysis._spin_inputs
+    monkeypatch.setattr(analysis, "_spin_inputs", lambda *args: draws.append(args) or spin_inputs(*args))
+    records = sweep(["cnot"], [2.0, 3.0], "random", trials=4, seed=9)
+    assert len(draws) == 2  # one per point, for its fidelity and its efficiency
+    pair = resonant_pair(coupling_ratio_to_r(3.0))
+    assert records[1].fidelity_sim == fidelity_simulated("cnot", pair, "random", trials=4, seed=9)
+    assert records[1].efficiency_sim == efficiency_simulated("cnot", pair, "random", trials=4, seed=9)
+    # a Generator seed draws new inputs on every call, so no result is kept
+    rng = np.random.default_rng(1)
+    first = fidelity_simulated("cnot", pair, "random", trials=4, seed=rng)
+    assert fidelity_simulated("cnot", pair, "random", trials=4, seed=rng) != first
+
+
 def test_factorized_matches_closed_form_exactly():
     # the independent-pass reconstruction IS the closed-form model
     for gate in GATE_NAMES:

@@ -127,6 +127,20 @@ def test_shipped_circuit_files():
         assert build_gate_circuit(name) is build_gate_circuit(name)
 
 
+def test_gate_circuit_parsed_once_in_any_letter_case(monkeypatch):
+    from nvgates import gates
+
+    for name in GATE_NAMES:
+        net = build_gate_circuit(name)
+        assert build_gate_circuit(name.upper()) is net
+        assert build_gate_circuit(name.capitalize()) is net
+    # a new spelling of a known gate parses nothing
+    monkeypatch.setattr(gates, "parse_netlist", lambda text: pytest.fail("parsed again"))
+    assert build_gate_circuit("CnOt") is build_gate_circuit("cnot")
+    with pytest.raises(ValueError, match="unknown gate"):
+        build_gate_circuit("swap")
+
+
 def test_builder_round_trip():
     for name in GATE_NAMES:
         net = build_gate_circuit(name)

@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nvgates import netlist
 from nvgates.elements import Kind, Pauli
-from nvgates.gates import GATE_NAMES, build_gate_circuit
+from nvgates.gates import GATE_NAMES, build_gate_circuit, shipped_circuit_text
 from nvgates.netlist import (
     MAX_AMPLITUDES,
     DiagnosticKind,
@@ -153,6 +154,19 @@ DIAGNOSTIC_HEADER = "spins 2\nmodes a b c d\n"
         # a spin used before `spins`
         ("!nv a spin_0", MISSING, 6),
         ("!spinh 0", MISSING, 7),
+        # tabs, runs of spaces, indentation, trailing comments, CRLF endings
+        ("pbs\ta  q -> c d", UNDECLARED, 8),
+        ("\tnv a\t\tspin_7", SPIN_RANGE, 8),
+        ("    bs a b -> c q  # trailing q", UNDECLARED, 17),
+        ("hwp a b # comment -> x", ARITY, 1),
+        ("nv  a   spin_x  # spin_0", INVALID, 9),
+        ("nv q spin_0#glued", UNDECLARED, 4),
+        ("pbs a b c -> d # note\r", ARITY, 9),
+        ("  spinh  x\r", INVALID, 10),
+        ("pbsfs a\t->  b\tq\r", UNDECLARED, 15),
+        ("hwp\t\tq # q\r", UNDECLARED, 6),
+        ("bs   a b c d\r", ARITY, 1),
+        ("\t wibble a", DiagnosticKind.UNKNOWN_DIRECTIVE, 3),
     ],
 )
 def test_element_diagnostics_table(line, kind, column):
@@ -186,14 +200,32 @@ def test_state_size_at_the_cap_accepted():
 
 
 def test_diagnostic_non_topological():
-    text = "spins 1\nmodes in a b c d\nhwp c\npbs in a -> c d\n"
-    err = _expect_error(text, DiagnosticKind.NON_TOPOLOGICAL, 3)
-    assert "c" in err.detail
+    # the column points at the mode read too early
+    for reader, column in [("hwp c", 5), ("\t hwp  c # x c", 8), ("  nv  c\tspin_0", 7)]:
+        for eol in ("\n", "\r\n"):
+            text = eol.join(["spins 1", "modes in a b c d", reader, "pbs in a -> c d", ""])
+            err = _expect_error(text, DiagnosticKind.NON_TOPOLOGICAL, 3)
+            assert "c" in err.detail
+            assert err.column == column, (reader, err)
 
 
 def test_diagnostic_unknown_outcome():
-    text = SMALL + "feedforward Fnope: spin_0 Z\n"
-    _expect_error(text, DiagnosticKind.UNKNOWN_OUTCOME, 12)
+    # the column points at the outcome label
+    for rule, column in [("feedforward Fnope: spin_0 Z\n", 13), ("\tfeedforward   Snope:\tspin_0 Z # Fout:\r\n", 16)]:
+        err = _expect_error(SMALL + rule, DiagnosticKind.UNKNOWN_OUTCOME, 12)
+        assert err.column == column, (rule, err)
+
+
+def test_parsing_the_shipped_circuits_computes_no_column(monkeypatch):
+    calls = []
+    column = netlist._column
+    monkeypatch.setattr(netlist, "_column", lambda raw, index: calls.append(index) or column(raw, index))
+    for gate in GATE_NAMES:
+        parse_netlist(shipped_circuit_text(gate))
+    assert calls == []
+    # the counter does see the column of a diagnostic
+    _expect_error("spins 1\nmodes a\nhwp q\n", DiagnosticKind.UNDECLARED_MODE, 3)
+    assert calls == [1]
 
 
 def test_diagnostic_duplicate_modes():
@@ -230,6 +262,23 @@ def test_run_netlist_zero_state_all_null():
     for outcome in run_netlist(net, zero):
         assert outcome.probability == 0.0
         assert outcome.spins.is_null
+
+
+def test_null_outcome_spins_shared_and_read_only():
+    # the photon never reaches b, so both of its outcomes have p = 0
+    net = parse_netlist("spins 2\nmodes a b\nhwp a\ndetect a\ndetect b\n")
+    outcomes = run_netlist(net, balanced_product_input(net))
+    assert [o.probability for o in outcomes[2:]] == [0.0, 0.0]
+    null = outcomes[2].spins
+    assert null.is_null and null.n_spins == 2
+    assert not null.amps.flags.writeable
+    with pytest.raises(ValueError):
+        null.amps[0] = 1.0
+    assert outcomes[2].spins is null
+    assert outcomes[3].spins is null
+    live = outcomes[0].spins
+    assert not live.amps.flags.writeable
+    assert np.array_equal(live.amps, outcomes[0].amps / np.sqrt(outcomes[0].probability))
 
 
 def test_outcome_probabilities_sum_to_norm(rng):
@@ -291,5 +340,7 @@ def test_outcome_amps_and_probability_match_oracle(rng, source):
         assert [o.label for o in outcomes] == [label for label, _, _ in expected]
         for o, (_, prob, spins) in zip(outcomes, expected):
             assert not o.amps.flags.writeable
+            with pytest.raises(ValueError):
+                o.amps[0] = 1.0
             assert abs(o.probability - prob) < 1e-12
             assert np.abs(o.amps - spins).max() < 1e-12

@@ -1,4 +1,5 @@
-"""Property tests: serializing a netlist and parsing the text gives it back.
+"""Property tests: serializing a netlist and parsing the text gives it back,
+and the parser's tokens and columns are those of the pattern ``\\S+``.
 
 Generated netlists use every element kind, declared modes that nothing
 occupies (vacuum ports), detectors in any order and feedforward tables of
@@ -6,13 +7,14 @@ occupies (vacuum ports), detectors in any order and feedforward tables of
 identifiers.
 """
 
+import re
 import string
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvgates.elements import Element, Kind, Pauli, WiringError
-from nvgates.netlist import Netlist, parse_netlist, serialize_netlist
+from nvgates.netlist import Netlist, _column, _tokens, parse_netlist, serialize_netlist
 
 _HEAD = string.ascii_letters + "_"
 LABELS = st.builds(str.__add__, st.sampled_from(_HEAD), st.text(_HEAD + string.digits, max_size=5))
@@ -93,3 +95,15 @@ def test_generator_reaches_every_kind():
 
     collect()
     assert seen == set(Kind)
+
+
+# arbitrary text, with whitespace of every kind and comment marks drawn often
+SOURCE_LINES = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x85\xa0\u2003\u3000#ab->") | st.characters())
+
+
+@settings(max_examples=300, deadline=None)
+@given(SOURCE_LINES)
+def test_columns_agree_with_the_regular_expression(line):
+    matches = list(re.finditer(r"\S+", line.split("#", 1)[0]))
+    assert _tokens(line) == [m.group() for m in matches]
+    assert [_column(line, i) for i in range(len(matches))] == [m.start() + 1 for m in matches]
