@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import L, MINUS, PLUS, R, HybridState
+from .state import L, MINUS, PLUS, R, HybridState, spin_axis
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -173,8 +173,7 @@ def scatter(state: HybridState, nv_index: int, mode, r: ReflectionPair) -> Hybri
         raise ParameterError(f"spin index {nv_index} out of range for {state.n_spins} spins")
     mi = state.mode_index(mode)
     a = state.amps.copy()
-    # axes: polarization, mode, spins before nv_index, nv_index, spins after
-    view = a.reshape(2, len(state.modes), -1, 2, 1 << (state.n_spins - 1 - nv_index))
+    view = spin_axis(a, state.n_spins, nv_index)  # (pol, mode, higher, spin, lower)
     view[R, mi, :, PLUS] *= r.r_hot
     view[L, mi, :, MINUS] *= r.r_hot
     view[R, mi, :, MINUS] *= r.r_cold

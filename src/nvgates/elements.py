@@ -1,17 +1,20 @@
 """Passive linear-optical elements and single-spin operations.
 
-Conventions (all sign choices matter for the downstream interference):
+Conventions (all sign choices matter for the downstream interference).  The
+only mixing is the butterfly (x, y) -> ((x+y)/sqrt2, (x-y)/sqrt2) of
+:func:`nvgates.state.butterfly` on pairs of amplitude slots; the rest moves
+amplitudes between slots.
 
-- PBS (R/L basis): R transmits, L reflects, no reflection phase.
-  With inputs (a, b) and outputs (c, d): R@a -> c, L@a -> d, R@b -> d, L@b -> c.
-- HWP at 22.5 degrees (photon Hadamard): |R> -> (|R>+|L>)/sqrt2,
-  |L> -> (|R>-|L>)/sqrt2.
-- 50:50 BS with inputs (a, b) and outputs (c, d): amplitude at b splits as
-  (c + d)/sqrt2, amplitude at a splits as (c - d)/sqrt2 (a carries the minus
-  on the second output), identically for both polarizations.
-- PBS in the F/S basis: the (|R>+|L>)/sqrt2 component routes to the F output,
-  (|R>-|L>)/sqrt2 to the S output, keeping its polarization state.
-- Spin Hadamard: |+> -> (|+>+|->)/sqrt2, |-> -> (|+>-|->)/sqrt2.
+- HWP at 22.5 degrees (photon Hadamard): the butterfly on a mode's (R, L)
+  slots, |R> -> |F> = (|R>+|L>)/sqrt2, |L> -> |S> = (|R>-|L>)/sqrt2; the F/S
+  change of basis that detection uses.
+- Spin Hadamard: the butterfly on a spin's (|+>, |->) slots.
+- 50:50 BS, inputs (a, b), outputs (c, d): the butterfly of (b, a) onto
+  (c, d), for both polarizations: b -> (c + d)/sqrt2, a -> (c - d)/sqrt2.
+- PBS (R/L basis): slot moves, R transmits and L reflects with no phase:
+  R@a -> c, L@a -> d, R@b -> d, L@b -> c.
+- PBS in the F/S basis: HWP on its three wires, the input's F slot swapped
+  with the F output's and its S slot with the S output's, then HWP back.
 - Spin Paulis (feedforward corrections) in the {|+>, |->} basis:
   Z = |+><+| - |-><-| and -Z = -|+><+| + |-><-| (Z up to global phase; the
   distinction matters for feedforward bookkeeping).
@@ -28,7 +31,6 @@ overlap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -36,9 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import IDEAL_PAIR, ReflectionPair, scatter
-from .state import L, R, HybridState, StateError
-
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
+from .state import L, R, HybridState, StateError, butterfly, spin_axis
 
 
 class Kind(Enum):
@@ -151,7 +151,6 @@ class Element:
         object.__setattr__(self, "out_modes", outs)
 
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _SQRT1_2
 _PAULI_DIAG = {
     Pauli.I: np.array([1.0, 1.0], dtype=complex),
     Pauli.Z: np.array([1.0, -1.0], dtype=complex),
@@ -181,10 +180,8 @@ def apply_pbs_rl(state: HybridState, in_modes, out_modes) -> HybridState:
 def apply_hwp(state: HybridState, mode) -> HybridState:
     """Photon Hadamard on one mode (half-wave plate at 22.5 degrees)."""
     mi = state.mode_index(mode)
-    r_amp, l_amp = state.amps[R, mi], state.amps[L, mi]
     a = state.amps.copy()
-    a[R, mi] = (r_amp + l_amp) * _SQRT1_2
-    a[L, mi] = (r_amp - l_amp) * _SQRT1_2
+    a[R, mi], a[L, mi] = butterfly(a[R, mi], a[L, mi])
     return state.with_amps(a)
 
 
@@ -199,12 +196,9 @@ def apply_bs(state: HybridState, in_modes, out_modes) -> HybridState:
     i0, i1 = (state.mode_index(m) for m in in_modes)
     o0, o1 = (state.mode_index(m) for m in out_modes)
     src = state.amps
-    a0, a1, b0, b1 = src[:, i0, :], src[:, i1, :], src[:, o0, :], src[:, o1, :]
     a = src.copy()
-    a[:, o0, :] = (a0 + a1) * _SQRT1_2
-    a[:, o1, :] = (a1 - a0) * _SQRT1_2
-    a[:, i0, :] = (b0 - b1) * _SQRT1_2
-    a[:, i1, :] = (b0 + b1) * _SQRT1_2
+    a[:, o0], a[:, o1] = butterfly(src[:, i1], src[:, i0])
+    a[:, i1], a[:, i0] = butterfly(src[:, o0], src[:, o1])
     return state.with_amps(a)
 
 
@@ -216,21 +210,10 @@ def apply_pbs_fs(state: HybridState, in_mode, out_modes) -> HybridState:
     and the S component of the S output swap back to the input wire.
     """
     (in_mode,), out_modes = _wires(Kind.PBS_FS, (in_mode,), out_modes, None)
-    mi = state.mode_index(in_mode)
-    of, os_ = (state.mode_index(m) for m in out_modes)
+    idx = [state.mode_index(m) for m in (in_mode, *out_modes)]
+    f, s = butterfly(state.amps[R, idx], state.amps[L, idx])  # F and S of (in, F out, S out)
     a = state.amps.copy()
-    f_in = (a[R, mi] + a[L, mi]) * _SQRT1_2
-    s_in = (a[R, mi] - a[L, mi]) * _SQRT1_2
-    f_of = (a[R, of] + a[L, of]) * _SQRT1_2
-    s_of = (a[R, of] - a[L, of]) * _SQRT1_2
-    f_os = (a[R, os_] + a[L, os_]) * _SQRT1_2
-    s_os = (a[R, os_] - a[L, os_]) * _SQRT1_2
-    a[R, mi] = (f_of + s_os) * _SQRT1_2
-    a[L, mi] = (f_of - s_os) * _SQRT1_2
-    a[R, of] = (f_in + s_of) * _SQRT1_2
-    a[L, of] = (f_in - s_of) * _SQRT1_2
-    a[R, os_] = (f_os + s_in) * _SQRT1_2
-    a[L, os_] = (f_os - s_in) * _SQRT1_2
+    a[R, idx], a[L, idx] = butterfly(f[[1, 0, 2]], s[[2, 1, 0]])
     return state.with_amps(a)
 
 
@@ -238,13 +221,8 @@ def apply_spin_hadamard(state: HybridState, spin_index: int) -> HybridState:
     """Hadamard on one electron spin."""
     if not 0 <= spin_index < state.n_spins:
         raise StateError(f"spin index {spin_index} out of range for {state.n_spins} spins")
-    lower = 1 << (state.n_spins - 1 - spin_index)
-    a = state.amps.reshape(-1, 2, lower)
-    a0, a1 = a[:, 0], a[:, 1]
-    (m00, m01), (m10, m11) = _HADAMARD.tolist()
-    out = np.empty_like(a)
-    out[:, 0] = a0 * m00 + a1 * m01
-    out[:, 1] = a0 * m10 + a1 * m11
+    a = spin_axis(state.amps, state.n_spins, spin_index)
+    out = np.stack(butterfly(a[..., 0, :], a[..., 1, :]), axis=-2)
     return state.with_amps(out.reshape(state.amps.shape))
 
 

@@ -102,26 +102,16 @@ def build_two_nv_mz_block(
     in sequence, on (polarization x two spins), basis
     {R++, R+-, R-+, R--, L++, L+-, L-+, L--}.
 
-    The photon meets the spin listed first in the basis first; the two
+    It is the product of the two NVs' :func:`build_mz_block` diagonals,
+    the first on the first spin and the second on the second; the
     reflections are scalar factors, so the opposite visiting order yields
     the identical operator.  Ideal case: R-routed gives
     diag(1, -1, -1, 1, 1, 1, 1, 1), L-routed gives
     diag(1, 1, 1, 1, 1, -1, -1, 1).
     """
-    if routed_pol not in ("R", "L"):
-        raise ValueError(f"routed_pol must be 'R' or 'L', got {routed_pol!r}")
-    diag = np.ones(8, dtype=complex)
-    for cfg in range(4):
-        first_bit, second_bit = cfg >> 1, cfg & 1
-        if routed_pol == "R":
-            f1 = r_first.r_hot if first_bit == 0 else r_first.r_cold
-            f2 = r_second.r_hot if second_bit == 0 else r_second.r_cold
-            diag[cfg] = f1 * f2
-        else:
-            f1 = r_first.r_hot if first_bit == 1 else r_first.r_cold
-            f2 = r_second.r_hot if second_bit == 1 else r_second.r_cold
-            diag[4 + cfg] = f1 * f2
-    return np.diag(diag)
+    first = np.diag(build_mz_block(routed_pol, r_first)).reshape(2, 2, 1)
+    second = np.diag(build_mz_block(routed_pol, r_second)).reshape(2, 1, 2)
+    return np.diag((first * second).ravel())
 
 
 def build_gate_circuit(name: str) -> Netlist:

@@ -46,6 +46,7 @@ from .state import (
     make_product_state,
     null_spin_state,
     partial_trace_photon_collapse,
+    spin_axis,
 )
 
 MAX_AMPLITUDES = 2**24  # largest state (2 * |modes| * 2**spins) a netlist may declare
@@ -80,19 +81,19 @@ FeedforwardRule = tuple[str, tuple[Pauli, ...]]
 @dataclass(frozen=True)
 class Netlist:
     """A validated circuit: spins, declared modes, ordered elements,
-    F/S detector stations, and an optional feedforward table."""
+    F/S detector stations, and a feedforward table, ``()`` for none."""
 
     n_spins: int
     modes: tuple[str, ...]
     elements: tuple[Element, ...]
     detectors: tuple[str, ...]
-    feedforward: tuple[FeedforwardRule, ...] | None = None
+    feedforward: tuple[FeedforwardRule, ...] = ()
     # memo of nvgates.analysis.compile_circuit, keyed by r_cold; one entry at most
     _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def feedforward_map(self) -> dict[str, tuple[Pauli, ...]]:
-        return dict(self.feedforward or ())
+        return dict(self.feedforward)
 
     @property
     def input_mode(self) -> str:
@@ -232,7 +233,7 @@ class _Parser:
                     DiagnosticKind.NON_TOPOLOGICAL, line, i, f"mode {mode!r} is read here but only written later"
                 )
         net = Netlist(
-            self.n_spins, tuple(self.modes), tuple(self.elements), tuple(self.detectors), tuple(self.feedforward) or None
+            self.n_spins, tuple(self.modes), tuple(self.elements), tuple(self.detectors), tuple(self.feedforward)
         )
         detected = set(self.detectors)
         for (label, _), line in zip(self.feedforward, self.ff_lines):
@@ -342,7 +343,7 @@ def serialize_netlist(net: Netlist) -> str:
     lines = [f"spins {net.n_spins}", "modes " + " ".join(net.modes)]
     lines += [LAYOUTS[el.kind].template.format(*el.in_modes, *el.out_modes, el.spin) for el in net.elements]
     lines += [f"detect {mode}" for mode in net.detectors]
-    for label, ops in net.feedforward or ():
+    for label, ops in net.feedforward:
         body = " ".join(f"spin_{k} {op.value}" for k, op in enumerate(ops))
         lines.append(f"feedforward {label}: {body}")
     return "\n".join(lines) + "\n"
@@ -385,7 +386,7 @@ def apply_spin_ops(amps: np.ndarray, ops) -> np.ndarray:
         raise DimensionMismatchError(f"{n} operators for {amps.shape[-1]} spin amplitudes")
     for k, op in enumerate(ops):
         if op is not Pauli.I:
-            amps = (amps.reshape(-1, 2, 1 << (n - 1 - k)) * _PAULI_DIAG[op][:, None]).reshape(amps.shape)
+            amps = (spin_axis(amps, n, k) * _PAULI_DIAG[op][:, None]).reshape(amps.shape)
     return amps
 
 
@@ -473,9 +474,7 @@ def widen(net: Netlist, extra: int = 0) -> Netlist:
     :func:`basis_response_input` for the state that makes this useful.
     """
     idle = net.n_spins + extra
-    feedforward = None if net.feedforward is None else tuple(
-        (label, ops + (Pauli.I,) * idle) for label, ops in net.feedforward
-    )
+    feedforward = tuple((label, ops + (Pauli.I,) * idle) for label, ops in net.feedforward)
     return replace(net, n_spins=net.n_spins + idle, feedforward=feedforward)
 
 

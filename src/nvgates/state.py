@@ -30,6 +30,8 @@ MINUS = 1
 #: Tolerance used for normalization preconditions.
 NORM_ATOL = 1e-12
 
+_SQRT1_2 = 1.0 / math.sqrt(2.0)
+
 
 class StateError(ValueError):
     """Base class for state construction/manipulation errors."""
@@ -64,6 +66,20 @@ def spin_config_index(bits) -> int:
 def spin_config_bits(index: int, n_spins: int) -> tuple[int, ...]:
     """Inverse of :func:`spin_config_index`."""
     return tuple((index >> (n_spins - 1 - k)) & 1 for k in range(n_spins))
+
+
+def spin_axis(amps: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Spin-register amplitudes ``amps``, shape (..., 2**n), with spin ``k``
+    on an axis of its own: shape (..., higher, 2, lower), where higher and
+    lower count the configurations of the spins before and after k.  A view
+    when ``amps`` is contiguous."""
+    return amps.reshape(amps.shape[:-1] + (-1, 2, 1 << (n - 1 - k)))
+
+
+def butterfly(x, y):
+    """((x + y)/sqrt2, (x - y)/sqrt2), its own inverse: the R/L <-> F/S change
+    of basis on a mode's amplitudes, and the Hadamard on a spin's."""
+    return (x + y) * _SQRT1_2, (x - y) * _SQRT1_2
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,13 +231,13 @@ def overlap(a: HybridState, b: HybridState) -> complex:
 def partial_trace_photon_collapse(state: HybridState, modes) -> np.ndarray:
     """Project the photon at each of ``modes`` onto |F> and |S> and drop it.
 
-    F = (|R>+|L>)/sqrt(2), S = (|R>-|L>)/sqrt(2).  Returns the unnormalized
-    spin amplitudes, shape (len(modes), 2, 2**n_spins), F before S; a row's
-    squared norm is its outcome's probability, and a zero state gives zero rows.
+    F = (|R>+|L>)/sqrt(2), S = (|R>-|L>)/sqrt(2): R and L after :func:`butterfly`,
+    as after a half-wave plate.  Returns the unnormalized spin amplitudes,
+    shape (len(modes), 2, 2**n_spins), F before S; a row's squared norm is
+    its outcome's probability, and a zero state gives zero rows.
     """
     idx = [state.mode_index(m) for m in modes]
-    r, l = state.amps[R, idx], state.amps[L, idx]
-    return np.stack([r + l, r - l], axis=1) / math.sqrt(2)
+    return np.stack(butterfly(state.amps[R, idx], state.amps[L, idx]), axis=1)
 
 
 def phase_aligned_deviation(actual: np.ndarray, expected: np.ndarray) -> float:

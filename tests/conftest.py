@@ -100,7 +100,7 @@ def random_netlist(rng: np.random.Generator, n_elements: int = 8) -> Netlist:
         modes=tuple(modes),
         elements=tuple(elements),
         detectors=tuple(modes),
-        feedforward=None,
+        feedforward=(),
     )
 
 

@@ -4,11 +4,12 @@
 listed in ``tracing.LAYERS``; a traced run stops at the first one that is
 missing.  This pins those names in the fast suite, so that deleting or
 renaming a traced function fails here rather than only in ``python3 -m
-pytest -q perfbench``.  One ``netlist-oneshot`` item also runs under the
-tracer, so that code which stops calling a traced name where the tracer
-wraps it fails here, not only in a ``--trace 1`` run.
+pytest -q perfbench``.  Items of every workload also run under the tracer,
+so that code which stops calling a traced name where the tracer wraps it
+fails here, not only in a ``--trace 1`` run.
 """
 
+import functools
 import importlib
 import pathlib
 import sys
@@ -27,26 +28,54 @@ def test_traced_name_resolves_to_a_callable(layer, module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None)), f"{layer}: {module}.{attr} is missing"
 
 
+def _run_traced(workload, work):
+    """Outputs of ``work`` run as the worker runs them, under a tracer
+    installed before set-up, and the layers of ``tracing.NONZERO[workload]``
+    that recorded no call; a traced run fails on any of those."""
+    import worker
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run = worker.prepare(workload)
+        outs = []
+        for n, item in enumerate(work):
+            tracer.start_item(n)
+            outs.append(run(item))
+    finally:
+        tracer.uninstall()
+    layers = tracer.summary()["layers"]
+    return outs, sorted(layer for layer in tracing.NONZERO[workload] if layers[layer][0] == 0)
+
+
 def test_netlist_oneshot_item_records_every_required_layer():
-    # a traced run fails when a layer of tracing.NONZERO records no call, so
     # a rewrite that stops calling a traced name must fail here too
     import items
-    import worker
 
     kinds = ("pbs", "pbsfs", "hwp", "bs", "nv", "spinh")
     item = next(
         item for item in items.netlist_items(20131001)
         if item[3] is None and all(f"\n{kind} " in item[1] for kind in kinds)
     )
-    run = worker.prepare("netlist-oneshot")
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        tracer.start_item(0)
-        out = run(item)
-    finally:
-        tracer.uninstall()
+    (out,), silent = _run_traced("netlist-oneshot", [item])
     assert out[0] == "ok", out
-    layers = tracer.summary()["layers"]
-    silent = sorted(layer for layer in tracing.NONZERO["netlist-oneshot"] if layers[layer][0] == 0)
+    assert not silent, f"layers with no call: {silent}"
+
+
+@pytest.mark.parametrize("workload", ["sweep-random", "verify-cli"])
+def test_compiled_workload_items_record_every_required_layer(workload, monkeypatch):
+    # these workloads reach the circuit layers only while compiling each gate
+    # once, so one item per gate runs on freshly parsed circuits
+    import items
+    from nvgates import gates
+
+    monkeypatch.setattr(gates, "_gate_circuit", functools.cache(gates._gate_circuit.__wrapped__))
+    stream = items.sweep_items if workload == "sweep-random" else items.verify_items
+    per_gate = {}
+    for item in stream(20131001):
+        per_gate.setdefault(item[1] if workload == "sweep-random" else item[1][1], item)
+        if len(per_gate) == len(gates.GATE_NAMES):
+            break
+    outs, silent = _run_traced(workload, per_gate.values())
+    assert workload == "sweep-random" or all(out[0] == 0 for out in outs), outs
     assert not silent, f"layers with no call: {silent}"

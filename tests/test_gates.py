@@ -25,7 +25,7 @@ from nvgates.netlist import (
 )
 from nvgates.state import spin_config_index, PLUS, MINUS
 
-from conftest import kron_pairs, random_spin_pairs
+from conftest import kron_pairs, random_reflection, random_spin_pairs
 from oracle import circuit_matrix, flat
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -81,6 +81,33 @@ def test_mz_block_matches_circuit_fragment(rng):
                 st = apply_pbs_rl(st, ("arm0", "arm1"), ("out", "w"))
                 expected = block[2 * pol + spin, 2 * pol + spin]
                 assert st.amps[pol, 3, spin] == pytest.approx(expected, abs=1e-12)
+
+
+def test_two_nv_block_matches_circuit_fragment(rng):
+    # PBS -> nv spin_0 -> nv spin_1 -> PBS with two different lossy pairs,
+    # in both routings, reproduces the whole 8 x 8 block; swapping the NVs'
+    # pairs gives another block, so the order of the factors is pinned too
+    from nvgates.elements import apply_pbs_rl
+    from nvgates.cavity import scatter
+    from nvgates.state import HybridState
+
+    first, second = random_reflection(rng, resonant_cold=False), random_reflection(rng, resonant_cold=False)
+    modes = ("m", "arm0", "arm1", "out", "w")
+    for routed, arm in (("R", "arm0"), ("L", "arm1")):  # R -> arm0, L -> arm1
+        block = build_two_nv_mz_block(routed, first, second)
+        assert not np.allclose(block, build_two_nv_mz_block(routed, second, first))
+        fragment = np.zeros((8, 8), dtype=complex)
+        for col in range(8):
+            amps = np.zeros((2, 5, 4), dtype=complex)
+            amps[col // 4, 0, col % 4] = 1.0
+            st = HybridState(modes, 2, amps)
+            st = apply_pbs_rl(st, ("m", "w"), ("arm0", "arm1"))
+            st = scatter(st, 0, arm, first)
+            st = scatter(st, 1, arm, second)
+            st = apply_pbs_rl(st, ("arm0", "arm1"), ("out", "w"))
+            assert not np.any(np.delete(st.amps, 3, axis=1))  # all of it reaches "out"
+            fragment[:, col] = st.amps[:, 3].ravel()
+        assert np.allclose(fragment, block, rtol=0, atol=1e-12)
 
 
 # --- ideal unitaries ------------------------------------------------------

@@ -312,7 +312,7 @@ def test_manual_feedforward_composition(rng):
     state = balanced_product_input(net)
     pair = random_reflection(rng)
     with_ff = run_netlist(net, state, pair)
-    without = run_netlist(replace(net, feedforward=None), state, pair)
+    without = run_netlist(replace(net, feedforward=()), state, pair)
     table = net.feedforward_map
     for auto, raw in zip(with_ff, without):
         assert auto.probability == pytest.approx(raw.probability, abs=1e-15)

@@ -58,7 +58,7 @@ def netlists(draw):
     net = Netlist(n_spins, tuple(modes), tuple(elements), detectors)
     ops = st.tuples(*[st.sampled_from(list(Pauli))] * n_spins)
     table = draw(st.dictionaries(st.sampled_from(net.outcome_labels()), ops)) if detectors else {}
-    return Netlist(n_spins, net.modes, net.elements, detectors, tuple(table.items()) or None)
+    return Netlist(n_spins, net.modes, net.elements, detectors, tuple(table.items()))
 
 
 @SETTINGS

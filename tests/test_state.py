@@ -154,6 +154,23 @@ def test_collapse_outcome_completeness(rng):
         assert np.sum(np.abs(rows) ** 2) == pytest.approx(st.norm2(), abs=1e-12)
 
 
+def test_collapse_is_hwp_then_rl_readout_bit_for_bit(rng):
+    # F/S detection is the half-wave plate followed by reading R as F and L
+    # as S: one change of basis, so the rows agree to the last bit, down to
+    # the sign of a zero (``nvgates run`` prints it, as in -0.000000j).
+    # Ideal circuits hold exact and signed zeros, so half the states are
+    # drawn from {-1, -0.0, 0.0, 1}.
+    for trial in range(40):
+        amps = np.empty((2, 3, 4), dtype=complex)
+        for part in (amps.real, amps.imag):
+            part[...] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=part.shape) if trial % 2 else rng.normal(size=part.shape)
+        st = HybridState(MODES2, 2, amps)
+        rows = partial_trace_photon_collapse(st, ("b", "in"))
+        for row, mode in zip(rows, ("b", "in")):
+            after = apply_hwp(st, mode).amps[:, st.mode_index(mode)]
+            assert row[0].tobytes() == after[R].tobytes() and row[1].tobytes() == after[L].tobytes()
+
+
 def test_linearity_of_elements(rng):
     for _ in range(10):
         a = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
