@@ -34,7 +34,7 @@ import numpy as np
 
 from .cavity import IDEAL_PAIR, ReflectionPair, coupling_ratio_to_r, resonant_pair, scatter
 from .elements import Kind
-from .gates import GATE_NAMES, build_gate_circuit, ideal_gate_unitary
+from .gates import GATE_NAMES, _canon, build_gate_circuit, ideal_gate_unitary
 from .netlist import (
     Netlist,
     apply_elements,  # noqa: F401 -- unused here, but perfbench/tracing.py wraps it at this name
@@ -45,7 +45,7 @@ from .netlist import (
     run_netlist,
     widen,
 )
-from .state import kron_pairs
+from .state import _SQRT1_2, kron_pairs
 
 INPUT_CONVENTIONS = ("balanced", "random")
 NORMALIZATIONS = ("postselected", "unnormalized")
@@ -64,25 +64,23 @@ def fidelity_closed_form(gate: str, r_mag):
     """
     _check_r(r_mag)
     x = r_mag
-    gate = gate.lower()
+    gate = _canon(gate)
     if gate == "cnot":
         return (2 + x + x**2) ** 2 / (2 * (5 - 2 * x + 2 * x**2 + 2 * x**3 + x**4))
     if gate == "toffoli":
         return (3 + x) ** 4 / (16 * (3 + x**2) ** 2)
-    if gate == "fredkin":
-        zeta = (29 + 19 * x + 8 * x**2 + 4 * x**3 + 3 * x**4 + x**5) ** 2
-        xi = 8 * (
-            237
-            - 10 * x
-            + 165 * x**2
-            - 8 * x**3
-            + 66 * x**4
-            - 12 * x**5
-            + 26 * x**6
-            + x**7 * (3 + x) * (8 + 3 * x + x**2)
-        )
-        return zeta / xi
-    raise ValueError(f"unknown gate {gate!r}")
+    zeta = (29 + 19 * x + 8 * x**2 + 4 * x**3 + 3 * x**4 + x**5) ** 2  # fredkin
+    xi = 8 * (
+        237
+        - 10 * x
+        + 165 * x**2
+        - 8 * x**3
+        + 66 * x**4
+        - 12 * x**5
+        + 26 * x**6
+        + x**7 * (3 + x) * (8 + 3 * x + x**2)
+    )
+    return zeta / xi
 
 
 def efficiency_closed_form(gate: str, r_mag):
@@ -92,14 +90,12 @@ def efficiency_closed_form(gate: str, r_mag):
     """
     _check_r(r_mag)
     x2 = r_mag * r_mag
-    gate = gate.lower()
+    gate = _canon(gate)
     if gate == "cnot":
         return ((3 + x2) ** 2) / 16
     if gate == "toffoli":
         return (3 + x2) ** 2 * (7 + x2) / 128
-    if gate == "fredkin":
-        return (3 + x2) * (4 + (1 + x2) ** 2) * (12 + (1 + x2) ** 2) / 512
-    raise ValueError(f"unknown gate {gate!r}")
+    return (3 + x2) * (4 + (1 + x2) ** 2) * (12 + (1 + x2) ** 2) / 512  # fredkin
 
 
 def _spin_inputs(n: int, convention: str, trials: int, seed) -> np.ndarray:
@@ -114,8 +110,7 @@ def _spin_inputs(n: int, convention: str, trials: int, seed) -> np.ndarray:
     pairs equal a pair-by-pair draw bit for bit.
     """
     if convention == "balanced":
-        b = 1.0 / math.sqrt(2.0)
-        return kron_pairs([(b, b)] * n)[None, :]
+        return kron_pairs([(_SQRT1_2, _SQRT1_2)] * n)[None, :]
     if convention != "random":
         raise ValueError(f"unknown input convention {convention!r}")
     if trials < 1:
@@ -344,6 +339,7 @@ def sweep(
     seed, each point's fidelity and efficiency come from one product of
     :func:`_simulate`.
     """
+    gates = [_canon(gate) for gate in gates]
     records = []
     for ratio in coupling_ratios:
         r_val = coupling_ratio_to_r(ratio)
@@ -354,7 +350,7 @@ def sweep(
                 SweepRecord(
                     coupling_ratio=float(ratio),
                     r_magnitude=r_mag,
-                    gate=gate.lower(),
+                    gate=gate,
                     fidelity_closed=float(fidelity_closed_form(gate, r_mag)),
                     fidelity_sim=fidelity_simulated(gate, pair, convention, "postselected", trials, seed),
                     efficiency_closed=float(efficiency_closed_form(gate, r_mag)),
@@ -453,6 +449,7 @@ def fidelity_convention_report(
     input convention x normalization mode over an |r| grid ending exactly at 1."""
     if r_grid is None:
         r_grid = np.linspace(0.0, 1.0, 21)
+    gates = [_canon(gate) for gate in gates]
     r_grid = tuple(float(x) for x in r_grid)
     if r_grid[-1] != 1.0:
         raise ValueError(f"the grid must end exactly at |r| = 1 for the exactness check, got {r_grid[-1]!r}")
@@ -474,7 +471,7 @@ def fidelity_convention_report(
                     worst_e = max(worst_e, abs(e_sim - efficiency_closed_form(gate, r_mag)))
                 residuals.append(
                     ConventionResidual(
-                        gate=gate.lower(),
+                        gate=gate,
                         convention=convention,
                         normalization=normalization,
                         max_fidelity_residual=worst_f,

@@ -57,12 +57,6 @@ class CavityParams:
         if self.g < 0:
             raise ParameterError(f"coupling rate must be nonnegative, got {self.g}")
 
-    @classmethod
-    def from_coupling_ratio(cls, ratio: float) -> CavityParams:
-        """Resonant parameters with kappa = gamma = 1 and g = ratio*sqrt(kappa*gamma)."""
-        _check_ratio(ratio)
-        return cls(g=float(ratio), kappa=1.0, gamma=1.0)
-
     @property
     def coupling_ratio(self) -> float:
         return self.g / np.sqrt(self.kappa * self.gamma)
@@ -100,21 +94,17 @@ def reflection_coefficient(params: CavityParams) -> ReflectionPair:
     return ReflectionPair(r_hot=r_hot, r_cold=r_cold)
 
 
-def _check_ratio(ratio: float) -> None:
-    if not 0 <= ratio < math.inf:  # also rejects NaN
-        raise ParameterError(f"coupling ratio must be finite and nonnegative, got {ratio}")
-
-
 def coupling_ratio_to_r(ratio: float) -> float:
     """Resonant hot reflection amplitude for a given g/sqrt(kappa*gamma)."""
-    _check_ratio(ratio)
+    if not 0 <= ratio < math.inf:  # also rejects NaN
+        raise ParameterError(f"coupling ratio must be finite and nonnegative, got {ratio}")
     x = ratio * ratio
     return (x - 0.25) / (x + 0.25)
 
 
 def reflection_at_ratio(ratio: float) -> ReflectionPair:
     """Resonant reflection pair controlled by the coupling ratio alone."""
-    return reflection_coefficient(CavityParams.from_coupling_ratio(ratio))
+    return resonant_pair(coupling_ratio_to_r(ratio))
 
 
 def resonant_pair(r_hot: float | complex) -> ReflectionPair:

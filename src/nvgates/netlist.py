@@ -40,6 +40,7 @@ import numpy as np
 from .cavity import IDEAL_PAIR, ReflectionPair
 from .elements import _PAULI_DIAG, FORMS, LAYOUTS, Element, Kind, Pauli, WiringError, apply_element
 from .state import (
+    _SQRT1_2,
     DimensionMismatchError,
     HybridState,
     SpinState,
@@ -80,8 +81,9 @@ FeedforwardRule = tuple[str, tuple[Pauli, ...]]
 
 @dataclass(frozen=True)
 class Netlist:
-    """A validated circuit: spins, declared modes, ordered elements,
-    F/S detector stations, and a feedforward table, ``()`` for none."""
+    """A validated circuit: spins, declared modes (the first is the input),
+    ordered elements, F/S detector stations, and a feedforward table of
+    (outcome label, one Pauli per spin) rules, ``()`` for none.  All are tuples."""
 
     n_spins: int
     modes: tuple[str, ...]
@@ -91,14 +93,14 @@ class Netlist:
     # memo of nvgates.analysis.compile_circuit, keyed by r_cold; one entry at most
     _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def feedforward_map(self) -> dict[str, tuple[Pauli, ...]]:
-        return dict(self.feedforward)
-
-    @property
-    def input_mode(self) -> str:
-        """By convention the first declared mode is the circuit input."""
-        return self.modes[0]
+    def __post_init__(self):
+        for name in ("modes", "elements", "detectors", "feedforward"):
+            if not isinstance(getattr(self, name), tuple):
+                raise ValueError(f"Netlist.{name} must be a tuple, got {getattr(self, name)!r}")
+        for rule in self.feedforward:
+            ops = rule[1] if isinstance(rule, tuple) and len(rule) == 2 else None
+            if not (isinstance(ops, tuple) and len(ops) == self.n_spins and all(isinstance(o, Pauli) for o in ops)):
+                raise ValueError(f"Netlist.feedforward rule {rule!r} is not (label, {self.n_spins}-tuple of Pauli)")
 
     def outcome_labels(self) -> tuple[str, ...]:
         return tuple(f"{basis}{mode}" for mode in self.detectors for basis in ("F", "S"))
@@ -399,7 +401,7 @@ def run_netlist(net: Netlist, state: HybridState, reflection: ReflectionPair = I
     squared norm when the detectors cover all occupied modes.
     """
     state = apply_elements(net, state, reflection)
-    table = net.feedforward_map
+    table = dict(net.feedforward)
     labels = net.outcome_labels()
     amps = partial_trace_photon_collapse(state, net.detectors).reshape(-1, 2**net.n_spins)
     for row, label in enumerate(labels):
@@ -456,14 +458,12 @@ def nv_element_count(net: Netlist) -> int:
 
 def balanced_product_input(net: Netlist) -> HybridState:
     """Photon (|R>+|L>)/sqrt2 at the input mode, every spin (|+>+|->)/sqrt2."""
-    b = 1.0 / math.sqrt(2.0)
-    return product_input(net, [(b, b)] * net.n_spins)
+    return product_input(net, [(_SQRT1_2, _SQRT1_2)] * net.n_spins)
 
 
 def product_input(net: Netlist, spin_pairs) -> HybridState:
-    """Photon (|R>+|L>)/sqrt2 at the input mode with the given spin pairs."""
-    b = 1.0 / math.sqrt(2.0)
-    return make_product_state((b, b), net.input_mode, spin_pairs, net.modes)
+    """Photon (|R>+|L>)/sqrt2 at the input mode, modes[0], with the given spin pairs."""
+    return make_product_state((_SQRT1_2, _SQRT1_2), net.modes[0], spin_pairs, net.modes)
 
 
 def widen(net: Netlist, extra: int = 0) -> Netlist:

@@ -84,8 +84,7 @@ def butterfly(x, y):
 
 @dataclass(frozen=True, eq=False)
 class SpinState:
-    """Spin-only state vector over 2**n_spins configurations; ``is_null``
-    flags the empty state of a zero-probability detector outcome."""
+    """Spin-only state vector over 2**n_spins configurations."""
 
     amps: np.ndarray
 
@@ -112,10 +111,6 @@ class SpinState:
     @property
     def n_spins(self) -> int:
         return self.amps.size.bit_length() - 1
-
-    @property
-    def is_null(self) -> bool:
-        return not np.any(self.amps)
 
 
 @functools.cache
@@ -206,19 +201,15 @@ def make_product_state(pol_amps, photon_mode, spin_amps, modes) -> HybridState:
     """Tensor product of a photon polarization state at one mode with N spins.
 
     Every amplitude pair must be normalized to 1 within 1e-12; the result has
-    unit norm.
+    unit norm.  ``photon_mode`` is found by :meth:`HybridState.mode_index`.
     """
-    modes = tuple(str(m) for m in modes)
     pol = _check_pair(pol_amps, "photon polarization pair")
     spins = [_check_pair(s, f"spin {k} pair") for k, s in enumerate(spin_amps)]
     n = len(spins)
-    try:
-        mi = modes.index(str(photon_mode))
-    except ValueError:
-        raise ModeError(f"unknown mode {photon_mode!r}; declared modes: {modes}") from None
     amps = np.zeros((2, len(modes), 2**n), dtype=complex)
-    amps[:, mi, :] = pol[:, None] * kron_pairs(spins)
-    return HybridState(modes, n, amps)
+    state = HybridState(modes, n, amps)  # checks the labels and keeps a copy of amps
+    amps[:, state.mode_index(photon_mode), :] = pol[:, None] * kron_pairs(spins)
+    return state.with_amps(amps)
 
 
 def overlap(a: HybridState, b: HybridState) -> complex:

@@ -61,8 +61,6 @@ def test_non_finite_parameters_rejected():
             coupling_ratio_to_r(bad)
         with pytest.raises(ParameterError):
             reflection_at_ratio(bad)
-        with pytest.raises(ParameterError):
-            CavityParams.from_coupling_ratio(bad)
         for field in ("g", "kappa", "gamma", "omega_c", "omega_0", "omega_p"):
             kwargs = {"g": 1.0, "kappa": 1.0, "gamma": 1.0, field: bad}
             with pytest.raises(ParameterError, match=field):
@@ -95,6 +93,14 @@ def test_coupling_ratio_to_r_values():
     assert coupling_ratio_to_r(0.5) == pytest.approx(0.0, abs=1e-15)
     assert coupling_ratio_to_r(5.0) == pytest.approx(99.0 / 101.0, abs=1e-15)
     assert coupling_ratio_to_r(0.0) == pytest.approx(-1.0, abs=1e-15)
+    # the general steady-state formula at resonance, kappa = gamma = 1, is
+    # the closed resonant pair exactly; repr also pins the signs of zeros
+    for k in range(2001):
+        x = k / 40  # 2,001 ratios in [0, 50]
+        general = reflection_coefficient(CavityParams(g=x, kappa=1.0, gamma=1.0))
+        assert general == reflection_at_ratio(x)
+        assert repr(general) == repr(reflection_at_ratio(x))
+        assert general.r_cold == -1 + 0j
 
 
 def test_kappa_from_quality_factor_headline():

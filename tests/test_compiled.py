@@ -55,7 +55,7 @@ def _oracle(net, pair):
     norms = np.zeros(dim)
     for cfg in range(dim):
         vec = np.zeros((2, len(net.modes), dim), dtype=complex)
-        vec[:, net.modes.index(net.input_mode), cfg] = 1.0 / math.sqrt(2.0)
+        vec[:, 0, cfg] = 1.0 / math.sqrt(2.0)
         amps = (matrix @ vec.reshape(-1)).reshape(vec.shape)
         for row, (_, _, spins) in enumerate(oracle.detect(net, amps)):
             maps[row, :, cfg] = spins

@@ -6,6 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from nvgates.analysis import efficiency_closed_form, fidelity_closed_form
 from nvgates.cavity import IDEAL_PAIR, resonant_pair
 from nvgates.gates import (
     GATE_NAMES,
@@ -164,8 +165,24 @@ def test_gate_circuit_parsed_once_in_any_letter_case(monkeypatch):
     # a new spelling of a known gate parses nothing
     monkeypatch.setattr(gates, "parse_netlist", lambda text: pytest.fail("parsed again"))
     assert build_gate_circuit("CnOt") is build_gate_circuit("cnot")
-    with pytest.raises(ValueError, match="unknown gate"):
-        build_gate_circuit("swap")
+
+
+# every reader of a gate name, each returning something comparable
+_GATE_NAME_READERS = {
+    "build_gate_circuit": build_gate_circuit,
+    "ideal_gate_unitary": lambda name: ideal_gate_unitary(name).name,
+    "fidelity_closed_form": lambda name: fidelity_closed_form(name, 0.5),
+    "efficiency_closed_form": lambda name: efficiency_closed_form(name, 0.5),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_GATE_NAME_READERS))
+def test_one_gate_name_rule(reader):
+    # one rule for every reader: any letter case, and one diagnostic
+    read = _GATE_NAME_READERS[reader]
+    assert read("Toffoli") == read("toffoli")
+    with pytest.raises(ValueError, match=r"unknown gate 'swap'; expected one of \('cnot', 'toffoli', 'fredkin'\)"):
+        read("swap")
 
 
 def test_builder_round_trip():
@@ -277,7 +294,7 @@ def test_block_level_cnot_equality():
 def test_feedforward_tables_cover_outcomes():
     for name in GATE_NAMES:
         net = build_gate_circuit(name)
-        table = net.feedforward_map
+        table = dict(net.feedforward)
         assert set(table) == set(net.outcome_labels())
 
 

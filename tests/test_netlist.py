@@ -46,7 +46,7 @@ def test_parse_small_circuit():
     kinds = [el.kind for el in net.elements]
     assert kinds == [Kind.PBS_RL, Kind.NV_SCATTER, Kind.HWP, Kind.PBS_RL, Kind.SPIN_H]
     assert net.detectors == ("out",)
-    assert net.feedforward_map["Sout"] == (Pauli.MINUS_Z, Pauli.I)
+    assert dict(net.feedforward)["Sout"] == (Pauli.MINUS_Z, Pauli.I)
     assert net.elements[0].line == 4
 
 
@@ -255,13 +255,28 @@ def test_run_netlist_dimension_mismatch():
         run_netlist(net, state)
 
 
+def test_netlist_fields_checked_when_built():
+    # a bad field is refused at construction, naming the field, not on a later run
+    net = build_gate_circuit("cnot")
+    with pytest.raises(ValueError, match="Netlist.feedforward must be a tuple"):
+        replace(net, feedforward=None)
+    for name in ("modes", "elements", "detectors", "feedforward"):
+        with pytest.raises(ValueError, match=f"Netlist.{name} must be a tuple"):
+            replace(net, **{name: list(getattr(net, name))})
+    label, ops = net.feedforward[0]
+    for rule in ((label, ops[:-1]), (label, ops + (Pauli.I,)), (label, list(ops)), (label, ("I",) * 2), (label,)):
+        with pytest.raises(ValueError, match="Netlist.feedforward rule"):
+            replace(net, feedforward=(rule,))
+    assert replace(net, feedforward=net.feedforward) == net
+
+
 def test_run_netlist_zero_state_all_null():
     net = parse_netlist(SMALL)
     template = balanced_product_input(net)
     zero = HybridState(template.modes, template.n_spins, np.zeros_like(template.amps))
     for outcome in run_netlist(net, zero):
         assert outcome.probability == 0.0
-        assert outcome.spins.is_null
+        assert not outcome.spins.amps.any()
 
 
 def test_null_outcome_spins_shared_and_read_only():
@@ -270,7 +285,7 @@ def test_null_outcome_spins_shared_and_read_only():
     outcomes = run_netlist(net, balanced_product_input(net))
     assert [o.probability for o in outcomes[2:]] == [0.0, 0.0]
     null = outcomes[2].spins
-    assert null.is_null and null.n_spins == 2
+    assert not null.amps.any() and null.n_spins == 2
     assert not null.amps.flags.writeable
     with pytest.raises(ValueError):
         null.amps[0] = 1.0
@@ -313,7 +328,7 @@ def test_manual_feedforward_composition(rng):
     pair = random_reflection(rng)
     with_ff = run_netlist(net, state, pair)
     without = run_netlist(replace(net, feedforward=()), state, pair)
-    table = net.feedforward_map
+    table = dict(net.feedforward)
     for auto, raw in zip(with_ff, without):
         assert auto.probability == pytest.approx(raw.probability, abs=1e-15)
         manual = apply_spin_ops(raw.amps, table[raw.label])
