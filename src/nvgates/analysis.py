@@ -105,20 +105,22 @@ def _spin_inputs(n: int, convention: str, trials: int, seed) -> np.ndarray:
     ``random`` draws ``trials`` product inputs from
     ``np.random.default_rng(seed)``: each spin's pair takes two
     standard-normal draws for its real parts and two for its imaginary
-    parts, trial by trial and spin by spin, and is normalized.  The squared
-    norms are summed as the two dot products of ``np.linalg.norm``, so the
-    pairs equal a pair-by-pair draw bit for bit.
+    parts, trial by trial and spin by spin, and is normalized as by
+    ``np.linalg.norm`` (two dot products) and a complex division (times
+    1/norm), so the pairs equal a pair-by-pair draw bit for bit.
     """
     if convention == "balanced":
-        return kron_pairs([(_SQRT1_2, _SQRT1_2)] * n)[None, :]
+        return kron_pairs(np.full((n, 2), _SQRT1_2, dtype=complex))[None, :]
     if convention != "random":
         raise ValueError(f"unknown input convention {convention!r}")
     if trials < 1:
         raise ValueError(f"the random convention needs at least 1 trial, got {trials}")
     draws = np.random.default_rng(seed).normal(size=(trials, n, 2, 1, 2))
     re, im = draws[:, :, 0], draws[:, :, 1]  # (trials, n, 1, 2)
-    norm2 = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
-    pairs = (re + 1j * im) / np.sqrt(norm2)
+    scale = 1.0 / np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))
+    pairs = np.empty((trials, n, 1, 2), dtype=complex)
+    np.multiply(re, scale, out=pairs.real)
+    np.multiply(im, scale, out=pairs.imag)
     return kron_pairs(pairs[:, :, 0].swapaxes(0, 1))
 
 
@@ -164,10 +166,9 @@ class CompiledCircuit:
 
     def maps(self, r_hot) -> np.ndarray:
         """Every row's map at ``r_hot``, shape (rows, 2**n, 2**n)."""
-        powers = np.full(len(self.coefficients), r_hot, dtype=complex)
-        powers[0] = 1.0
-        powers = np.cumprod(powers)
-        return (powers @ self.coefficients.reshape(len(powers), -1)).reshape(self.coefficients.shape[1:])
+        powers = np.empty(len(self.coefficients), dtype=complex)
+        powers[0], powers[1:] = 1.0, r_hot
+        return (powers.cumprod() @ self.coefficients.reshape(len(powers), -1)).reshape(self.coefficients.shape[1:])
 
 
 def compile_circuit(net: Netlist, r_cold: complex) -> CompiledCircuit:
@@ -220,14 +221,14 @@ def _simulate(gate: str, r: ReflectionPair, convention: str, trials: int, seed: 
         return compiled.last[1]
     inputs = _spin_inputs(net.n_spins, convention, trials, seed)
     out = compiled.maps(r.r_hot) @ inputs.T  # (row, config, input)
-    detected = out[: compiled.n_outcomes]
+    power = abs(out) ** 2
     ideal = ideal_gate_unitary(gate).unitary @ inputs.T
     # p_o F_o = |<ideal|unnormalized outcome state>|^2
-    weighted = np.sum(np.abs(np.sum(ideal.conj() * detected, axis=1)) ** 2, axis=0)
-    total = np.sum(np.abs(detected) ** 2, axis=(0, 1))
-    efficiency = float(np.mean(np.sum(np.abs(out) ** 2, axis=(0, 1))))
-    if np.all(total > 0.0):
-        metrics = float(np.mean(weighted / total)), float(np.mean(weighted)), efficiency
+    weighted = (abs((ideal.conj() * out[: compiled.n_outcomes]).sum(axis=1)) ** 2).sum(axis=0)
+    total = power[: compiled.n_outcomes].sum(axis=(0, 1))
+    efficiency = float(power.sum(axis=(0, 1)).sum() / len(inputs))
+    if (total > 0.0).all():
+        metrics = float((weighted / total).sum() / len(inputs)), float(weighted.sum() / len(inputs)), efficiency
     else:
         metrics = math.nan, math.nan, efficiency
     compiled.last = None if key is None else (key, metrics)

@@ -32,7 +32,7 @@ from .cavity import (
     reflection_coefficient,
     resonant_pair,
 )
-from .gates import GATE_NAMES, build_gate_circuit, ideal_gate_unitary
+from .gates import GATE_NAMES, _canon, build_gate_circuit, ideal_gate_unitary
 from .netlist import (
     balanced_product_input,
     load_netlist,
@@ -127,14 +127,14 @@ def cmd_verify(args) -> int:
     print(f"verify {args.gate}: trials={args.trials} seed={args.seed} regime={_regime_label(reflection)}")
     inputs = analysis._spin_inputs(net.n_spins, "random", args.trials, args.seed)
     # (outcome, trial, config): the unnormalized output of every input on every outcome
-    out = np.swapaxes(_outcome_maps(net, reflection) @ inputs.T, 1, 2)
-    probs = np.sum(np.abs(out) ** 2, axis=-1)
+    out = (_outcome_maps(net, reflection) @ inputs.T).swapaxes(1, 2)
+    probs = (abs(out) ** 2).sum(axis=-1)
     seen = probs > 0.0
     states = out[seen] / np.sqrt(probs[seen])[:, None]
     expected = np.broadcast_to(inputs @ target.unitary.T, out.shape)[seen]
     max_dev = phase_aligned_deviation(states, expected) if states.size else 0.0
-    fids = np.abs(np.sum(expected.conj() * states, axis=-1)) ** 2
-    avg_fid = float(np.mean(fids)) if fids.size else math.nan
+    fids = abs((expected.conj() * states).sum(axis=-1)) ** 2
+    avg_fid = float(fids.sum() / fids.size) if fids.size else math.nan
     print(f"max deviation from ideal gate (per outcome, up to global phase): {max_dev:.3e}")
     print(f"mean post-selected outcome fidelity: {avg_fid:.9f}")
     if reflection == IDEAL_PAIR:
@@ -177,13 +177,14 @@ def cmd_sweep(args) -> int:
     if args.max <= args.min:
         raise UsageError("--max must exceed --min (steps over zero range are rejected)")
     gates = args.gates.split(",") if args.gates else list(GATE_NAMES)
-    for g in gates:
-        if g.lower() not in GATE_NAMES:
-            raise UsageError(f"unknown gate {g!r}")
+    try:
+        names = [_canon(g) for g in gates]
+    except ValueError as exc:
+        raise UsageError(exc) from None
     ratios = np.linspace(args.min, args.max, args.steps)
     print(f"sweep: gates={','.join(gates)} ratios=[{args.min},{args.max}] "
           f"steps={args.steps} convention={args.convention} seed={args.seed}")
-    records = analysis.sweep(gates, ratios, args.convention, trials=args.trials, seed=args.seed)
+    records = analysis.sweep(names, ratios, args.convention, trials=args.trials, seed=args.seed)
     out = _resolve_out(args.out)
     with open(out, "w", encoding="utf-8", newline="") as fh:
         analysis.write_sweep_csv(records, fh)

@@ -97,10 +97,11 @@ class Netlist:
         for name in ("modes", "elements", "detectors", "feedforward"):
             if not isinstance(getattr(self, name), tuple):
                 raise ValueError(f"Netlist.{name} must be a tuple, got {getattr(self, name)!r}")
+        labels = self.outcome_labels() if self.feedforward else ()
         for rule in self.feedforward:
-            ops = rule[1] if isinstance(rule, tuple) and len(rule) == 2 else None
+            ops = rule[1] if isinstance(rule, tuple) and len(rule) == 2 and rule[0] in labels else None
             if not (isinstance(ops, tuple) and len(ops) == self.n_spins and all(isinstance(o, Pauli) for o in ops)):
-                raise ValueError(f"Netlist.feedforward rule {rule!r} is not (label, {self.n_spins}-tuple of Pauli)")
+                raise ValueError(f"Netlist.feedforward rule {rule!r} is not (outcome label, {self.n_spins}-tuple of Pauli)")
 
     def outcome_labels(self) -> tuple[str, ...]:
         return tuple(f"{basis}{mode}" for mode in self.detectors for basis in ("F", "S"))
@@ -234,16 +235,15 @@ class _Parser:
                 raise self.error(
                     DiagnosticKind.NON_TOPOLOGICAL, line, i, f"mode {mode!r} is read here but only written later"
                 )
-        net = Netlist(
-            self.n_spins, tuple(self.modes), tuple(self.elements), tuple(self.detectors), tuple(self.feedforward)
-        )
         detected = set(self.detectors)
         for (label, _), line in zip(self.feedforward, self.ff_lines):
             if label[1:] not in detected:  # the label is F or S, then a mode
                 raise self.error(
                     DiagnosticKind.UNKNOWN_OUTCOME, line, 1, f"feedforward outcome {label!r} matches no detector"
                 )
-        return net
+        return Netlist(
+            self.n_spins, tuple(self.modes), tuple(self.elements), tuple(self.detectors), tuple(self.feedforward)
+        )
 
 
 def parse_netlist(text: str) -> Netlist:

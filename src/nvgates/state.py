@@ -132,9 +132,7 @@ class HybridState:
     amps: np.ndarray
 
     def __post_init__(self):
-        modes = tuple(str(m) for m in self.modes)
-        if len(set(modes)) != len(modes):
-            raise StateError("duplicate mode labels")
+        modes = _mode_labels(self.modes)
         a = np.asarray(self.amps, dtype=complex)
         expected = (2, len(modes), 2**self.n_spins)
         if a.shape != expected:
@@ -143,8 +141,7 @@ class HybridState:
             )
         a = a.copy()
         a.setflags(write=False)
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "amps", a)
+        vars(self).update(modes=modes, amps=a)
 
     def mode_index(self, label) -> int:
         try:
@@ -167,9 +164,20 @@ class HybridState:
                 f"amplitude array has shape {amps.shape}, expected {self.amps.shape}"
             )
         amps.setflags(write=False)
-        new = object.__new__(HybridState)
-        vars(new).update(modes=self.modes, n_spins=self.n_spins, amps=amps)
-        return new
+        return _adopt(self.modes, self.n_spins, amps)
+
+
+def _mode_labels(modes) -> tuple[str, ...]:
+    labels = tuple(str(m) for m in modes)
+    if len(set(labels)) != len(labels):
+        raise StateError("duplicate mode labels")
+    return labels
+
+
+def _adopt(labels: tuple[str, ...], n_spins: int, amps: np.ndarray) -> HybridState:  # unchecked, uncopied
+    new = object.__new__(HybridState)
+    vars(new).update(modes=labels, n_spins=n_spins, amps=amps)
+    return new
 
 
 def _check_pair(pair, what: str) -> np.ndarray:
@@ -186,13 +194,13 @@ def kron_pairs(pairs) -> np.ndarray:
     """Spin-register vector of a product state: the Kronecker product of the
     per-spin amplitude pairs, spin 0 most significant.
 
-    Pairs may carry leading batch axes, shape (..., 2), which broadcast; the
-    result then has shape (..., 2**n).
+    The pairs are complex arrays, shape (..., 2), whose leading batch axes
+    broadcast; the result then has shape (..., 2**n).
     """
     pairs = iter(pairs)
-    vec = np.array(next(pairs, 1.0), dtype=complex, ndmin=1)
+    vec = next(pairs, np.array([1.0], dtype=complex))
     for pair in pairs:
-        prod = vec[..., :, None] * np.asarray(pair, dtype=complex)[..., None, :]
+        prod = vec[..., :, None] * pair[..., None, :]
         vec = prod.reshape(prod.shape[:-2] + (-1,))
     return vec
 
@@ -201,15 +209,15 @@ def make_product_state(pol_amps, photon_mode, spin_amps, modes) -> HybridState:
     """Tensor product of a photon polarization state at one mode with N spins.
 
     Every amplitude pair must be normalized to 1 within 1e-12; the result has
-    unit norm.  ``photon_mode`` is found by :meth:`HybridState.mode_index`.
+    unit norm.  ``modes`` and ``photon_mode`` follow :class:`HybridState`'s label rules.
     """
     pol = _check_pair(pol_amps, "photon polarization pair")
     spins = [_check_pair(s, f"spin {k} pair") for k, s in enumerate(spin_amps)]
-    n = len(spins)
-    amps = np.zeros((2, len(modes), 2**n), dtype=complex)
-    state = HybridState(modes, n, amps)  # checks the labels and keeps a copy of amps
+    amps = np.zeros((2, len(modes), 2 ** len(spins)), dtype=complex)
+    state = _adopt(_mode_labels(modes), len(spins), amps)
     amps[:, state.mode_index(photon_mode), :] = pol[:, None] * kron_pairs(spins)
-    return state.with_amps(amps)
+    amps.setflags(write=False)
+    return state
 
 
 def overlap(a: HybridState, b: HybridState) -> complex:
@@ -243,7 +251,7 @@ def phase_aligned_deviation(actual: np.ndarray, expected: np.ndarray) -> float:
     expected = np.asarray(expected, dtype=complex)
     if actual.shape != expected.shape:
         raise DimensionMismatchError("cannot compare vectors of different shapes")
-    ov = np.sum(expected.conj() * actual, axis=-1, keepdims=True)
-    mag = np.abs(ov)
-    phase = np.divide(ov, mag, out=np.ones_like(ov), where=mag > 0)
-    return float(np.max(np.abs(actual - phase * expected)))
+    ov = (expected.conj() * actual).sum(axis=-1, keepdims=True)
+    mag = abs(ov)
+    phase = np.divide(ov, mag, out=np.ones(ov.shape, dtype=complex), where=mag > 0)
+    return float(abs(actual - phase * expected).max())

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nvgates import analysis
 from nvgates.analysis import (
     CSV_HEADER,
     ConventionReport,
@@ -21,6 +22,7 @@ from nvgates.analysis import (
 )
 from nvgates.cavity import IDEAL_PAIR, coupling_ratio_to_r, resonant_pair
 from nvgates.gates import GATE_NAMES
+from nvgates.state import kron_pairs
 
 
 def test_fidelity_closed_form_endpoints_exact():
@@ -93,6 +95,26 @@ def test_simulated_random_convention_deterministic():
     c = fidelity_simulated("cnot", pair, "random", "postselected", trials=8, seed=6)
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_inputs_equal_a_pair_by_pair_draw_bit_for_bit(n):
+    # each trial draws, spin by spin, two normals for the real parts and two
+    # for the imaginary parts, then divides the pair by its np.linalg.norm
+    for trials in (1, 5, 16):
+        for seed in (0, 1, 7, 20131001, 2**31 - 2):
+            rng = np.random.default_rng(seed)
+            expected = []
+            for _ in range(trials):
+                pairs = []
+                for _ in range(n):
+                    re, im = rng.normal(size=2), rng.normal(size=2)
+                    pair = re + 1j * im
+                    pairs.append(pair / np.linalg.norm(pair))
+                expected.append(kron_pairs(pairs))
+            got = analysis._spin_inputs(n, "random", trials, seed)
+            assert got.dtype == complex and got.shape == (trials, 2**n)
+            assert got.tobytes() == np.array(expected).tobytes(), (n, trials, seed)
 
 
 def test_sweep_point_draws_its_inputs_once(monkeypatch):

@@ -229,6 +229,23 @@ def test_sweep_rejects_zero_trials(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_unknown_gate_is_usage_error_with_gate_rule_message(tmp_path, capsys):
+    # --gates is checked by the one gate-name rule, which lists the known names
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--gates", "CNOT,foo", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unknown gate 'foo'; expected one of {GATE_NAMES}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_sweep_header_keeps_gate_names_as_given(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--gates", "CNOT,Fredkin", "--steps", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("sweep: gates=CNOT,Fredkin ratios=[0.5,10.0] steps=2")
+    assert [row.split(",")[2] for row in out.read_text().splitlines()[1:3]] == ["cnot", "fredkin"]
+
+
 def test_regime_flags_exclude_one_another(capsys, tmp_path):
     from nvgates.gates import shipped_circuit_text
 

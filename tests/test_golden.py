@@ -3,7 +3,10 @@
 Each case runs ``cli.main`` in process and compares what it wrote with a file
 under ``tests/golden/``.  The files pin every printed digit, including the
 signed zeros that ``nvgates run`` prints, so a refactor that claims to leave
-the numbers unchanged is checked rather than eyeballed.
+the numbers unchanged is checked rather than eyeballed.  Nine printed digits
+cannot see a change in the last bit, so ``simulate_bits.txt`` also pins the
+exact floats (``float.hex``) of the simulated metrics and of the mean
+fidelity that ``nvgates verify`` prints.
 
 To rewrite the files from the current code (only on purpose, when an output
 is meant to change), run ``PYTHONPATH=src python tests/test_golden.py``.
@@ -11,6 +14,7 @@ is meant to change), run ``PYTHONPATH=src python tests/test_golden.py``.
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import io
 import sys
@@ -20,6 +24,8 @@ from pathlib import Path
 
 import pytest
 
+from nvgates import analysis, cli
+from nvgates.cavity import resonant_pair
 from nvgates.cli import main
 from nvgates.gates import GATE_NAMES
 
@@ -83,8 +89,57 @@ def test_output_matches_golden(name, tmp_path):
         assert data == (GOLDEN / fname).read_bytes(), f"{fname} differs from its golden file"
 
 
+BITS_R_HOT = (0.0, 0.3, 0.8, 1.0)
+BITS_INPUTS = (("balanced", None), ("random", 0), ("random", 1), ("random", 2))
+BITS_TRIALS = 16
+VERIFY_ARGS = ["--trials", "20", "--seed", "3", "--ratio", "2"]
+
+
+def _verify_mean_fidelity(gate: str) -> float:
+    """The mean fidelity ``nvgates verify`` prints for ``gate``, as the float
+    before rounding: ``cmd_verify`` makes it with its one ``float()`` call,
+    which a module-level ``float`` in ``cli`` records.  The parser is built
+    first, so its ``type=float`` options keep the builtin."""
+    cli.build_parser()
+    seen = []
+
+    def record(x):
+        seen.append(builtins.float(x))
+        return seen[-1]
+
+    cli.float = record
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["verify", gate, *VERIFY_ARGS])
+    finally:
+        del cli.float
+    assert code == 0 and len(seen) == 1, (code, seen)
+    return seen[0]
+
+
+def simulate_bits() -> str:
+    """One line per evaluated point: its arguments, then ``float.hex`` of
+    each :func:`analysis._simulate` metric, or of verify's mean fidelity."""
+    lines = []
+    for gate in GATE_NAMES:
+        for r_hot in BITS_R_HOT:
+            for convention, seed in BITS_INPUTS:
+                metrics = analysis._simulate(gate, resonant_pair(r_hot), convention, BITS_TRIALS, seed)
+                lines.append(f"simulate {gate} r_hot={r_hot} {convention} seed={seed} "
+                             + " ".join(float.hex(m) for m in metrics))
+    for gate in GATE_NAMES:
+        lines.append(f"verify {gate} {' '.join(VERIFY_ARGS)} {float.hex(_verify_mean_fidelity(gate))}")
+    return "\n".join(lines) + "\n"
+
+
+def test_simulated_metrics_match_golden_bits():
+    assert simulate_bits() == (GOLDEN / "simulate_bits.txt").read_text()
+
+
 def write_golden() -> None:
     GOLDEN.mkdir(exist_ok=True)
+    (GOLDEN / "simulate_bits.txt").write_text(simulate_bits())
+    print(f"wrote {GOLDEN / 'simulate_bits.txt'}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         for name, (argv, compare) in _cases().items():
             for fname, data in _outputs(name, argv, compare, Path(tmp)).items():

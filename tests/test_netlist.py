@@ -270,6 +270,17 @@ def test_netlist_fields_checked_when_built():
     assert replace(net, feedforward=net.feedforward) == net
 
 
+def test_feedforward_label_must_name_an_outcome():
+    # a rule that matches no outcome would never be applied by run_netlist
+    net = build_gate_circuit("cnot")
+    lowered = tuple((label.lower(), ops) for label, ops in net.feedforward)
+    with pytest.raises(ValueError, match=r"is not \(outcome label, 2-tuple of Pauli\)"):
+        replace(net, feedforward=lowered)
+    with pytest.raises(ValueError, match=r"is not \(outcome label, 2-tuple of Pauli\)"):
+        replace(net, feedforward=net.feedforward, detectors=net.detectors[1:])
+    assert replace(net, feedforward=net.feedforward[1:]).feedforward == net.feedforward[1:]
+
+
 def test_run_netlist_zero_state_all_null():
     net = parse_netlist(SMALL)
     template = balanced_product_input(net)

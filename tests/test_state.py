@@ -16,6 +16,7 @@ from nvgates.state import (
     NormalizationError,
     PLUS,
     R,
+    StateError,
     make_product_state,
     overlap,
     partial_trace_photon_collapse,
@@ -70,6 +71,25 @@ def test_product_state_rejects_unnormalized():
         make_product_state((1, 0), "in", [(float("nan"), 1.0)], MODES2)
     with pytest.raises(NormalizationError):
         make_product_state((float("inf"), 0), "in", [(1, 0)], MODES2)
+
+
+def test_product_state_label_errors_and_result():
+    # the photon mode and the labels follow HybridState's rules and errors
+    with pytest.raises(ModeError, match=r"unknown mode 'nope'; declared modes: \('in', 'a', 'b'\)"):
+        make_product_state((1, 0), "nope", [(1, 0)], MODES2)
+    with pytest.raises(StateError, match="duplicate mode labels"):
+        make_product_state((1, 0), "in", [(1, 0)], ("in", "a", "in"))
+    with pytest.raises(StateError, match="duplicate mode labels"):
+        make_product_state((1, 0), "1", [(1, 0)], (1, "1"))
+    # the pairs are checked before the labels
+    with pytest.raises(NormalizationError):
+        make_product_state((1, 1), "nope", [(1, 0)], ("in", "in"))
+    st = make_product_state((0, 1), 2, [(0, 1), (1, 0)], (1, 2))
+    assert st.modes == ("1", "2") and st.n_spins == 2 and not st.amps.flags.writeable
+    assert st.amps[L, 1, spin_config_index((MINUS, PLUS))] == 1.0 and np.count_nonzero(st.amps) == 1
+    none = make_product_state(BALANCED, "in", [], ("in",))
+    assert none.n_spins == 0 and none.amps.shape == (2, 1, 1)
+    assert np.array_equal(none.amps[:, 0, 0], BALANCED)
 
 
 def test_overlap_self_and_orthogonal(rng):
