@@ -6,7 +6,10 @@ signed zeros that ``nvgates run`` prints, so a refactor that claims to leave
 the numbers unchanged is checked rather than eyeballed.  Nine printed digits
 cannot see a change in the last bit, so ``simulate_bits.txt`` also pins the
 exact floats (``float.hex``) of the simulated metrics and of the mean
-fidelity that ``nvgates verify`` prints.
+fidelity that ``nvgates verify`` prints, and ``interpreter_bits.txt`` pins
+the element interpreter: the bytes of every kernel's output on full states
+(output wires occupied, so the backward routing counts too) and of every
+outcome of ``run_netlist`` on generated circuits at a lossy pair.
 
 To rewrite the files from the current code (only on purpose, when an output
 is meant to change), run ``PYTHONPATH=src python tests/test_golden.py``.
@@ -16,18 +19,25 @@ from __future__ import annotations
 
 import builtins
 import contextlib
+import hashlib
 import io
 import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nvgates import analysis, cli
-from nvgates.cavity import resonant_pair
+from nvgates.cavity import resonant_pair, scatter
 from nvgates.cli import main
-from nvgates.gates import GATE_NAMES
+from nvgates.elements import apply_bs, apply_hwp, apply_pbs_fs, apply_pbs_rl, apply_spin_hadamard
+from nvgates.gates import GATE_NAMES, build_gate_circuit
+from nvgates.netlist import balanced_product_input, run_netlist
+from nvgates.state import HybridState, partial_trace_photon_collapse
+
+from conftest import random_hybrid_input, random_netlist, random_reflection
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -136,10 +146,78 @@ def test_simulated_metrics_match_golden_bits():
     assert simulate_bits() == (GOLDEN / "simulate_bits.txt").read_text()
 
 
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _kernel_cases():
+    """(name, modes, spins, kernel call) per case: every kernel at 4 modes
+    and 2 spins, and at 31 modes and 3 spins with its wires out of order."""
+    small, wide = ("in", "1", "2", "3"), tuple(f"w{i}" for i in range(31))
+    lossy = resonant_pair(0.6 * np.exp(0.7j))
+    return [
+        ("pbs in 3 -> 1 2", small, 2, lambda s: apply_pbs_rl(s, ("in", "3"), ("1", "2"))),
+        ("pbsfs in -> 1 2", small, 2, lambda s: apply_pbs_fs(s, "in", ("1", "2"))),
+        ("hwp 2", small, 2, lambda s: apply_hwp(s, "2")),
+        ("bs 1 2 -> 3 in", small, 2, lambda s: apply_bs(s, ("1", "2"), ("3", "in"))),
+        ("nv 1 spin_0", small, 2, lambda s: scatter(s, 0, "1", lossy)),
+        ("spinh 0", small, 2, lambda s: apply_spin_hadamard(s, 0)),
+        ("spinh 1", small, 2, lambda s: apply_spin_hadamard(s, 1)),
+        ("collapse 2 in 3", small, 2, lambda s: partial_trace_photon_collapse(s, ("2", "in", "3"))),
+        ("pbs w27 w3 -> w9 w30", wide, 3, lambda s: apply_pbs_rl(s, ("w27", "w3"), ("w9", "w30"))),
+        ("pbsfs w14 -> w30 w2", wide, 3, lambda s: apply_pbs_fs(s, "w14", ("w30", "w2"))),
+        ("hwp w17", wide, 3, lambda s: apply_hwp(s, "w17")),
+        ("bs w27 w3 -> w30 w9", wide, 3, lambda s: apply_bs(s, ("w27", "w3"), ("w30", "w9"))),
+        ("nv w5 spin_1", wide, 3, lambda s: scatter(s, 1, "w5", lossy)),
+        ("spinh 0", wide, 3, lambda s: apply_spin_hadamard(s, 0)),
+        ("spinh 1", wide, 3, lambda s: apply_spin_hadamard(s, 1)),
+        ("spinh 2", wide, 3, lambda s: apply_spin_hadamard(s, 2)),
+        ("collapse w30 w0 w9 w3 w27", wide, 3,
+         lambda s: partial_trace_photon_collapse(s, ("w30", "w0", "w9", "w3", "w27"))),
+    ]
+
+
+def interpreter_bits() -> str:
+    """One line per kernel case and seeded input state, with the sha256 of
+    the output amplitudes' bytes, then one line per ``run_netlist`` outcome
+    of seeded generated circuits and of the shipped gates at a lossy pair:
+    its label, ``float.hex`` of its probability and the sha256 of its amps.
+    Half of the kernel inputs are drawn from {-1, -0.0, 0.0, 1}, so the sign
+    of every zero is pinned as well."""
+    lines = []
+    for name, modes, n_spins, kernel in _kernel_cases():
+        rng = np.random.default_rng(20131001)
+        for trial in range(4):
+            amps = np.empty((2, len(modes), 2**n_spins), dtype=complex)
+            for part in (amps.real, amps.imag):
+                part[...] = (rng.choice([-1.0, -0.0, 0.0, 1.0], size=part.shape) if trial % 2
+                             else rng.normal(size=part.shape))
+            out = kernel(HybridState(modes, n_spins, amps))
+            lines.append(f"kernel {len(modes)} modes: {name} #{trial} {_sha(getattr(out, 'amps', out).tobytes())}")
+    rng = np.random.default_rng(20130423)
+    runs = []
+    for i in range(6):
+        net = random_netlist(rng, n_elements=6 + 4 * i)
+        pair = random_reflection(rng, resonant_cold=bool(i % 2))
+        runs.append((f"random #{i}", net, random_hybrid_input(rng, net), pair))
+    for gate in GATE_NAMES:
+        net = build_gate_circuit(gate)
+        runs.append((gate, net, balanced_product_input(net), resonant_pair(0.8)))
+    for name, net, state, pair in runs:
+        for o in run_netlist(net, state, pair):
+            lines.append(f"run {name} {o.label} {float.hex(o.probability)} {_sha(o.amps.tobytes())}")
+    return "\n".join(lines) + "\n"
+
+
+def test_interpreter_matches_golden_bits():
+    assert interpreter_bits() == (GOLDEN / "interpreter_bits.txt").read_text()
+
+
 def write_golden() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    (GOLDEN / "simulate_bits.txt").write_text(simulate_bits())
-    print(f"wrote {GOLDEN / 'simulate_bits.txt'}", file=sys.stderr)
+    for fname, text in (("simulate_bits.txt", simulate_bits()), ("interpreter_bits.txt", interpreter_bits())):
+        (GOLDEN / fname).write_text(text)
+        print(f"wrote {GOLDEN / fname}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         for name, (argv, compare) in _cases().items():
             for fname, data in _outputs(name, argv, compare, Path(tmp)).items():
