@@ -51,6 +51,10 @@ class Kind(Enum):
     NV_SCATTER = "nv"
     SPIN_H = "spinh"
 
+    # Members compare by identity, so they may hash by it too; Enum's own
+    # __hash__ is Python code, paid on every LAYOUTS lookup.
+    __hash__ = object.__hash__
+
 
 class Pauli(Enum):
     I = "I"
@@ -134,7 +138,7 @@ def _wires(kind: Kind, in_modes, out_modes, spin) -> tuple[tuple[str, ...], tupl
     return ins, outs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Element:
     """One circuit component with its mode wiring and optional spin target,
     shaped as its kind's entry in :data:`FORMS`."""
@@ -145,10 +149,10 @@ class Element:
     spin: int | None = None
     line: int = field(default=0, compare=False)
 
-    def __post_init__(self):
-        ins, outs = _wires(self.kind, self.in_modes, self.out_modes, self.spin)
-        object.__setattr__(self, "in_modes", ins)
-        object.__setattr__(self, "out_modes", outs)
+    def __init__(self, kind: Kind, in_modes=(), out_modes=(), spin: int | None = None, line: int = 0):
+        # the one constructor, also for dataclasses.replace: wires checked once
+        ins, outs = _wires(kind, in_modes, out_modes, spin)
+        vars(self).update(kind=kind, in_modes=ins, out_modes=outs, spin=spin, line=line)
 
 
 _PAULI_DIAG = {
@@ -156,6 +160,12 @@ _PAULI_DIAG = {
     Pauli.Z: np.array([1.0, -1.0], dtype=complex),
     Pauli.MINUS_Z: np.array([-1.0, 1.0], dtype=complex),
 }
+
+
+def _rows(amps: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Modes ``i`` and ``j`` (distinct) of ``amps``, in that order along axis
+    1, as one basic-slice view."""
+    return amps[:, i :: j - i][:, :2]
 
 
 def apply_pbs_rl(state: HybridState, in_modes, out_modes) -> HybridState:
@@ -180,8 +190,9 @@ def apply_pbs_rl(state: HybridState, in_modes, out_modes) -> HybridState:
 def apply_hwp(state: HybridState, mode) -> HybridState:
     """Photon Hadamard on one mode (half-wave plate at 22.5 degrees)."""
     mi = state.mode_index(mode)
-    a = state.amps.copy()
-    a[R, mi], a[L, mi] = butterfly(a[R, mi], a[L, mi])
+    src = state.amps
+    a = src.copy()
+    butterfly(src[R, mi], src[L, mi], a[R, mi], a[L, mi])
     return state.with_amps(a)
 
 
@@ -197,8 +208,8 @@ def apply_bs(state: HybridState, in_modes, out_modes) -> HybridState:
     o0, o1 = (state.mode_index(m) for m in out_modes)
     src = state.amps
     a = src.copy()
-    a[:, o0], a[:, o1] = butterfly(src[:, i1], src[:, i0])
-    a[:, i1], a[:, i0] = butterfly(src[:, o0], src[:, o1])
+    # forward (i1, i0) -> (o0, o1) and backward (o0, o1) -> (i1, i0) at once
+    butterfly(_rows(src, i1, o0), _rows(src, i0, o1), _rows(a, o0, i1), _rows(a, o1, i0))
     return state.with_amps(a)
 
 
@@ -210,10 +221,17 @@ def apply_pbs_fs(state: HybridState, in_mode, out_modes) -> HybridState:
     and the S component of the S output swap back to the input wire.
     """
     (in_mode,), out_modes = _wires(Kind.PBS_FS, (in_mode,), out_modes, None)
-    idx = [state.mode_index(m) for m in (in_mode, *out_modes)]
-    f, s = butterfly(state.amps[R, idx], state.amps[L, idx])  # F and S of (in, F out, S out)
-    a = state.amps.copy()
-    a[R, idx], a[L, idx] = butterfly(f[[1, 0, 2]], s[[2, 1, 0]])
+    i, f, s = map(state.mode_index, (in_mode, *out_modes))
+    src = state.amps
+    # (S out, F out, in, S out): the new F of (in, F out, S out) is the F of
+    # rows 1:4 and the new S is the S of rows 0:3
+    rows = np.empty((2, 4, src.shape[-1]), dtype=complex)
+    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = src[:, s], src[:, f], src[:, i], src[:, s]
+    fs = np.empty_like(rows)
+    butterfly(rows[R], rows[L], fs[0], fs[1])
+    butterfly(fs[0, 1:], fs[1, :3], rows[R, :3], rows[L, :3])
+    a = src.copy()
+    a[:, i], a[:, f], a[:, s] = rows[:, 0], rows[:, 1], rows[:, 2]
     return state.with_amps(a)
 
 
@@ -221,23 +239,25 @@ def apply_spin_hadamard(state: HybridState, spin_index: int) -> HybridState:
     """Hadamard on one electron spin."""
     if not 0 <= spin_index < state.n_spins:
         raise StateError(f"spin index {spin_index} out of range for {state.n_spins} spins")
-    a = spin_axis(state.amps, state.n_spins, spin_index)
-    out = np.stack(butterfly(a[..., 0, :], a[..., 1, :]), axis=-2)
-    return state.with_amps(out.reshape(state.amps.shape))
+    out = np.empty_like(state.amps)
+    a, b = spin_axis(state.amps, state.n_spins, spin_index), spin_axis(out, state.n_spins, spin_index)
+    butterfly(a[..., 0, :], a[..., 1, :], b[..., 0, :], b[..., 1, :])
+    return state.with_amps(out)
 
 
 def apply_element(state: HybridState, el: Element, reflection: ReflectionPair = IDEAL_PAIR) -> HybridState:
     """Dispatch one element; NV scattering uses the given reflection pair."""
-    if el.kind is Kind.PBS_RL:
+    directive = el.kind.value  # strings compare faster than Kind.* attributes are looked up
+    if directive == "pbs":
         return apply_pbs_rl(state, el.in_modes, el.out_modes)
-    if el.kind is Kind.PBS_FS:
+    if directive == "pbsfs":
         return apply_pbs_fs(state, el.in_modes[0], el.out_modes)
-    if el.kind is Kind.HWP:
+    if directive == "hwp":
         return apply_hwp(state, el.in_modes[0])
-    if el.kind is Kind.BS5050:
+    if directive == "bs":
         return apply_bs(state, el.in_modes, el.out_modes)
-    if el.kind is Kind.NV_SCATTER:
+    if directive == "nv":
         return scatter(state, el.spin, el.in_modes[0], reflection)
-    if el.kind is Kind.SPIN_H:
+    if directive == "spinh":
         return apply_spin_hadamard(state, el.spin)
     raise StateError(f"unhandled element kind {el.kind}")

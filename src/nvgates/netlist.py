@@ -161,7 +161,7 @@ class _Parser:
         self.modes: list[str] = []
         self.mode_set: set[str] = set()
         self.elements: list[Element] = []
-        self.detectors: list[str] = []
+        self.detectors: dict[str, None] = {}  # in declaration order
         self.feedforward: list[FeedforwardRule] = []
         # (reader position, mode, line, token index); elements and detect
         # lines share one position counter so the ordering check covers both.
@@ -235,9 +235,8 @@ class _Parser:
                 raise self.error(
                     DiagnosticKind.NON_TOPOLOGICAL, line, i, f"mode {mode!r} is read here but only written later"
                 )
-        detected = set(self.detectors)
         for (label, _), line in zip(self.feedforward, self.ff_lines):
-            if label[1:] not in detected:  # the label is F or S, then a mode
+            if label[1:] not in self.detectors:  # the label is F or S, then a mode
                 raise self.error(
                     DiagnosticKind.UNKNOWN_OUTCOME, line, 1, f"feedforward outcome {label!r} matches no detector"
                 )
@@ -279,7 +278,7 @@ def parse_netlist(text: str) -> Netlist:
             if tok in p.detectors:
                 raise p.error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, 1, f"detector on {tok!r} redeclared")
             p.reads.append((p.position, tok, lineno, 1))
-            p.detectors.append(tok)
+            p.detectors[tok] = None
             p.position += 1
 
         elif head == "spins":
@@ -401,15 +400,13 @@ def run_netlist(net: Netlist, state: HybridState, reflection: ReflectionPair = I
     squared norm when the detectors cover all occupied modes.
     """
     state = apply_elements(net, state, reflection)
-    table = dict(net.feedforward)
     labels = net.outcome_labels()
     amps = partial_trace_photon_collapse(state, net.detectors).reshape(-1, 2**net.n_spins)
-    for row, label in enumerate(labels):
-        ops = table.get(label)
-        if ops is not None:
-            amps[row] = apply_spin_ops(amps[row], ops)
+    for label, ops in dict(net.feedforward).items():
+        row = labels.index(label)
+        amps[row] = apply_spin_ops(amps[row], ops)
     amps.setflags(write=False)
-    probs = np.sum(np.abs(amps) ** 2, axis=-1).tolist()
+    probs = (abs(amps) ** 2).sum(axis=-1).tolist()
     outcomes = []
     for label, a, prob in zip(labels, amps, probs):
         # a read-only row view, set without the frozen dataclass's __init__

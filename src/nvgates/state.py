@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,10 +76,12 @@ def spin_axis(amps: np.ndarray, n: int, k: int) -> np.ndarray:
     return amps.reshape(amps.shape[:-1] + (-1, 2, 1 << (n - 1 - k)))
 
 
-def butterfly(x, y):
-    """((x + y)/sqrt2, (x - y)/sqrt2), its own inverse: the R/L <-> F/S change
-    of basis on a mode's amplitudes, and the Hadamard on a spin's."""
-    return (x + y) * _SQRT1_2, (x - y) * _SQRT1_2
+def butterfly(x, y, u, v) -> None:
+    """Write (x + y)/sqrt2 into ``u`` and (x - y)/sqrt2 into ``v``, which must
+    not share memory with ``x`` or ``y``.  Its own inverse: the R/L <-> F/S
+    change of basis on a mode's amplitudes, and the Hadamard on a spin's."""
+    np.multiply(x + y, _SQRT1_2, out=u)
+    np.multiply(x - y, _SQRT1_2, out=v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,9 +132,10 @@ class HybridState:
     modes: tuple[str, ...]
     n_spins: int
     amps: np.ndarray
+    _index: dict[str, int] = field(init=False, repr=False)  # label -> position in modes
 
     def __post_init__(self):
-        modes = _mode_labels(self.modes)
+        modes, index = _mode_labels(self.modes)
         a = np.asarray(self.amps, dtype=complex)
         expected = (2, len(modes), 2**self.n_spins)
         if a.shape != expected:
@@ -141,12 +144,13 @@ class HybridState:
             )
         a = a.copy()
         a.setflags(write=False)
-        vars(self).update(modes=modes, amps=a)
+        vars(self).update(modes=modes, _index=index, amps=a)
 
     def mode_index(self, label) -> int:
+        """Position of the mode labeled ``str(label)``."""
         try:
-            return self.modes.index(str(label))
-        except ValueError:
+            return self._index[str(label)]
+        except KeyError:
             raise ModeError(f"unknown mode {label!r}; declared modes: {self.modes}") from None
 
     def norm2(self) -> float:
@@ -164,19 +168,22 @@ class HybridState:
                 f"amplitude array has shape {amps.shape}, expected {self.amps.shape}"
             )
         amps.setflags(write=False)
-        return _adopt(self.modes, self.n_spins, amps)
+        return _adopt(self.modes, self._index, self.n_spins, amps)
 
 
-def _mode_labels(modes) -> tuple[str, ...]:
+def _mode_labels(modes) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The labels of ``modes`` as strings, and each one's position."""
     labels = tuple(str(m) for m in modes)
-    if len(set(labels)) != len(labels):
+    index = {label: i for i, label in enumerate(labels)}
+    if len(index) != len(labels):
         raise StateError("duplicate mode labels")
-    return labels
+    return labels, index
 
 
-def _adopt(labels: tuple[str, ...], n_spins: int, amps: np.ndarray) -> HybridState:  # unchecked, uncopied
+def _adopt(labels: tuple[str, ...], index: dict[str, int], n_spins: int, amps: np.ndarray) -> HybridState:
+    """A state holding ``amps`` and the label map, unchecked and uncopied."""
     new = object.__new__(HybridState)
-    vars(new).update(modes=labels, n_spins=n_spins, amps=amps)
+    vars(new).update(modes=labels, _index=index, n_spins=n_spins, amps=amps)
     return new
 
 
@@ -214,7 +221,7 @@ def make_product_state(pol_amps, photon_mode, spin_amps, modes) -> HybridState:
     pol = _check_pair(pol_amps, "photon polarization pair")
     spins = [_check_pair(s, f"spin {k} pair") for k, s in enumerate(spin_amps)]
     amps = np.zeros((2, len(modes), 2 ** len(spins)), dtype=complex)
-    state = _adopt(_mode_labels(modes), len(spins), amps)
+    state = _adopt(*_mode_labels(modes), len(spins), amps)
     amps[:, state.mode_index(photon_mode), :] = pol[:, None] * kron_pairs(spins)
     amps.setflags(write=False)
     return state
@@ -234,9 +241,20 @@ def partial_trace_photon_collapse(state: HybridState, modes) -> np.ndarray:
     as after a half-wave plate.  Returns the unnormalized spin amplitudes,
     shape (len(modes), 2, 2**n_spins), F before S; a row's squared norm is
     its outcome's probability, and a zero state gives zero rows.
+
+    Each run of ``modes`` at consecutive positions in the state is one
+    butterfly on slices, so all the modes in declared order take one.
     """
     idx = [state.mode_index(m) for m in modes]
-    return np.stack(butterfly(state.amps[R, idx], state.amps[L, idx]), axis=1)
+    a = state.amps
+    out = np.empty((len(idx), 2, a.shape[-1]), dtype=complex)
+    start = 0
+    for k in range(1, len(idx) + 1):
+        if k == len(idx) or idx[k] != idx[k - 1] + 1:
+            lo, hi = idx[start], idx[k - 1] + 1
+            butterfly(a[R, lo:hi], a[L, lo:hi], out[start:k, 0], out[start:k, 1])
+            start = k
+    return out
 
 
 def phase_aligned_deviation(actual: np.ndarray, expected: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 """Optical and spin element semantics, checked against the brute-force oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from nvgates.elements import (
     apply_pbs_rl,
     apply_spin_hadamard,
 )
+from nvgates.netlist import DiagnosticKind, NetlistError, parse_netlist, serialize_netlist
 from nvgates.state import HybridState, L, MINUS, PLUS, R, make_product_state
 
 from conftest import BALANCED, random_reflection, random_spin_pairs
@@ -192,24 +194,89 @@ def test_non_nv_elements_unitary_on_random_states(rng, element):
         assert out.norm2() == pytest.approx(1.0, abs=1e-12)
 
 
+WIDE_MODES = tuple(f"w{i}" for i in range(31))
+
+
 @pytest.mark.parametrize(
-    "element",
+    "element, modes, n_spins",
     [
-        Element(Kind.PBS_RL, ("in", "1"), ("2", "3")),
-        Element(Kind.PBS_FS, ("in",), ("1", "2")),
-        Element(Kind.HWP, ("2",), ("2",)),
-        Element(Kind.BS5050, ("1", "2"), ("3", "in")),
-        Element(Kind.NV_SCATTER, ("1",), ("1",), spin=0),
-        Element(Kind.SPIN_H, spin=1),
+        pytest.param(el, MODES, 2, id=f"element{i}")
+        for i, el in enumerate([
+            Element(Kind.PBS_RL, ("in", "1"), ("2", "3")),
+            Element(Kind.PBS_FS, ("in",), ("1", "2")),
+            Element(Kind.HWP, ("2",), ("2",)),
+            Element(Kind.BS5050, ("1", "2"), ("3", "in")),
+            Element(Kind.NV_SCATTER, ("1",), ("1",), spin=0),
+            Element(Kind.SPIN_H, spin=1),
+        ])
+    ]
+    # 31 modes and 3 spins, wires out of order: row offsets that only go
+    # wrong where modes are many and unordered
+    + [
+        pytest.param(el, WIDE_MODES, 3, id=f"wide-{el.kind.value}-{i}")
+        for i, el in enumerate([
+            Element(Kind.PBS_RL, ("w27", "w3"), ("w9", "w30")),
+            Element(Kind.PBS_FS, ("w14",), ("w30", "w2")),
+            Element(Kind.PBS_FS, ("w30",), ("w0", "w29")),
+            Element(Kind.HWP, ("w17",), ("w17",)),
+            Element(Kind.BS5050, ("w27", "w3"), ("w30", "w9")),
+            Element(Kind.BS5050, ("w0", "w30"), ("w1", "w29")),
+            Element(Kind.NV_SCATTER, ("w5",), ("w5",), spin=1),
+            Element(Kind.SPIN_H, spin=0),
+            Element(Kind.SPIN_H, spin=1),
+            Element(Kind.SPIN_H, spin=2),
+        ])
     ],
 )
-def test_elements_match_oracle_matrices(rng, element):
+def test_elements_match_oracle_matrices(rng, element, modes, n_spins):
+    # full random states: the output wires are occupied too, so the
+    # backward routing is compared as well
     pair = random_reflection(rng)
-    mat = element_matrix(element, MODES, 2, pair)
+    mat = element_matrix(element, modes, n_spins, pair)
+    shape = (2, len(modes), 2**n_spins)
     for _ in range(3):
-        amps = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         amps /= np.linalg.norm(amps)
-        st = HybridState(MODES, 2, amps)
+        st = HybridState(modes, n_spins, amps)
         fast = apply_element(st, element, pair).amps.reshape(-1)
         slow = mat @ amps.reshape(-1)
         assert np.abs(fast - slow).max() < 1e-12
+
+
+def test_element_stores_operands_as_tuples_of_str():
+    el = Element(Kind.PBS_RL, ["a", 2], ["c", "d"], line=7)
+    assert el.in_modes == ("a", "2") and el.out_modes == ("c", "d")
+    assert all(type(m) is str for m in el.in_modes + el.out_modes)
+    assert (el.kind, el.spin, el.line) == (Kind.PBS_RL, None, 7)
+    assert Element(Kind.SPIN_H, spin=1).in_modes == ()
+
+
+def test_element_replace_checks_the_wiring_again():
+    el = Element(Kind.PBS_RL, ("a", "b"), ("c", "d"), line=3)
+    moved = dataclasses.replace(el, out_modes=["e", 5])
+    assert moved.out_modes == ("e", "5") and moved.line == 3
+    with pytest.raises(WiringError):
+        dataclasses.replace(el, out_modes=("c", "b"))
+    with pytest.raises(WiringError):
+        dataclasses.replace(el, spin=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        el.in_modes = ("x", "y")
+
+
+def test_element_equality_hash_and_repr():
+    el = Element(Kind.PBS_RL, ["a", "b"], ["c", 3], line=3)
+    same = Element(Kind.PBS_RL, ("a", "b"), ("c", "3"), line=9)  # line is not compared
+    assert el == same and hash(el) == hash(same) and len({el, same}) == 1
+    assert el != Element(Kind.BS5050, ("a", "b"), ("c", "3"))
+    assert el != Element(Kind.PBS_RL, ("b", "a"), ("c", "3"))
+    assert repr(el) == "Element(kind=<Kind.PBS_RL: 'pbs'>, in_modes=('a', 'b'), out_modes=('c', '3'), spin=None, line=3)"
+
+
+def test_parsed_elements_round_trip_and_overlap_is_located():
+    text = "spins 2\nmodes a b c d e f\npbs a b -> c d\nnv c spin_1\npbsfs d -> e f\nspinh 0\ndetect c\n"
+    net = parse_netlist(text)
+    assert [el.line for el in net.elements] == [3, 4, 5, 6]
+    assert parse_netlist(serialize_netlist(net)) == net
+    with pytest.raises(NetlistError) as info:
+        parse_netlist("spins 1\nmodes a b c\n  pbs a b -> c b\n")
+    assert (info.value.kind, info.value.line, info.value.column) == (DiagnosticKind.ARITY_MISMATCH, 3, 3)

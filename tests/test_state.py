@@ -24,7 +24,10 @@ from nvgates.state import (
     spin_config_index,
 )
 
+from nvgates.netlist import Netlist
+
 from conftest import BALANCED, random_amplitude_pair, random_spin_pairs, kron_pairs
+from oracle import detect
 
 MODES2 = ("in", "a", "b")
 MODES_VAC = MODES2 + ("vac",)  # "vac": the second input port of a pbs
@@ -90,6 +93,19 @@ def test_product_state_label_errors_and_result():
     none = make_product_state(BALANCED, "in", [], ("in",))
     assert none.n_spins == 0 and none.amps.shape == (2, 1, 1)
     assert np.array_equal(none.amps[:, 0, 0], BALANCED)
+
+
+def test_mode_index_contract():
+    st = HybridState(("in", "3", "b"), 1, np.zeros((2, 3, 2)))
+    assert [st.mode_index(m) for m in ("in", "3", "b")] == [0, 1, 2]
+    assert st.mode_index(3) == 1  # a label is matched as it prints
+    for label in ("nope", 4, ["in"]):  # undeclared; unhashable too
+        with pytest.raises(ModeError, match="unknown mode"):
+            st.mode_index(label)
+    with pytest.raises(StateError, match="duplicate mode labels"):
+        HybridState(("in", 3, "3"), 1, np.zeros((2, 3, 2)))
+    # states made from a state keep its labels
+    assert apply_hwp(st, "b").mode_index("b") == 2
 
 
 def test_overlap_self_and_orthogonal(rng):
@@ -162,6 +178,26 @@ def test_collapse_unknown_mode():
     st = make_product_state((1, 0), "in", [(1, 0)], MODES2)
     with pytest.raises(ModeError):
         partial_trace_photon_collapse(st, ["in", "nope"])
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        list(range(31)),  # one run: the usual all-modes detection
+        list(range(30, -1, -1)),  # 31 runs of one mode
+        [30, 0, 1, 2, 9, 3, 27, 28, 29, 14],
+        [5],
+        [],
+    ],
+)
+def test_collapse_matches_oracle_in_any_mode_order(rng, order):
+    modes = tuple(f"w{i}" for i in range(31))
+    amps = rng.normal(size=(2, 31, 8)) + 1j * rng.normal(size=(2, 31, 8))
+    detectors = tuple(modes[i] for i in order)
+    rows = partial_trace_photon_collapse(HybridState(modes, 3, amps), detectors)
+    expected = [spins for _, _, spins in detect(Netlist(3, modes, (), detectors), amps)]
+    assert rows.shape == (len(order), 2, 8)
+    assert np.abs(rows.reshape(-1, 8) - np.reshape(expected, (-1, 8))).max(initial=0.0) < 1e-12
 
 
 def test_collapse_outcome_completeness(rng):
