@@ -7,6 +7,7 @@ import pytest
 
 from nvgates.cavity import IDEAL_PAIR, scatter
 from nvgates.elements import apply_hwp, apply_pbs_rl, apply_spin_hadamard
+from nvgates.netlist import Netlist
 from nvgates.state import (
     DimensionMismatchError,
     HybridState,
@@ -23,8 +24,6 @@ from nvgates.state import (
     spin_config_bits,
     spin_config_index,
 )
-
-from nvgates.netlist import Netlist
 
 from conftest import BALANCED, random_amplitude_pair, random_spin_pairs, kron_pairs
 from oracle import detect
