@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -102,6 +103,79 @@ def random_netlist(rng: np.random.Generator, n_elements: int = 8) -> Netlist:
         detectors=tuple(modes),
         feedforward=(),
     )
+
+
+# tokens a mutation may put on a .nv line: every directive, the arrow, spin
+# operands in and out of range, operators and outcome labels good and bad
+MUTATION_TOKENS = (
+    "spins", "modes", "pbs", "pbsfs", "hwp", "bs", "nv", "spinh", "detect", "feedforward", "->", "#",
+    "spin_0", "spin_1", "spin_2", "spin_3", "spin_x", "0", "1", "2", "3", "-1", "24", "I", "Z", "-Z", "X",
+    "F9:", "S9:", "Fnope:", ":", "in", "vac", "m0", "f1", "\u03b1",
+)
+
+
+def mutate_netlist_text(rng: random.Random, text: str) -> str:
+    """``text`` after one to three edits drawn from ``rng``.
+
+    An edit swaps, deletes or inserts a line; replaces, drops or adds a
+    token; adds or deletes a ``detect`` line; repeats a ``feedforward``
+    rule or gives it another outcome label; or changes the spin count.  One text in four is then
+    re-spaced: tabs and runs of blanks between tokens, leading blanks,
+    trailing comments and CRLF endings.
+    """
+    lines = text.splitlines() or [""]
+
+    def pick(prefix):
+        found = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+        return rng.choice(found) if found else None
+
+    def declared():
+        k = pick("modes")
+        return (lines[k].split()[1:] if k is not None else []) or ["nope"]
+
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines) + 1)
+        toks = lines[i].split()
+        edit = rng.randrange(10)
+        if edit == 0:
+            lines[i], lines[j - 1] = lines[j - 1], lines[i]
+        elif edit == 1 and len(lines) > 1:
+            del lines[i]
+        elif edit == 2:
+            junk = " ".join(rng.choices(MUTATION_TOKENS, k=rng.randint(1, 5)))
+            lines.insert(j, lines[i] if rng.random() < 0.5 else junk)
+        elif edit == 3 and toks:
+            toks[rng.randrange(len(toks))] = rng.choice(rng.choice((MUTATION_TOKENS, text.split())))
+            lines[i] = " ".join(toks)
+        elif edit == 4 and toks:
+            del toks[rng.randrange(len(toks))]
+            lines[i] = " ".join(toks)
+        elif edit == 5:
+            toks.insert(rng.randint(0, len(toks)), rng.choice(MUTATION_TOKENS))
+            lines[i] = " ".join(toks)
+        elif edit == 6:
+            lines.insert(j, f"detect {rng.choice(declared())}")
+        elif edit == 7 and (k := pick("detect")) is not None:
+            del lines[k]
+        elif edit == 8 and (k := pick("feedforward")) is not None:
+            rule = lines[k]
+            if rng.random() < 0.5:  # the same outcome again, or another one
+                label = rng.choice("FS") + rng.choice([*declared(), "nope"])
+                rule = f"feedforward {label}:{rule.partition(':')[2]}"
+            lines.insert(j, rule)
+        elif edit == 9 and (k := pick("spins")) is not None:
+            lines[k] = f"spins {rng.choice(('1', '0', '24', 'x'))}"
+    if rng.random() >= 0.25:
+        return "\n".join(lines) + "\n"
+    eol = rng.choice(("\n", "\r\n"))
+    respaced = []
+    for line in lines:
+        code, hash_, comment = line.partition("#")
+        toks = code.split() or [""]
+        body = toks[0] + "".join(rng.choice((" ", "\t", "  ", " \t ")) + tok for tok in toks[1:])
+        tail = hash_ + comment if hash_ else rng.choice(("", "", "  # note", "\t# x -> y", "#"))
+        respaced.append(rng.choice(("", " ", "\t")) + body + tail)
+    return eol.join(respaced) + rng.choice((eol, ""))
 
 
 def random_hybrid_input(rng: np.random.Generator, net: Netlist):

@@ -10,6 +10,8 @@ fidelity that ``nvgates verify`` prints, and ``interpreter_bits.txt`` pins
 the element interpreter: the bytes of every kernel's output on full states
 (output wires occupied, so the backward routing counts too) and of every
 outcome of ``run_netlist`` on generated circuits at a lossy pair.
+``parse_bits.txt`` pins the parser: what it returns or the diagnostic it
+raises for each of some 2,000 seeded circuit texts, valid and broken.
 
 To rewrite the files from the current code (only on purpose, when an output
 is meant to change), run ``PYTHONPATH=src python tests/test_golden.py``.
@@ -21,8 +23,10 @@ import builtins
 import contextlib
 import hashlib
 import io
+import random
 import sys
 import tempfile
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -32,12 +36,19 @@ import pytest
 from nvgates import analysis, cli
 from nvgates.cavity import resonant_pair, scatter
 from nvgates.cli import main
-from nvgates.elements import apply_bs, apply_hwp, apply_pbs_fs, apply_pbs_rl, apply_spin_hadamard
-from nvgates.gates import GATE_NAMES, build_gate_circuit
-from nvgates.netlist import balanced_product_input, run_netlist
+from nvgates.elements import Pauli, apply_bs, apply_hwp, apply_pbs_fs, apply_pbs_rl, apply_spin_hadamard
+from nvgates.gates import GATE_NAMES, build_gate_circuit, shipped_circuit_text
+from nvgates.netlist import (
+    DiagnosticKind,
+    NetlistError,
+    balanced_product_input,
+    parse_netlist,
+    run_netlist,
+    serialize_netlist,
+)
 from nvgates.state import HybridState, partial_trace_photon_collapse
 
-from conftest import random_hybrid_input, random_netlist, random_reflection
+from conftest import mutate_netlist_text, random_hybrid_input, random_netlist, random_reflection
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -213,9 +224,51 @@ def test_interpreter_matches_golden_bits():
     assert interpreter_bits() == (GOLDEN / "interpreter_bits.txt").read_text()
 
 
+PARSE_MUTANTS = 150  # mutated texts per base text
+
+
+def _parse_texts() -> list[str]:
+    """The shipped circuits and 12 generated ones with feedforward tables,
+    serialized, then :data:`PARSE_MUTANTS` seeded mutations of each."""
+    bases = [shipped_circuit_text(gate) for gate in GATE_NAMES]
+    rng, nrng = random.Random(20131001), np.random.default_rng(20131001)
+    for i in range(12):
+        net = random_netlist(nrng, n_elements=1 + 2 * i)
+        labels = rng.sample(net.outcome_labels(), k=min(3, i))
+        table = tuple((label, tuple(rng.choices(list(Pauli), k=net.n_spins))) for label in labels)
+        bases.append(serialize_netlist(replace(net, feedforward=table)))
+    return bases + [mutate_netlist_text(rng, base) for base in bases for _ in range(PARSE_MUTANTS)]
+
+
+def parse_bits() -> str:
+    """One line per text of :func:`_parse_texts`: the sha256 of the text, then
+    ``ok``, the sha256 of its serialization and each element's line, or
+    ``err``, the diagnostic's kind, line, column and the sha256 of its message."""
+    lines = []
+    for text in _parse_texts():
+        try:
+            net = parse_netlist(text)
+        except NetlistError as exc:
+            result = f"err {exc.kind.value} {exc.line} {exc.column} {_sha(str(exc).encode())}"
+        else:
+            result = " ".join(["ok", _sha(serialize_netlist(net).encode()), *(str(el.line) for el in net.elements)])
+        lines.append(f"{_sha(text.encode())} {result}")
+    return "\n".join(lines) + "\n"
+
+
+def test_parser_matches_golden_bits():
+    bits = parse_bits()
+    assert bits == (GOLDEN / "parse_bits.txt").read_text()
+    kinds = {line.split()[2] for line in bits.splitlines() if line.split()[1] == "err"}
+    assert kinds == {kind.value for kind in DiagnosticKind}
+    assert bits.count("\n") >= 2000
+
+
 def write_golden() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    for fname, text in (("simulate_bits.txt", simulate_bits()), ("interpreter_bits.txt", interpreter_bits())):
+    written = (("simulate_bits.txt", simulate_bits()), ("interpreter_bits.txt", interpreter_bits()),
+               ("parse_bits.txt", parse_bits()))
+    for fname, text in written:
         (GOLDEN / fname).write_text(text)
         print(f"wrote {GOLDEN / fname}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
