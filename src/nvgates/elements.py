@@ -75,15 +75,16 @@ FORMS = {
 
 
 class _Layout(NamedTuple):
-    """A form taken apart once: operand count, index of ``->``, slices of the
+    """A form taken apart once, its tokens numbered along the whole line from
+    the directive, token 0: token count, index of ``->``, ranges of the
     input and output wires, whether they are one wire rewritten in place,
-    spin operand index and prefix, an Element's (inputs, outputs, no spin)
+    spin token index and prefix, an Element's (inputs, outputs, no spin)
     shape, and a ``format(*in_modes, *out_modes, spin)`` template."""
 
-    n_ops: int
+    n_tokens: int
     arrow: int | None
-    ins: slice
-    outs: slice
+    ins: range
+    outs: range
     in_place: bool  # also true of a kind without wires
     spin: int | None
     spin_prefix: str
@@ -91,29 +92,29 @@ class _Layout(NamedTuple):
     template: str
 
 
-def _span(positions) -> slice:
-    return slice(positions[0], positions[-1] + 1) if positions else slice(0)
+def _span(positions) -> range:
+    return range(positions[0], positions[-1] + 1) if positions else range(0)
 
 
 def _layout(kind: Kind, form: str) -> _Layout:
-    ops = form.split()
-    ins = [i for i, op in enumerate(ops) if op in ("in", "m")]
-    outs = [i for i, op in enumerate(ops) if op in ("out", "m")]
-    spin = next((i for i, op in enumerate(ops) if op in ("k", "spin_k")), None)
-    prefix = "" if spin is None else ops[spin][:-1]
+    toks = [kind.value, *form.split()]
+    ins = [i for i, tok in enumerate(toks) if tok in ("in", "m")]
+    outs = [i for i, tok in enumerate(toks) if tok in ("out", "m")]
+    spin = next((i for i, tok in enumerate(toks) if tok in ("k", "spin_k")), None)
+    prefix = "" if spin is None else toks[spin][:-1]
     fields = {i: f"{{{j}}}" for j, i in enumerate(ins + outs)}  # an m takes its output field
     if spin is not None:
         fields[spin] = f"{prefix}{{{len(ins) + len(outs)}}}"
     return _Layout(
-        len(ops),
-        ops.index("->") if "->" in ops else None,
+        len(toks),
+        toks.index("->") if "->" in toks else None,
         _span(ins),
         _span(outs),
         ins == outs,
         spin,
         prefix,
         (len(ins), len(outs), spin is None),
-        " ".join([kind.value, *(fields.get(i, op) for i, op in enumerate(ops))]),
+        " ".join(fields.get(i, tok) for i, tok in enumerate(toks)),
     )
 
 

@@ -1,7 +1,9 @@
 """Line-oriented circuit description format (.nv) and its interpreter.
 
 One directive per line, ``#`` starts a comment, UTF-8 with LF or CRLF line
-endings, ASCII identifiers:
+endings.  Tokens are separated by whitespace, as ``str.split()`` finds it,
+and a mode label may be any token: ``modes α ->`` declares the two modes
+``α`` and ``->``.  The directives:
 
     spins N
     modes m1 m2 ...
@@ -23,10 +25,15 @@ is rejected at the spin count.
 Elements execute in file order.  The photon's path must be feed-forward: no
 directive may read a mode whose only writers appear later in the file (PBS
 and BS write their outputs; hwp and nv read and rewrite their mode in place,
-so a wire keeps its label through them).  ``detect m`` declares an F/S
-measurement station (a PBS in the F/S basis feeding two ideal detectors) on
-mode ``m``; outcome labels are ``F<m>`` and ``S<m>``, and these labels key
-the feedforward table.  Pauli tokens are ``I``, ``Z`` and ``-Z``.
+so a wire keeps its label through them; ``detect m`` reads ``m``).  This
+check, and that each feedforward outcome names a detector, run after every
+line has passed its own checks; the ordering diagnostic blames the earliest
+read, in file order, of a mode whose first writer comes later.
+
+``detect m`` declares an F/S measurement station (a PBS in the F/S basis
+feeding two ideal detectors) on mode ``m``; outcome labels are ``F<m>`` and
+``S<m>``, and these labels key the feedforward table.  Pauli tokens are
+``I``, ``Z`` and ``-Z``.
 """
 
 from __future__ import annotations
@@ -97,11 +104,12 @@ class Netlist:
         for name in ("modes", "elements", "detectors", "feedforward"):
             if not isinstance(getattr(self, name), tuple):
                 raise ValueError(f"Netlist.{name} must be a tuple, got {getattr(self, name)!r}")
-        labels = self.outcome_labels() if self.feedforward else ()
+        labels = list(self.outcome_labels()) if self.feedforward else []  # each outcome takes one rule at most
         for rule in self.feedforward:
             ops = rule[1] if isinstance(rule, tuple) and len(rule) == 2 and rule[0] in labels else None
             if not (isinstance(ops, tuple) and len(ops) == self.n_spins and all(isinstance(o, Pauli) for o in ops)):
                 raise ValueError(f"Netlist.feedforward rule {rule!r} is not (outcome label, {self.n_spins}-tuple of Pauli)")
+            labels.remove(rule[0])
 
     def outcome_labels(self) -> tuple[str, ...]:
         return tuple(f"{basis}{mode}" for mode in self.detectors for basis in ("F", "S"))
@@ -145,36 +153,27 @@ def _column(raw: str, index: int) -> int:
     return start + 1
 
 
-# directive -> (kind, layout, token indices of its input wires, of its
-# output wires); the directive itself is token 0
-_DIRECTIVES = {
-    kind.value: (kind, lay, range(1, lay.n_ops + 1)[lay.ins], range(1, lay.n_ops + 1)[lay.outs])
-    for kind, lay in LAYOUTS.items()
-}
+_DIRECTIVES = {kind.value: (kind, lay) for kind, lay in LAYOUTS.items()}
 
 
-class _Parser:
-    def __init__(self, lines: list[str]):
-        self.lines = lines
-        self.n_spins: int | None = None
-        self.spins_line = 0  # line of the spin count, token 1
-        self.modes: list[str] = []
-        self.mode_set: set[str] = set()
-        self.elements: list[Element] = []
-        self.detectors: dict[str, None] = {}  # in declaration order
-        self.feedforward: list[FeedforwardRule] = []
-        # (reader position, mode, line, token index); elements and detect
-        # lines share one position counter so the ordering check covers both.
-        self.reads: list[tuple[int, str, int, int]] = []
-        self.writes: dict[str, int] = {}  # mode -> first writer position
-        self.position = 0
-        self.ff_lines: list[int] = []  # line of each feedforward rule; its label is token 1
+def parse_netlist(text: str) -> Netlist:
+    """Parse and validate a netlist; raises :class:`NetlistError` with a
+    diagnostic kind and line/column on the first problem found."""
+    lines = text.splitlines()
+    n_spins: int | None = None
+    spins_line = 0  # line of the spin count, token 1
+    modes: dict[str, None] = {}  # in declaration order, like detectors
+    elements: list[Element] = []
+    detectors: dict[str, None] = {}
+    feedforward: dict[str, tuple[tuple[Pauli, ...], int]] = {}  # label -> (ops, line); the label is token 1
+    unwritten: dict[str, tuple[int, int]] = {}  # mode -> (line, token) of its first read before any write
+    written: set[str] = set()
 
-    def error(self, kind: DiagnosticKind, line: int, index: int, message: str) -> NetlistError:
+    def error(kind: DiagnosticKind, line: int, index: int, message: str) -> NetlistError:
         """A diagnostic at token ``index`` of ``line``; its column is found here."""
-        return NetlistError(kind, line, _column(self.lines[line - 1], index), message)
+        return NetlistError(kind, line, _column(lines[line - 1], index), message)
 
-    def int_at(self, toks, i: int, line: int, prefix: str = "") -> int:
+    def int_at(toks, i: int, line: int, prefix: str = "") -> int:
         """Integer k of a ``<prefix><k>`` token ``toks[i]``, such as ``3`` or ``spin_3``."""
         tok = toks[i]
         try:
@@ -182,74 +181,31 @@ class _Parser:
                 return int(tok[len(prefix) :])
         except ValueError:
             pass
-        raise self.error(DiagnosticKind.INVALID_TOKEN, line, i, f"expected {prefix}<integer>, got {tok!r}")
+        raise error(DiagnosticKind.INVALID_TOKEN, line, i, f"expected {prefix}<integer>, got {tok!r}")
 
-    def spin_index(self, toks, i: int, line: int, prefix: str) -> int:
+    def spin_index(toks, i: int, line: int, prefix: str) -> int:
         """The spin a ``<prefix><k>`` token ``toks[i]`` names, after ``spins``."""
-        k = self.int_at(toks, i, line, prefix)
-        if self.n_spins is None:
-            raise self.error(DiagnosticKind.MISSING_DECLARATION, line, i, "spins must be declared first")
-        if not 0 <= k < self.n_spins:
-            raise self.error(
-                DiagnosticKind.SPIN_RANGE, line, i, f"spin index {k} out of range for spins {self.n_spins}"
-            )
+        k = int_at(toks, i, line, prefix)
+        if n_spins is None:
+            raise error(DiagnosticKind.MISSING_DECLARATION, line, i, "spins must be declared first")
+        if not 0 <= k < n_spins:
+            raise error(DiagnosticKind.SPIN_RANGE, line, i, f"spin index {k} out of range for spins {n_spins}")
         return k
 
-    def require_modes(self, toks, indices, line: int):
+    def require_modes(toks, indices, line: int):
         for i in indices:
-            if toks[i] not in self.mode_set:
-                raise self.error(DiagnosticKind.UNDECLARED_MODE, line, i, f"mode {toks[i]!r} is not declared")
+            if toks[i] not in modes:
+                raise error(DiagnosticKind.UNDECLARED_MODE, line, i, f"mode {toks[i]!r} is not declared")
 
-    def check_size(self):
-        n, modes = self.n_spins, max(len(self.modes), 1)
+    def check_size():
+        n, n_modes = n_spins, max(len(modes), 1)
         # an n that exceeds the cap alone is refused before 2**n is formed
-        if n is not None and (n >= MAX_AMPLITUDES.bit_length() or 2 * modes << n > MAX_AMPLITUDES):
-            raise self.error(
-                DiagnosticKind.SPIN_RANGE, self.spins_line, 1,
-                f"spins {n} with {modes} modes exceeds the cap of {MAX_AMPLITUDES} amplitudes (2*modes*2**spins)",
+        if n is not None and (n >= MAX_AMPLITUDES.bit_length() or 2 * n_modes << n > MAX_AMPLITUDES):
+            raise error(
+                DiagnosticKind.SPIN_RANGE, spins_line, 1,
+                f"spins {n} with {n_modes} modes exceeds the cap of {MAX_AMPLITUDES} amplitudes (2*modes*2**spins)",
             )
 
-    def add_element(self, el: Element, toks, reads, writes, line: int):
-        self.require_modes(toks, reads, line)
-        self.require_modes(toks, writes, line)
-        for i in reads:
-            self.reads.append((self.position, toks[i], line, i))
-        for i in writes:
-            self.writes.setdefault(toks[i], self.position)
-        self.elements.append(el)
-        self.position += 1
-
-    def finish(self) -> Netlist:
-        last_line = len(self.lines) + 1
-        if self.n_spins is None:
-            raise NetlistError(
-                DiagnosticKind.MISSING_DECLARATION, last_line, 1, "missing spins declaration"
-            )
-        if not self.modes:
-            raise NetlistError(
-                DiagnosticKind.MISSING_DECLARATION, last_line, 1, "missing modes declaration"
-            )
-        for pos, mode, line, i in self.reads:
-            first_write = self.writes.get(mode)
-            if first_write is not None and first_write > pos:
-                raise self.error(
-                    DiagnosticKind.NON_TOPOLOGICAL, line, i, f"mode {mode!r} is read here but only written later"
-                )
-        for (label, _), line in zip(self.feedforward, self.ff_lines):
-            if label[1:] not in self.detectors:  # the label is F or S, then a mode
-                raise self.error(
-                    DiagnosticKind.UNKNOWN_OUTCOME, line, 1, f"feedforward outcome {label!r} matches no detector"
-                )
-        return Netlist(
-            self.n_spins, tuple(self.modes), tuple(self.elements), tuple(self.detectors), tuple(self.feedforward)
-        )
-
-
-def parse_netlist(text: str) -> Netlist:
-    """Parse and validate a netlist; raises :class:`NetlistError` with a
-    diagnostic kind and line/column on the first problem found."""
-    lines = text.splitlines()
-    p = _Parser(lines)
     for lineno, raw in enumerate(lines, 1):
         toks = _tokens(raw)
         if not toks:
@@ -257,86 +213,108 @@ def parse_netlist(text: str) -> Netlist:
         head = toks[0]
 
         if head in _DIRECTIVES:
-            kind, lay, ins, outs = _DIRECTIVES[head]
-            if len(toks) != lay.n_ops + 1:
-                raise p.error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, f"{head} expects: {head} {FORMS[kind]}")
-            if lay.arrow is not None and toks[lay.arrow + 1] != "->":
-                raise p.error(DiagnosticKind.ARITY_MISMATCH, lineno, lay.arrow + 1, f"{head} expects '->' here")
-            spin = None if lay.spin is None else p.spin_index(toks, lay.spin + 1, lineno, lay.spin_prefix)
+            kind, lay = _DIRECTIVES[head]
+            ins, outs = lay.ins, lay.outs  # token indices of the wires
+            if len(toks) != lay.n_tokens:
+                raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, f"{head} expects: {head} {FORMS[kind]}")
+            if lay.arrow is not None and toks[lay.arrow] != "->":
+                raise error(DiagnosticKind.ARITY_MISMATCH, lineno, lay.arrow, f"{head} expects '->' here")
+            spin = None if lay.spin is None else spin_index(toks, lay.spin, lineno, lay.spin_prefix)
             try:
                 el = Element(kind, toks[ins.start : ins.stop], toks[outs.start : outs.stop], spin, line=lineno)
             except WiringError as exc:
-                raise p.error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, str(exc)) from None
-            # an in-place element introduces nothing: its wire is not written
-            p.add_element(el, toks, ins, () if lay.in_place else outs, lineno)
+                raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, str(exc)) from None
+            require_modes(toks, ins, lineno)
+            for i in ins:
+                if toks[i] not in written and toks[i] not in unwritten:
+                    unwritten[toks[i]] = (lineno, i)
+            if not lay.in_place:  # an in-place element introduces nothing: its wire is not written
+                require_modes(toks, outs, lineno)
+                for i in outs:
+                    written.add(toks[i])
+            elements.append(el)
 
         elif head == "detect":
             if len(toks) != 2:
-                raise p.error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, "detect expects: detect m")
+                raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, "detect expects: detect m")
             tok = toks[1]
-            p.require_modes(toks, (1,), lineno)
-            if tok in p.detectors:
-                raise p.error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, 1, f"detector on {tok!r} redeclared")
-            p.reads.append((p.position, tok, lineno, 1))
-            p.detectors[tok] = None
-            p.position += 1
+            require_modes(toks, (1,), lineno)
+            if tok in detectors:
+                raise error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, 1, f"detector on {tok!r} redeclared")
+            if tok not in written and tok not in unwritten:
+                unwritten[tok] = (lineno, 1)
+            detectors[tok] = None
 
         elif head == "spins":
             if len(toks) != 2:
-                raise p.error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, "spins takes one count")
-            if p.n_spins is not None:
-                raise p.error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, 0, "spins already declared")
-            n = p.int_at(toks, 1, lineno)
+                raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, "spins takes one count")
+            if n_spins is not None:
+                raise error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, 0, "spins already declared")
+            n = int_at(toks, 1, lineno)
             if n <= 0:
-                raise p.error(DiagnosticKind.INVALID_TOKEN, lineno, 1, "spin count must be positive")
-            p.n_spins = n
-            p.spins_line = lineno
-            p.check_size()
+                raise error(DiagnosticKind.INVALID_TOKEN, lineno, 1, "spin count must be positive")
+            n_spins, spins_line = n, lineno
+            check_size()
 
         elif head == "modes":
             if len(toks) == 1:
-                raise p.error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, "modes needs at least one label")
+                raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, "modes needs at least one label")
             for i, tok in enumerate(toks[1:], 1):
-                if tok in p.mode_set:
-                    raise p.error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, i, f"mode {tok!r} redeclared")
-                p.modes.append(tok)
-                p.mode_set.add(tok)
-            p.check_size()
+                if tok in modes:
+                    raise error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, i, f"mode {tok!r} redeclared")
+                modes[tok] = None
+            check_size()
 
         elif head == "feedforward":
             if len(toks) == 1 or not toks[1].endswith(":"):
-                raise p.error(
+                raise error(
                     DiagnosticKind.ARITY_MISMATCH, lineno, 0, "feedforward expects: feedforward OUTCOME: spin_k OP ..."
                 )
             label = toks[1][:-1]
             if not label or label[0] not in ("F", "S"):
-                raise p.error(DiagnosticKind.INVALID_TOKEN, lineno, 1, f"bad outcome label {label!r}")
+                raise error(DiagnosticKind.INVALID_TOKEN, lineno, 1, f"bad outcome label {label!r}")
             if len(toks) % 2 != 0:  # the body after the label is spin/operator pairs
-                raise p.error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, "feedforward body must be spin/operator pairs")
-            if p.n_spins is None:
-                raise p.error(DiagnosticKind.MISSING_DECLARATION, lineno, 0, "spins must be declared first")
-            ops = [Pauli.I] * p.n_spins
+                raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, "feedforward body must be spin/operator pairs")
+            if n_spins is None:
+                raise error(DiagnosticKind.MISSING_DECLARATION, lineno, 0, "spins must be declared first")
+            ops = [Pauli.I] * n_spins
             seen: set[int] = set()
             for i in range(2, len(toks), 2):
-                k = p.spin_index(toks, i, lineno, "spin_")
+                k = spin_index(toks, i, lineno, "spin_")
                 if k in seen:
-                    raise p.error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, i, f"spin_{k} listed twice")
+                    raise error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, i, f"spin_{k} listed twice")
                 seen.add(k)
                 try:
                     ops[k] = Pauli(toks[i + 1])
                 except ValueError:
-                    raise p.error(
+                    raise error(
                         DiagnosticKind.INVALID_TOKEN, lineno, i + 1, f"unknown operator {toks[i + 1]!r}"
                     ) from None
-            if any(label == existing for existing, _ in p.feedforward):
-                raise p.error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, 1, f"outcome {label!r} listed twice")
-            p.feedforward.append((label, tuple(ops)))
-            p.ff_lines.append(lineno)
+            if label in feedforward:
+                raise error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, 1, f"outcome {label!r} listed twice")
+            feedforward[label] = (tuple(ops), lineno)
 
         else:
-            raise p.error(DiagnosticKind.UNKNOWN_DIRECTIVE, lineno, 0, f"unknown directive {head!r}")
+            raise error(DiagnosticKind.UNKNOWN_DIRECTIVE, lineno, 0, f"unknown directive {head!r}")
 
-    return p.finish()
+    last_line = len(lines) + 1
+    if n_spins is None:
+        raise NetlistError(
+            DiagnosticKind.MISSING_DECLARATION, last_line, 1, "missing spins declaration"
+        )
+    if not modes:
+        raise NetlistError(
+            DiagnosticKind.MISSING_DECLARATION, last_line, 1, "missing modes declaration"
+        )
+    # every line is checked first; then the earliest read of a mode whose first writer comes later is blamed
+    for mode, (line, i) in unwritten.items():
+        if mode in written:
+            raise error(DiagnosticKind.NON_TOPOLOGICAL, line, i, f"mode {mode!r} is read here but only written later")
+    for label, (_, line) in feedforward.items():
+        if label[1:] not in detectors:  # the label is F or S, then a mode
+            raise error(DiagnosticKind.UNKNOWN_OUTCOME, line, 1, f"feedforward outcome {label!r} matches no detector")
+    rules = tuple((label, ops) for label, (ops, _) in feedforward.items())
+    return Netlist(n_spins, tuple(modes), tuple(elements), tuple(detectors), rules)
 
 
 def serialize_netlist(net: Netlist) -> str:
@@ -402,7 +380,7 @@ def run_netlist(net: Netlist, state: HybridState, reflection: ReflectionPair = I
     state = apply_elements(net, state, reflection)
     labels = net.outcome_labels()
     amps = partial_trace_photon_collapse(state, net.detectors).reshape(-1, 2**net.n_spins)
-    for label, ops in dict(net.feedforward).items():
+    for label, ops in net.feedforward:
         row = labels.index(label)
         amps[row] = apply_spin_ops(amps[row], ops)
     amps.setflags(write=False)

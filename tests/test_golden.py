@@ -11,7 +11,7 @@ the element interpreter: the bytes of every kernel's output on full states
 (output wires occupied, so the backward routing counts too) and of every
 outcome of ``run_netlist`` on generated circuits at a lossy pair.
 ``parse_bits.txt`` pins the parser: what it returns or the diagnostic it
-raises for each of some 2,000 seeded circuit texts, valid and broken.
+raises for each of 2,265 seeded circuit texts, valid and broken.
 
 To rewrite the files from the current code (only on purpose, when an output
 is meant to change), run ``PYTHONPATH=src python tests/test_golden.py``.

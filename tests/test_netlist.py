@@ -216,6 +216,35 @@ def test_diagnostic_unknown_outcome():
         assert err.column == column, (rule, err)
 
 
+def test_non_topological_blames_the_earliest_read():
+    # c is read before e, but e's writer comes first: the read of c is blamed
+    text = "spins 1\nmodes in a b c d e f\nhwp c\nhwp e\npbs in a -> e f\npbs f b -> c d\n"
+    err = _expect_error(text, DiagnosticKind.NON_TOPOLOGICAL, 3)
+    assert (err.column, err.detail) == (5, "mode 'c' is read here but only written later")
+
+
+def test_non_topological_blames_an_early_detector():
+    err = _expect_error("spins 1\nmodes in a b c\ndetect b\npbs in a -> b c\n", DiagnosticKind.NON_TOPOLOGICAL, 3)
+    assert err.column == 8
+
+
+def test_mode_written_then_read_is_accepted():
+    net = parse_netlist("spins 1\nmodes in a b c\npbs in a -> b c\nhwp b\nnv b spin_0\ndetect b\ndetect c\n")
+    assert [el.line for el in net.elements] == [3, 4, 5]
+    assert net.detectors == ("b", "c")
+
+
+def test_ordering_is_checked_after_every_line():
+    # a line-level error on a later line wins over an earlier non-topological read
+    _expect_error("spins 1\nmodes in a b c\nhwp b\npbs in a -> b c\nhwp zz\n", DiagnosticKind.UNDECLARED_MODE, 5)
+
+
+def test_feedforward_outcome_listed_twice():
+    # blamed at the second rule's line, at its label
+    err = _expect_error(SMALL + "  feedforward\tFout: spin_0 Z spin_1 Z\n", DiagnosticKind.DUPLICATE_DECLARATION, 12)
+    assert (err.column, err.detail) == (15, "outcome 'Fout' listed twice")
+
+
 def test_parsing_the_shipped_circuits_computes_no_column(monkeypatch):
     calls = []
     column = netlist._column
@@ -279,6 +308,15 @@ def test_feedforward_label_must_name_an_outcome():
     with pytest.raises(ValueError, match=r"is not \(outcome label, 2-tuple of Pauli\)"):
         replace(net, feedforward=net.feedforward, detectors=net.detectors[1:])
     assert replace(net, feedforward=net.feedforward[1:]).feedforward == net.feedforward[1:]
+
+
+def test_netlist_refuses_two_rules_for_one_outcome():
+    # run_netlist could keep only one of them, and the parser refuses the text
+    net = build_gate_circuit("cnot")
+    twice = (("S9", (Pauli.MINUS_Z, Pauli.I)), ("S9", (Pauli.I, Pauli.I)))
+    with pytest.raises(ValueError, match=r"rule \('S9', .*\) is not \(outcome label, 2-tuple of Pauli\)"):
+        replace(net, feedforward=twice)
+    assert replace(net, feedforward=twice[:1]).feedforward == twice[:1]
 
 
 def test_run_netlist_zero_state_all_null():

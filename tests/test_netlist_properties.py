@@ -1,5 +1,6 @@
 """Property tests: serializing a netlist and parsing the text gives it back,
-and the parser's tokens and columns are those of the pattern ``\\S+``.
+the parser's tokens and columns are those of the pattern ``\\S+``, and a
+mutated circuit text parses or raises a located diagnostic, never anything else.
 
 Generated netlists use every element kind, declared modes that nothing
 occupies (vacuum ports), detectors in any order and feedforward tables of
@@ -7,14 +8,19 @@ occupies (vacuum ports), detectors in any order and feedforward tables of
 identifiers.
 """
 
+import random
 import re
 import string
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvgates.elements import Element, Kind, Pauli, WiringError
-from nvgates.netlist import Netlist, _column, _tokens, parse_netlist, serialize_netlist
+from nvgates.gates import GATE_NAMES, shipped_circuit_text
+from nvgates.netlist import Netlist, NetlistError, _column, _tokens, parse_netlist, serialize_netlist
+
+from conftest import mutate_netlist_text, random_netlist
 
 _HEAD = string.ascii_letters + "_"
 LABELS = st.builds(str.__add__, st.sampled_from(_HEAD), st.text(_HEAD + string.digits, max_size=5))
@@ -107,3 +113,19 @@ def test_columns_agree_with_the_regular_expression(line):
     matches = list(re.finditer(r"\S+", line.split("#", 1)[0]))
     assert _tokens(line) == [m.group() for m in matches]
     assert [_column(line, i) for i in range(len(matches))] == [m.start() + 1 for m in matches]
+
+
+# the shipped circuits and generated ones of 0 to 10 elements
+TEXTS = [shipped_circuit_text(gate) for gate in GATE_NAMES] + [
+    serialize_netlist(random_netlist(np.random.default_rng(seed), n_elements=seed)) for seed in range(11)
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TEXTS), st.integers(0, 2**32))
+def test_a_mutated_text_parses_or_raises_a_located_diagnostic(text, seed):
+    text = mutate_netlist_text(random.Random(seed), text)
+    try:
+        assert isinstance(parse_netlist(text), Netlist)
+    except NetlistError as exc:
+        assert 1 <= exc.line <= len(text.splitlines()) + 1 and exc.column >= 1, exc
