@@ -36,12 +36,10 @@ from .elements import (
 )
 from .gates import (
     GATE_NAMES,
-    TargetGate,
     build_gate_circuit,
     build_mz_block,
     build_two_nv_mz_block,
     ideal_gate_unitary,
-    load_shipped_circuit,
 )
 from .netlist import (
     DiagnosticKind,

@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -222,7 +221,7 @@ def _simulate(gate: str, r: ReflectionPair, convention: str, trials: int, seed: 
     inputs = _spin_inputs(net.n_spins, convention, trials, seed)
     out = compiled.maps(r.r_hot) @ inputs.T  # (row, config, input)
     power = abs(out) ** 2
-    ideal = ideal_gate_unitary(gate).unitary @ inputs.T
+    ideal = ideal_gate_unitary(gate) @ inputs.T
     # p_o F_o = |<ideal|unnormalized outcome state>|^2
     weighted = (abs((ideal.conj() * out[: compiled.n_outcomes]).sum(axis=1)) ** 2).sum(axis=0)
     total = power[: compiled.n_outcomes].sum(axis=(0, 1))
@@ -440,31 +439,22 @@ class ConventionReport:
         return "\n".join(lines)
 
 
-def fidelity_convention_report(
-    gates=GATE_NAMES,
-    r_grid=None,
-    trials: int = 16,
-    seed: int | None = 0,
-) -> ConventionReport:
+def fidelity_convention_report(trials: int = 16, seed: int | None = 0) -> ConventionReport:
     """Compare simulated fidelity/efficiency to the closed forms for every
-    input convention x normalization mode over an |r| grid ending exactly at 1."""
-    if r_grid is None:
-        r_grid = np.linspace(0.0, 1.0, 21)
-    gates = [_canon(gate) for gate in gates]
-    r_grid = tuple(float(x) for x in r_grid)
-    if r_grid[-1] != 1.0:
-        raise ValueError(f"the grid must end exactly at |r| = 1 for the exactness check, got {r_grid[-1]!r}")
+    gate and every input convention x normalization mode, on 21 points of
+    |r| from 0 to exactly 1."""
+    r_grid = tuple(float(x) for x in np.linspace(0.0, 1.0, 21))
     simulated = {
         (convention, gate): [_simulate(gate, resonant_pair(r_mag), convention, trials, seed) for r_mag in r_grid]
         for convention in INPUT_CONVENTIONS
-        for gate in gates
+        for gate in GATE_NAMES
     }
     residuals = []
     best = None
     for convention in INPUT_CONVENTIONS:
         for k, normalization in enumerate(NORMALIZATIONS):
             worst_f_all = 0.0
-            for gate in gates:
+            for gate in GATE_NAMES:
                 worst_f = worst_e = 0.0
                 for r_mag, metrics in zip(r_grid, simulated[convention, gate]):
                     f_sim, e_sim = metrics[k], metrics[-1]
@@ -490,12 +480,3 @@ def fidelity_convention_report(
         best=best[0],
         best_max_residual=best[1],
     )
-
-
-def exact_endpoint_values() -> dict[str, tuple[Fraction, Fraction]]:
-    """Rational-arithmetic closed-form values at |r| = 1 (all exactly 1)."""
-    one = Fraction(1)
-    return {
-        gate: (fidelity_closed_form(gate, one), efficiency_closed_form(gate, one))
-        for gate in GATE_NAMES
-    }

@@ -131,7 +131,7 @@ def cmd_verify(args) -> int:
     probs = (abs(out) ** 2).sum(axis=-1)
     seen = probs > 0.0
     states = out[seen] / np.sqrt(probs[seen])[:, None]
-    expected = np.broadcast_to(inputs @ target.unitary.T, out.shape)[seen]
+    expected = np.broadcast_to(inputs @ target.T, out.shape)[seen]
     max_dev = phase_aligned_deviation(states, expected) if states.size else 0.0
     fids = abs((expected.conj() * states).sum(axis=-1)) ** 2
     avg_fid = float(fids.sum() / fids.size) if fids.size else math.nan
@@ -253,19 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--input", default="balanced",
                        help="'balanced' or comma-separated alpha,beta per spin")
     add_regime(p_run)
-    p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="check a gate against its ideal unitary")
     p_verify.add_argument("gate", choices=GATE_NAMES)
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     add_regime(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_tt = sub.add_parser("truth-table", help="print the gate action on all basis inputs")
     p_tt.add_argument("gate", choices=GATE_NAMES)
     add_regime(p_tt)
-    p_tt.set_defaults(func=cmd_truth_table)
 
     p_sweep = sub.add_parser("sweep", help="write fidelity/efficiency CSV over a ratio grid")
     p_sweep.add_argument("--gates", default=None, help="comma-separated subset (default: all)")
@@ -278,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--fidelity-report", dest="fidelity_report", default=None,
                          help="also write the convention-comparison report to this path")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_par = sub.add_parser("params", help="cavity parameter diagnostics")
     p_par.add_argument("--q", type=float, help="quality factor")
@@ -290,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_par.add_argument("--omega-c", type=float, default=0.0)
     p_par.add_argument("--omega-0", type=float, default=0.0)
     p_par.add_argument("--omega-p", type=float, default=0.0)
-    p_par.set_defaults(func=cmd_params)
 
     return parser
 
@@ -301,8 +296,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    try:
-        return args.func(args)
+    try:  # looked up now, so the current cmd_<command> runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (UsageError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

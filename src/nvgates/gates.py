@@ -24,7 +24,6 @@ building blocks for comparison with the simulated circuits.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -42,26 +41,18 @@ def _canon(name: str) -> str:
     return low
 
 
-@dataclass(frozen=True)
-class TargetGate:
-    """Ideal spin-register unitary of one gate (a permutation matrix)."""
-
-    name: str
-    unitary: np.ndarray
-
-
-def ideal_gate_unitary(name: str) -> TargetGate:
+def ideal_gate_unitary(name: str) -> np.ndarray:
     """Permutation matrix over spin configurations, spin 0 most significant.
 
     cnot: flips spin 1 iff spin 0 is |->.  toffoli: flips spin 2 iff spins
     0 and 1 are both |->.  fredkin: swaps spins 1 and 2 iff spin 0 is |->.
-    Each gate's target is built once; its ``unitary`` is read-only.
+    Each gate's matrix is built once and is read-only.
     """
     return _target_gate(_canon(name))
 
 
 @functools.cache
-def _target_gate(name: str) -> TargetGate:
+def _target_gate(name: str) -> np.ndarray:
     if name == "cnot":
         perm = [0, 1, 3, 2]
     elif name == "toffoli":
@@ -73,7 +64,7 @@ def _target_gate(name: str) -> TargetGate:
     for src, dst in enumerate(perm):
         u[dst, src] = 1.0
     u.setflags(write=False)
-    return TargetGate(name=name, unitary=u)
+    return u
 
 
 def build_mz_block(routed_pol: str, r: ReflectionPair = IDEAL_PAIR) -> np.ndarray:
@@ -124,10 +115,6 @@ def build_gate_circuit(name: str) -> Netlist:
 @functools.cache
 def _gate_circuit(name: str) -> Netlist:
     return parse_netlist(shipped_circuit_text(name))
-
-
-#: Alias of :func:`build_gate_circuit`.
-load_shipped_circuit = build_gate_circuit
 
 
 def shipped_circuit_text(name: str) -> str:

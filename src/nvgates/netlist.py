@@ -1,9 +1,10 @@
 """Line-oriented circuit description format (.nv) and its interpreter.
 
-One directive per line, ``#`` starts a comment, UTF-8 with LF or CRLF line
-endings.  Tokens are separated by whitespace, as ``str.split()`` finds it,
-and a mode label may be any token: ``modes α ->`` declares the two modes
-``α`` and ``->``.  The directives:
+One directive per line, ``#`` starts a comment, UTF-8.  Only LF ends a
+line, so diagnostics count LF lines; CRLF is accepted, its CR being
+whitespace.  Tokens are separated by whitespace, as ``str.split()`` finds
+it, and a mode label may be any token: ``modes α ->`` declares the two
+modes ``α`` and ``->``.  The directives:
 
     spins N
     modes m1 m2 ...
@@ -16,6 +17,8 @@ and a mode label may be any token: ``modes α ->`` declares the two modes
     detect m
     feedforward OUTCOME: spin_k OP ...
 
+An integer k, in ``spins N``, ``spinh k`` or ``spin_k``, is ASCII digits
+with an optional leading ``-``: no ``+``, ``_`` separators or other digits.
 Element operands follow the kind's form in :data:`nvgates.elements.FORMS`,
 which the parser and :func:`serialize_netlist` both read; ``pbs`` and ``bs``
 take two inputs, so an unused port is a declared mode nothing occupies.  A
@@ -104,6 +107,8 @@ class Netlist:
         for name in ("modes", "elements", "detectors", "feedforward"):
             if not isinstance(getattr(self, name), tuple):
                 raise ValueError(f"Netlist.{name} must be a tuple, got {getattr(self, name)!r}")
+        if len(set(self.detectors)) != len(self.detectors):
+            raise ValueError(f"Netlist.detectors {self.detectors!r} names a mode twice")
         labels = list(self.outcome_labels()) if self.feedforward else []  # each outcome takes one rule at most
         for rule in self.feedforward:
             ops = rule[1] if isinstance(rule, tuple) and len(rule) == 2 and rule[0] in labels else None
@@ -159,7 +164,9 @@ _DIRECTIVES = {kind.value: (kind, lay) for kind, lay in LAYOUTS.items()}
 def parse_netlist(text: str) -> Netlist:
     """Parse and validate a netlist; raises :class:`NetlistError` with a
     diagnostic kind and line/column on the first problem found."""
-    lines = text.splitlines()
+    lines = text.split("\n")  # LF ends a line; str.split() drops the \r of CRLF
+    if not lines[-1]:
+        del lines[-1]
     n_spins: int | None = None
     spins_line = 0  # line of the spin count, token 1
     modes: dict[str, None] = {}  # in declaration order, like detectors
@@ -176,11 +183,9 @@ def parse_netlist(text: str) -> Netlist:
     def int_at(toks, i: int, line: int, prefix: str = "") -> int:
         """Integer k of a ``<prefix><k>`` token ``toks[i]``, such as ``3`` or ``spin_3``."""
         tok = toks[i]
-        try:
-            if tok.startswith(prefix):
-                return int(tok[len(prefix) :])
-        except ValueError:
-            pass
+        digits = tok[len(prefix) :].removeprefix("-")
+        if tok.startswith(prefix) and digits.isascii() and digits.isdigit():
+            return int(tok[len(prefix) :])
         raise error(DiagnosticKind.INVALID_TOKEN, line, i, f"expected {prefix}<integer>, got {tok!r}")
 
     def spin_index(toks, i: int, line: int, prefix: str) -> int:

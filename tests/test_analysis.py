@@ -13,7 +13,6 @@ from nvgates.analysis import (
     efficiency_closed_form,
     efficiency_factorized,
     efficiency_simulated,
-    exact_endpoint_values,
     fidelity_closed_form,
     fidelity_convention_report,
     fidelity_simulated,
@@ -26,9 +25,9 @@ from nvgates.state import kron_pairs
 
 
 def test_fidelity_closed_form_endpoints_exact():
-    for gate, (f, eta) in exact_endpoint_values().items():
-        assert f == Fraction(1), gate
-        assert eta == Fraction(1), gate
+    for gate in GATE_NAMES:
+        assert fidelity_closed_form(gate, Fraction(1)) == Fraction(1), gate
+        assert efficiency_closed_form(gate, Fraction(1)) == Fraction(1), gate
 
 
 def test_fidelity_closed_form_at_zero():
@@ -200,12 +199,11 @@ def test_csv_format():
 
 
 def test_convention_report_structure():
-    report = fidelity_convention_report(
-        gates=("cnot",), r_grid=np.linspace(0.0, 1.0, 5), trials=4
-    )
+    report = fidelity_convention_report(trials=4)
     assert isinstance(report, ConventionReport)
-    # four modes for one gate
-    assert len(report.residuals) == 4
+    assert report.r_grid == tuple(np.linspace(0.0, 1.0, 21))
+    # four modes for each gate
+    assert len(report.residuals) == 4 * len(GATE_NAMES)
     for res in report.residuals:
         assert res.fidelity_at_r1 == pytest.approx(1.0, abs=1e-12)
         assert res.efficiency_at_r1 == pytest.approx(1.0, abs=1e-12)
@@ -213,15 +211,8 @@ def test_convention_report_structure():
     assert report.best[1] in ("postselected", "unnormalized")
     text = report.render()
     assert "best-matching" in text
-    assert "cnot" in text
-
-
-def test_convention_report_requires_unit_endpoint():
-    with pytest.raises(ValueError):
-        fidelity_convention_report(r_grid=[0.0, 0.5])
-    # close to 1 is not 1: the values at |r| = 1 would be NaN
-    with pytest.raises(ValueError):
-        fidelity_convention_report(gates=("cnot",), r_grid=[0, 0.5, 1 - 1e-10], trials=2)
+    for gate in GATE_NAMES:
+        assert gate in text
 
 
 def test_sweep_zero_ratio_edge():

@@ -65,7 +65,7 @@ def test_truth_table_cnot_matches_unitary(capsys):
 
     assert main(["truth-table", "cnot", "--ideal"]) == 0
     out = capsys.readouterr().out
-    u = ideal_gate_unitary("cnot").unitary
+    u = ideal_gate_unitary("cnot")
     for src in range(4):
         dst = int(np.argmax(np.abs(u[:, src])))
         ket_in = "".join("+" if b == 0 else "-" for b in spin_config_bits(src, 2))
@@ -270,3 +270,21 @@ def test_repeated_main_calls_agree(capsys):
         runs.append((codes, capsys.readouterr()))
     assert runs[0] == runs[1]
     assert runs[0][0] == [0, 0, 2, 2]
+
+
+def test_subcommand_function_is_looked_up_when_main_runs(capsys, monkeypatch):
+    # the cached parser must not keep the cmd_* functions of its first build
+    from nvgates import cli
+
+    assert main(["verify", "cnot", "--trials", "1"]) == 0
+    calls = []
+    verify = cli.cmd_verify
+
+    def recording(args):
+        calls.append(args.gate)
+        return verify(args)
+
+    monkeypatch.setattr(cli, "cmd_verify", recording)
+    assert main(["verify", "cnot", "--trials", "1"]) == 0
+    assert calls == ["cnot"]
+    capsys.readouterr()

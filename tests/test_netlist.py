@@ -181,6 +181,37 @@ def test_element_diagnostics_table(line, kind, column):
 @pytest.mark.parametrize(
     "text, line, column",
     [
+        ("spins 1_0\nmodes a\n", 1, 7),
+        ("spins +2\nmodes a\n", 1, 7),
+        (f"{DIAGNOSTIC_HEADER}spinh \u0662\n", 3, 7),
+        (f"{DIAGNOSTIC_HEADER}nv a spin_+1\n", 3, 6),
+        (f"{DIAGNOSTIC_HEADER}detect a\nfeedforward F9: spin_\u0660 Z\n", 4, 17),
+    ],
+)
+def test_integers_are_ascii_digits(text, line, column):
+    # int() would read these as 10, 2, 2, 1 and 0; a .nv integer is [-]digits
+    err = _expect_error(text, INVALID, line)
+    assert err.column == column, err
+
+
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_only_lf_ends_a_line(sep):
+    # str.splitlines() also breaks at these; the parser splits tokens at them
+    err = _expect_error(f"spins 1{sep}modes a\nhwp zz\n", ARITY, 1)
+    assert err.column == 1
+    assert parse_netlist(f"spins 1\nmodes a{sep}b\nhwp b\n").modes == ("a", "b")
+    err = _expect_error(f"spins 1\nmodes a{sep}b\nhwp zz\n", UNDECLARED, 3)
+    assert err.column == 5
+
+
+@pytest.mark.parametrize("text, line", [("", 1), ("\n", 2), ("modes a", 2), ("modes a\n", 2), ("modes a\r\n\n", 3)])
+def test_missing_declaration_after_the_last_line(text, line):
+    _expect_error(text, MISSING, line)
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
         ("spins 40\nmodes a\ndetect a\n", 1, 7),
         ("spins 1000000000000000000000\nmodes a\n", 1, 7),  # 2**n is never evaluated
         ("spins 24\nmodes a\n", 1, 7),  # 2 * 1 * 2**24
@@ -317,6 +348,14 @@ def test_netlist_refuses_two_rules_for_one_outcome():
     with pytest.raises(ValueError, match=r"rule \('S9', .*\) is not \(outcome label, 2-tuple of Pauli\)"):
         replace(net, feedforward=twice)
     assert replace(net, feedforward=twice[:1]).feedforward == twice[:1]
+
+
+def test_netlist_refuses_a_detector_named_twice():
+    # run_netlist would count its outcomes twice, and the parser refuses the text
+    net = build_gate_circuit("cnot")
+    with pytest.raises(ValueError, match=r"Netlist.detectors \('9', '9'\) names a mode twice"):
+        replace(net, detectors=("9", "9"))
+    assert replace(net, detectors=net.detectors) == net
 
 
 def test_run_netlist_zero_state_all_null():

@@ -105,7 +105,7 @@ def _oracle_runs(net, target, matrix, inputs):
 def test_widened_metrics_match_both_references(gate, pair_name):
     pair = PAIRS[pair_name]
     net = build_gate_circuit(gate)
-    target = ideal_gate_unitary(gate).unitary
+    target = ideal_gate_unitary(gate)
     matrix = oracle.circuit_matrix(net, pair)
     for convention in analysis.INPUT_CONVENTIONS:
         inputs = _inputs(net.n_spins, convention)
