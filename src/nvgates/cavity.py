@@ -91,6 +91,11 @@ def reflection_coefficient(params: CavityParams) -> ReflectionPair:
     d0 = params.omega_0 - params.omega_p
     r_hot = _steady_state_r(dc, d0, params.kappa, params.gamma, params.g)
     r_cold = _steady_state_r(dc, d0, params.kappa, params.gamma, 0.0)
+    if not all(map(math.isfinite, (r_hot.real, r_hot.imag, r_cold.real, r_cold.imag))):
+        raise ParameterError(
+            f"reflection coefficients overflow (r_hot = {r_hot}, r_cold = {r_cold}); "
+            "rescale the rates and detunings to a common unit nearer 1"
+        )
     return ReflectionPair(r_hot=r_hot, r_cold=r_cold)
 
 
@@ -99,7 +104,7 @@ def coupling_ratio_to_r(ratio: float) -> float:
     if not 0 <= ratio < math.inf:  # also rejects NaN
         raise ParameterError(f"coupling ratio must be finite and nonnegative, got {ratio}")
     x = ratio * ratio
-    return (x - 0.25) / (x + 0.25)
+    return (x - 0.25) / (x + 0.25) if x < math.inf else 1.0  # inf/inf would be NaN
 
 
 def reflection_at_ratio(ratio: float) -> ReflectionPair:

@@ -118,9 +118,15 @@ def _outcome_maps(net, reflection) -> np.ndarray:
     return compiled.maps(reflection.r_hot)[: compiled.n_outcomes]
 
 
-def cmd_verify(args) -> int:
+def _check_sampling(args) -> None:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
+
+
+def cmd_verify(args) -> int:
+    _check_sampling(args)
     net = build_gate_circuit(args.gate)
     reflection = _reflection_from_args(args)
     target = ideal_gate_unitary(args.gate)
@@ -168,8 +174,7 @@ def cmd_sweep(args) -> int:
     for flag, value in (("--min", args.min), ("--max", args.max)):
         if not math.isfinite(value):
             raise UsageError(f"{flag} must be finite, got {value}")
-    if args.trials < 1:
-        raise UsageError("--trials must be at least 1")
+    _check_sampling(args)
     if args.min < 0:
         raise UsageError("--min must be nonnegative")
     if args.steps < 2:

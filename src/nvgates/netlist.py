@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,8 +121,7 @@ class Netlist:
         return tuple(f"{basis}{mode}" for mode in self.detectors for basis in ("F", "S"))
 
 
-@dataclass(frozen=True, eq=False)
-class Outcome:
+class Outcome(NamedTuple):
     """One detector result: its label (F or S, then the mode), probability,
     and read-only, feedforward-corrected spin ``amps``, unnormalized."""
 
@@ -131,11 +131,13 @@ class Outcome:
 
     @property
     def spins(self) -> SpinState:
-        """The renormalized spin state.  Every outcome of probability 0 on
-        2**n configurations shares one read-only null state."""
+        """The renormalized spin state, read-only.  Every outcome of
+        probability 0 on 2**n configurations shares one null state."""
         if self.probability <= 0.0:
             return null_spin_state(self.amps.size)
-        return SpinState.adopt(self.amps / math.sqrt(self.probability))
+        amps = self.amps / math.sqrt(self.probability)
+        amps.setflags(write=False)
+        return SpinState(amps)
 
 
 def _tokens(raw: str) -> list[str]:
@@ -390,14 +392,7 @@ def run_netlist(net: Netlist, state: HybridState, reflection: ReflectionPair = I
         amps[row] = apply_spin_ops(amps[row], ops)
     amps.setflags(write=False)
     probs = (abs(amps) ** 2).sum(axis=-1).tolist()
-    outcomes = []
-    for label, a, prob in zip(labels, amps, probs):
-        # a read-only row view, set without the frozen dataclass's __init__
-        outcome = object.__new__(Outcome)
-        fields = vars(outcome)
-        fields["label"], fields["probability"], fields["amps"] = label, prob, a
-        outcomes.append(outcome)
-    return outcomes
+    return list(map(Outcome, labels, probs, amps))  # each amps a read-only row view
 
 
 def iter_nv_depths(net: Netlist):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,31 +85,11 @@ def butterfly(x, y, u, v) -> None:
     np.multiply(x - y, _SQRT1_2, out=v)
 
 
-@dataclass(frozen=True, eq=False)
-class SpinState:
-    """Spin-only state vector over 2**n_spins configurations."""
+class SpinState(NamedTuple):
+    """Spin-only state vector over 2**n_spins configurations; its producers
+    make ``amps`` read-only, and nothing else is checked."""
 
     amps: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amps, dtype=complex)
-        if a.ndim != 1 or a.size == 0 or a.size & (a.size - 1):
-            raise DimensionMismatchError(
-                f"spin amplitude vector must have length 2**n, got shape {a.shape}"
-            )
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
-
-    @classmethod
-    def adopt(cls, amps: np.ndarray) -> SpinState:
-        """A state holding ``amps``, a fresh 1-D complex array of length
-        2**n that the caller no longer writes to.  It is taken over without
-        a copy and made read-only; nothing else is checked."""
-        amps.setflags(write=False)
-        new = object.__new__(cls)
-        vars(new)["amps"] = amps
-        return new
 
     @property
     def n_spins(self) -> int:
@@ -118,7 +99,9 @@ class SpinState:
 @functools.cache
 def null_spin_state(dim: int) -> SpinState:
     """The read-only all-zero state on ``dim`` configurations, one per ``dim``."""
-    return SpinState(np.zeros(dim, dtype=complex))
+    amps = np.zeros(dim, dtype=complex)
+    amps.setflags(write=False)
+    return SpinState(amps)
 
 
 @dataclass(frozen=True, eq=False)

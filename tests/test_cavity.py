@@ -103,6 +103,22 @@ def test_coupling_ratio_to_r_values():
         assert general.r_cold == -1 + 0j
 
 
+def test_huge_coupling_ratio_gives_the_limit_one():
+    # x = ratio**2 overflows above about 1.3e154, where (x - 1/4)/(x + 1/4) is inf/inf
+    for ratio in (1e155, 1e200, 1.7976931348623157e308):
+        assert coupling_ratio_to_r(ratio) == 1.0
+        assert reflection_at_ratio(ratio) == resonant_pair(1.0)
+
+
+def test_overflowing_reflection_coefficient_rejected():
+    for params in (
+        CavityParams(g=1e200, kappa=1e-200, gamma=1.0),  # g*g overflows
+        CavityParams(g=1e-200, kappa=1e200, gamma=1e200),  # kappa*gamma overflows
+    ):
+        with pytest.raises(ParameterError, match="overflow"):
+            reflection_coefficient(params)
+
+
 def test_kappa_from_quality_factor_headline():
     # Q = 1e5 at 637 nm: c/(lambda*Q) ~ 4.71 GHz
     kappa = kappa_from_quality_factor(1e5, 637e-9)

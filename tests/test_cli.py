@@ -213,6 +213,38 @@ def test_non_finite_ratio_is_usage_error(capsys, tmp_path):
     assert "nan" not in captured.out.lower()
 
 
+def test_huge_ratio_is_the_limit_not_nan(capsys, tmp_path):
+    from nvgates.gates import shipped_circuit_text
+
+    path = tmp_path / "cnot.nv"
+    path.write_text(shipped_circuit_text("cnot"), encoding="utf-8")
+    assert main(["params", "--ratio", "1e200"]) == 0
+    assert "r_hot  = +1.000000000+0.000000000j" in capsys.readouterr().out
+    assert main(["run", str(path), "--ratio", "1e308"]) == 0
+    assert "photon survival probability: 1.000000000" in capsys.readouterr().out
+
+
+def test_negative_seed_is_usage_error_before_any_output(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    for argv in (
+        ["verify", "cnot", "--seed", "-1"],
+        ["sweep", "--convention", "random", "--seed", "-1", "--out", str(out)],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", "error: --seed must be non-negative\n")
+    assert not out.exists()
+
+
+def test_params_overflow_is_usage_error(capsys):
+    for argv in (
+        ["params", "--g", "1e200", "--kappa", "1e-200"],
+        ["params", "--g", "1e-200", "--kappa", "1e200", "--gamma", "1e200"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "overflow" in captured.err
+
+
 def test_sweep_rejects_non_finite_bounds(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     assert main(["sweep", "--max", "inf", "--out", out]) == 2

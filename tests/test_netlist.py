@@ -384,6 +384,18 @@ def test_null_outcome_spins_shared_and_read_only():
     assert np.array_equal(live.amps, outcomes[0].amps / np.sqrt(outcomes[0].probability))
 
 
+def test_outcome_and_spin_state_are_plain_records():
+    net = parse_netlist("spins 2\nmodes a b\nhwp a\ndetect a\ndetect b\n")
+    outcome = run_netlist(net, balanced_product_input(net))[0]
+    label, probability, amps = outcome
+    assert label == "Fa" and probability == outcome.probability and amps is outcome.amps
+    (spin_amps,) = spins = outcome.spins
+    assert spin_amps is spins.amps and spins.n_spins == 2
+    assert not spin_amps.flags.writeable
+    with pytest.raises(ValueError):
+        spin_amps[0] = 1.0
+
+
 def test_outcome_probabilities_sum_to_norm(rng):
     for _ in range(25):
         net = random_netlist(rng)
