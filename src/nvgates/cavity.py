@@ -75,9 +75,14 @@ class ReflectionPair:
 IDEAL_PAIR = ReflectionPair(r_hot=1.0 + 0.0j, r_cold=-1.0 + 0.0j)
 
 
-def _steady_state_r(delta_c: float, delta_0: float, kappa: float, gamma: float, g: float) -> complex:
+def _steady_state_r(name: str, delta_c: float, delta_0: float, kappa: float, gamma: float, g: float) -> complex:
     num = (1j * delta_c - kappa / 2.0) * (1j * delta_0 + gamma / 2.0) + g * g
     den = (1j * delta_c + kappa / 2.0) * (1j * delta_0 + gamma / 2.0) + g * g
+    if den == 0:  # for kappa, gamma > 0 its real or imaginary part is nonzero, so this is an underflow
+        raise ParameterError(
+            f"{name} steady-state denominator underflows to 0 (kappa = {kappa:g}, gamma = {gamma:g}, g = {g:g}); "
+            "rescale the rates and detunings to a common unit nearer 1"
+        )
     return num / den
 
 
@@ -89,8 +94,8 @@ def reflection_coefficient(params: CavityParams) -> ReflectionPair:
     """
     dc = params.omega_c - params.omega_p
     d0 = params.omega_0 - params.omega_p
-    r_hot = _steady_state_r(dc, d0, params.kappa, params.gamma, params.g)
-    r_cold = _steady_state_r(dc, d0, params.kappa, params.gamma, 0.0)
+    r_hot = _steady_state_r("r_hot", dc, d0, params.kappa, params.gamma, params.g)
+    r_cold = _steady_state_r("r_cold", dc, d0, params.kappa, params.gamma, 0.0)
     if not all(map(math.isfinite, (r_hot.real, r_hot.imag, r_cold.real, r_cold.imag))):
         raise ParameterError(
             f"reflection coefficients overflow (r_hot = {r_hot}, r_cold = {r_cold}); "

@@ -34,6 +34,7 @@ from .cavity import (
 )
 from .gates import GATE_NAMES, _canon, build_gate_circuit, ideal_gate_unitary
 from .netlist import (
+    MAX_AMPLITUDES,
     balanced_product_input,
     load_netlist,
     product_input,
@@ -118,16 +119,27 @@ def _outcome_maps(net, reflection) -> np.ndarray:
     return compiled.maps(reflection.r_hot)[: compiled.n_outcomes]
 
 
-def _check_sampling(args) -> None:
+def _check_sampling(args, nets) -> None:
+    """Refuse ``--trials`` and ``--seed`` before anything is printed or drawn;
+    ``nets`` are the circuits evaluated on ``--trials`` random inputs, each
+    in one array of trials x 2**n x the rows of its compiled circuit."""
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     if args.seed < 0:
         raise UsageError("--seed must be non-negative")
+    for net in nets:
+        # every CLI regime is resonant (r_cold = -1), so this is the compile the command then reads
+        rows, dim = analysis.compile_circuit(net, IDEAL_PAIR.r_cold).coefficients.shape[1:3]
+        if args.trials > MAX_AMPLITUDES // (rows * dim):
+            raise UsageError(
+                f"--trials {args.trials} x 2**{net.n_spins} x {rows} rows exceeds the cap of "
+                f"{MAX_AMPLITUDES} amplitudes; at most {MAX_AMPLITUDES // (rows * dim)} trials fit"
+            )
 
 
 def cmd_verify(args) -> int:
-    _check_sampling(args)
     net = build_gate_circuit(args.gate)
+    _check_sampling(args, [net])
     reflection = _reflection_from_args(args)
     target = ideal_gate_unitary(args.gate)
     print(f"verify {args.gate}: trials={args.trials} seed={args.seed} regime={_regime_label(reflection)}")
@@ -174,18 +186,20 @@ def cmd_sweep(args) -> int:
     for flag, value in (("--min", args.min), ("--max", args.max)):
         if not math.isfinite(value):
             raise UsageError(f"{flag} must be finite, got {value}")
-    _check_sampling(args)
+    gates = args.gates.split(",") if args.gates else list(GATE_NAMES)
+    try:
+        names = [_canon(g) for g in gates]
+    except ValueError as exc:
+        raise UsageError(exc) from None
+    # the random convention samples the chosen gates, the convention report every gate
+    sampled = (names if args.convention == "random" else []) + (list(GATE_NAMES) if args.fidelity_report else [])
+    _check_sampling(args, [build_gate_circuit(name) for name in dict.fromkeys(sampled)])
     if args.min < 0:
         raise UsageError("--min must be nonnegative")
     if args.steps < 2:
         raise UsageError("--steps must be at least 2")
     if args.max <= args.min:
         raise UsageError("--max must exceed --min (steps over zero range are rejected)")
-    gates = args.gates.split(",") if args.gates else list(GATE_NAMES)
-    try:
-        names = [_canon(g) for g in gates]
-    except ValueError as exc:
-        raise UsageError(exc) from None
     ratios = np.linspace(args.min, args.max, args.steps)
     print(f"sweep: gates={','.join(gates)} ratios=[{args.min},{args.max}] "
           f"steps={args.steps} convention={args.convention} seed={args.seed}")

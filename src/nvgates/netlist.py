@@ -41,6 +41,7 @@ feeding two ideal detectors) on mode ``m``; outcome labels are ``F<m>`` and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -118,7 +119,7 @@ class Netlist:
             labels.remove(rule[0])
 
     def outcome_labels(self) -> tuple[str, ...]:
-        return tuple(f"{basis}{mode}" for mode in self.detectors for basis in ("F", "S"))
+        return tuple([basis + mode for mode in self.detectors for basis in ("F", "S")])
 
 
 class Outcome(NamedTuple):
@@ -140,9 +141,14 @@ class Outcome(NamedTuple):
         return SpinState(amps)
 
 
+# Outcome(label, probability, amps) from one (label, probability, amps)
+# tuple, without the NamedTuple's Python-level __new__
+_outcome = functools.partial(tuple.__new__, Outcome)
+
+
 def _tokens(raw: str) -> list[str]:
     """The whitespace-separated tokens of a source line, comment dropped."""
-    return raw.split("#", 1)[0].split()
+    return raw.split("#", 1)[0].split() if "#" in raw else raw.split()
 
 
 def _column(raw: str, index: int) -> int:
@@ -160,7 +166,11 @@ def _column(raw: str, index: int) -> int:
     return start + 1
 
 
-_DIRECTIVES = {kind.value: (kind, lay) for kind, lay in LAYOUTS.items()}
+# directive -> (kind, layout, slices of its input and output wire tokens)
+_DIRECTIVES = {
+    kind.value: (kind, lay, slice(lay.ins.start, lay.ins.stop), slice(lay.outs.start, lay.outs.stop))
+    for kind, lay in LAYOUTS.items()
+}
 
 
 def parse_netlist(text: str) -> Netlist:
@@ -220,32 +230,46 @@ def parse_netlist(text: str) -> Netlist:
         head = toks[0]
 
         if head in _DIRECTIVES:
-            kind, lay = _DIRECTIVES[head]
-            ins, outs = lay.ins, lay.outs  # token indices of the wires
+            kind, lay, ins, outs = _DIRECTIVES[head]
             if len(toks) != lay.n_tokens:
                 raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, f"{head} expects: {head} {FORMS[kind]}")
             if lay.arrow is not None and toks[lay.arrow] != "->":
                 raise error(DiagnosticKind.ARITY_MISMATCH, lineno, lay.arrow, f"{head} expects '->' here")
             spin = None if lay.spin is None else spin_index(toks, lay.spin, lineno, lay.spin_prefix)
-            try:
-                el = Element(kind, toks[ins.start : ins.stop], toks[outs.start : outs.stop], spin, line=lineno)
-            except WiringError as exc:
-                raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, str(exc)) from None
-            require_modes(toks, ins, lineno)
-            for i in ins:
-                if toks[i] not in written and toks[i] not in unwritten:
-                    unwritten[toks[i]] = (lineno, i)
+            # The token count has fixed the operand shape, and the tokens are
+            # str, so of Element's wiring check only the overlap test is left;
+            # when it fails, the checked constructor words the diagnostic.
+            in_modes = tuple(toks[ins])
+            if lay.in_place:  # one wire rewritten in place, or none
+                out_modes = in_modes
+                wires = in_modes
+            else:
+                out_modes = tuple(toks[outs])
+                wires = in_modes + out_modes
+                if len(set(wires)) != len(wires):
+                    try:
+                        Element(kind, in_modes, out_modes, spin)
+                    except WiringError as exc:
+                        raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, str(exc)) from None
+            for mode in wires:
+                if mode not in modes:
+                    require_modes(toks, lay.ins, lineno)
+                    require_modes(toks, lay.outs, lineno)
+            for i, mode in zip(lay.ins, in_modes):
+                if mode not in written and mode not in unwritten:
+                    unwritten[mode] = (lineno, i)
             if not lay.in_place:  # an in-place element introduces nothing: its wire is not written
-                require_modes(toks, outs, lineno)
-                for i in outs:
-                    written.add(toks[i])
+                written.update(out_modes)
+            el = object.__new__(Element)
+            vars(el).update(kind=kind, in_modes=in_modes, out_modes=out_modes, spin=spin, line=lineno)
             elements.append(el)
 
         elif head == "detect":
             if len(toks) != 2:
                 raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, "detect expects: detect m")
             tok = toks[1]
-            require_modes(toks, (1,), lineno)
+            if tok not in modes:
+                require_modes(toks, (1,), lineno)
             if tok in detectors:
                 raise error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, 1, f"detector on {tok!r} redeclared")
             if tok not in written and tok not in unwritten:
@@ -358,8 +382,9 @@ def iter_element_states(net: Netlist, state: HybridState, reflection: Reflection
 
 def apply_elements(net: Netlist, state: HybridState, reflection: ReflectionPair = IDEAL_PAIR) -> HybridState:
     """Apply every element and return the state."""
-    for _, state in iter_element_states(net, state, reflection):
-        pass
+    _check_dimensions(net, state)
+    for el in net.elements:
+        state = apply_element(state, el, reflection)
     return state
 
 
@@ -392,7 +417,7 @@ def run_netlist(net: Netlist, state: HybridState, reflection: ReflectionPair = I
         amps[row] = apply_spin_ops(amps[row], ops)
     amps.setflags(write=False)
     probs = (abs(amps) ** 2).sum(axis=-1).tolist()
-    return list(map(Outcome, labels, probs, amps))  # each amps a read-only row view
+    return list(map(_outcome, zip(labels, probs, amps)))  # each amps a read-only row view
 
 
 def iter_nv_depths(net: Netlist):

@@ -228,7 +228,10 @@ def partial_trace_photon_collapse(state: HybridState, modes) -> np.ndarray:
     Each run of ``modes`` at consecutive positions in the state is one
     butterfly on slices, so all the modes in declared order take one.
     """
-    idx = [state.mode_index(m) for m in modes]
+    try:
+        idx = list(map(state._index.__getitem__, modes))
+    except KeyError:  # a label that is not a str key: mode_index converts it, or raises ModeError
+        idx = [state.mode_index(m) for m in modes]
     a = state.amps
     out = np.empty((len(idx), 2, a.shape[-1]), dtype=complex)
     start = 0

@@ -119,6 +119,16 @@ def test_overflowing_reflection_coefficient_rejected():
             reflection_coefficient(params)
 
 
+def test_underflowing_reflection_denominator_rejected():
+    # finite, positive rates whose steady-state denominator underflows to 0
+    for params, name in (
+        (CavityParams(g=0.0, kappa=1e-200, gamma=1e-200), "r_hot"),  # g = 0: the hot one is the cold one
+        (CavityParams(g=1.0, kappa=1e-200, gamma=1e-200), "r_cold"),  # only the cold one loses g*g
+    ):
+        with pytest.raises(ParameterError, match=f"^{name} steady-state denominator underflows to 0"):
+            reflection_coefficient(params)
+
+
 def test_kappa_from_quality_factor_headline():
     # Q = 1e5 at 637 nm: c/(lambda*Q) ~ 4.71 GHz
     kappa = kappa_from_quality_factor(1e5, 637e-9)

@@ -1,9 +1,17 @@
 """Command-line interface: exit codes, determinism, output formats."""
 
-import numpy as np
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+from nvgates import analysis
 from nvgates.cli import main
-from nvgates.gates import GATE_NAMES
+from nvgates.gates import GATE_NAMES, build_gate_circuit
+from nvgates.netlist import MAX_AMPLITUDES
 
 
 def test_verify_ideal_exits_zero(capsys):
@@ -243,6 +251,54 @@ def test_params_overflow_is_usage_error(capsys):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "overflow" in captured.err
+
+
+def test_params_underflow_is_usage_error(capsys):
+    for argv, name in (
+        (["params", "--g", "0", "--kappa", "1e-200", "--gamma", "1e-200"], "r_hot"),
+        (["params", "--g", "1", "--kappa", "1e-200", "--gamma", "1e-200"], "r_cold"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} steady-state denominator underflows to 0")
+        assert captured.err.count("\n") == 1
+
+
+def test_trials_over_the_amplitude_cap_refused_before_anything_runs(capsys, monkeypatch, tmp_path):
+    # trials x 2**n x compiled rows may not exceed MAX_AMPLITUDES; the check
+    # comes before any output, and before any input is drawn
+    monkeypatch.setattr(analysis, "_spin_inputs", lambda *args: pytest.fail("inputs drawn"))
+
+    def cap(gates):
+        sizes = [analysis.compile_circuit(build_gate_circuit(g), -1.0).coefficients.shape[1:3] for g in gates]
+        return min(MAX_AMPLITUDES // (rows * dim) for rows, dim in sizes)
+
+    out = tmp_path / "x.csv"
+    for argv, gates in (
+        (["verify", "cnot"], ["cnot"]),
+        (["verify", "fredkin", "--ratio", "2"], ["fredkin"]),
+        (["sweep", "--convention", "random", "--out", str(out)], GATE_NAMES),
+        (["sweep", "--gates", "cnot", "--convention", "random", "--out", str(out)], ["cnot"]),
+    ):
+        for trials in (cap(gates) + 1, 10**15):
+            assert main(argv + ["--trials", str(trials)]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: --trials {trials} x 2**")
+            assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "nvgates", "verify", "cnot", "--ideal", "--trials", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "PASS" in done.stdout
 
 
 def test_sweep_rejects_non_finite_bounds(tmp_path, capsys):

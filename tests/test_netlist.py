@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nvgates import netlist
-from nvgates.elements import Kind, Pauli
+from nvgates.elements import Element, Kind, Pauli
 from nvgates.gates import GATE_NAMES, build_gate_circuit, shipped_circuit_text
 from nvgates.netlist import (
     MAX_AMPLITUDES,
@@ -23,6 +23,7 @@ from nvgates.state import DimensionMismatchError, HybridState
 
 import oracle
 from conftest import random_hybrid_input, random_netlist, random_reflection
+from test_golden import _parse_texts
 
 SMALL = """\
 # toy circuit
@@ -83,6 +84,25 @@ def test_diagnostic_overlapping_wires():
     err = _expect_error("spins 1\nmodes a b c\npbs a b -> c b\n", DiagnosticKind.ARITY_MISMATCH, 3)
     assert err.column == 1
     _expect_error("spins 1\nmodes a b c\nbs a a -> b c\n", DiagnosticKind.ARITY_MISMATCH, 3)
+
+
+def test_parsed_elements_match_the_checked_constructor():
+    # the parser builds its Elements without Element.__init__; each must be
+    # field for field what the checked constructor makes of it, on the
+    # shipped circuits and every other valid text of parse_bits.txt
+    count = 0
+    for text in _parse_texts():
+        try:
+            net = parse_netlist(text)
+        except NetlistError:
+            continue
+        for el in net.elements:
+            checked = Element(el.kind, el.in_modes, el.out_modes, el.spin, line=el.line)
+            assert el == checked and vars(el) == vars(checked), (el, checked)
+            for wires in (el.in_modes, el.out_modes):
+                assert type(wires) is tuple and all(type(w) is str for w in wires), el
+            count += 1
+    assert count > 4000
 
 
 ARITY = DiagnosticKind.ARITY_MISMATCH
