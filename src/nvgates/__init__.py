@@ -67,7 +67,6 @@ from .state import (
     NormalizationError,
     PLUS,
     R,
-    SpinState,
     StateError,
     make_product_state,
     overlap,

@@ -24,6 +24,7 @@ import numpy as np
 from .state import L, MINUS, PLUS, R, HybridState, spin_axis
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+_RESCALE_Q = "rescale Q and the wavelength to values nearer 1"
 
 
 class ParameterError(ValueError):
@@ -139,7 +140,16 @@ def kappa_from_quality_factor(q: float, wavelength: float) -> float:
         raise ParameterError(f"quality factor must be finite and positive, got {q}")
     if not 0 < wavelength < math.inf:
         raise ParameterError(f"wavelength must be finite and positive, got {wavelength}")
-    return SPEED_OF_LIGHT / (wavelength * q)
+    product = wavelength * q
+    if product == 0:
+        raise ParameterError(f"wavelength*Q underflows to 0 (Q = {q:g}, wavelength = {wavelength:g}); {_RESCALE_Q}")
+    return _finite_kappa("c/(lambda*Q)", SPEED_OF_LIGHT / product, q, wavelength)
+
+
+def _finite_kappa(formula: str, kappa: float, q: float, wavelength: float) -> float:
+    if kappa == math.inf:  # a ratio or product of finite positive values, so this is an overflow
+        raise ParameterError(f"kappa = {formula} overflows (Q = {q:g}, wavelength = {wavelength:g}); {_RESCALE_Q}")
+    return kappa
 
 
 def quality_factor_conversions(q: float, wavelength: float) -> dict[str, float]:
@@ -158,7 +168,7 @@ def quality_factor_conversions(q: float, wavelength: float) -> dict[str, float]:
     base = kappa_from_quality_factor(q, wavelength)
     return {
         "ordinary": base,
-        "angular": 2.0 * np.pi * base,
+        "angular": _finite_kappa("2*pi*c/(lambda*Q)", 2.0 * np.pi * base, q, wavelength),
         "mixed": base / (2.0 * np.pi),
     }
 

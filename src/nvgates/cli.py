@@ -43,6 +43,7 @@ from .netlist import (
 from .state import phase_aligned_deviation, spin_config_bits
 
 IDEAL_TOLERANCE = 1e-10
+MAX_SWEEP_STEPS = 2**16  # sweep --steps cap: analysis.sweep keeps steps x gates records in memory
 
 
 class UsageError(Exception):
@@ -75,12 +76,12 @@ def _ket(index: int, n: int) -> str:
     return "".join("+" if b == 0 else "-" for b in spin_config_bits(index, n))
 
 
-def _fmt_spin_state(spins) -> str:
+def _fmt_spin_state(amps, n: int) -> str:
     parts = []
-    for idx, amp in enumerate(spins.amps):
+    for idx, amp in enumerate(amps):
         if abs(amp) < 1e-9:
             continue
-        parts.append(f"({amp.real:+.6f}{amp.imag:+.6f}j)|{_ket(idx, spins.n_spins)}>")
+        parts.append(f"({amp.real:+.6f}{amp.imag:+.6f}j)|{_ket(idx, n)}>")
     return " ".join(parts) if parts else "(null)"
 
 
@@ -109,7 +110,7 @@ def cmd_run(args) -> int:
     print(f"netlist: {args.netlist}  spins: {net.n_spins}  modes: {len(net.modes)}")
     print(f"photon survival probability: {survival:.9f}")
     for o in outcomes:
-        print(f"  outcome {o.label:<6} p = {o.probability:.9f}  spins: {_fmt_spin_state(o.spins)}")
+        print(f"  outcome {o.label:<6} p = {o.probability:.9f}  spins: {_fmt_spin_state(o.spins.amps, net.n_spins)}")
     return 0
 
 
@@ -198,6 +199,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("--min must be nonnegative")
     if args.steps < 2:
         raise UsageError("--steps must be at least 2")
+    if args.steps > MAX_SWEEP_STEPS:
+        raise UsageError(f"--steps must be at most {MAX_SWEEP_STEPS}, got {args.steps}")
     if args.max <= args.min:
         raise UsageError("--max must exceed --min (steps over zero range are rejected)")
     ratios = np.linspace(args.min, args.max, args.steps)

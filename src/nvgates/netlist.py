@@ -55,9 +55,7 @@ from .state import (
     _SQRT1_2,
     DimensionMismatchError,
     HybridState,
-    SpinState,
     make_product_state,
-    null_spin_state,
     partial_trace_photon_collapse,
     spin_axis,
 )
@@ -109,6 +107,10 @@ class Netlist:
         for name in ("modes", "elements", "detectors", "feedforward"):
             if not isinstance(getattr(self, name), tuple):
                 raise ValueError(f"Netlist.{name} must be a tuple, got {getattr(self, name)!r}")
+        if not (isinstance(self.n_spins, int) and self.n_spins > 0):
+            raise ValueError(f"Netlist.n_spins must be a positive int, got {self.n_spins!r}")
+        if not (self.modes and all(isinstance(m, str) for m in self.modes)):
+            raise ValueError(f"Netlist.modes must be a non-empty tuple of str, got {self.modes!r}")
         if len(set(self.detectors)) != len(self.detectors):
             raise ValueError(f"Netlist.detectors {self.detectors!r} names a mode twice")
         labels = list(self.outcome_labels()) if self.feedforward else []  # each outcome takes one rule at most
@@ -131,14 +133,14 @@ class Outcome(NamedTuple):
     amps: np.ndarray
 
     @property
-    def spins(self) -> SpinState:
-        """The renormalized spin state, read-only.  Every outcome of
-        probability 0 on 2**n configurations shares one null state."""
+    def spins(self) -> Outcome:
+        """This outcome given its click: probability 1, amps renormalized and
+        read-only.  An outcome of probability 0 never clicks, so it is itself."""
         if self.probability <= 0.0:
-            return null_spin_state(self.amps.size)
+            return self
         amps = self.amps / math.sqrt(self.probability)
         amps.setflags(write=False)
-        return SpinState(amps)
+        return _outcome((self.label, 1.0, amps))
 
 
 # Outcome(label, probability, amps) from one (label, probability, amps)

@@ -13,10 +13,8 @@ States are immutable values; every operation returns a new state.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,25 +81,6 @@ def butterfly(x, y, u, v) -> None:
     change of basis on a mode's amplitudes, and the Hadamard on a spin's."""
     np.multiply(x + y, _SQRT1_2, out=u)
     np.multiply(x - y, _SQRT1_2, out=v)
-
-
-class SpinState(NamedTuple):
-    """Spin-only state vector over 2**n_spins configurations; its producers
-    make ``amps`` read-only, and nothing else is checked."""
-
-    amps: np.ndarray
-
-    @property
-    def n_spins(self) -> int:
-        return self.amps.size.bit_length() - 1
-
-
-@functools.cache
-def null_spin_state(dim: int) -> SpinState:
-    """The read-only all-zero state on ``dim`` configurations, one per ``dim``."""
-    amps = np.zeros(dim, dtype=complex)
-    amps.setflags(write=False)
-    return SpinState(amps)
 
 
 @dataclass(frozen=True, eq=False)

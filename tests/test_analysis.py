@@ -87,6 +87,13 @@ def test_fidelity_simulated_full_loss_returns_nan(monkeypatch):
     assert math.isnan(f)
 
 
+def test_unknown_convention_and_normalization_refused():
+    with pytest.raises(ValueError, match="unknown input convention 'uniform'"):
+        analysis._spin_inputs(2, "uniform", 4, 0)
+    with pytest.raises(ValueError, match="unknown normalization 'renormalized'"):
+        fidelity_simulated("cnot", IDEAL_PAIR, "balanced", "renormalized")
+
+
 def test_simulated_random_convention_deterministic():
     pair = resonant_pair(0.6)
     a = fidelity_simulated("cnot", pair, "random", "postselected", trials=8, seed=5)

@@ -115,7 +115,7 @@ def test_run_rejects_bad_input_amplitudes(capsys, tmp_path):
 
     path = tmp_path / "cnot.nv"
     path.write_text(shipped_circuit_text("cnot"), encoding="utf-8")
-    for bad in ("abc", "0,0,1,0", "1,0,nan,1"):
+    for bad in ("abc", "0,0,1,0", "1,0,nan,1", "1,0"):
         assert main(["run", str(path), "--input", bad]) == 2, bad
     out = capsys.readouterr().out
     assert "nan" not in out
@@ -184,6 +184,37 @@ def test_params_ratio(capsys):
     out = capsys.readouterr().out
     assert "+0.980198020" in out
     assert "-1.000000000" in out
+
+
+def test_params_g_prints_the_reflection_pair(capsys):
+    assert main(["params", "--g", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "g=2 kappa=1 gamma=1 detunings: c-p=0 0-p=0\n"
+        "  coupling ratio = 2\n"
+        "  r_hot  = 0.882352941+0j\n"
+        "  r_cold = -1+0j\n"
+    )
+    assert main(["params", "--g", "2", "--kappa", "1", "--omega-c", "0.3"]) == 0
+    assert capsys.readouterr().out == (
+        "g=2 kappa=1 gamma=1 detunings: c-p=0.3 0-p=0\n"
+        "  coupling ratio = 2\n"
+        "  r_hot  = 0.882499309+0.00414708322j\n"
+        "  r_cold = -0.470588235+0.882352941j\n"
+    )
+
+
+def test_params_quality_factor_underflow_and_overflow_refused_before_any_output(capsys):
+    for argv, message in (
+        (["params", "--q", "1e-300", "--wavelength", "1e-300"], "wavelength*Q underflows to 0"),
+        (["params", "--q", "1e-10", "--wavelength", "1e-300"], "kappa = c/(lambda*Q) overflows"),
+        (["params", "--g", "1", "--q", "1e-10", "--wavelength", "1e-300"], "kappa = c/(lambda*Q) overflows"),
+        (["params", "--q", "1e-300", "--wavelength", "2"], "kappa = 2*pi*c/(lambda*Q) overflows"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message} (Q = ")
+        assert captured.err.count("\n") == 1
 
 
 def test_params_without_arguments_usage_error(capsys):
@@ -290,6 +321,18 @@ def test_trials_over_the_amplitude_cap_refused_before_anything_runs(capsys, monk
     assert not out.exists()
 
 
+def test_sweep_steps_over_the_cap_refused_before_anything_runs(capsys, monkeypatch, tmp_path):
+    # analysis.sweep keeps steps x gates records, so the grid is capped at 2**16 steps
+    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: pytest.fail("grid allocated"))
+    monkeypatch.setattr(analysis, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+    out = tmp_path / "x.csv"
+    for convention in ("balanced", "random"):
+        for steps in (2**16 + 1, 10**15):
+            assert main(["sweep", "--steps", str(steps), "--convention", convention, "--out", str(out)]) == 2
+            assert capsys.readouterr() == ("", f"error: --steps must be at most 65536, got {steps}\n")
+    assert not out.exists()
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
@@ -307,6 +350,8 @@ def test_sweep_rejects_non_finite_bounds(tmp_path, capsys):
     assert "--max" in capsys.readouterr().err
     assert main(["sweep", "--min", "nan", "--out", out]) == 2
     assert "--min" in capsys.readouterr().err
+    assert main(["sweep", "--min", "-1", "--out", out]) == 2
+    assert capsys.readouterr() == ("", "error: --min must be nonnegative\n")
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -18,7 +18,7 @@ from nvgates.elements import (
     apply_spin_hadamard,
 )
 from nvgates.netlist import DiagnosticKind, NetlistError, parse_netlist, serialize_netlist
-from nvgates.state import HybridState, L, MINUS, PLUS, R, make_product_state
+from nvgates.state import HybridState, L, MINUS, PLUS, R, StateError, make_product_state
 
 from conftest import BALANCED, random_reflection, random_spin_pairs
 from oracle import element_matrix
@@ -166,6 +166,13 @@ def test_spin_hadamard_action_and_involution(rng):
     st2 = make_product_state(BALANCED, "1", random_spin_pairs(rng, 2), MODES)
     twice = apply_spin_hadamard(apply_spin_hadamard(st2, 1), 1)
     assert np.abs(twice.amps - st2.amps).max() < 1e-12
+
+
+def test_spin_hadamard_spin_out_of_range():
+    st = make_product_state((1, 0), "in", [(1, 0), (0, 1)], MODES)
+    for spin in (-1, 2):
+        with pytest.raises(StateError, match=f"spin index {spin} out of range for 2 spins"):
+            apply_spin_hadamard(st, spin)
 
 
 def test_photon_spin_operations_commute(rng):

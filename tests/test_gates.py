@@ -39,6 +39,11 @@ def test_mz_block_ideal_diagonals():
     assert np.allclose(build_mz_block("R"), np.diag([1, -1, 1, 1]), atol=0)
 
 
+def test_mz_block_refuses_a_bad_polarization():
+    with pytest.raises(ValueError, match="routed_pol must be 'R' or 'L', got 'F'"):
+        build_mz_block("F")
+
+
 def test_mz_block_realistic_entry():
     block = build_mz_block("L", resonant_pair(0.5))
     assert np.allclose(block, np.diag([1, 1, -1, 0.5]), atol=0)

@@ -1,5 +1,6 @@
 """Netlist grammar, diagnostics, round-trip, and interpreter semantics."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from nvgates.gates import GATE_NAMES, build_gate_circuit, shipped_circuit_text
 from nvgates.netlist import (
     MAX_AMPLITUDES,
     DiagnosticKind,
+    Netlist,
     NetlistError,
     apply_spin_ops,
     balanced_product_input,
@@ -224,7 +226,9 @@ def test_only_lf_ends_a_line(sep):
     assert err.column == 5
 
 
-@pytest.mark.parametrize("text, line", [("", 1), ("\n", 2), ("modes a", 2), ("modes a\n", 2), ("modes a\r\n\n", 3)])
+@pytest.mark.parametrize(
+    "text, line", [("", 1), ("\n", 2), ("modes a", 2), ("modes a\n", 2), ("modes a\r\n\n", 3), ("spins 1\n", 2)]
+)
 def test_missing_declaration_after_the_last_line(text, line):
     _expect_error(text, MISSING, line)
 
@@ -290,6 +294,19 @@ def test_ordering_is_checked_after_every_line():
     _expect_error("spins 1\nmodes in a b c\nhwp b\npbs in a -> b c\nhwp zz\n", DiagnosticKind.UNDECLARED_MODE, 5)
 
 
+@pytest.mark.parametrize(
+    "rule, kind, column, detail",
+    [
+        ("feedforward Xout: spin_0 Z", INVALID, 13, "bad outcome label 'Xout'"),
+        ("feedforward : spin_0 Z", INVALID, 13, "bad outcome label ''"),
+        ("feedforward Fout: spin_1 Z spin_1 I", DiagnosticKind.DUPLICATE_DECLARATION, 28, "spin_1 listed twice"),
+    ],
+)
+def test_feedforward_rule_diagnostics(rule, kind, column, detail):
+    err = _expect_error(SMALL.replace("feedforward Fout: spin_0 I spin_1 Z", rule), kind, 10)
+    assert (err.column, err.detail) == (column, detail)
+
+
 def test_feedforward_outcome_listed_twice():
     # blamed at the second rule's line, at its label
     err = _expect_error(SMALL + "  feedforward\tFout: spin_0 Z spin_1 Z\n", DiagnosticKind.DUPLICATE_DECLARATION, 12)
@@ -350,6 +367,21 @@ def test_netlist_fields_checked_when_built():
     assert replace(net, feedforward=net.feedforward) == net
 
 
+@pytest.mark.parametrize(
+    "n_spins, modes, match",
+    [
+        (2.0, ("a",), "Netlist.n_spins must be a positive int, got 2.0"),  # 2.0 * [pair] fails at run time
+        (0, ("a",), "Netlist.n_spins must be a positive int, got 0"),  # the parser refuses spins 0
+        (1, (), r"Netlist.modes must be a non-empty tuple of str, got \(\)"),  # no input mode
+        (1, (0, 1), r"Netlist.modes must be a non-empty tuple of str, got \(0, 1\)"),  # no state matches
+    ],
+    ids=["float-spins", "zero-spins", "no-modes", "int-modes"],
+)
+def test_netlist_refuses_a_spin_count_or_modes_that_cannot_run(n_spins, modes, match):
+    with pytest.raises(ValueError, match=match):
+        Netlist(n_spins, modes, (), modes[:1], ())
+
+
 def test_feedforward_label_must_name_an_outcome():
     # a rule that matches no outcome would never be applied by run_netlist
     net = build_gate_circuit("cnot")
@@ -378,6 +410,11 @@ def test_netlist_refuses_a_detector_named_twice():
     assert replace(net, detectors=net.detectors) == net
 
 
+def test_apply_spin_ops_needs_one_operator_per_spin():
+    with pytest.raises(DimensionMismatchError, match="1 operators for 4 spin amplitudes"):
+        apply_spin_ops(np.ones(4, dtype=complex), (Pauli.Z,))
+
+
 def test_run_netlist_zero_state_all_null():
     net = parse_netlist(SMALL)
     template = balanced_product_input(net)
@@ -388,20 +425,15 @@ def test_run_netlist_zero_state_all_null():
 
 
 def test_null_outcome_spins_shared_and_read_only():
-    # the photon never reaches b, so both of its outcomes have p = 0
+    # the photon never reaches b, so both of its outcomes have p = 0 and never click
     net = parse_netlist("spins 2\nmodes a b\nhwp a\ndetect a\ndetect b\n")
     outcomes = run_netlist(net, balanced_product_input(net))
     assert [o.probability for o in outcomes[2:]] == [0.0, 0.0]
-    null = outcomes[2].spins
-    assert not null.amps.any() and null.n_spins == 2
-    assert not null.amps.flags.writeable
-    with pytest.raises(ValueError):
-        null.amps[0] = 1.0
-    assert outcomes[2].spins is null
-    assert outcomes[3].spins is null
-    live = outcomes[0].spins
-    assert not live.amps.flags.writeable
-    assert np.array_equal(live.amps, outcomes[0].amps / np.sqrt(outcomes[0].probability))
+    for null in outcomes[2:]:
+        assert null.spins is null
+        assert not null.amps.flags.writeable
+        with pytest.raises(ValueError):
+            null.amps[0] = 1.0
 
 
 def test_outcome_and_spin_state_are_plain_records():
@@ -409,8 +441,10 @@ def test_outcome_and_spin_state_are_plain_records():
     outcome = run_netlist(net, balanced_product_input(net))[0]
     label, probability, amps = outcome
     assert label == "Fa" and probability == outcome.probability and amps is outcome.amps
-    (spin_amps,) = spins = outcome.spins
-    assert spin_amps is spins.amps and spins.n_spins == 2
+    assert 0.0 < probability < 1.0
+    label, probability, spin_amps = outcome.spins
+    assert (label, probability) == (outcome.label, 1.0)
+    assert np.array_equal(spin_amps, outcome.amps / math.sqrt(outcome.probability))
     assert not spin_amps.flags.writeable
     with pytest.raises(ValueError):
         spin_amps[0] = 1.0

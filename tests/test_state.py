@@ -21,6 +21,7 @@ from nvgates.state import (
     make_product_state,
     overlap,
     partial_trace_photon_collapse,
+    phase_aligned_deviation,
     spin_config_bits,
     spin_config_index,
 )
@@ -37,6 +38,23 @@ def test_spin_config_indexing_roundtrip():
     assert spin_config_index((MINUS, PLUS)) == 2
     for idx in range(8):
         assert spin_config_index(spin_config_bits(idx, 3)) == idx
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: spin_config_index((PLUS, 2)), StateError, "spin basis value must be PLUS or MINUS, got 2"),
+        (lambda: HybridState(MODES2, 1, np.zeros((2, 3, 4))), DimensionMismatchError,
+         r"shape \(2, 3, 4\), expected \(2, 3, 2\)"),
+        (lambda: make_product_state((1, 0), "in", [(1, 0, 0)], MODES2), DimensionMismatchError,
+         r"spin 0 pair must be a pair of amplitudes, got shape \(3,\)"),
+        (lambda: phase_aligned_deviation(np.ones(2), np.ones(4)), DimensionMismatchError,
+         "cannot compare vectors of different shapes"),
+    ],
+)
+def test_state_helpers_refuse_bad_bits_and_shapes(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_product_state_basis():
