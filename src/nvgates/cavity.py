@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import L, MINUS, PLUS, R, HybridState, spin_axis
+from .state import HybridState, spin_flip
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 _RESCALE_Q = "rescale Q and the wavelength to values nearer 1"
@@ -141,8 +141,9 @@ def kappa_from_quality_factor(q: float, wavelength: float) -> float:
     if not 0 < wavelength < math.inf:
         raise ParameterError(f"wavelength must be finite and positive, got {wavelength}")
     product = wavelength * q
-    if product == 0:
-        raise ParameterError(f"wavelength*Q underflows to 0 (Q = {q:g}, wavelength = {wavelength:g}); {_RESCALE_Q}")
+    if not 0 < product < math.inf:  # c over 0 would divide by zero, over inf give a kappa of 0
+        fault = "underflows to 0" if product == 0 else "overflows"
+        raise ParameterError(f"wavelength*Q {fault} (Q = {q:g}, wavelength = {wavelength:g}); {_RESCALE_Q}")
     return _finite_kappa("c/(lambda*Q)", SPEED_OF_LIGHT / product, q, wavelength)
 
 
@@ -177,15 +178,16 @@ def scatter(state: HybridState, nv_index: int, mode, r: ReflectionPair) -> Hybri
     """Reflect the photon amplitude in ``mode`` off the NV at ``nv_index``.
 
     (R,+) and (L,-) amplitudes pick up r_hot, (R,-) and (L,+) pick up r_cold;
-    amplitudes in other modes are untouched.
+    amplitudes in other modes are untouched.  The mode's (pol, config) block is
+    multiplied whole by each, and the hot products are kept where spin
+    ``nv_index`` equals the pol (R = PLUS, L = MINUS; :func:`state.spin_flip`).
     """
     if not 0 <= nv_index < state.n_spins:
         raise ParameterError(f"spin index {nv_index} out of range for {state.n_spins} spins")
     mi = state.mode_index(mode)
     a = state.amps.copy()
-    view = spin_axis(a, state.n_spins, nv_index)  # (pol, mode, higher, spin, lower)
-    view[R, mi, :, PLUS] *= r.r_hot
-    view[L, mi, :, MINUS] *= r.r_hot
-    view[R, mi, :, MINUS] *= r.r_cold
-    view[L, mi, :, PLUS] *= r.r_cold
+    block = a[:, mi]
+    hot = np.multiply(block, r.r_hot, out=np.empty_like(block))
+    np.multiply(block, r.r_cold, out=block)
+    np.copyto(block, hot, where=spin_flip(state.n_spins, nv_index)[1])
     return state.with_amps(a)

@@ -220,19 +220,20 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_params(args) -> int:
+    lines = []  # printed once every flag has passed its checks
     if args.q is not None:
         wavelength = args.wavelength
         conv = quality_factor_conversions(args.q, wavelength)
-        print(f"Q = {args.q:g}, wavelength = {wavelength:g} m")
-        print(f"  kappa = c/(lambda*Q)          = {conv['ordinary']:.6g} Hz")
-        print(f"  kappa = 2*pi*c/(lambda*Q)     = {conv['angular']:.6g} rad/s")
-        print(f"  kappa = c/(lambda*Q)/(2*pi)   = {conv['mixed']:.6g} Hz")
-        print("  (the conventions differ by 2*pi; pick the one your Q definition uses)")
+        lines.append(f"Q = {args.q:g}, wavelength = {wavelength:g} m")
+        lines.append(f"  kappa = c/(lambda*Q)          = {conv['ordinary']:.6g} Hz")
+        lines.append(f"  kappa = 2*pi*c/(lambda*Q)     = {conv['angular']:.6g} rad/s")
+        lines.append(f"  kappa = c/(lambda*Q)/(2*pi)   = {conv['mixed']:.6g} Hz")
+        lines.append("  (the conventions differ by 2*pi; pick the one your Q definition uses)")
     if args.ratio is not None:
         pair = reflection_at_ratio(args.ratio)
-        print(f"coupling ratio g/sqrt(kappa*gamma) = {args.ratio:g}")
-        print(f"  r_hot  = {pair.r_hot.real:+.9f}{pair.r_hot.imag:+.9f}j")
-        print(f"  r_cold = {pair.r_cold.real:+.9f}{pair.r_cold.imag:+.9f}j")
+        lines.append(f"coupling ratio g/sqrt(kappa*gamma) = {args.ratio:g}")
+        lines.append(f"  r_hot  = {pair.r_hot.real:+.9f}{pair.r_hot.imag:+.9f}j")
+        lines.append(f"  r_cold = {pair.r_cold.real:+.9f}{pair.r_cold.imag:+.9f}j")
     if args.g is not None:
         kappa = args.kappa
         if kappa is None:
@@ -246,13 +247,14 @@ def cmd_params(args) -> int:
             omega_p=args.omega_p,
         )
         pair = reflection_coefficient(params)
-        print(f"g={params.g:g} kappa={params.kappa:g} gamma={params.gamma:g} "
-              f"detunings: c-p={params.omega_c - params.omega_p:g} 0-p={params.omega_0 - params.omega_p:g}")
-        print(f"  coupling ratio = {params.coupling_ratio:.6g}")
-        print(f"  r_hot  = {pair.r_hot:.9g}")
-        print(f"  r_cold = {pair.r_cold:.9g}")
-    if args.q is None and args.ratio is None and args.g is None:
+        lines.append(f"g={params.g:g} kappa={params.kappa:g} gamma={params.gamma:g} "
+                     f"detunings: c-p={params.omega_c - params.omega_p:g} 0-p={params.omega_0 - params.omega_p:g}")
+        lines.append(f"  coupling ratio = {params.coupling_ratio:.6g}")
+        lines.append(f"  r_hot  = {pair.r_hot:.9g}")
+        lines.append(f"  r_cold = {pair.r_cold:.9g}")
+    if not lines:
         raise UsageError("params needs at least one of --q, --ratio, --g")
+    print(*lines, sep="\n")
     return 0
 
 

@@ -8,7 +8,8 @@ amplitudes between slots.
 - HWP at 22.5 degrees (photon Hadamard): the butterfly on a mode's (R, L)
   slots, |R> -> |F> = (|R>+|L>)/sqrt2, |L> -> |S> = (|R>-|L>)/sqrt2; the F/S
   change of basis that detection uses.
-- Spin Hadamard: the butterfly on a spin's (|+>, |->) slots.
+- Spin Hadamard: the butterfly on a spin's (|+>, |->) slots, on whole rows
+  paired by :func:`nvgates.state.spin_flip`, which NV scattering reads too.
 - 50:50 BS, inputs (a, b), outputs (c, d): the butterfly of (b, a) onto
   (c, d), for both polarizations: b -> (c + d)/sqrt2, a -> (c - d)/sqrt2.
 - PBS (R/L basis): slot moves, R transmits and L reflects with no phase:
@@ -38,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import IDEAL_PAIR, ReflectionPair, scatter
-from .state import L, R, HybridState, StateError, butterfly, spin_axis
+from .state import L, MINUS, R, HybridState, StateError, butterfly, spin_flip
 
 
 class Kind(Enum):
@@ -226,8 +227,7 @@ def apply_pbs_fs(state: HybridState, in_mode, out_modes) -> HybridState:
     src = state.amps
     # (S out, F out, in, S out): the new F of (in, F out, S out) is the F of
     # rows 1:4 and the new S is the S of rows 0:3
-    rows = np.empty((2, 4, src.shape[-1]), dtype=complex)
-    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = src[:, s], src[:, f], src[:, i], src[:, s]
+    rows = src.take((s, f, i, s), axis=1)
     fs = np.empty_like(rows)
     butterfly(rows[R], rows[L], fs[0], fs[1])
     butterfly(fs[0, 1:], fs[1, :3], rows[R, :3], rows[L, :3])
@@ -237,28 +237,33 @@ def apply_pbs_fs(state: HybridState, in_mode, out_modes) -> HybridState:
 
 
 def apply_spin_hadamard(state: HybridState, spin_index: int) -> HybridState:
-    """Hadamard on one electron spin."""
+    """Hadamard on one electron spin: (a+ + a-)/sqrt2 at |+>, (a+ - a-)/sqrt2 at |->."""
     if not 0 <= spin_index < state.n_spins:
         raise StateError(f"spin index {spin_index} out of range for {state.n_spins} spins")
-    out = np.empty_like(state.amps)
-    a, b = spin_axis(state.amps, state.n_spins, spin_index), spin_axis(out, state.n_spins, spin_index)
-    butterfly(a[..., 0, :], a[..., 1, :], b[..., 0, :], b[..., 1, :])
-    return state.with_amps(out)
+    partner, spin_is = spin_flip(state.n_spins, spin_index)
+    a = state.amps
+    u, v = np.empty_like(a), np.empty_like(a)
+    butterfly(a.take(partner, axis=-1), a, u, v)  # u is right where spin k is |+>, v where |->
+    np.copyto(u, v, where=spin_is[MINUS])
+    return state.with_amps(u)
+
+
+_PBS_RL, _PBS_FS, _HWP, _BS5050, _NV_SCATTER, _SPIN_H = Kind  # in definition order; cheaper than Kind.* lookups
 
 
 def apply_element(state: HybridState, el: Element, reflection: ReflectionPair = IDEAL_PAIR) -> HybridState:
     """Dispatch one element; NV scattering uses the given reflection pair."""
-    directive = el.kind.value  # strings compare faster than Kind.* attributes are looked up
-    if directive == "pbs":
+    kind = el.kind
+    if kind is _PBS_RL:
         return apply_pbs_rl(state, el.in_modes, el.out_modes)
-    if directive == "pbsfs":
+    if kind is _PBS_FS:
         return apply_pbs_fs(state, el.in_modes[0], el.out_modes)
-    if directive == "hwp":
+    if kind is _HWP:
         return apply_hwp(state, el.in_modes[0])
-    if directive == "bs":
+    if kind is _BS5050:
         return apply_bs(state, el.in_modes, el.out_modes)
-    if directive == "nv":
+    if kind is _NV_SCATTER:
         return scatter(state, el.spin, el.in_modes[0], reflection)
-    if directive == "spinh":
+    if kind is _SPIN_H:
         return apply_spin_hadamard(state, el.spin)
     raise StateError(f"unhandled element kind {el.kind}")

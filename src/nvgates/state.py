@@ -13,6 +13,7 @@ States are immutable values; every operation returns a new state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,6 +31,7 @@ MINUS = 1
 NORM_ATOL = 1e-12
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
+_SQRT1_2C = np.array(complex(_SQRT1_2))  # the complex128 numpy makes of the float, made once
 
 
 class StateError(ValueError):
@@ -75,12 +77,26 @@ def spin_axis(amps: np.ndarray, n: int, k: int) -> np.ndarray:
     return amps.reshape(amps.shape[:-1] + (-1, 2, 1 << (n - 1 - k)))
 
 
+@functools.cache
+def spin_flip(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables of spin ``k`` of ``n``, built on :func:`spin_axis`: each
+    configuration with spin k flipped (a take of it pairs every amplitude with
+    its spin-k partner), and ``spin_is``, whose row b marks where spin k is b."""
+    partner = spin_axis(np.arange(1 << n), n, k)[:, ::-1].ravel()
+    spin_is = np.zeros((2, 1 << n), dtype=bool)
+    for b in (PLUS, MINUS):
+        spin_axis(spin_is[b], n, k)[:, b] = True
+    partner.setflags(write=False)
+    spin_is.setflags(write=False)
+    return partner, spin_is
+
+
 def butterfly(x, y, u, v) -> None:
     """Write (x + y)/sqrt2 into ``u`` and (x - y)/sqrt2 into ``v``, which must
     not share memory with ``x`` or ``y``.  Its own inverse: the R/L <-> F/S
     change of basis on a mode's amplitudes, and the Hadamard on a spin's."""
-    np.multiply(x + y, _SQRT1_2, out=u)
-    np.multiply(x - y, _SQRT1_2, out=v)
+    np.multiply(np.add(x, y, u), _SQRT1_2C, u)
+    np.multiply(np.subtract(x, y, v), _SQRT1_2C, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +146,9 @@ class HybridState:
                 f"amplitude array has shape {amps.shape}, expected {self.amps.shape}"
             )
         amps.setflags(write=False)
-        return _adopt(self.modes, self._index, self.n_spins, amps)
+        new = object.__new__(HybridState)
+        vars(new).update(vars(self), amps=amps)
+        return new
 
 
 def _mode_labels(modes) -> tuple[tuple[str, ...], dict[str, int]]:

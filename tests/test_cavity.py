@@ -154,9 +154,12 @@ def test_kappa_round_trip_and_linearity():
 
 
 def test_quality_factor_underflow_and_overflow_rejected():
-    # lambda*Q underflows to 0, or c over it (1e-310 is subnormal) or 2*pi times that overflows
+    # lambda*Q underflows to 0 or overflows to inf (c over it would be 0), or
+    # c over it (1e-310 is subnormal) or 2*pi times that overflows
     for q, wavelength, match in (
         (1e-300, 1e-300, r"^wavelength\*Q underflows to 0"),
+        (1e300, 1e10, r"^wavelength\*Q overflows"),
+        (1e10, 1e300, r"^wavelength\*Q overflows"),
         (1e-10, 1e-300, r"^kappa = c/\(lambda\*Q\) overflows"),
         (1e-300, 1e-10, r"^kappa = c/\(lambda\*Q\) overflows"),
     ):
@@ -167,7 +170,7 @@ def test_quality_factor_underflow_and_overflow_rejected():
         quality_factor_conversions(1e-300, 2.0)
     # finite results are the plain quotient and its 2*pi multiples, bit for bit
     assert kappa_from_quality_factor(1e-300, 2.0) == SPEED_OF_LIGHT / (2.0 * 1e-300)
-    for q, wavelength in ((1e5, 637e-9), (1e-300, 100.0), (1e300, 1e5)):
+    for q, wavelength in ((1e5, 637e-9), (1e-300, 100.0), (1e300, 1e5), (1e300, 1.7e8)):
         base = SPEED_OF_LIGHT / (wavelength * q)
         expected = {"ordinary": base, "angular": 2.0 * np.pi * base, "mixed": base / (2.0 * np.pi)}
         assert quality_factor_conversions(q, wavelength) == expected

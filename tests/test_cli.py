@@ -209,12 +209,25 @@ def test_params_quality_factor_underflow_and_overflow_refused_before_any_output(
         (["params", "--q", "1e-10", "--wavelength", "1e-300"], "kappa = c/(lambda*Q) overflows"),
         (["params", "--g", "1", "--q", "1e-10", "--wavelength", "1e-300"], "kappa = c/(lambda*Q) overflows"),
         (["params", "--q", "1e-300", "--wavelength", "2"], "kappa = 2*pi*c/(lambda*Q) overflows"),
+        (["params", "--q", "1e300", "--wavelength", "1e10"], "wavelength*Q overflows"),
+        (["params", "--g", "1", "--q", "1e300", "--wavelength", "1e10"], "wavelength*Q overflows"),
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message} (Q = ")
         assert captured.err.count("\n") == 1
+
+
+def test_params_checks_every_flag_before_any_output(capsys):
+    # the --q block is valid, and a later flag is not
+    for argv, message in (
+        (["params", "--q", "1e5", "--ratio", "nan"], "coupling ratio must be finite and nonnegative, got nan"),
+        (["params", "--q", "1e5", "--g", "-1"], "coupling rate must be nonnegative, got -1.0"),
+        (["params", "--q", "1e5", "--ratio", "2", "--g", "1", "--gamma", "0"], "NV decay rate must be positive, got 0.0"),
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_params_without_arguments_usage_error(capsys):

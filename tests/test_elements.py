@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from nvgates.cavity import IDEAL_PAIR, ReflectionPair, resonant_pair, scatter
 from nvgates.elements import (
     Element,
     Kind,
@@ -18,7 +19,7 @@ from nvgates.elements import (
     apply_spin_hadamard,
 )
 from nvgates.netlist import DiagnosticKind, NetlistError, parse_netlist, serialize_netlist
-from nvgates.state import HybridState, L, MINUS, PLUS, R, StateError, make_product_state
+from nvgates.state import HybridState, L, MINUS, PLUS, R, StateError, make_product_state, spin_axis
 
 from conftest import BALANCED, random_reflection, random_spin_pairs
 from oracle import element_matrix
@@ -287,3 +288,49 @@ def test_parsed_elements_round_trip_and_overlap_is_located():
     with pytest.raises(NetlistError) as info:
         parse_netlist("spins 1\nmodes a b c\n  pbs a b -> c b\n")
     assert (info.value.kind, info.value.line, info.value.column) == (DiagnosticKind.ARITY_MISMATCH, 3, 3)
+
+
+# The spinh and nv kernels as they were first written: the butterfly and the
+# four reflections on strided spin_axis views, (pol, mode, higher, spin, lower).
+def _spinh_on_views(amps, n, k):
+    out = np.empty_like(amps)
+    a, b = spin_axis(amps, n, k), spin_axis(out, n, k)
+    np.multiply(a[..., 0, :] + a[..., 1, :], SQ2, out=b[..., 0, :])
+    np.multiply(a[..., 0, :] - a[..., 1, :], SQ2, out=b[..., 1, :])
+    return out
+
+
+def _scatter_on_views(amps, n, k, mi, r):
+    a = amps.copy()
+    view = spin_axis(a, n, k)
+    view[R, mi, :, PLUS] *= r.r_hot
+    view[L, mi, :, MINUS] *= r.r_hot
+    view[R, mi, :, MINUS] *= r.r_cold
+    view[L, mi, :, PLUS] *= r.r_cold
+    return a
+
+
+@pytest.mark.parametrize("n_spins", [1, 2, 3, 4, 5])
+def test_spin_kernels_match_the_view_formulas_bit_for_bit(n_spins):
+    # every spin k, inputs with every sign of zero, lossy and complex pairs
+    rng = np.random.default_rng(20131001 + n_spins)
+    modes = tuple(f"w{i}" for i in range(7))
+    pairs = (resonant_pair(0.6 * np.exp(0.7j)), ReflectionPair(0.3 - 0.4j, -0.8 + 0.1j), resonant_pair(0.8), IDEAL_PAIR)
+    for trial in range(4):
+        amps = np.empty((2, len(modes), 2**n_spins), dtype=complex)
+        for part in (amps.real, amps.imag):
+            part[...] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=part.shape) if trial % 2 else rng.normal(size=part.shape)
+        state = HybridState(modes, n_spins, amps)
+        for k in range(n_spins):
+            got = apply_spin_hadamard(state, k).amps
+            assert got.tobytes() == _spinh_on_views(state.amps, n_spins, k).tobytes(), (k, trial)
+            for mi, pair in zip((0, 3, 6, 2), pairs):
+                got = scatter(state, k, modes[mi], pair).amps
+                want = _scatter_on_views(state.amps, n_spins, k, mi, pair)
+                if n_spins == 1 and (pair.r_hot.imag or pair.r_cold.imag):
+                    # numpy multiplies the one-amplitude views one by one and
+                    # a 2-amplitude row with its fused multiply-add loop, so a
+                    # product with a non-real factor may round differently
+                    np.testing.assert_allclose(got, want, rtol=4e-16, atol=0)
+                else:
+                    assert got.tobytes() == want.tobytes(), (k, mi, trial)

@@ -14,7 +14,9 @@ outcome of ``run_netlist`` on generated circuits at a lossy pair.
 raises for each of 2,265 seeded circuit texts, valid and broken.
 
 To rewrite the files from the current code (only on purpose, when an output
-is meant to change), run ``PYTHONPATH=src python tests/test_golden.py``.
+is meant to change), run ``PYTHONPATH=src python tests/test_golden.py
+--rewrite``.  Without ``--rewrite`` the script writes nothing and exits 2, so
+a stray run cannot hide a changed bit.
 """
 
 from __future__ import annotations
@@ -278,5 +280,28 @@ def write_golden() -> None:
                 print(f"wrote {GOLDEN / fname}", file=sys.stderr)
 
 
-if __name__ == "__main__":
+def script(argv: list[str]) -> int:
+    """The command line of this file: rewrite the golden files, given ``--rewrite`` only."""
+    if argv != ["--rewrite"]:
+        print("usage: PYTHONPATH=src python tests/test_golden.py --rewrite\n"
+              "rewrites every file under tests/golden/ from the current code; nothing was written",
+              file=sys.stderr)
+        return 2
     write_golden()
+    return 0
+
+
+def test_rewrite_needs_its_flag(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("golden files written")
+
+    monkeypatch.setattr(sys.modules[__name__], "write_golden", refuse)
+    for argv in ([], ["--rewrite", "x"], ["rewrite"], ["-q"]):
+        assert script(argv) == 2, argv
+        assert "nothing was written" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="golden files written"):
+        script(["--rewrite"])
+
+
+if __name__ == "__main__":
+    sys.exit(script(sys.argv[1:]))
