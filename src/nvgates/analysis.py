@@ -444,39 +444,18 @@ def fidelity_convention_report(trials: int = 16, seed: int | None = 0) -> Conven
     gate and every input convention x normalization mode, on 21 points of
     |r| from 0 to exactly 1."""
     r_grid = tuple(float(x) for x in np.linspace(0.0, 1.0, 21))
-    simulated = {
-        (convention, gate): [_simulate(gate, resonant_pair(r_mag), convention, trials, seed) for r_mag in r_grid]
-        for convention in INPUT_CONVENTIONS
-        for gate in GATE_NAMES
-    }
-    residuals = []
-    best = None
-    for convention in INPUT_CONVENTIONS:
-        for k, normalization in enumerate(NORMALIZATIONS):
-            worst_f_all = 0.0
-            for gate in GATE_NAMES:
-                worst_f = worst_e = 0.0
-                for r_mag, metrics in zip(r_grid, simulated[convention, gate]):
-                    f_sim, e_sim = metrics[k], metrics[-1]
-                    worst_f = max(worst_f, abs(f_sim - fidelity_closed_form(gate, r_mag)))
-                    worst_e = max(worst_e, abs(e_sim - efficiency_closed_form(gate, r_mag)))
-                residuals.append(
-                    ConventionResidual(
-                        gate=gate,
-                        convention=convention,
-                        normalization=normalization,
-                        max_fidelity_residual=worst_f,
-                        max_efficiency_residual=worst_e,
-                        fidelity_at_r1=f_sim,  # the last grid point, |r| = 1
-                        efficiency_at_r1=e_sim,
-                    )
-                )
-                worst_f_all = max(worst_f_all, worst_f)
-            if best is None or worst_f_all < best[1]:
-                best = ((convention, normalization), worst_f_all)
-    return ConventionReport(
-        r_grid=r_grid,
-        residuals=tuple(residuals),
-        best=best[0],
-        best_max_residual=best[1],
+    # (convention, gate, |r|, metric): each fidelity of NORMALIZATIONS, then the efficiency
+    sim = np.array([[[_simulate(gate, resonant_pair(r_mag), convention, trials, seed) for r_mag in r_grid]
+                     for gate in GATE_NAMES] for convention in INPUT_CONVENTIONS])
+    closed = np.array([[(fidelity_closed_form(gate, r_mag), efficiency_closed_form(gate, r_mag)) for r_mag in r_grid]
+                       for gate in GATE_NAMES])[..., [0, 0, 1]]
+    worst = np.fmax.reduce(abs(sim - closed), axis=2, initial=0.0)  # over |r|, a NaN residual skipped
+    worst_f = worst[..., :-1].max(axis=1)  # (convention, normalization), over every gate
+    c, k = np.unravel_index(np.argmin(worst_f), worst_f.shape)  # the first mode with the smallest
+    residuals = tuple(  # at_r1: the last grid point, |r| = 1
+        ConventionResidual(gate, convention, normalization, w[j], w[-1], at_r1[j], at_r1[-1])
+        for convention, worst_c, at_r1_c in zip(INPUT_CONVENTIONS, worst.tolist(), sim[:, :, -1].tolist())
+        for j, normalization in enumerate(NORMALIZATIONS)
+        for gate, w, at_r1 in zip(GATE_NAMES, worst_c, at_r1_c)
     )
+    return ConventionReport(r_grid, residuals, (INPUT_CONVENTIONS[c], NORMALIZATIONS[k]), float(worst_f[c, k]))

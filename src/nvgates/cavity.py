@@ -109,6 +109,7 @@ def coupling_ratio_to_r(ratio: float) -> float:
     """Resonant hot reflection amplitude for a given g/sqrt(kappa*gamma)."""
     if not 0 <= ratio < math.inf:  # also rejects NaN
         raise ParameterError(f"coupling ratio must be finite and nonnegative, got {ratio}")
+    ratio = float(ratio)  # squared as a Python float, which overflows to inf without numpy's warning
     x = ratio * ratio
     return (x - 0.25) / (x + 0.25) if x < math.inf else 1.0  # inf/inf would be NaN
 

@@ -100,11 +100,12 @@ def cmd_run(args) -> int:
         if len(amps) != 2 * net.n_spins:
             raise UsageError(usage)
         pairs = [np.array(amps[2 * k : 2 * k + 2]) for k in range(net.n_spins)]
-        norms = [np.linalg.norm(p) for p in pairs]
-        if not all(0 < nrm < math.inf for nrm in norms):
+        # each pair over its largest real or imaginary part first, so no norm underflows or overflows
+        scales = [np.abs(p.view(float)).max() for p in pairs]
+        if not all(0 < s < math.inf for s in scales):
             raise UsageError("--input: every spin's (alpha,beta) pair needs a finite, nonzero norm")
-        pairs = [p / nrm for p, nrm in zip(pairs, norms)]
-        state = product_input(net, pairs)
+        pairs = [p / s for p, s in zip(pairs, scales)]
+        state = product_input(net, [p / np.linalg.norm(p) for p in pairs])
     outcomes = run_netlist(net, state, reflection)
     survival = sum(o.probability for o in outcomes)
     print(f"netlist: {args.netlist}  spins: {net.n_spins}  modes: {len(net.modes)}")
@@ -168,17 +169,14 @@ def cmd_truth_table(args) -> int:
     reflection = _reflection_from_args(args)
     n = net.n_spins
     labels = net.outcome_labels()
-    # column c of each map is the outcome's output for basis input c
-    maps = _outcome_maps(net, reflection)
+    # (input, outcome, output), column c of a map being basis input c's output; copied in C
+    # order, so a cell's sum adds its entries as np.sum of the one column does, bit for bit
+    mags = abs(_outcome_maps(net, reflection).transpose(2, 0, 1).copy())
+    probs, tops = (mags**2).sum(axis=-1).tolist(), mags.argmax(axis=-1).tolist()
     print(f"truth table for {args.gate} ({_regime_label(reflection)})")
     for cfg in range(2**n):
-        cells = []
-        for label, column in zip(labels, maps[:, :, cfg]):
-            prob = float(np.sum(np.abs(column) ** 2))
-            if prob < 1e-12:
-                continue
-            top = int(np.argmax(np.abs(column)))
-            cells.append(f"{label}: |{_ket(top, n)}> p={prob:.6f}")
+        cells = [f"{label}: |{_ket(top, n)}> p={prob:.6f}"
+                 for label, prob, top in zip(labels, probs[cfg], tops[cfg]) if prob >= 1e-12]
         print(f"  |{_ket(cfg, n)}> -> " + " ; ".join(cells))
     return 0
 

@@ -220,23 +220,16 @@ def partial_trace_photon_collapse(state: HybridState, modes) -> np.ndarray:
     F = (|R>+|L>)/sqrt(2), S = (|R>-|L>)/sqrt(2): R and L after :func:`butterfly`,
     as after a half-wave plate.  Returns the unnormalized spin amplitudes,
     shape (len(modes), 2, 2**n_spins), F before S; a row's squared norm is
-    its outcome's probability, and a zero state gives zero rows.
-
-    Each run of ``modes`` at consecutive positions in the state is one
-    butterfly on slices, so all the modes in declared order take one.
+    its outcome's probability, and a zero state gives zero rows.  The rows
+    are read by one gather of ``modes``, in any order, and one butterfly.
     """
     try:
         idx = list(map(state._index.__getitem__, modes))
     except KeyError:  # a label that is not a str key: mode_index converts it, or raises ModeError
         idx = [state.mode_index(m) for m in modes]
-    a = state.amps
+    a = state.amps.take(idx, axis=1)
     out = np.empty((len(idx), 2, a.shape[-1]), dtype=complex)
-    start = 0
-    for k in range(1, len(idx) + 1):
-        if k == len(idx) or idx[k] != idx[k - 1] + 1:
-            lo, hi = idx[start], idx[k - 1] + 1
-            butterfly(a[R, lo:hi], a[L, lo:hi], out[start:k, 0], out[start:k, 1])
-            start = k
+    butterfly(a[R], a[L], out[:, 0], out[:, 1])
     return out
 
 

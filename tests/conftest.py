@@ -2,15 +2,31 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from nvgates.cavity import ReflectionPair
+from nvgates.cli import main
 from nvgates.elements import Element, Kind
 from nvgates.netlist import Netlist
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``main(argv)`` in process.  Every
+    warning it raises is shown, each time, on stderr as outside pytest."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+    return code, out.getvalue(), err.getvalue() + shown
 
 
 def random_amplitude_pair(rng: np.random.Generator) -> np.ndarray:

@@ -222,6 +222,30 @@ def test_convention_report_structure():
         assert gate in text
 
 
+def test_convention_report_skips_nan_residuals_and_names_the_first_best_mode(monkeypatch):
+    # simulated fidelities off their closed form by 1/8 (postselected) or 1/16
+    # (unnormalized) in both conventions, NaN at both ends of the grid, where
+    # the efficiency is off by 1/2; the modes tie, so the first smallest wins
+    def simulate(gate, pair, convention, trials, seed):
+        r_mag = abs(pair.r_hot)
+        f, e = fidelity_closed_form(gate, r_mag), efficiency_closed_form(gate, r_mag)
+        if r_mag in (0.0, 1.0):
+            return np.nan, np.nan, e + 0.5
+        return f - 0.125, f - 0.0625, e
+
+    monkeypatch.setattr(analysis, "_simulate", simulate)
+    report = fidelity_convention_report()
+    assert [(r.convention, r.normalization, r.gate) for r in report.residuals] == [
+        (c, n, g) for c in analysis.INPUT_CONVENTIONS for n in analysis.NORMALIZATIONS for g in GATE_NAMES]
+    for res in report.residuals:
+        expected = 0.125 if res.normalization == "postselected" else 0.0625
+        assert res.max_fidelity_residual == pytest.approx(expected, abs=1e-15)
+        assert res.max_efficiency_residual == pytest.approx(0.5, abs=1e-15)
+        assert np.isnan(res.fidelity_at_r1) and res.efficiency_at_r1 == 1.5
+    assert report.best == ("balanced", "unnormalized")
+    assert report.best_max_residual == pytest.approx(0.0625, abs=1e-15)
+
+
 def test_sweep_zero_ratio_edge():
     # g = 0 gives r_hot = -1: unit magnitude but NOT the ideal pair, so the
     # photon always survives while the gate logic breaks

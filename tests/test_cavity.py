@@ -1,5 +1,7 @@
 """Reflection coefficients, Q conversions, and the scattering rule."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,13 @@ def test_huge_coupling_ratio_gives_the_limit_one():
     for ratio in (1e155, 1e200, 1.7976931348623157e308):
         assert coupling_ratio_to_r(ratio) == 1.0
         assert reflection_at_ratio(ratio) == resonant_pair(1.0)
+
+
+def test_huge_numpy_ratio_squares_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert coupling_ratio_to_r(np.float64(1e308)) == 1.0
+        assert coupling_ratio_to_r(np.linspace(1e308, 1.7e308, 3)[1]) == 1.0
 
 
 def test_overflowing_reflection_coefficient_rejected():

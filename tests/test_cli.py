@@ -13,6 +13,8 @@ from nvgates.cli import main
 from nvgates.gates import GATE_NAMES, build_gate_circuit
 from nvgates.netlist import MAX_AMPLITUDES
 
+from conftest import run_cli
+
 
 def test_verify_ideal_exits_zero(capsys):
     assert main(["verify", "cnot", "--ideal", "--trials", "20"]) == 0
@@ -119,6 +121,22 @@ def test_run_rejects_bad_input_amplitudes(capsys, tmp_path):
         assert main(["run", str(path), "--input", bad]) == 2, bad
     out = capsys.readouterr().out
     assert "nan" not in out
+
+
+def test_run_input_pairs_of_tiny_or_huge_amplitudes_are_normalized(tmp_path):
+    from nvgates.gates import shipped_circuit_text
+
+    path = tmp_path / "cnot.nv"
+    path.write_text(shipped_circuit_text("cnot"), encoding="utf-8")
+    code, expected, err = run_cli(["run", str(path), "--input", "1,1,1,0"])
+    assert (code, err) == (0, "")
+    # each pair's squared norm underflows to a subnormal, to 0, or overflows
+    for scale in ("1e-160", "1e-200", "1e154", "1e300"):
+        assert run_cli(["run", str(path), "--input", f"{scale},{scale},1,0"]) == (0, expected, ""), scale
+    for bad in ("0,0,1,0", "1,0,nan,1", "inf,1,1,0", "1,0,-infj,1", "1e-400,0,1,0"):
+        code, out, err = run_cli(["run", str(path), "--input", bad])
+        assert (code, out) == (2, ""), bad
+        assert err.startswith("error: --input") and err.count("\n") == 1, (bad, err)
 
 
 def test_sweep_writes_deterministic_csv(tmp_path, capsys):
@@ -355,6 +373,14 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "PASS" in done.stdout
+
+
+def test_sweep_near_the_float_limit_warns_nothing(tmp_path):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(["sweep", "--min", "1e308", "--max", "1.7e308", "--steps", "3", "--out", str(out)])
+    assert (code, err) == (0, "")
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 9 and all(row.split(",")[1] == "1" for row in rows)
 
 
 def test_sweep_rejects_non_finite_bounds(tmp_path, capsys):

@@ -200,8 +200,8 @@ def test_collapse_unknown_mode():
 @pytest.mark.parametrize(
     "order",
     [
-        list(range(31)),  # one run: the usual all-modes detection
-        list(range(30, -1, -1)),  # 31 runs of one mode
+        list(range(31)),  # every mode in declared order: the usual all-modes detection
+        list(range(30, -1, -1)),  # every mode in reverse order
         [30, 0, 1, 2, 9, 3, 27, 28, 29, 14],
         [5],
         [],

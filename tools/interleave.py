@@ -1,0 +1,113 @@
+"""Time two nvgates source trees against each other in one process.
+
+    python3 tools/interleave.py OLD_SRC NEW_SRC [--seed S] [--items N] [--rounds R]
+
+OLD_SRC and NEW_SRC are ``src`` directories, each holding an ``nvgates``
+package: this checkout's ``src`` and, say, the ``src`` of ``git archive``
+of its parent commit.  Each tree is copied into a temporary directory under
+a package name of its own, which works because every import inside the
+package is relative; OLD_SRC is copied twice, and the second copy, timed
+like the others, gives the A/A ratio that shows the noise floor.
+
+The items are the first N of ``perfbench/items.py``'s ``netlist-oneshot``
+stream, run as the benchmark's worker runs them: parse, run at the item's
+r_hot, read every outcome's spins.  Each round runs every item once per
+tree, one tree after another, the order rotating from item to item; each
+run is timed by ``time.process_time``.  The first pass is an untimed
+warm-up that also compares the trees' outputs.  One line per round gives
+the microseconds per item of each tree and the ratios new/old and
+A/A (old copy / old); the last line gives their medians over the rounds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/ or in the trees read
+
+ROOT = Path(__file__).resolve().parents[1]
+TREES = ("old", "new", "aa")
+
+
+def load_items(seed: int, n: int) -> list[tuple]:
+    """The first ``n`` netlist-oneshot items of ``seed``, read from perfbench."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        items = importlib.import_module("items")
+    finally:
+        sys.path.pop(0)
+    stream = items.STREAMS["netlist-oneshot"](seed)
+    return [next(stream) for _ in range(n)]
+
+
+def load_tree(src: Path, name: str, tmp: Path):
+    """A runner of one item on the nvgates package under ``src``, imported as ``name``."""
+    shutil.copytree(src / "nvgates", tmp / name)
+    netlist = importlib.import_module(f"{name}.netlist")
+    cavity = importlib.import_module(f"{name}.cavity")
+
+    def run(item):
+        _, text, r_hot, _ = item
+        try:
+            net = netlist.parse_netlist(text)
+        except Exception as exc:  # malformed items raise; the benchmark's checker judges which error
+            return type(exc).__name__, str(exc)
+        outcomes = netlist.run_netlist(net, netlist.balanced_product_input(net), cavity.resonant_pair(r_hot))
+        return [(o.label, o.probability, o.spins.amps.tobytes()) for o in outcomes]
+
+    return run
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="In-process A/B timing of two nvgates source trees.")
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--seed", type=int, default=20131001)
+    parser.add_argument("--items", type=int, default=300)
+    parser.add_argument("--rounds", type=int, default=6)
+    args = parser.parse_args(argv)
+    for src in (args.old_src, args.new_src):
+        if not (src / "nvgates" / "__init__.py").is_file():
+            parser.error(f"{src} holds no nvgates package")
+    if args.items < 1 or args.rounds < 1:
+        parser.error("--items and --rounds must be at least 1")
+
+    items = load_items(args.seed, args.items)
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        srcs = {"old": args.old_src, "new": args.new_src, "aa": args.old_src}
+        runs = {tree: load_tree(srcs[tree], f"nvgates_{tree}", Path(tmp)) for tree in TREES}
+        differ = sum(runs["old"](item) != runs["new"](item) for item in items)
+        for item in items:
+            runs["aa"](item)
+        print(f"netlist-oneshot seed={args.seed} items={args.items} rounds={args.rounds}: "
+              f"new output differs from old on {differ} of {args.items} items")
+        print(f"{'round':>5} {'old us':>9} {'new us':>9} {'aa us':>9} {'new/old':>8} {'aa/old':>8}")
+        ratios = []
+        for rnd in range(args.rounds):
+            spent = dict.fromkeys(TREES, 0.0)
+            for i, item in enumerate(items):
+                k = (i + rnd) % len(TREES)
+                for tree in TREES[k:] + TREES[:k]:
+                    start = time.process_time()
+                    runs[tree](item)
+                    spent[tree] += time.process_time() - start
+            us = {tree: 1e6 * spent[tree] / len(items) for tree in TREES}
+            ratios.append((us["new"] / us["old"], us["aa"] / us["old"]))
+            print(f"{rnd + 1:>5} {us['old']:>9.1f} {us['new']:>9.1f} {us['aa']:>9.1f} "
+                  f"{ratios[-1][0]:>8.4f} {ratios[-1][1]:>8.4f}")
+    new_old, aa_old = (statistics.median(r) for r in zip(*ratios))
+    print(f"median new/old {new_old:.4f} (rounds {min(r[0] for r in ratios):.4f}-{max(r[0] for r in ratios):.4f}), "
+          f"A/A {aa_old:.4f} (rounds {min(r[1] for r in ratios):.4f}-{max(r[1] for r in ratios):.4f})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
