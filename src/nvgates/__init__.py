@@ -28,7 +28,6 @@ from .elements import (
     Pauli,
     WiringError,
     apply_bs,
-    apply_element,
     apply_hwp,
     apply_pbs_fs,
     apply_pbs_rl,

@@ -126,10 +126,10 @@ def _spin_inputs(n: int, convention: str, trials: int, seed) -> np.ndarray:
 class _FormalHot:
     """r_hot as a formal variable.  The last log2(slots) spin bits are a
     coefficient register: entry j of each run of ``slots`` entries along the
-    last axis holds the coefficient of r_hot**j.  ``view *= r_hot``, as in
-    :func:`cavity.scatter`, moves each coefficient up one entry and raises
-    rather than drop an occupied top entry; other arithmetic is a TypeError.
-    """
+    last axis holds the coefficient of r_hot**j.  ``np.multiply(x, r_hot,
+    out=y)``, as in :func:`cavity.scatter`, writes x into y with each
+    coefficient one entry up, raising rather than drop an occupied top entry;
+    other arithmetic, r_hot first or no ``out`` included, is a TypeError."""
 
     def __init__(self, slots: int):
         self.slots = slots

@@ -182,6 +182,8 @@ def scatter(state: HybridState, nv_index: int, mode, r: ReflectionPair) -> Hybri
     amplitudes in other modes are untouched.  The mode's (pol, config) block is
     multiplied whole by each, and the hot products are kept where spin
     ``nv_index`` equals the pol (R = PLUS, L = MINUS; :func:`state.spin_flip`).
+    r_hot is only the second operand of ``np.multiply`` with ``out=`` given: the
+    one use in which :class:`nvgates.analysis._FormalHot` can stand in for it.
     """
     if not 0 <= nv_index < state.n_spins:
         raise ParameterError(f"spin index {nv_index} out of range for {state.n_spins} spins")

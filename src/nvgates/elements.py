@@ -32,7 +32,6 @@ overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -127,34 +126,26 @@ class WiringError(StateError):
     wiring overlaps in a way that merges occupied modes."""
 
 
-def _wires(kind: Kind, in_modes, out_modes, spin) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """A ``kind`` element's (input, output) wire labels, as strings; raises
-    :class:`WiringError` unless they fit its form and do not overlap."""
-    ins, outs = tuple(map(str, in_modes)), tuple(map(str, out_modes))
+def _wires(kind: Kind, in_modes, out_modes, spin) -> None:
+    """Raise :class:`WiringError` unless a ``kind`` element's input and output
+    wire labels, and its spin or None, fit its form and do not overlap."""
     lay = LAYOUTS[kind]
-    if (len(ins), len(outs), spin is None) != lay.shape:
-        raise WiringError(f"{kind.value} takes: {kind.value} {FORMS[kind]}; got {ins} -> {outs}, spin {spin}")
-    if (outs != ins) if lay.in_place else (len({*ins, *outs}) != len(ins) + len(outs)):
-        raise WiringError(f"{kind.value} wires {ins} -> {outs} must be one wire in place, "
+    if (len(in_modes), len(out_modes), spin is None) != lay.shape:
+        raise WiringError(f"{kind.value} takes: {kind.value} {FORMS[kind]}; got {in_modes} -> {out_modes}, spin {spin}")
+    if (out_modes != in_modes) if lay.in_place else (len({*in_modes, *out_modes}) != len(in_modes) + len(out_modes)):
+        raise WiringError(f"{kind.value} wires {in_modes} -> {out_modes} must be one wire in place, "
                           "or distinct: a shared wire would merge occupied modes")
-    return ins, outs
 
 
-@dataclass(frozen=True, init=False)
-class Element:
-    """One circuit component with its mode wiring and optional spin target,
-    shaped as its kind's entry in :data:`FORMS`."""
+class Element(NamedTuple):
+    """One circuit component: its kind, input and output wire labels, and
+    spin target, shaped as the kind's entry in :data:`FORMS`.  A plain
+    record: :class:`nvgates.netlist.Netlist` checks it against its circuit."""
 
     kind: Kind
     in_modes: tuple[str, ...] = ()
     out_modes: tuple[str, ...] = ()
     spin: int | None = None
-    line: int = field(default=0, compare=False)
-
-    def __init__(self, kind: Kind, in_modes=(), out_modes=(), spin: int | None = None, line: int = 0):
-        # the one constructor, also for dataclasses.replace: wires checked once
-        ins, outs = _wires(kind, in_modes, out_modes, spin)
-        vars(self).update(kind=kind, in_modes=ins, out_modes=outs, spin=spin, line=line)
 
 
 _PAULI_DIAG = {
@@ -178,7 +169,7 @@ def apply_pbs_rl(state: HybridState, in_modes, out_modes) -> HybridState:
     slots, swapping each input slot with its destination, so the operation
     is exactly unitary.
     """
-    in_modes, out_modes = _wires(Kind.PBS_RL, in_modes, out_modes, None)
+    _wires(Kind.PBS_RL, in_modes, out_modes, None)
     idx = [state.mode_index(m) for m in in_modes]
     odx = [state.mode_index(m) for m in out_modes]
     src = state.amps
@@ -205,7 +196,7 @@ def apply_bs(state: HybridState, in_modes, out_modes) -> HybridState:
     backward direction is the Hermitian completion, making the element an
     involutory unitary on the four wires.
     """
-    in_modes, out_modes = _wires(Kind.BS5050, in_modes, out_modes, None)
+    _wires(Kind.BS5050, in_modes, out_modes, None)
     i0, i1 = (state.mode_index(m) for m in in_modes)
     o0, o1 = (state.mode_index(m) for m in out_modes)
     src = state.amps
@@ -222,7 +213,7 @@ def apply_pbs_fs(state: HybridState, in_mode, out_modes) -> HybridState:
     (|R>-|L>)/sqrt2.  Unitary completion: the F component of the F output
     and the S component of the S output swap back to the input wire.
     """
-    (in_mode,), out_modes = _wires(Kind.PBS_FS, (in_mode,), out_modes, None)
+    _wires(Kind.PBS_FS, (in_mode,), out_modes, None)
     i, f, s = map(state.mode_index, (in_mode, *out_modes))
     src = state.amps
     # (S out, F out, in, S out): the new F of (in, F out, S out) is the F of
@@ -251,8 +242,9 @@ def apply_spin_hadamard(state: HybridState, spin_index: int) -> HybridState:
 _PBS_RL, _PBS_FS, _HWP, _BS5050, _NV_SCATTER, _SPIN_H = Kind  # in definition order; cheaper than Kind.* lookups
 
 
-def apply_element(state: HybridState, el: Element, reflection: ReflectionPair = IDEAL_PAIR) -> HybridState:
-    """Dispatch one element; NV scattering uses the given reflection pair."""
+def _apply_element(state: HybridState, el: Element, reflection: ReflectionPair = IDEAL_PAIR) -> HybridState:
+    """Dispatch one element of a checked :class:`nvgates.netlist.Netlist`;
+    NV scattering uses the given reflection pair."""
     kind = el.kind
     if kind is _PBS_RL:
         return apply_pbs_rl(state, el.in_modes, el.out_modes)
@@ -264,6 +256,4 @@ def apply_element(state: HybridState, el: Element, reflection: ReflectionPair = 
         return apply_bs(state, el.in_modes, el.out_modes)
     if kind is _NV_SCATTER:
         return scatter(state, el.spin, el.in_modes[0], reflection)
-    if kind is _SPIN_H:
-        return apply_spin_hadamard(state, el.spin)
-    raise StateError(f"unhandled element kind {el.kind}")
+    return apply_spin_hadamard(state, el.spin)  # _SPIN_H: a Netlist holds no other kind

@@ -41,7 +41,6 @@ feeding two ideal detectors) on mode ``m``; outcome labels are ``F<m>`` and
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -50,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import IDEAL_PAIR, ReflectionPair
-from .elements import _PAULI_DIAG, FORMS, LAYOUTS, Element, Kind, Pauli, WiringError, apply_element
+from .elements import _PAULI_DIAG, FORMS, LAYOUTS, Element, Kind, Pauli, WiringError, _apply_element, _wires
 from .state import (
     _SQRT1_2,
     DimensionMismatchError,
@@ -61,6 +60,11 @@ from .state import (
 )
 
 MAX_AMPLITUDES = 2**24  # largest state (2 * |modes| * 2**spins) a netlist may declare
+
+
+def _too_large(n_spins: int, n_modes: int) -> bool:
+    """Whether 2 * n_modes * 2**n_spins exceeds MAX_AMPLITUDES; a huge n_spins is refused without forming 2**n."""
+    return n_spins >= MAX_AMPLITUDES.bit_length() or 2 * n_modes << n_spins > MAX_AMPLITUDES
 
 
 class DiagnosticKind(Enum):
@@ -80,10 +84,7 @@ class NetlistError(ValueError):
 
     def __init__(self, kind: DiagnosticKind, line: int, column: int, message: str):
         super().__init__(f"line {line}, col {column}: {message} [{kind.value}]")
-        self.kind = kind
-        self.line = line
-        self.column = column
-        self.detail = message
+        self.kind, self.line, self.column, self.detail = kind, line, column, message
 
 
 FeedforwardRule = tuple[str, tuple[Pauli, ...]]
@@ -91,28 +92,46 @@ FeedforwardRule = tuple[str, tuple[Pauli, ...]]
 
 @dataclass(frozen=True)
 class Netlist:
-    """A validated circuit: spins, declared modes (the first is the input),
+    """A checked circuit: spins, declared modes (the first is the input),
     ordered elements, F/S detector stations, and a feedforward table of
-    (outcome label, one Pauli per spin) rules, ``()`` for none.  All are tuples."""
+    (outcome label, one Pauli per spin) rules, ``()`` for none.  All are
+    tuples; ``lines``, not compared, holds each element's source line, or is
+    ``()`` when built in code.  Construction checks the whole circuit and
+    raises ValueError (:class:`WiringError` for an element's form or overlap)."""
 
     n_spins: int
     modes: tuple[str, ...]
     elements: tuple[Element, ...]
     detectors: tuple[str, ...]
     feedforward: tuple[FeedforwardRule, ...] = ()
+    lines: tuple[int, ...] = field(default=(), compare=False, repr=False)
     # memo of nvgates.analysis.compile_circuit, keyed by r_cold; one entry at most
     _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("modes", "elements", "detectors", "feedforward"):
+        for name in ("modes", "elements", "detectors", "feedforward", "lines"):
             if not isinstance(getattr(self, name), tuple):
                 raise ValueError(f"Netlist.{name} must be a tuple, got {getattr(self, name)!r}")
-        if not (isinstance(self.n_spins, int) and self.n_spins > 0):
-            raise ValueError(f"Netlist.n_spins must be a positive int, got {self.n_spins!r}")
-        if not (self.modes and all(isinstance(m, str) for m in self.modes)):
-            raise ValueError(f"Netlist.modes must be a non-empty tuple of str, got {self.modes!r}")
-        if len(set(self.detectors)) != len(self.detectors):
-            raise ValueError(f"Netlist.detectors {self.detectors!r} names a mode twice")
+        n, modes = self.n_spins, set(self.modes)
+        if not (type(n) is int and n > 0):  # not a bool either
+            raise ValueError(f"Netlist.n_spins must be a positive int, got {n!r}")
+        if not (self.modes and all(isinstance(m, str) for m in self.modes) and len(modes) == len(self.modes)):
+            raise ValueError(f"Netlist.modes must be a non-empty tuple of distinct str, got {self.modes!r}")
+        if _too_large(n, len(modes)):
+            raise ValueError(f"Netlist of {n} spins and {len(modes)} modes exceeds {MAX_AMPLITUDES} amplitudes")
+        if len(set(self.detectors)) != len(self.detectors) or not modes.issuperset(self.detectors):
+            raise ValueError(f"Netlist.detectors {self.detectors!r} names a mode twice, or one that is not declared")
+        if self.lines and len(self.lines) != len(self.elements):
+            raise ValueError(f"Netlist.lines {self.lines!r} must give one line per element, or be ()")
+        for el in self.elements:
+            kind, ins, outs, spin = el if type(el) is Element else (None,) * 4
+            if type(kind) is not Kind or type(ins) is not tuple or type(outs) is not tuple:
+                raise ValueError(f"Netlist element {el!r} is not an Element with a Kind and tuples of wires")
+            _wires(kind, ins, outs, spin)
+            if not (modes.issuperset(ins) and modes.issuperset(outs)):
+                raise ValueError(f"Netlist element {el!r} wires a mode that is not declared")
+            if spin is not None and not (type(spin) is int and 0 <= spin < n):
+                raise ValueError(f"Netlist element {el!r} names a spin out of range for {n} spins")
         labels = list(self.outcome_labels()) if self.feedforward else []  # each outcome takes one rule at most
         for rule in self.feedforward:
             ops = rule[1] if isinstance(rule, tuple) and len(rule) == 2 and rule[0] in labels else None
@@ -140,12 +159,7 @@ class Outcome(NamedTuple):
             return self
         amps = self.amps / math.sqrt(self.probability)
         amps.setflags(write=False)
-        return _outcome((self.label, 1.0, amps))
-
-
-# Outcome(label, probability, amps) from one (label, probability, amps)
-# tuple, without the NamedTuple's Python-level __new__
-_outcome = functools.partial(tuple.__new__, Outcome)
+        return Outcome(self.label, 1.0, amps)
 
 
 def _tokens(raw: str) -> list[str]:
@@ -185,6 +199,7 @@ def parse_netlist(text: str) -> Netlist:
     spins_line = 0  # line of the spin count, token 1
     modes: dict[str, None] = {}  # in declaration order, like detectors
     elements: list[Element] = []
+    element_lines: list[int] = []
     detectors: dict[str, None] = {}
     feedforward: dict[str, tuple[tuple[Pauli, ...], int]] = {}  # label -> (ops, line); the label is token 1
     unwritten: dict[str, tuple[int, int]] = {}  # mode -> (line, token) of its first read before any write
@@ -218,12 +233,9 @@ def parse_netlist(text: str) -> Netlist:
 
     def check_size():
         n, n_modes = n_spins, max(len(modes), 1)
-        # an n that exceeds the cap alone is refused before 2**n is formed
-        if n is not None and (n >= MAX_AMPLITUDES.bit_length() or 2 * n_modes << n > MAX_AMPLITUDES):
-            raise error(
-                DiagnosticKind.SPIN_RANGE, spins_line, 1,
-                f"spins {n} with {n_modes} modes exceeds the cap of {MAX_AMPLITUDES} amplitudes (2*modes*2**spins)",
-            )
+        if n is not None and _too_large(n, n_modes):
+            raise error(DiagnosticKind.SPIN_RANGE, spins_line, 1,
+                        f"spins {n} with {n_modes} modes exceeds the cap of {MAX_AMPLITUDES} amplitudes (2*modes*2**spins)")
 
     for lineno, raw in enumerate(lines, 1):
         toks = _tokens(raw)
@@ -238,21 +250,17 @@ def parse_netlist(text: str) -> Netlist:
             if lay.arrow is not None and toks[lay.arrow] != "->":
                 raise error(DiagnosticKind.ARITY_MISMATCH, lineno, lay.arrow, f"{head} expects '->' here")
             spin = None if lay.spin is None else spin_index(toks, lay.spin, lineno, lay.spin_prefix)
-            # The token count has fixed the operand shape, and the tokens are
-            # str, so of Element's wiring check only the overlap test is left;
-            # when it fails, the checked constructor words the diagnostic.
+            # The token count has fixed the operand shape, so of the wiring
+            # check only the overlap test is left; when it fails, _wires words
+            # the diagnostic.  An in-place kind has one wire, or none.
             in_modes = tuple(toks[ins])
-            if lay.in_place:  # one wire rewritten in place, or none
-                out_modes = in_modes
-                wires = in_modes
-            else:
-                out_modes = tuple(toks[outs])
-                wires = in_modes + out_modes
-                if len(set(wires)) != len(wires):
-                    try:
-                        Element(kind, in_modes, out_modes, spin)
-                    except WiringError as exc:
-                        raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, str(exc)) from None
+            out_modes = in_modes if lay.in_place else tuple(toks[outs])
+            wires = in_modes if lay.in_place else in_modes + out_modes
+            if not lay.in_place and len(set(wires)) != len(wires):
+                try:
+                    _wires(kind, in_modes, out_modes, spin)
+                except WiringError as exc:
+                    raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, str(exc)) from None
             for mode in wires:
                 if mode not in modes:
                     require_modes(toks, lay.ins, lineno)
@@ -262,9 +270,8 @@ def parse_netlist(text: str) -> Netlist:
                     unwritten[mode] = (lineno, i)
             if not lay.in_place:  # an in-place element introduces nothing: its wire is not written
                 written.update(out_modes)
-            el = object.__new__(Element)
-            vars(el).update(kind=kind, in_modes=in_modes, out_modes=out_modes, spin=spin, line=lineno)
-            elements.append(el)
+            elements.append(Element(kind, in_modes, out_modes, spin))
+            element_lines.append(lineno)
 
         elif head == "detect":
             if len(toks) != 2:
@@ -347,7 +354,7 @@ def parse_netlist(text: str) -> Netlist:
         if label[1:] not in detectors:  # the label is F or S, then a mode
             raise error(DiagnosticKind.UNKNOWN_OUTCOME, line, 1, f"feedforward outcome {label!r} matches no detector")
     rules = tuple((label, ops) for label, (ops, _) in feedforward.items())
-    return Netlist(n_spins, tuple(modes), tuple(elements), tuple(detectors), rules)
+    return Netlist(n_spins, tuple(modes), tuple(elements), tuple(detectors), rules, tuple(element_lines))
 
 
 def serialize_netlist(net: Netlist) -> str:
@@ -378,7 +385,7 @@ def iter_element_states(net: Netlist, state: HybridState, reflection: Reflection
     """Yield (element, state-after-element) while applying every element."""
     _check_dimensions(net, state)
     for el in net.elements:
-        state = apply_element(state, el, reflection)
+        state = _apply_element(state, el, reflection)
         yield el, state
 
 
@@ -386,7 +393,7 @@ def apply_elements(net: Netlist, state: HybridState, reflection: ReflectionPair 
     """Apply every element and return the state."""
     _check_dimensions(net, state)
     for el in net.elements:
-        state = apply_element(state, el, reflection)
+        state = _apply_element(state, el, reflection)
     return state
 
 
@@ -419,7 +426,7 @@ def run_netlist(net: Netlist, state: HybridState, reflection: ReflectionPair = I
         amps[row] = apply_spin_ops(amps[row], ops)
     amps.setflags(write=False)
     probs = (abs(amps) ** 2).sum(axis=-1).tolist()
-    return list(map(_outcome, zip(labels, probs, amps)))  # each amps a read-only row view
+    return list(map(Outcome._make, zip(labels, probs, amps)))  # each amps a read-only row view
 
 
 def iter_nv_depths(net: Netlist):

@@ -125,10 +125,10 @@ class HybridState:
         vars(self).update(modes=modes, _index=index, amps=a)
 
     def mode_index(self, label) -> int:
-        """Position of the mode labeled ``str(label)``."""
+        """Position of the mode labeled ``label``, a ``str`` matched as given."""
         try:
-            return self._index[str(label)]
-        except KeyError:
+            return self._index[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise ModeError(f"unknown mode {label!r}; declared modes: {self.modes}") from None
 
     def norm2(self) -> float:
@@ -152,8 +152,10 @@ class HybridState:
 
 
 def _mode_labels(modes) -> tuple[tuple[str, ...], dict[str, int]]:
-    """The labels of ``modes`` as strings, and each one's position."""
-    labels = tuple(str(m) for m in modes)
+    """The labels of ``modes``, each a ``str``, and each one's position."""
+    labels = tuple(modes)
+    if not all(isinstance(label, str) for label in labels):
+        raise StateError(f"mode labels must be str, got {labels!r}")
     index = {label: i for i, label in enumerate(labels)}
     if len(index) != len(labels):
         raise StateError("duplicate mode labels")
@@ -196,7 +198,8 @@ def make_product_state(pol_amps, photon_mode, spin_amps, modes) -> HybridState:
     """Tensor product of a photon polarization state at one mode with N spins.
 
     Every amplitude pair must be normalized to 1 within 1e-12; the result has
-    unit norm.  ``modes`` and ``photon_mode`` follow :class:`HybridState`'s label rules.
+    unit norm.  ``modes`` are distinct ``str`` labels, and ``photon_mode`` is
+    one of them, matched as given.
     """
     pol = _check_pair(pol_amps, "photon polarization pair")
     spins = [_check_pair(s, f"spin {k} pair") for k, s in enumerate(spin_amps)]
@@ -223,10 +226,7 @@ def partial_trace_photon_collapse(state: HybridState, modes) -> np.ndarray:
     its outcome's probability, and a zero state gives zero rows.  The rows
     are read by one gather of ``modes``, in any order, and one butterfly.
     """
-    try:
-        idx = list(map(state._index.__getitem__, modes))
-    except KeyError:  # a label that is not a str key: mode_index converts it, or raises ModeError
-        idx = [state.mode_index(m) for m in modes]
+    idx = list(map(state.mode_index, modes))
     a = state.amps.take(idx, axis=1)
     out = np.empty((len(idx), 2, a.shape[-1]), dtype=complex)
     butterfly(a[R], a[L], out[:, 0], out[:, 1])

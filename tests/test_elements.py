@@ -1,6 +1,5 @@
 """Optical and spin element semantics, checked against the brute-force oracle."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -12,13 +11,12 @@ from nvgates.elements import (
     Kind,
     WiringError,
     apply_bs,
-    apply_element,
     apply_hwp,
     apply_pbs_fs,
     apply_pbs_rl,
     apply_spin_hadamard,
 )
-from nvgates.netlist import DiagnosticKind, NetlistError, parse_netlist, serialize_netlist
+from nvgates.netlist import DiagnosticKind, Netlist, NetlistError, apply_elements, parse_netlist, serialize_netlist
 from nvgates.state import HybridState, L, MINUS, PLUS, R, StateError, make_product_state, spin_axis
 
 from conftest import BALANCED, random_reflection, random_spin_pairs
@@ -30,6 +28,11 @@ MODES = ("in", "1", "2", "3")
 
 def _photon(pol_pair, mode="in", n_spins=1):
     return make_product_state(pol_pair, mode, [(1, 0)] * n_spins, MODES)
+
+
+def _apply(st, element, pair=IDEAL_PAIR):
+    """``element`` applied to ``st``, through the one-element Netlist that checks it."""
+    return apply_elements(Netlist(st.n_spins, st.modes, (element,), ()), st, pair)
 
 
 def test_pbs_transmits_r():
@@ -56,7 +59,7 @@ def test_pbs_single_input_rejected():
     with pytest.raises(WiringError):
         apply_pbs_rl(_photon(BALANCED), ("in",), ("1", "2"))
     with pytest.raises(WiringError):
-        Element(Kind.PBS_RL, ("in",), ("1", "2"))
+        Netlist(1, MODES, (Element(Kind.PBS_RL, ("in",), ("1", "2")),), ())
 
 
 @pytest.mark.parametrize(
@@ -72,8 +75,10 @@ def test_pbs_single_input_rejected():
     ],
 )
 def test_element_rejects_operands_outside_its_form(kind, in_modes, out_modes, spin):
+    # an Element is a plain record; the Netlist that holds it checks its form
+    el = Element(kind, in_modes, out_modes, spin)
     with pytest.raises(WiringError):
-        Element(kind, in_modes, out_modes, spin)
+        Netlist(2, ("a", "b", "c", "d"), (el,), ())
 
 
 def test_pbs_overlapping_wiring_rejected():
@@ -198,7 +203,7 @@ def test_non_nv_elements_unitary_on_random_states(rng, element):
         amps = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
         amps /= np.linalg.norm(amps)
         st = HybridState(MODES, 2, amps)
-        out = apply_element(st, element)
+        out = _apply(st, element)
         assert out.norm2() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -246,44 +251,52 @@ def test_elements_match_oracle_matrices(rng, element, modes, n_spins):
         amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         amps /= np.linalg.norm(amps)
         st = HybridState(modes, n_spins, amps)
-        fast = apply_element(st, element, pair).amps.reshape(-1)
+        fast = _apply(st, element, pair).amps.reshape(-1)
         slow = mat @ amps.reshape(-1)
         assert np.abs(fast - slow).max() < 1e-12
 
 
 def test_element_stores_operands_as_tuples_of_str():
-    el = Element(Kind.PBS_RL, ["a", 2], ["c", "d"], line=7)
-    assert el.in_modes == ("a", "2") and el.out_modes == ("c", "d")
-    assert all(type(m) is str for m in el.in_modes + el.out_modes)
-    assert (el.kind, el.spin, el.line) == (Kind.PBS_RL, None, 7)
+    # a plain record keeps what it is given; a Netlist takes tuples of declared str labels only
+    el = Element(Kind.PBS_RL, ("a", "b"), ("c", "d"))
+    assert (el.kind, el.in_modes, el.out_modes, el.spin) == (Kind.PBS_RL, ("a", "b"), ("c", "d"), None)
     assert Element(Kind.SPIN_H, spin=1).in_modes == ()
+    modes = ("a", "b", "c", "d", "2")
+    assert Netlist(1, modes, (el,), ()).elements == (el,)
+    for wires in (("a", 2), ["a", "b"]):  # a label is matched as given, not as it prints
+        with pytest.raises(ValueError):
+            Netlist(1, modes, (el._replace(in_modes=wires),), ())
 
 
 def test_element_replace_checks_the_wiring_again():
-    el = Element(Kind.PBS_RL, ("a", "b"), ("c", "d"), line=3)
-    moved = dataclasses.replace(el, out_modes=["e", 5])
-    assert moved.out_modes == ("e", "5") and moved.line == 3
-    with pytest.raises(WiringError):
-        dataclasses.replace(el, out_modes=("c", "b"))
-    with pytest.raises(WiringError):
-        dataclasses.replace(el, spin=0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    # _replace makes a new record, checked again by the Netlist that holds it
+    el = Element(Kind.PBS_RL, ("a", "b"), ("c", "d"))
+    moved = el._replace(out_modes=("e", "d"))
+    assert Netlist(1, tuple("abcde"), (moved,), ()).elements == (Element(Kind.PBS_RL, ("a", "b"), ("e", "d")),)
+    for bad in (el._replace(out_modes=("c", "b")), el._replace(spin=0)):
+        with pytest.raises(WiringError):
+            Netlist(1, tuple("abcde"), (bad,), ())
+    with pytest.raises(AttributeError):
         el.in_modes = ("x", "y")
 
 
 def test_element_equality_hash_and_repr():
-    el = Element(Kind.PBS_RL, ["a", "b"], ["c", 3], line=3)
-    same = Element(Kind.PBS_RL, ("a", "b"), ("c", "3"), line=9)  # line is not compared
+    el = Element(Kind.PBS_RL, ("a", "b"), ("c", "3"))
+    same = Element(Kind.PBS_RL, ("a", "b"), ("c", "3"))
     assert el == same and hash(el) == hash(same) and len({el, same}) == 1
     assert el != Element(Kind.BS5050, ("a", "b"), ("c", "3"))
     assert el != Element(Kind.PBS_RL, ("b", "a"), ("c", "3"))
-    assert repr(el) == "Element(kind=<Kind.PBS_RL: 'pbs'>, in_modes=('a', 'b'), out_modes=('c', '3'), spin=None, line=3)"
+    assert repr(el) == "Element(kind=<Kind.PBS_RL: 'pbs'>, in_modes=('a', 'b'), out_modes=('c', '3'), spin=None)"
+    # a netlist's lines are not compared: the parsed netlist equals the one built in code
+    parsed = parse_netlist("spins 1\nmodes a b c 3\n\npbs a b -> c 3\n")
+    built = Netlist(1, ("a", "b", "c", "3"), (el,), ())
+    assert (parsed.lines, built.lines) == ((4,), ()) and parsed == built and hash(parsed) == hash(built)
 
 
 def test_parsed_elements_round_trip_and_overlap_is_located():
     text = "spins 2\nmodes a b c d e f\npbs a b -> c d\nnv c spin_1\npbsfs d -> e f\nspinh 0\ndetect c\n"
     net = parse_netlist(text)
-    assert [el.line for el in net.elements] == [3, 4, 5, 6]
+    assert net.lines == (3, 4, 5, 6)
     assert parse_netlist(serialize_netlist(net)) == net
     with pytest.raises(NetlistError) as info:
         parse_netlist("spins 1\nmodes a b c\n  pbs a b -> c b\n")

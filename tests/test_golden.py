@@ -255,7 +255,7 @@ def parse_bits() -> str:
         except NetlistError as exc:
             result = f"err {exc.kind.value} {exc.line} {exc.column} {_sha(str(exc).encode())}"
         else:
-            result = " ".join(["ok", _sha(serialize_netlist(net).encode()), *(str(el.line) for el in net.elements)])
+            result = " ".join(["ok", _sha(serialize_netlist(net).encode()), *map(str, net.lines)])
         lines.append(f"{_sha(text.encode())} {result}")
     return "\n".join(lines) + "\n"
 

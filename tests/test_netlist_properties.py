@@ -1,6 +1,7 @@
 """Property tests: serializing a netlist and parsing the text gives it back,
-the parser's tokens and columns are those of the pattern ``\\S+``, and a
-mutated circuit text parses or raises a located diagnostic, never anything else.
+the parser's tokens and columns are those of the pattern ``\\S+``, a
+mutated circuit text parses or raises a located diagnostic, never anything
+else, and a netlist built in code is refused when it is made, or runs.
 
 Generated netlists use every element kind, declared modes that nothing
 occupies (vacuum ports), detectors in any order and feedforward tables of
@@ -13,12 +14,25 @@ import re
 import string
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nvgates.elements import Element, Kind, Pauli, WiringError
+from nvgates.cavity import resonant_pair
+from nvgates.elements import LAYOUTS, Element, Kind, Pauli, WiringError
 from nvgates.gates import GATE_NAMES, shipped_circuit_text
-from nvgates.netlist import Netlist, NetlistError, _column, _tokens, parse_netlist, serialize_netlist
+from nvgates.netlist import (
+    DiagnosticKind,
+    Netlist,
+    NetlistError,
+    _column,
+    _tokens,
+    apply_elements,
+    balanced_product_input,
+    parse_netlist,
+    run_netlist,
+    serialize_netlist,
+)
 
 from conftest import mutate_netlist_text, random_netlist
 
@@ -82,13 +96,65 @@ WIRES = st.lists(st.sampled_from("abcdef"), max_size=2, unique=True).map(tuple)
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(list(Kind)), WIRES, WIRES, st.none() | st.integers(0, 2))
-def test_every_constructible_element_serializes(kind, in_modes, out_modes, spin):
+def test_every_element_a_netlist_accepts_serializes(kind, in_modes, out_modes, spin):
     try:
-        el = Element(kind, in_modes, out_modes, spin)
+        net = Netlist(3, tuple("abcdef"), (Element(kind, in_modes, out_modes, spin),), ())
     except WiringError:
         return
-    net = Netlist(3, tuple("abcdef"), (el,), ())
     assert parse_netlist(serialize_netlist(net)) == net
+
+
+DECLARED = tuple("abcdefg")
+
+
+@st.composite
+def code_built(draw):
+    """(n_spins, modes, elements, detectors) of a netlist built in code: any
+    kinds, with wires in the kind's form, and detectors.  Half of them may
+    also name undeclared labels ``x`` and ``y``, and spins -1, n and True,
+    so that the other half mostly runs."""
+    n_spins = draw(st.integers(1, 3))
+    stray = draw(st.booleans())
+    labels = st.sampled_from(DECLARED + ("x", "y") if stray else DECLARED)
+    spins = st.integers(-1, n_spins) | st.just(True) if stray else st.integers(0, n_spins - 1)
+    elements = []
+    for kind in draw(st.lists(st.sampled_from(list(Kind)), max_size=5)):
+        lay = LAYOUTS[kind]
+        ins = tuple(draw(st.lists(labels, min_size=len(lay.ins), max_size=len(lay.ins))))
+        outs = ins if lay.in_place else tuple(draw(st.lists(labels, min_size=len(lay.outs), max_size=len(lay.outs))))
+        elements.append(Element(kind, ins, outs, None if lay.spin is None else draw(spins)))
+    return n_spins, DECLARED, tuple(elements), tuple(draw(st.lists(labels, unique=True, max_size=3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(code_built())
+@example((1, ("a", "b"), (Element(Kind.HWP, ("x",), ("x",)),), ("a",)))  # an undeclared wire
+@example((1, ("a", "b"), (), ("x",)))  # a detector on an undeclared mode
+@example((1, ("a",), (Element(Kind.NV_SCATTER, ("a",), ("a",), 3),), ("a",)))  # spin 3 of 1
+@example((1, ("a", "a"), (), ("a",)))  # a mode declared twice
+@example((True, ("a",), (Element(Kind.SPIN_H, spin=0),), ("a",)))  # a bool spin count
+def test_a_netlist_built_in_code_is_refused_when_made_or_runs(fields):
+    try:
+        net = Netlist(*fields)
+    except ValueError:
+        return
+    # the text format expresses it, unless the text's feed-forward order
+    # refuses it, and a run finds on the detectors all the norm that reaches them
+    try:
+        assert parse_netlist(serialize_netlist(net)) == net
+    except NetlistError as exc:
+        assert exc.kind is DiagnosticKind.NON_TOPOLOGICAL, exc
+    state, pair = balanced_product_input(net), resonant_pair(0.6)
+    before = apply_elements(net, state, pair)
+    detected = [before.mode_index(m) for m in net.detectors]
+    found = sum(o.probability for o in run_netlist(net, state, pair))
+    assert abs(found - float((abs(before.amps[:, detected]) ** 2).sum())) <= 1e-12
+
+
+def test_a_netlist_over_the_amplitude_cap_is_refused_when_made():
+    # 2 * 1 mode * 2**24 configurations; never run, which would allocate it
+    with pytest.raises(ValueError, match="exceeds"):
+        Netlist(24, ("a",), (), ("a",))
 
 
 def test_generator_reaches_every_kind():

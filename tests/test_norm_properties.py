@@ -12,8 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nvgates.cavity import IDEAL_PAIR
-from nvgates.elements import apply_element
-from nvgates.netlist import Netlist, apply_elements, run_netlist
+from nvgates.netlist import Netlist, apply_elements, iter_element_states, run_netlist
 from nvgates.state import HybridState
 
 from conftest import random_reflection
@@ -34,9 +33,7 @@ SEEDS = st.integers(0, 2**32 - 1)
 @SETTINGS
 @given(netlists(), SEEDS)
 def test_every_element_keeps_the_norm_at_the_ideal_pair(net, seed):
-    state = _random_state(net, seed)
-    for el in net.elements:
-        state = apply_element(state, el, IDEAL_PAIR)
+    for el, state in iter_element_states(net, _random_state(net, seed), IDEAL_PAIR):
         assert abs(state.norm2() - 1.0) <= 1e-12, el
 
 

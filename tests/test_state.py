@@ -99,12 +99,14 @@ def test_product_state_label_errors_and_result():
         make_product_state((1, 0), "nope", [(1, 0)], MODES2)
     with pytest.raises(StateError, match="duplicate mode labels"):
         make_product_state((1, 0), "in", [(1, 0)], ("in", "a", "in"))
-    with pytest.raises(StateError, match="duplicate mode labels"):
+    with pytest.raises(StateError, match=r"mode labels must be str, got \(1, '1'\)"):
         make_product_state((1, 0), "1", [(1, 0)], (1, "1"))
+    with pytest.raises(ModeError, match="unknown mode 2"):  # a label is matched as given
+        make_product_state((1, 0), 2, [(1, 0)], ("1", "2"))
     # the pairs are checked before the labels
     with pytest.raises(NormalizationError):
         make_product_state((1, 1), "nope", [(1, 0)], ("in", "in"))
-    st = make_product_state((0, 1), 2, [(0, 1), (1, 0)], (1, 2))
+    st = make_product_state((0, 1), "2", [(0, 1), (1, 0)], ("1", "2"))
     assert st.modes == ("1", "2") and st.n_spins == 2 and not st.amps.flags.writeable
     assert st.amps[L, 1, spin_config_index((MINUS, PLUS))] == 1.0 and np.count_nonzero(st.amps) == 1
     none = make_product_state(BALANCED, "in", [], ("in",))
@@ -115,12 +117,13 @@ def test_product_state_label_errors_and_result():
 def test_mode_index_contract():
     st = HybridState(("in", "3", "b"), 1, np.zeros((2, 3, 2)))
     assert [st.mode_index(m) for m in ("in", "3", "b")] == [0, 1, 2]
-    assert st.mode_index(3) == 1  # a label is matched as it prints
-    for label in ("nope", 4, ["in"]):  # undeclared; unhashable too
+    for label in ("nope", 3, ["in"]):  # undeclared; a label is matched as given, not as it prints; unhashable
         with pytest.raises(ModeError, match="unknown mode"):
             st.mode_index(label)
+    with pytest.raises(StateError, match="mode labels must be str"):
+        HybridState(("in", 3, "b"), 1, np.zeros((2, 3, 2)))
     with pytest.raises(StateError, match="duplicate mode labels"):
-        HybridState(("in", 3, "3"), 1, np.zeros((2, 3, 2)))
+        HybridState(("in", "3", "3"), 1, np.zeros((2, 3, 2)))
     # states made from a state keep its labels
     assert apply_hwp(st, "b").mode_index("b") == 2
 

@@ -214,13 +214,13 @@ def test_phase_aligned_deviation_aligns_each_stacked_vector():
 def _count_passes(monkeypatch):
     """Counts element applications; a pass over net applies len(net.elements)."""
     calls = []
-    original = netlist.apply_element
+    original = netlist._apply_element
 
     def counting(state, el, reflection=IDEAL_PAIR):
         calls.append(el)
         return original(state, el, reflection)
 
-    monkeypatch.setattr(netlist, "apply_element", counting)
+    monkeypatch.setattr(netlist, "_apply_element", counting)
     return calls
 
 

@@ -14,7 +14,9 @@ stream, run as the benchmark's worker runs them: parse, run at the item's
 r_hot, read every outcome's spins.  Each round runs every item once per
 tree, one tree after another, the order rotating from item to item; each
 run is timed by ``time.process_time``.  The first pass is an untimed
-warm-up that also compares the trees' outputs.  One line per round gives
+warm-up that also compares the trees' outputs.  The header line also gives
+each tree's ``nvgates/*.py`` line count (newlines, as ``wc -l`` counts
+them), so a size and a timing come from one run.  One line per round gives
 the microseconds per item of each tree and the ratios new/old and
 A/A (old copy / old); the last line gives their medians over the rounds.
 """
@@ -45,6 +47,11 @@ def load_items(seed: int, n: int) -> list[tuple]:
         sys.path.pop(0)
     stream = items.STREAMS["netlist-oneshot"](seed)
     return [next(stream) for _ in range(n)]
+
+
+def line_count(src: Path) -> int:
+    """Lines of the ``nvgates/*.py`` files under ``src``."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "nvgates").glob("*.py"))
 
 
 def load_tree(src: Path, name: str, tmp: Path):
@@ -88,7 +95,8 @@ def main(argv=None) -> int:
         for item in items:
             runs["aa"](item)
         print(f"netlist-oneshot seed={args.seed} items={args.items} rounds={args.rounds}: "
-              f"new output differs from old on {differ} of {args.items} items")
+              f"new output differs from old on {differ} of {args.items} items; "
+              f"nvgates/*.py lines old {line_count(args.old_src)}, new {line_count(args.new_src)}")
         print(f"{'round':>5} {'old us':>9} {'new us':>9} {'aa us':>9} {'new/old':>8} {'aa/old':>8}")
         ratios = []
         for rnd in range(args.rounds):
