@@ -27,20 +27,19 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from .cavity import IDEAL_PAIR, ReflectionPair, coupling_ratio_to_r, resonant_pair, scatter
-from .elements import Kind
 from .gates import GATE_NAMES, _canon, build_gate_circuit, ideal_gate_unitary
 from .netlist import (
     Netlist,
     apply_elements,  # noqa: F401 -- unused here, but perfbench/tracing.py wraps it at this name
     basis_response_input,
     iter_element_states,
-    iter_nv_depths,
     nv_element_count,
+    nv_runs,
     run_netlist,
     widen,
 )
@@ -272,11 +271,9 @@ def efficiency_simulated(
 def efficiency_factorized(gate: str, r_mag: float) -> float:
     """Independent-pass reconstruction of the closed-form efficiency.
 
-    A *run* is a maximal sequence of NV reflections on one wire with no
-    other element on that wire between them (``spinh`` has no wire, so it
-    does not end a run).  Runs at the same NV-path depth
-    (:func:`iter_nv_depths`) are parallel alternatives of one physical
-    *pass*; passes at increasing depth are traversed in sequence.
+    The circuit's NV runs are those of :func:`nv_runs`.  Runs at the same
+    depth are parallel alternatives of one physical *pass*; passes at
+    increasing depth are traversed in sequence.
 
     The model takes every state from one pass of the *ideal* circuit over
     all spin basis inputs at once (:func:`basis_response_input`, photon
@@ -294,21 +291,12 @@ def efficiency_factorized(gate: str, r_mag: float) -> float:
     pair = resonant_pair(r_mag)
     start = basis_response_input(net)
     before = [start] + [state for _, state in iter_element_states(widen(net), start, IDEAL_PAIR)]
-    runs = []  # [depth, ideal state before the run, that state after the run's reflections]
-    open_runs: dict[str, list] = {}
-    for pos, el, depth in iter_nv_depths(net):
-        if el.kind is not Kind.NV_SCATTER:
-            for m in el.in_modes + el.out_modes:
-                open_runs.pop(m, None)
-            continue
-        m = el.in_modes[0]
-        if m not in open_runs:
-            open_runs[m] = [depth[m], before[pos], before[pos]]
-            runs.append(open_runs[m])
-        open_runs[m][2] = scatter(open_runs[m][2], el.spin, m, pair)
     pass_loss: dict[int, float] = {}
-    for d, ideal, lossy in runs:
-        pass_loss[d] = pass_loss.get(d, 0.0) + (ideal.norm2() - lossy.norm2()) / 2**net.n_spins
+    for d, pos, nvs in nv_runs(net)[0]:
+        lossy = before[pos]
+        for el in nvs:
+            lossy = scatter(lossy, el.spin, el.in_modes[0], pair)
+        pass_loss[d] = pass_loss.get(d, 0.0) + (before[pos].norm2() - lossy.norm2()) / 2**net.n_spins
     return math.prod((1.0 - pass_loss[d] for d in sorted(pass_loss)), start=1.0)
 
 
@@ -365,21 +353,12 @@ CSV_HEADER = ("ratio", "r", "gate", "fidelity_closed", "fidelity_sim", "efficien
 
 
 def write_sweep_csv(records, fh) -> None:
-    """CSV with 9-significant-digit floats, one row per (ratio, gate)."""
+    """CSV with 9-significant-digit floats, one row per (ratio, gate): each
+    record's fields in field order, under :data:`CSV_HEADER`."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for rec in records:
-        writer.writerow(
-            [
-                f"{rec.coupling_ratio:.9g}",
-                f"{rec.r_magnitude:.9g}",
-                rec.gate,
-                f"{rec.fidelity_closed:.9g}",
-                f"{rec.fidelity_sim:.9g}",
-                f"{rec.efficiency_closed:.9g}",
-                f"{rec.efficiency_sim:.9g}",
-            ]
-        )
+        writer.writerow([f"{v:.9g}" if isinstance(v, float) else v for v in astuple(rec)])
 
 
 @dataclass(frozen=True)

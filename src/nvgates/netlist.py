@@ -1,10 +1,11 @@
 """Line-oriented circuit description format (.nv) and its interpreter.
 
-One directive per line, ``#`` starts a comment, UTF-8.  Only LF ends a
-line, so diagnostics count LF lines; CRLF is accepted, its CR being
-whitespace.  Tokens are separated by whitespace, as ``str.split()`` finds
-it, and a mode label may be any token: ``modes α ->`` declares the two
-modes ``α`` and ``->``.  The directives:
+One directive per line, ``#`` starts a comment, UTF-8; :func:`load_netlist`
+ignores a leading byte-order mark (BOM), as Windows editors write it.  Only
+LF ends a line, so diagnostics count LF lines; CRLF is accepted, its CR
+being whitespace.  Tokens are separated by whitespace, as ``str.split()``
+finds it, and a mode label may be any token: ``modes α ->`` declares the
+two modes ``α`` and ``->``.  The directives:
 
     spins N
     modes m1 m2 ...
@@ -96,7 +97,8 @@ class Netlist:
     ordered elements, F/S detector stations, and a feedforward table of
     (outcome label, one Pauli per spin) rules, ``()`` for none.  All are
     tuples; ``lines``, not compared, holds each element's source line, or is
-    ``()`` when built in code.  Construction checks the whole circuit and
+    ``()`` when built in code, so ``dataclasses.replace(parsed, elements=...)``
+    must also pass ``lines=()``.  Construction checks the whole circuit and
     raises ValueError (:class:`WiringError` for an element's form or overlap)."""
 
     n_spins: int
@@ -358,7 +360,10 @@ def parse_netlist(text: str) -> Netlist:
 
 
 def serialize_netlist(net: Netlist) -> str:
-    """Canonical text form; ``parse_netlist(serialize_netlist(n)) == n``."""
+    """Canonical text form; ``parse_netlist(serialize_netlist(n)) == n`` for
+    every netlist the parser can make: labels that are single tokens without
+    ``#``, and elements in feed-forward order.  A ``Netlist`` built in code
+    may break either, and then the text does not parse back to it."""
     lines = [f"spins {net.n_spins}", "modes " + " ".join(net.modes)]
     lines += [LAYOUTS[el.kind].template.format(*el.in_modes, *el.out_modes, el.spin) for el in net.elements]
     lines += [f"detect {mode}" for mode in net.detectors]
@@ -369,31 +374,27 @@ def serialize_netlist(net: Netlist) -> str:
 
 
 def load_netlist(path) -> Netlist:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         return parse_netlist(fh.read())
 
 
-def _check_dimensions(net: Netlist, state: HybridState):
+def iter_element_states(net: Netlist, state: HybridState, reflection: ReflectionPair = IDEAL_PAIR):
+    """Yield (element, state-after-element) while applying every element."""
     if state.modes != net.modes or state.n_spins != net.n_spins:
         raise DimensionMismatchError(
             f"state on (modes={state.modes}, spins={state.n_spins}) does not match "
             f"netlist (modes={net.modes}, spins={net.n_spins})"
         )
-
-
-def iter_element_states(net: Netlist, state: HybridState, reflection: ReflectionPair = IDEAL_PAIR):
-    """Yield (element, state-after-element) while applying every element."""
-    _check_dimensions(net, state)
     for el in net.elements:
         state = _apply_element(state, el, reflection)
         yield el, state
 
 
 def apply_elements(net: Netlist, state: HybridState, reflection: ReflectionPair = IDEAL_PAIR) -> HybridState:
-    """Apply every element and return the state."""
-    _check_dimensions(net, state)
-    for el in net.elements:
-        state = _apply_element(state, el, reflection)
+    """Apply every element and return the state: the last one
+    :func:`iter_element_states` yields."""
+    for _, state in iter_element_states(net, state, reflection):
+        pass
     return state
 
 
@@ -429,35 +430,44 @@ def run_netlist(net: Netlist, state: HybridState, reflection: ReflectionPair = I
     return list(map(Outcome._make, zip(labels, probs, amps)))  # each amps a read-only row view
 
 
-def iter_nv_depths(net: Netlist):
-    """Yield (position, element, depth) for each element in file order.
+def nv_runs(net: Netlist) -> tuple[list[tuple[int, int, tuple[Element, ...]]], dict[str, int]]:
+    """The circuit's NV runs in file order, and each mode's depth at its end.
 
-    ``depth`` maps each mode to the number of NV reflections on the photon
-    path reaching it just before the element acts.  An NV element increments
-    its mode's counter; PBS/BS outputs take the max over their inputs, whose
-    counters reset because the amplitude has left them.  It is one dict,
-    updated in place, so after the walk it holds the counts at the end of
-    the circuit.
+    A mode's *depth* is the number of NV reflections on the photon path
+    reaching it.  An ``nv`` element adds one to its mode; a ``pbs``, ``bs``
+    or ``pbsfs`` gives each output the max of its own depth and its inputs',
+    and resets its inputs, which the amplitude has left.  A *run* is a
+    maximal sequence of ``nv`` elements on one wire with no other element on
+    that wire between them (``spinh`` has no wire, so it does not end a
+    run), given as (its wire's depth before the run, the position of its
+    first element, its ``nv`` elements).
     """
     depth = dict.fromkeys(net.modes, 0)
+    runs, open_runs = [], {}  # open_runs: mode -> nv elements of the run open on it
     for pos, el in enumerate(net.elements):
-        yield pos, el, depth
         if el.kind is Kind.NV_SCATTER:
-            depth[el.in_modes[0]] += 1
-        elif el.kind in (Kind.PBS_RL, Kind.BS5050, Kind.PBS_FS):
+            m = el.in_modes[0]
+            if m not in open_runs:
+                open_runs[m] = []
+                runs.append((depth[m], pos, open_runs[m]))
+            open_runs[m].append(el)
+            depth[m] += 1
+            continue
+        for m in el.in_modes + el.out_modes:
+            open_runs.pop(m, None)
+        if el.kind in (Kind.PBS_RL, Kind.BS5050, Kind.PBS_FS):
             d = max(depth[m] for m in el.in_modes)
             for m in el.in_modes:
                 depth[m] = 0
             for m in el.out_modes:
                 depth[m] = max(depth[m], d)
+    return [(d, pos, tuple(nvs)) for d, pos, nvs in runs], depth
 
 
 def max_nv_path_depth(net: Netlist) -> int:
     """Largest number of NV reflections along any single photon path that
     reaches a detector (any mode, if the circuit declares no detector)."""
-    depth = dict.fromkeys(net.modes, 0)
-    for _, _, depth in iter_nv_depths(net):
-        pass
+    _, depth = nv_runs(net)
     return max(depth[m] for m in net.detectors or net.modes)
 
 

@@ -102,6 +102,24 @@ def test_run_shipped_netlist(capsys, tmp_path):
     assert "outcome F9" in out and "outcome S9" in out
 
 
+def test_run_reads_a_file_that_starts_with_a_byte_order_mark(capsys, tmp_path):
+    from nvgates.gates import shipped_circuit_text
+
+    plain, bom = tmp_path / "cnot.nv", tmp_path / "cnot_bom.nv"
+    plain.write_text(shipped_circuit_text("cnot"), encoding="utf-8")
+    bom.write_text(shipped_circuit_text("cnot"), encoding="utf-8-sig")  # as Windows editors save it
+    assert bom.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    printed = []
+    for path in (plain, bom):
+        assert main(["run", str(path), "--ratio", "0.7"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        first, rest = captured.out.split("\n", 1)
+        assert first.startswith("netlist: ")
+        printed.append(rest)
+    assert printed[1] == printed[0]
+
+
 def test_run_with_explicit_input(capsys, tmp_path):
     from nvgates.gates import shipped_circuit_text
 

@@ -6,7 +6,8 @@ signed zeros that ``nvgates run`` prints, so a refactor that claims to leave
 the numbers unchanged is checked rather than eyeballed.  Nine printed digits
 cannot see a change in the last bit, so ``simulate_bits.txt`` also pins the
 exact floats (``float.hex``) of the simulated metrics and of the mean
-fidelity that ``nvgates verify`` prints, and ``interpreter_bits.txt`` pins
+fidelity that ``nvgates verify`` prints, ``factorized_bits.txt`` those of
+:func:`analysis.efficiency_factorized`, and ``interpreter_bits.txt`` pins
 the element interpreter: the bytes of every kernel's output on full states
 (output wires occupied, so the backward routing counts too) and of every
 outcome of ``run_netlist`` on generated circuits at a lossy pair.
@@ -161,6 +162,21 @@ def test_simulated_metrics_match_golden_bits():
     assert simulate_bits() == (GOLDEN / "simulate_bits.txt").read_text()
 
 
+FACTORIZED_R = tuple(i / 40 for i in range(41))
+
+
+def factorized_bits() -> str:
+    """One line per gate and |r| of :data:`FACTORIZED_R`: ``float.hex`` of
+    :func:`analysis.efficiency_factorized`, the walk of the circuit's NV runs."""
+    lines = [f"factorized {gate} r={r} {float.hex(analysis.efficiency_factorized(gate, r))}"
+             for gate in GATE_NAMES for r in FACTORIZED_R]
+    return "\n".join(lines) + "\n"
+
+
+def test_factorized_efficiency_matches_golden_bits():
+    assert factorized_bits() == (GOLDEN / "factorized_bits.txt").read_text()
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -270,8 +286,8 @@ def test_parser_matches_golden_bits():
 
 def write_golden() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    written = (("simulate_bits.txt", simulate_bits()), ("interpreter_bits.txt", interpreter_bits()),
-               ("parse_bits.txt", parse_bits()))
+    written = (("simulate_bits.txt", simulate_bits()), ("factorized_bits.txt", factorized_bits()),
+               ("interpreter_bits.txt", interpreter_bits()), ("parse_bits.txt", parse_bits()))
     for fname, text in written:
         (GOLDEN / fname).write_text(text)
         print(f"wrote {GOLDEN / fname}", file=sys.stderr)

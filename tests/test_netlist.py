@@ -17,6 +17,7 @@ from nvgates.netlist import (
     apply_spin_ops,
     balanced_product_input,
     iter_element_states,
+    nv_runs,
     parse_netlist,
     run_netlist,
     serialize_netlist,
@@ -495,3 +496,55 @@ def test_outcome_amps_and_probability_match_oracle(rng, source):
                 o.amps[0] = 1.0
             assert abs(o.probability - prob) < 1e-12
             assert np.abs(o.amps - spins).max() < 1e-12
+
+
+def _runs(net):
+    """``nv_runs(net)``'s runs as (depth, position, number of ``nv`` elements)."""
+    return [(depth, pos, len(nvs)) for depth, pos, nvs in nv_runs(net)[0]]
+
+
+@pytest.mark.parametrize("gate, runs", [
+    ("cnot", [(0, 1, 1), (1, 6, 1)]),
+    ("toffoli", [(0, 1, 1), (1, 7, 1), (1, 12, 1), (2, 17, 1)]),
+    ("fredkin", [(0, 1, 1), (1, 7, 2), (1, 13, 2), (3, 20, 2)]),
+])
+def test_nv_runs_of_the_shipped_gates(gate, runs):
+    net = build_gate_circuit(gate)
+    assert _runs(net) == runs
+    for _, pos, nvs in nv_runs(net)[0]:  # each shipped run is consecutive lines
+        assert nvs == net.elements[pos : pos + len(nvs)]
+        assert all(el.kind is Kind.NV_SCATTER for el in nvs)
+
+
+_ONE_WIRE = "spins 2\nmodes a\nnv a spin_0\n{}\nnv a spin_1\n"
+
+
+def test_spinh_does_not_end_an_nv_run():
+    net = parse_netlist(_ONE_WIRE.format("spinh 1"))
+    assert _runs(net) == [(0, 0, 2)]
+    assert nv_runs(net)[1] == {"a": 2}
+
+
+def test_hwp_splits_an_nv_run_into_two_passes():
+    net = parse_netlist(_ONE_WIRE.format("hwp a"))
+    assert _runs(net) == [(0, 0, 1), (1, 2, 1)]
+    assert nv_runs(net)[1] == {"a": 2}
+
+
+def test_pbs_resets_its_inputs_and_gives_each_output_their_max():
+    net = parse_netlist(
+        "spins 1\nmodes a b c d\n"
+        "nv a spin_0\nnv a spin_0\nnv b spin_0\n"
+        "pbs a b -> c d\nnv c spin_0\nnv a spin_0\n"
+    )
+    assert _runs(net) == [(0, 0, 2), (0, 2, 1), (2, 4, 1), (0, 5, 1)]
+    assert nv_runs(net)[1] == {"a": 1, "b": 0, "c": 3, "d": 2}
+
+
+def test_nv_runs_result_keeps_its_values():
+    net = build_gate_circuit("cnot")
+    runs, depth = nv_runs(net)
+    assert depth["7"] == 0  # wire 7 has left through the last pbs
+    assert [d for d, _, _ in runs] == [0, 1]  # the nv on wire 7 saw depth 1
+    nv_runs(net)
+    assert [d for d, _, _ in runs] == [0, 1] and depth["7"] == 0 and depth["9"] == 2

@@ -1,6 +1,6 @@
 """Time two nvgates source trees against each other in one process.
 
-    python3 tools/interleave.py OLD_SRC NEW_SRC [--seed S] [--items N] [--rounds R]
+    python3 tools/interleave.py OLD_SRC NEW_SRC [--workload W] [--seed S] [--items N] [--rounds R]
 
 OLD_SRC and NEW_SRC are ``src`` directories, each holding an ``nvgates``
 package: this checkout's ``src`` and, say, the ``src`` of ``git archive``
@@ -9,14 +9,20 @@ a package name of its own, which works because every import inside the
 package is relative; OLD_SRC is copied twice, and the second copy, timed
 like the others, gives the A/A ratio that shows the noise floor.
 
-The items are the first N of ``perfbench/items.py``'s ``netlist-oneshot``
-stream, run as the benchmark's worker runs them: parse, run at the item's
-r_hot, read every outcome's spins.  Each round runs every item once per
-tree, one tree after another, the order rotating from item to item; each
-run is timed by ``time.process_time``.  The first pass is an untimed
-warm-up that also compares the trees' outputs.  The header line also gives
-each tree's ``nvgates/*.py`` line count (newlines, as ``wc -l`` counts
-them), so a size and a timing come from one run.  One line per round gives
+The items are the first N of the stream of one of the benchmark's
+workloads, ``perfbench/items.py``'s ``STREAMS[W]`` (default
+``netlist-oneshot``), run as ``perfbench/worker.py``'s ``prepare`` runs
+them: ``netlist-oneshot`` parses, runs at the item's r_hot and reads every
+outcome's spins; ``sweep-random`` calls ``analysis.sweep([gate], [ratio],
+"random", ...)``; ``verify-cli`` calls ``cli.main(argv)`` with stdout and
+stderr captured.  For the last two, each tree builds the three gates when
+it is loaded.  Each round runs every item once per tree, one tree after
+another, the order rotating from item to item; each run is timed by
+``time.process_time``.  The first pass is an untimed warm-up that also
+compares the trees' outputs by ``repr``, so a NaN matches a NaN and -0.0
+differs from 0.0.  The header line also gives each tree's
+``nvgates/*.py`` line count (newlines, as ``wc -l`` counts them), so a
+size and a timing come from one run.  One line per round gives
 the microseconds per item of each tree and the ratios new/old and
 A/A (old copy / old); the last line gives their medians over the rounds.
 """
@@ -24,7 +30,9 @@ A/A (old copy / old); the last line gives their medians over the rounds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
+import io
 import shutil
 import statistics
 import sys
@@ -38,14 +46,18 @@ ROOT = Path(__file__).resolve().parents[1]
 TREES = ("old", "new", "aa")
 
 
-def load_items(seed: int, n: int) -> list[tuple]:
-    """The first ``n`` netlist-oneshot items of ``seed``, read from perfbench."""
+def _streams() -> dict:
+    """``perfbench/items.py``'s ``STREAMS``: workload name -> item generator of a seed."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        items = importlib.import_module("items")
+        return importlib.import_module("items").STREAMS
     finally:
         sys.path.pop(0)
-    stream = items.STREAMS["netlist-oneshot"](seed)
+
+
+def load_items(workload: str, seed: int, n: int) -> list[tuple]:
+    """The first ``n`` items of ``workload``'s stream of ``seed``, read from perfbench."""
+    stream = _streams()[workload](seed)
     return [next(stream) for _ in range(n)]
 
 
@@ -54,20 +66,52 @@ def line_count(src: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (src / "nvgates").glob("*.py"))
 
 
-def load_tree(src: Path, name: str, tmp: Path):
-    """A runner of one item on the nvgates package under ``src``, imported as ``name``."""
+def load_tree(src: Path, name: str, tmp: Path, workload: str):
+    """A runner of one ``workload`` item on the nvgates package under ``src``, imported as ``name``."""
     shutil.copytree(src / "nvgates", tmp / name)
-    netlist = importlib.import_module(f"{name}.netlist")
-    cavity = importlib.import_module(f"{name}.cavity")
 
-    def run(item):
-        _, text, r_hot, _ = item
+    def module(mod: str):
+        return importlib.import_module(f"{name}.{mod}")
+
+    if workload != "netlist-oneshot":
+        # gates.shipped_circuit_text finds the circuit files through the
+        # package name nvgates, so that name points at this tree while its
+        # gates are built; they are cached, so no item reads a file.
+        gates, sys.modules["nvgates"] = module("gates"), importlib.import_module(name)
         try:
-            net = netlist.parse_netlist(text)
-        except Exception as exc:  # malformed items raise; the benchmark's checker judges which error
-            return type(exc).__name__, str(exc)
-        outcomes = netlist.run_netlist(net, netlist.balanced_product_input(net), cavity.resonant_pair(r_hot))
-        return [(o.label, o.probability, o.spins.amps.tobytes()) for o in outcomes]
+            for gate in gates.GATE_NAMES:
+                gates.build_gate_circuit(gate)
+        finally:
+            del sys.modules["nvgates"]
+
+    if workload == "sweep-random":
+        analysis = module("analysis")
+
+        def run(item):
+            _, gate, ratio, trials, seed = item
+            (rec,) = analysis.sweep([gate], [ratio], "random", trials=trials, seed=seed)
+            return rec.fidelity_sim, rec.efficiency_sim
+
+    elif workload == "verify-cli":
+        cli = module("cli")
+
+        def run(item):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(item[1])
+            return code, out.getvalue(), err.getvalue()
+
+    else:
+        netlist, cavity = module("netlist"), module("cavity")
+
+        def run(item):
+            _, text, r_hot, _ = item
+            try:
+                net = netlist.parse_netlist(text)
+            except Exception as exc:  # malformed items raise; the benchmark's checker judges which error
+                return type(exc).__name__, str(exc)
+            outcomes = netlist.run_netlist(net, netlist.balanced_product_input(net), cavity.resonant_pair(r_hot))
+            return [(o.label, o.probability, o.spins.amps.tobytes()) for o in outcomes]
 
     return run
 
@@ -76,6 +120,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="In-process A/B timing of two nvgates source trees.")
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
+    parser.add_argument("--workload", choices=sorted(_streams()), default="netlist-oneshot")
     parser.add_argument("--seed", type=int, default=20131001)
     parser.add_argument("--items", type=int, default=300)
     parser.add_argument("--rounds", type=int, default=6)
@@ -86,15 +131,15 @@ def main(argv=None) -> int:
     if args.items < 1 or args.rounds < 1:
         parser.error("--items and --rounds must be at least 1")
 
-    items = load_items(args.seed, args.items)
+    items = load_items(args.workload, args.seed, args.items)
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         srcs = {"old": args.old_src, "new": args.new_src, "aa": args.old_src}
-        runs = {tree: load_tree(srcs[tree], f"nvgates_{tree}", Path(tmp)) for tree in TREES}
-        differ = sum(runs["old"](item) != runs["new"](item) for item in items)
+        runs = {tree: load_tree(srcs[tree], f"nvgates_{tree}", Path(tmp), args.workload) for tree in TREES}
+        differ = sum(repr(runs["old"](item)) != repr(runs["new"](item)) for item in items)
         for item in items:
             runs["aa"](item)
-        print(f"netlist-oneshot seed={args.seed} items={args.items} rounds={args.rounds}: "
+        print(f"{args.workload} seed={args.seed} items={args.items} rounds={args.rounds}: "
               f"new output differs from old on {differ} of {args.items} items; "
               f"nvgates/*.py lines old {line_count(args.old_src)}, new {line_count(args.new_src)}")
         print(f"{'round':>5} {'old us':>9} {'new us':>9} {'aa us':>9} {'new/old':>8} {'aa/old':>8}")
