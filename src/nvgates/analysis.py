@@ -123,15 +123,16 @@ def _spin_inputs(n: int, convention: str, trials: int, seed) -> np.ndarray:
 
 
 class _FormalHot:
-    """r_hot as a formal variable.  The last log2(slots) spin bits are a
-    coefficient register: entry j of each run of ``slots`` entries along the
-    last axis holds the coefficient of r_hot**j.  ``np.multiply(x, r_hot,
-    out=y)``, as in :func:`cavity.scatter`, writes x into y with each
-    coefficient one entry up, raising rather than drop an occupied top entry;
-    other arithmetic, r_hot first or no ``out`` included, is a TypeError."""
+    """A reflection pair whose r_hot is a formal variable, itself, at a
+    numeric ``r_cold``.  The last log2(slots) spin bits are a coefficient
+    register: entry j of each run of ``slots`` entries along the last axis
+    holds the coefficient of r_hot**j.  ``np.multiply(x, r_hot, out=y)``, as
+    in :func:`cavity.scatter`, writes x into y with each coefficient one entry
+    up, raising rather than drop an occupied top entry; other arithmetic,
+    r_hot first or no ``out`` included, is a TypeError."""
 
-    def __init__(self, slots: int):
-        self.slots = slots
+    def __init__(self, slots: int, r_cold: complex):
+        self.slots, self.r_hot, self.r_cold = slots, self, r_cold
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
         if ufunc is not np.multiply or method != "__call__" or out is None or inputs[1] is not self:
@@ -187,8 +188,7 @@ def compile_circuit(net: Netlist, r_cold: complex) -> CompiledCircuit:
         extra = nv_element_count(net).bit_length()
         undetected = tuple(m for m in net.modes if m not in net.detectors)
         wide = replace(widen(net, extra), detectors=net.detectors + undetected)
-        formal = ReflectionPair(r_hot=_FormalHot(1 << extra), r_cold=r_cold)
-        outcomes = run_netlist(wide, basis_response_input(net, extra), formal)
+        outcomes = run_netlist(wide, basis_response_input(net, extra), _FormalHot(1 << extra, r_cold))
         dim, n_outcomes = 2**net.n_spins, 2 * len(net.detectors)
         coefficients = np.moveaxis(np.stack([o.amps for o in outcomes]).reshape(-1, dim, dim, 1 << extra), -1, 0)
         reached = np.any(coefficients, axis=(0, 2, 3))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import HybridState, spin_flip
+from .state import NORM_ATOL, HybridState, spin_flip
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 _RESCALE_Q = "rescale Q and the wavelength to values nearer 1"
@@ -65,10 +65,20 @@ class CavityParams:
 
 @dataclass(frozen=True)
 class ReflectionPair:
-    """Hot (coupled) and cold (empty) cavity reflection coefficients."""
+    """Hot (coupled) and cold (empty) cavity reflection coefficients.
+
+    A passive cavity cannot amplify, so construction raises ParameterError
+    unless each |r| <= 1, within ``state.NORM_ATOL`` for the rounding of
+    :func:`reflection_coefficient`; NaN and inf are refused too.
+    """
 
     r_hot: complex
     r_cold: complex
+
+    def __post_init__(self):
+        if not abs(self.r_hot) <= 1 + NORM_ATOL >= abs(self.r_cold):  # one chained test; NaN fails it
+            name = "r_cold" if abs(self.r_hot) <= 1 + NORM_ATOL else "r_hot"
+            raise ParameterError(f"reflection amplitude must satisfy |{name}| <= 1, got {getattr(self, name)}")
 
 
 #: Idealization r -> 1, r0 = -1; used for exact ideal-circuit checks rather
@@ -120,12 +130,7 @@ def reflection_at_ratio(ratio: float) -> ReflectionPair:
 
 
 def resonant_pair(r_hot: float | complex) -> ReflectionPair:
-    """Reflection pair with a freely chosen hot amplitude and resonant cold = -1.
-
-    A passive cavity cannot amplify, so |r_hot| > 1 is rejected.
-    """
-    if not abs(r_hot) <= 1:  # also rejects NaN
-        raise ParameterError(f"hot reflection amplitude must satisfy |r_hot| <= 1, got {r_hot}")
+    """Reflection pair with a freely chosen hot amplitude and resonant cold = -1."""
     return ReflectionPair(r_hot=complex(r_hot), r_cold=-1.0 + 0.0j)
 
 
@@ -183,7 +188,8 @@ def scatter(state: HybridState, nv_index: int, mode, r: ReflectionPair) -> Hybri
     multiplied whole by each, and the hot products are kept where spin
     ``nv_index`` equals the pol (R = PLUS, L = MINUS; :func:`state.spin_flip`).
     r_hot is only the second operand of ``np.multiply`` with ``out=`` given: the
-    one use in which :class:`nvgates.analysis._FormalHot` can stand in for it.
+    one use in which :class:`nvgates.analysis._FormalHot`, a pair whose r_hot
+    is itself, can stand in for ``r``.
     """
     if not 0 <= nv_index < state.n_spins:
         raise ParameterError(f"spin index {nv_index} out of range for {state.n_spins} spins")

@@ -120,4 +120,4 @@ def _gate_circuit(name: str) -> Netlist:
 def shipped_circuit_text(name: str) -> str:
     """Contents of the shipped .nv data file for a gate."""
     name = _canon(name)
-    return resources.files("nvgates").joinpath(f"circuits/{name}.nv").read_text(encoding="utf-8")
+    return resources.files(__package__).joinpath(f"circuits/{name}.nv").read_text(encoding="utf-8")

@@ -10,6 +10,7 @@ from nvgates.cavity import (
     CavityParams,
     IDEAL_PAIR,
     ParameterError,
+    ReflectionPair,
     coupling_ratio_to_r,
     kappa_from_quality_factor,
     quality_factor_conversions,
@@ -55,6 +56,22 @@ def test_invalid_parameters_rejected():
         with pytest.raises(ParameterError):
             resonant_pair(r_hot)
     assert resonant_pair(-1.0).r_hot == -1.0
+
+
+def test_reflection_pair_refuses_what_no_passive_cavity_gives():
+    # unchecked, (2, -1) gave a CNOT efficiency of 5.125 and (nan, -1) a NaN fidelity
+    inf, nan = float("inf"), float("nan")
+    for r_hot, r_cold in ((2.0, -1.0), (1.5, -1.0), (nan, -1.0), (inf, -1.0), (0.5, -1.1), (0.5, 0.8 + 0.8j), (0.5, nan)):
+        with pytest.raises(ParameterError, match=r"\|r_(hot|cold)\| <= 1"):
+            ReflectionPair(r_hot, r_cold)
+    assert resonant_pair(1 + 1e-12).r_hot == 1 + 1e-12
+    # the steady-state formula rounds |r| to a few ulp above 1 at many detunings, and those pairs build
+    rng = np.random.default_rng(7)
+    over = 0
+    for g, kappa, gamma, *omegas in rng.uniform((0.05,) * 3 + (-5,) * 3, (5,) * 6, size=(300, 6)):
+        pair = reflection_coefficient(CavityParams(g, kappa, gamma, *omegas))
+        over += max(abs(pair.r_hot), abs(pair.r_cold)) > 1
+    assert over > 0
 
 
 def test_non_finite_parameters_rejected():

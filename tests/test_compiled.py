@@ -169,7 +169,7 @@ def test_formal_shift_moves_each_coefficient_up_one_slot():
     amps[0, 0], amps[1, 5], amps[2, 6] = 2.0, 3j, 4.0
     expected = np.zeros_like(amps)
     expected[0, 1], expected[1, 6], expected[2, 7] = 2.0, 3j, 4.0
-    amps *= _FormalHot(4)
+    amps *= _FormalHot(4, -1.0)
     assert np.array_equal(amps, expected)
 
 
@@ -179,11 +179,11 @@ def test_formal_shift_raises_instead_of_dropping_the_top_slot():
     amps = np.zeros((2, 1, 4), dtype=complex)
     amps[R, 0, PLUS * 2 + 1] = 1.0
     state = HybridState(("a",), 2, amps)
-    formal = ReflectionPair(r_hot=_FormalHot(2), r_cold=-1.0)
+    formal = _FormalHot(2, -1.0)
     with pytest.raises(OverflowError, match="2-slot"):
         scatter(state, 0, "a", formal)
     amps[R, 0, PLUS * 2 + 1], amps[R, 0, PLUS * 2] = 0.0, 1.0
     shifted = scatter(HybridState(("a",), 2, amps), 0, "a", formal)
     assert shifted.amps[R, 0, PLUS * 2 + 1] == 1.0 and shifted.amps[R, 0, PLUS * 2] == 0.0
     with pytest.raises(TypeError):
-        np.ones(4) * _FormalHot(2)
+        np.ones(4) * _FormalHot(2, -1.0)

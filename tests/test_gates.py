@@ -1,11 +1,17 @@
 """Gate constructors: block matrices, ideal unitaries, circuit behavior."""
 
 import math
+import os
+import shutil
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nvgates
 from nvgates.analysis import efficiency_closed_form, fidelity_closed_form
 from nvgates.cavity import IDEAL_PAIR, resonant_pair
 from nvgates.gates import (
@@ -158,6 +164,20 @@ def test_shipped_circuit_files():
     assert {f.name for f in circuits.iterdir()} == {f"{name}.nv" for name in GATE_NAMES}
     for name in GATE_NAMES:
         assert build_gate_circuit(name) is build_gate_circuit(name)
+
+
+def test_a_renamed_copy_of_the_package_reads_its_own_circuit_files(tmp_path):
+    # nothing named nvgates is importable in the subprocess, and the copy's
+    # cnot file differs from this package's
+    copy = tmp_path / "nvgates_copy"
+    shutil.copytree(Path(nvgates.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "circuits" / "cnot.nv", "a", encoding="utf-8") as fh:
+        fh.write("# the copy's own file\n")
+    code = "from nvgates_copy import gates; gates.build_gate_circuit('cnot'); print(gates.shipped_circuit_text('cnot'))"
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("# the copy's own file\n\n")
 
 
 def test_gate_circuit_parsed_once_in_any_letter_case(monkeypatch):

@@ -1,0 +1,43 @@
+"""``tools/interleave.py``, the in-process A/B timing of two source trees, runs.
+
+The tool times each tree with the item runner of ``perfbench/worker.py``'s
+``prepare``; these tests run it end to end on this checkout's ``src``
+against itself, and check that loading a tree leaves the names it borrows
+as it found them.
+"""
+
+import importlib.util
+import pathlib
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload", ["netlist-oneshot", "sweep-random", "verify-cli"])
+def test_interleave_runs_a_tree_against_itself(workload):
+    argv = [sys.executable, "tools/interleave.py", "src", "src", "--workload", workload, "--items", "2", "--rounds", "1"]
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "differs from old on 0 of 2 items" in done.stdout
+    assert done.stdout.splitlines()[-1].startswith("median new/old ")
+
+
+def test_loading_a_tree_restores_the_names_it_borrows(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)  # the tool sets it on import
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("interleave", ROOT / "tools" / "interleave.py")
+    interleave = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(interleave)
+    import nvgates
+    import worker
+
+    guard = worker.import_nvgates
+    run = interleave.load_tree(ROOT / "src", "nvgates_interleave_test", tmp_path, "netlist-oneshot")
+    assert sys.modules["nvgates"] is nvgates and worker.import_nvgates is guard
+    (item,) = interleave.load_items("netlist-oneshot", 11, 1)
+    assert pickle.dumps(run(item)) == pickle.dumps(worker.prepare("netlist-oneshot")(item))

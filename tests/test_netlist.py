@@ -346,6 +346,10 @@ def test_netlist_fields_checked_when_built():
         with pytest.raises(ValueError, match="Netlist.feedforward rule"):
             replace(net, feedforward=(rule,))
     assert replace(net, feedforward=net.feedforward) == net
+    # a parsed circuit's lines survive replace, so other elements need other lines
+    with pytest.raises(ValueError, match=r"Netlist\.lines .* must give one line per element"):
+        replace(net, elements=net.elements[:-1])
+    assert replace(net, elements=net.elements[:-1], lines=()).lines == ()
 
 
 @pytest.mark.parametrize(

@@ -11,16 +11,19 @@ like the others, gives the A/A ratio that shows the noise floor.
 
 The items are the first N of the stream of one of the benchmark's
 workloads, ``perfbench/items.py``'s ``STREAMS[W]`` (default
-``netlist-oneshot``), run as ``perfbench/worker.py``'s ``prepare`` runs
-them: ``netlist-oneshot`` parses, runs at the item's r_hot and reads every
-outcome's spins; ``sweep-random`` calls ``analysis.sweep([gate], [ratio],
-"random", ...)``; ``verify-cli`` calls ``cli.main(argv)`` with stdout and
-stderr captured.  For the last two, each tree builds the three gates when
-it is loaded.  Each round runs every item once per tree, one tree after
-another, the order rotating from item to item; each run is timed by
-``time.process_time``.  The first pass is an untimed warm-up that also
-compares the trees' outputs by ``repr``, so a NaN matches a NaN and -0.0
-differs from 0.0.  The header line also gives each tree's
+``netlist-oneshot``), and each tree runs them through the runner that
+``perfbench/worker.py``'s ``prepare`` returns for it, so the benchmark and
+this tool run an item the same way.  While ``prepare`` runs, the name
+``nvgates`` points at the tree and ``worker.import_nvgates``, which ties the
+worker to this checkout's ``src``, stands aside; both are restored
+afterwards.  For ``sweep-random`` and ``verify-cli`` each tree also builds
+the three gates while that name is in place, since a tree may read its
+circuit files through it; they are cached, so no item reads a file.  Each
+round runs every item once per tree, one tree after another, the order
+rotating from item to item; each run is timed by ``time.process_time``.
+The first pass is an untimed warm-up that also compares the trees' outputs
+by their pickled bytes, so arrays match to the last bit, a NaN matches a
+NaN and -0.0 differs from 0.0.  The header line also gives each tree's
 ``nvgates/*.py`` line count (newlines, as ``wc -l`` counts them), so a
 size and a timing come from one run.  One line per round gives
 the microseconds per item of each tree and the ratios new/old and
@@ -30,9 +33,8 @@ A/A (old copy / old); the last line gives their medians over the rounds.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib
-import io
+import pickle
 import shutil
 import statistics
 import sys
@@ -46,18 +48,18 @@ ROOT = Path(__file__).resolve().parents[1]
 TREES = ("old", "new", "aa")
 
 
-def _streams() -> dict:
-    """``perfbench/items.py``'s ``STREAMS``: workload name -> item generator of a seed."""
+def _perfbench(module: str):
+    """``perfbench/<module>.py``, imported with perfbench on ``sys.path``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        return importlib.import_module("items").STREAMS
+        return importlib.import_module(module)
     finally:
         sys.path.pop(0)
 
 
 def load_items(workload: str, seed: int, n: int) -> list[tuple]:
     """The first ``n`` items of ``workload``'s stream of ``seed``, read from perfbench."""
-    stream = _streams()[workload](seed)
+    stream = _perfbench("items").STREAMS[workload](seed)
     return [next(stream) for _ in range(n)]
 
 
@@ -67,60 +69,30 @@ def line_count(src: Path) -> int:
 
 
 def load_tree(src: Path, name: str, tmp: Path, workload: str):
-    """A runner of one ``workload`` item on the nvgates package under ``src``, imported as ``name``."""
+    """``worker.prepare``'s runner of one ``workload`` item on the nvgates package under ``src``, imported as ``name``."""
     shutil.copytree(src / "nvgates", tmp / name)
-
-    def module(mod: str):
-        return importlib.import_module(f"{name}.{mod}")
-
-    if workload != "netlist-oneshot":
-        # gates.shipped_circuit_text finds the circuit files through the
-        # package name nvgates, so that name points at this tree while its
-        # gates are built; they are cached, so no item reads a file.
-        gates, sys.modules["nvgates"] = module("gates"), importlib.import_module(name)
-        try:
+    worker = _perfbench("worker")
+    alias, guard = sys.modules.get("nvgates"), worker.import_nvgates
+    sys.modules["nvgates"], worker.import_nvgates = importlib.import_module(name), lambda: None
+    try:
+        if workload != "netlist-oneshot":
+            gates = importlib.import_module(f"{name}.gates")
             for gate in gates.GATE_NAMES:
                 gates.build_gate_circuit(gate)
-        finally:
+        return worker.prepare(workload)
+    finally:
+        if alias is None:
             del sys.modules["nvgates"]
-
-    if workload == "sweep-random":
-        analysis = module("analysis")
-
-        def run(item):
-            _, gate, ratio, trials, seed = item
-            (rec,) = analysis.sweep([gate], [ratio], "random", trials=trials, seed=seed)
-            return rec.fidelity_sim, rec.efficiency_sim
-
-    elif workload == "verify-cli":
-        cli = module("cli")
-
-        def run(item):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(item[1])
-            return code, out.getvalue(), err.getvalue()
-
-    else:
-        netlist, cavity = module("netlist"), module("cavity")
-
-        def run(item):
-            _, text, r_hot, _ = item
-            try:
-                net = netlist.parse_netlist(text)
-            except Exception as exc:  # malformed items raise; the benchmark's checker judges which error
-                return type(exc).__name__, str(exc)
-            outcomes = netlist.run_netlist(net, netlist.balanced_product_input(net), cavity.resonant_pair(r_hot))
-            return [(o.label, o.probability, o.spins.amps.tobytes()) for o in outcomes]
-
-    return run
+        else:
+            sys.modules["nvgates"] = alias
+        worker.import_nvgates = guard
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="In-process A/B timing of two nvgates source trees.")
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
-    parser.add_argument("--workload", choices=sorted(_streams()), default="netlist-oneshot")
+    parser.add_argument("--workload", choices=sorted(_perfbench("items").STREAMS), default="netlist-oneshot")
     parser.add_argument("--seed", type=int, default=20131001)
     parser.add_argument("--items", type=int, default=300)
     parser.add_argument("--rounds", type=int, default=6)
@@ -136,7 +108,7 @@ def main(argv=None) -> int:
         sys.path.insert(0, tmp)
         srcs = {"old": args.old_src, "new": args.new_src, "aa": args.old_src}
         runs = {tree: load_tree(srcs[tree], f"nvgates_{tree}", Path(tmp), args.workload) for tree in TREES}
-        differ = sum(repr(runs["old"](item)) != repr(runs["new"](item)) for item in items)
+        differ = sum(pickle.dumps(runs["old"](item)) != pickle.dumps(runs["new"](item)) for item in items)
         for item in items:
             runs["aa"](item)
         print(f"{args.workload} seed={args.seed} items={args.items} rounds={args.rounds}: "
