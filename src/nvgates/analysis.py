@@ -25,9 +25,9 @@ input/normalization convention.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -300,8 +300,7 @@ def efficiency_factorized(gate: str, r_mag: float) -> float:
     return math.prod((1.0 - pass_loss[d] for d in sorted(pass_loss)), start=1.0)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One (coupling ratio, gate) row of a figure-reproduction sweep."""
 
     coupling_ratio: float
@@ -355,14 +354,14 @@ CSV_HEADER = ("ratio", "r", "gate", "fidelity_closed", "fidelity_sim", "efficien
 def write_sweep_csv(records, fh) -> None:
     """CSV with 9-significant-digit floats, one row per (ratio, gate): each
     record's fields in field order, under :data:`CSV_HEADER`."""
+    import csv  # here, not at the top: only a sweep CSV needs it
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for rec in records:
-        writer.writerow([f"{v:.9g}" if isinstance(v, float) else v for v in astuple(rec)])
+        writer.writerow([f"{v:.9g}" if isinstance(v, float) else v for v in rec])
 
 
-@dataclass(frozen=True)
-class ConventionResidual:
+class ConventionResidual(NamedTuple):
     """Worst-case |simulated - closed-form| for one gate and mode."""
 
     gate: str
@@ -374,8 +373,7 @@ class ConventionResidual:
     efficiency_at_r1: float
 
 
-@dataclass(frozen=True)
-class ConventionReport:
+class ConventionReport(NamedTuple):
     """Comparison of simulated metrics against the closed forms.
 
     ``best`` names the (convention, normalization) pair whose simulated

@@ -15,6 +15,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from .cavity import (
 from .gates import GATE_NAMES, _canon, build_gate_circuit, ideal_gate_unitary
 from .netlist import (
     MAX_AMPLITUDES,
+    apply_elements,
     balanced_product_input,
     load_netlist,
     product_input,
@@ -107,9 +109,12 @@ def cmd_run(args) -> int:
         pairs = [p / s for p, s in zip(pairs, scales)]
         state = product_input(net, [p / np.linalg.norm(p) for p in pairs])
     outcomes = run_netlist(net, state, reflection)
-    survival = sum(o.probability for o in outcomes)
+    after = apply_elements(net, state, reflection).amps  # the norm left on modes no detector reads
+    left = float(sum((abs(after[:, i]) ** 2).sum() for i, m in enumerate(net.modes) if m not in net.detectors))
     print(f"netlist: {args.netlist}  spins: {net.n_spins}  modes: {len(net.modes)}")
-    print(f"photon survival probability: {survival:.9f}")
+    print(f"photon survival probability: {sum(o.probability for o in outcomes) + left:.9f}")
+    if left:
+        print(f"  of which on undetected modes: {left:.9f}")
     for o in outcomes:
         print(f"  outcome {o.label:<6} p = {o.probability:.9f}  spins: {_fmt_spin_state(o.spins.amps, net.n_spins)}")
     return 0
@@ -314,6 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a word that starts with one "-" for a flag unless it is "-", digits and one "." at most,
+    # so "--flag -5e-1" (or -1j, -0.6,0.8, which name no flag) is joined as "--flag=-5e-1"; "--" ends the flags
+    if "\0-" in "\0".join(argv).replace("\0--", "\0"):  # some word after the first starts with one "-"
+        for i in range((argv + ["--"]).index("--") - 1, 0, -1):
+            if argv[i - 1][:2] == "--" and re.fullmatch(r"-\.?\d[\d.]*[^\d.\s]\S*", argv[i]):
+                argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -123,8 +123,8 @@ class Netlist:
             raise ValueError(f"Netlist of {n} spins and {len(modes)} modes exceeds {MAX_AMPLITUDES} amplitudes")
         if len(set(self.detectors)) != len(self.detectors) or not modes.issuperset(self.detectors):
             raise ValueError(f"Netlist.detectors {self.detectors!r} names a mode twice, or one that is not declared")
-        if self.lines and len(self.lines) != len(self.elements):
-            raise ValueError(f"Netlist.lines {self.lines!r} must give one line per element, or be ()")
+        if self.lines and (len(self.lines) != len(self.elements) or not all(type(k) is int and k > 0 for k in self.lines)):
+            raise ValueError(f"Netlist.lines {self.lines!r} must give one line per element, each a positive int, or be ()")
         for el in self.elements:
             kind, ins, outs, spin = el if type(el) is Element else (None,) * 4
             if type(kind) is not Kind or type(ins) is not tuple or type(outs) is not tuple:

@@ -10,6 +10,8 @@ from nvgates import analysis
 from nvgates.analysis import (
     CSV_HEADER,
     ConventionReport,
+    ConventionResidual,
+    SweepRecord,
     efficiency_closed_form,
     efficiency_factorized,
     efficiency_simulated,
@@ -203,6 +205,34 @@ def test_csv_format():
     assert float(first[0]) == 0.5
     # 9 significant digits
     assert len(first[3].replace(".", "").replace("-", "").lstrip("0")) <= 9
+
+
+def test_records_unpack_to_their_fields_in_order():
+    rec = sweep(["toffoli"], [2.0], trials=2)[0]
+    ratio, r_mag, gate, f_closed, f_sim, eta_closed, eta_sim = rec
+    assert (ratio, r_mag, gate) == (rec.coupling_ratio, rec.r_magnitude, rec.gate)
+    assert (ratio, gate) == (2.0, "toffoli")
+    assert (f_closed, f_sim, eta_closed, eta_sim) == (
+        rec.fidelity_closed, rec.fidelity_sim, rec.efficiency_closed, rec.efficiency_sim)
+    report = fidelity_convention_report(trials=2)
+    r_grid, residuals, best, best_max = report
+    assert (r_grid, residuals, best, best_max) == (report.r_grid, report.residuals, report.best, report.best_max_residual)
+    res = residuals[0]
+    gate, convention, normalization, max_f, max_eta, f_r1, eta_r1 = res
+    assert (gate, convention, normalization) == (res.gate, res.convention, res.normalization)
+    assert (max_f, max_eta, f_r1, eta_r1) == (
+        res.max_fidelity_residual, res.max_efficiency_residual, res.fidelity_at_r1, res.efficiency_at_r1)
+    for record in (rec, report, res):
+        with pytest.raises(AttributeError):  # read-only, as a frozen dataclass was
+            record.gate = "cnot"
+    assert isinstance(report, ConventionReport) and isinstance(res, ConventionResidual)
+
+
+def test_sweep_record_csv_row_is_its_fields_under_the_header():
+    rec = SweepRecord(0.5, 1 / 3, "cnot", 0.25, 2 / 3, 1.0, 1e-20)
+    buf = io.StringIO()
+    write_sweep_csv([rec], buf)
+    assert buf.getvalue() == ",".join(CSV_HEADER) + "\n0.5,0.333333333,cnot,0.25,0.666666667,1,1e-20\n"
 
 
 def test_convention_report_structure():

@@ -393,6 +393,50 @@ def test_python_dash_m_runs_the_cli():
     assert "PASS" in done.stdout
 
 
+def test_csv_is_imported_only_to_write_a_sweep_csv():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import io, sys\n"
+        "from nvgates import analysis, cli\n"
+        "seen = ['csv' in sys.modules]\n"
+        "cli.main(['verify', 'cnot', '--ideal', '--trials', '2']), cli.main(['truth-table', 'cnot'])\n"
+        "seen.append('csv' in sys.modules)\n"
+        "analysis.write_sweep_csv([], io.StringIO())\n"
+        "print(*seen, 'csv' in sys.modules, file=sys.stderr)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "False False True\n")
+
+
+def test_run_survival_counts_the_photon_on_undetected_modes(tmp_path):
+    # a lossless pbs sends half the photon to d, which no detector reads: it still survives
+    path = tmp_path / "half.nv"
+    for detect, left in (("detect c\n", "0.500000000"), ("", "1.000000000")):
+        path.write_text("spins 1\nmodes a b c d\npbs a b -> c d\n" + detect, encoding="utf-8")
+        code, out, err = run_cli(["run", str(path)])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:3] == ["photon survival probability: 1.000000000", f"  of which on undetected modes: {left}"]
+
+
+def test_negative_flag_values_with_an_exponent_are_values(tmp_path):
+    # argparse alone reads -5e-1, -1e3 and -0.6,0.8 as flags and exits 2, "expected one argument"
+    from nvgates.gates import shipped_circuit_text
+
+    path = tmp_path / "cnot.nv"
+    path.write_text(shipped_circuit_text("cnot"), encoding="utf-8")
+    for flag, value, rest in (
+        ("--r-hot", "-5e-1", ["verify", "cnot", "--trials", "3"]),
+        ("--omega-c", "-1e3", ["params", "--g", "1"]),
+        ("--input", "-0.6,0.8,1,0", ["run", str(path)]),
+    ):
+        spaced = run_cli(rest + [flag, value])
+        assert spaced[0] == 0 and spaced == run_cli(rest + [f"{flag}={value}"])
+    # after "--" every token is positional, so -1e3 is the netlist path
+    code, _, err = run_cli(["run", "--ideal", "--", "-1e3"])
+    assert code == 1 and "-1e3" in err
+
+
 def test_sweep_near_the_float_limit_warns_nothing(tmp_path):
     out = tmp_path / "x.csv"
     code, stdout, err = run_cli(["sweep", "--min", "1e308", "--max", "1.7e308", "--steps", "3", "--out", str(out)])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nvgates import netlist
-from nvgates.elements import Kind, Pauli
+from nvgates.elements import Element, Kind, Pauli
 from nvgates.gates import GATE_NAMES, build_gate_circuit, shipped_circuit_text
 from nvgates.netlist import (
     MAX_AMPLITUDES,
@@ -350,6 +350,15 @@ def test_netlist_fields_checked_when_built():
     with pytest.raises(ValueError, match=r"Netlist\.lines .* must give one line per element"):
         replace(net, elements=net.elements[:-1])
     assert replace(net, elements=net.elements[:-1], lines=()).lines == ()
+
+
+def test_netlist_lines_are_positive_ints():
+    # a source line number counts from 1; a str, a bool or a float is no line number
+    el = Element(Kind.HWP, ("a",), ("a",))
+    for bad in (("x",), (-3,), (0,), (True,), (1.0,)):
+        with pytest.raises(ValueError, match=r"Netlist\.lines .* each a positive int"):
+            Netlist(1, ("a",), (el,), ("a",), lines=bad)
+    assert Netlist(1, ("a",), (el,), ("a",), lines=(7,)).lines == (7,)
 
 
 @pytest.mark.parametrize(
