@@ -36,7 +36,6 @@ from .cavity import (
 from .gates import GATE_NAMES, _canon, build_gate_circuit, ideal_gate_unitary
 from .netlist import (
     MAX_AMPLITUDES,
-    apply_elements,
     balanced_product_input,
     load_netlist,
     product_input,
@@ -88,6 +87,8 @@ def _fmt_spin_state(amps, n: int) -> str:
 
 
 def cmd_run(args) -> int:
+    from dataclasses import replace
+
     net = load_netlist(args.netlist)
     reflection = _reflection_from_args(args)
     if args.input == "balanced":
@@ -108,9 +109,11 @@ def cmd_run(args) -> int:
             raise UsageError("--input: every spin's (alpha,beta) pair needs a finite, nonzero norm")
         pairs = [p / s for p, s in zip(pairs, scales)]
         state = product_input(net, [p / np.linalg.norm(p) for p in pairs])
-    outcomes = run_netlist(net, state, reflection)
-    after = apply_elements(net, state, reflection).amps  # the norm left on modes no detector reads
-    left = float(sum((abs(after[:, i]) ** 2).sum() for i, m in enumerate(net.modes) if m not in net.detectors))
+    # one run, with a detector added on each undetected mode: its outcomes, after the circuit's, hold the norm there
+    undetected = tuple(m for m in net.modes if m not in net.detectors)
+    outcomes = run_netlist(replace(net, detectors=net.detectors + undetected), state, reflection)
+    own = 2 * len(net.detectors)
+    outcomes, left = outcomes[:own], sum(o.probability for o in outcomes[own:])
     print(f"netlist: {args.netlist}  spins: {net.n_spins}  modes: {len(net.modes)}")
     print(f"photon survival probability: {sum(o.probability for o in outcomes) + left:.9f}")
     if left:
@@ -207,16 +210,20 @@ def cmd_sweep(args) -> int:
     if args.max <= args.min:
         raise UsageError("--max must exceed --min (steps over zero range are rejected)")
     ratios = np.linspace(args.min, args.max, args.steps)
-    print(f"sweep: gates={','.join(gates)} ratios=[{args.min},{args.max}] "
-          f"steps={args.steps} convention={args.convention} seed={args.seed}")
-    records = analysis.sweep(names, ratios, args.convention, trials=args.trials, seed=args.seed)
+    # an output that cannot be written is refused before anything is printed or computed
     out = _resolve_out(args.out)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
+    rp = _resolve_out(args.fidelity_report) if args.fidelity_report else None
+    if rp is not None and not rp.parent.is_dir():
+        raise FileNotFoundError(f"--fidelity-report: no directory {str(rp.parent)!r}")
+    with open(out, "a", encoding="utf-8", newline="") as fh:  # emptied once the rows are ready, not if interrupted
+        print(f"sweep: gates={','.join(gates)} ratios=[{args.min},{args.max}] "
+              f"steps={args.steps} convention={args.convention} seed={args.seed}")
+        records = analysis.sweep(names, ratios, args.convention, trials=args.trials, seed=args.seed)
+        fh.truncate(0)
         analysis.write_sweep_csv(records, fh)
     print(f"wrote {len(records)} rows to {out}")
-    if args.fidelity_report:
+    if rp is not None:
         report = analysis.fidelity_convention_report(trials=args.trials, seed=args.seed)
-        rp = _resolve_out(args.fidelity_report)
         rp.write_text(report.render() + "\n", encoding="utf-8")
         print(f"wrote convention report to {rp}")
     return 0
@@ -331,7 +338,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:  # looked up now, so the current cmd_<command> runs
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
+        sys.stdout.flush()  # so a reader that has gone fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # the reader has gone: nothing on stderr, exit 1, and the flush at exit writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -81,14 +81,51 @@ class DiagnosticKind(Enum):
 
 
 class NetlistError(ValueError):
-    """Parse or validation failure with a diagnostic kind and location."""
+    """Parse or validation failure with a diagnostic kind and location, None for a netlist built in code."""
 
-    def __init__(self, kind: DiagnosticKind, line: int, column: int, message: str):
-        super().__init__(f"line {line}, col {column}: {message} [{kind.value}]")
+    def __init__(self, kind: DiagnosticKind, line: int | None, column: int | None, message: str):
+        super().__init__(("" if line is None else f"line {line}, col {column}: ") + f"{message} [{kind.value}]")
         self.kind, self.line, self.column, self.detail = kind, line, column, message
 
 
 FeedforwardRule = tuple[str, tuple[Pauli, ...]]
+# The circuit facts, each written only here, as a function that returns None or a Fault.  The parser calls
+# each on what its lines have declared so far, Netlist.__post_init__ on the whole circuit.  An element's
+# operands are (kind, *in_modes, *out_modes, spin); a detector's or a rule's are the tokens of its line.
+Fault = tuple[int, DiagnosticKind, str]  # (operand position, kind, message)
+
+
+def _element_fault(el: Element, n_spins: int | None, modes) -> Fault | None:
+    """An element's spin in range, then its form and overlap, then its wires declared, inputs first."""
+    kind, ins, outs, spin = el
+    if spin is not None and not 0 <= spin < n_spins:
+        return 1 + len(ins) + len(outs), DiagnosticKind.SPIN_RANGE, f"spin index {spin} out of range for spins {n_spins}"
+    try:
+        _wires(kind, ins, outs, spin)
+    except WiringError as exc:
+        return 0, DiagnosticKind.ARITY_MISMATCH, str(exc)
+    for pos, mode in enumerate(ins + outs, 1):
+        if mode not in modes:
+            return pos, DiagnosticKind.UNDECLARED_MODE, f"mode {mode!r} is not declared"
+    return None
+
+
+def _detector_fault(mode: str, modes, detectors) -> Fault | None:
+    """A detector on ``mode``: declared, then not among the earlier ``detectors``."""
+    if mode not in modes:
+        return 1, DiagnosticKind.UNDECLARED_MODE, f"mode {mode!r} is not declared"
+    return (1, DiagnosticKind.DUPLICATE_DECLARATION, f"detector on {mode!r} redeclared") if mode in detectors else None
+
+
+def _rule_fault(label: str, labels) -> Fault | None:
+    """A feedforward rule for outcome ``label``: not among the earlier rules' ``labels``."""
+    return (1, DiagnosticKind.DUPLICATE_DECLARATION, f"outcome {label!r} listed twice") if label in labels else None
+
+
+def _outcome_fault(label: str, detectors) -> Fault | None:
+    """A feedforward rule's ``label``: F or S, then one of ``detectors``."""
+    named = label[:1] in ("F", "S") and label[1:] in detectors
+    return None if named else (1, DiagnosticKind.UNKNOWN_OUTCOME, f"feedforward outcome {label!r} matches no detector")
 
 
 @dataclass(frozen=True)
@@ -98,8 +135,9 @@ class Netlist:
     (outcome label, one Pauli per spin) rules, ``()`` for none.  All are
     tuples; ``lines``, not compared, holds each element's source line, or is
     ``()`` when built in code, so ``dataclasses.replace(parsed, elements=...)``
-    must also pass ``lines=()``.  Construction checks the whole circuit and
-    raises ValueError (:class:`WiringError` for an element's form or overlap)."""
+    must also pass ``lines=()``.  Construction raises ValueError for a bad
+    field, then :class:`NetlistError` for the first fault in the parser's
+    order, with the parser's kind and no line, naming the part by position."""
 
     n_spins: int
     modes: tuple[str, ...]
@@ -121,25 +159,24 @@ class Netlist:
             raise ValueError(f"Netlist.modes must be a non-empty tuple of distinct str, got {self.modes!r}")
         if _too_large(n, len(modes)):
             raise ValueError(f"Netlist of {n} spins and {len(modes)} modes exceeds {MAX_AMPLITUDES} amplitudes")
-        if len(set(self.detectors)) != len(self.detectors) or not modes.issuperset(self.detectors):
-            raise ValueError(f"Netlist.detectors {self.detectors!r} names a mode twice, or one that is not declared")
         if self.lines and (len(self.lines) != len(self.elements) or not all(type(k) is int and k > 0 for k in self.lines)):
             raise ValueError(f"Netlist.lines {self.lines!r} must give one line per element, each a positive int, or be ()")
         for el in self.elements:
             kind, ins, outs, spin = el if type(el) is Element else (None,) * 4
-            if type(kind) is not Kind or type(ins) is not tuple or type(outs) is not tuple:
-                raise ValueError(f"Netlist element {el!r} is not an Element with a Kind and tuples of wires")
-            _wires(kind, ins, outs, spin)
-            if not (modes.issuperset(ins) and modes.issuperset(outs)):
-                raise ValueError(f"Netlist element {el!r} wires a mode that is not declared")
-            if spin is not None and not (type(spin) is int and 0 <= spin < n):
-                raise ValueError(f"Netlist element {el!r} names a spin out of range for {n} spins")
-        labels = list(self.outcome_labels()) if self.feedforward else []  # each outcome takes one rule at most
+            if type(kind) is not Kind or type(ins) is not tuple or type(outs) is not tuple or not (spin is None or type(spin) is int):
+                raise ValueError(f"Netlist element {el!r} is not an Element with a Kind, tuples of wires and an int spin or None")
         for rule in self.feedforward:
-            ops = rule[1] if isinstance(rule, tuple) and len(rule) == 2 and rule[0] in labels else None
-            if not (isinstance(ops, tuple) and len(ops) == self.n_spins and all(isinstance(o, Pauli) for o in ops)):
-                raise ValueError(f"Netlist.feedforward rule {rule!r} is not (outcome label, {self.n_spins}-tuple of Pauli)")
-            labels.remove(rule[0])
+            label, ops = rule if isinstance(rule, tuple) and len(rule) == 2 else (None, None)
+            if not (isinstance(label, str) and isinstance(ops, tuple) and len(ops) == n and all(isinstance(o, Pauli) for o in ops)):
+                raise ValueError(f"Netlist.feedforward rule {rule!r} is not (outcome label, {n}-tuple of Pauli)")
+        labels, detectors = [label for label, _ in self.feedforward], self.detectors
+        for part, faults in (("element", (_element_fault(el, n, modes) for el in self.elements)),
+                             ("detector", (_detector_fault(m, modes, detectors[:i]) for i, m in enumerate(detectors))),
+                             ("rule", (_rule_fault(label, labels[:i]) for i, label in enumerate(labels))),
+                             ("rule", (_outcome_fault(label, detectors) for label in labels))):
+            for i, fault in enumerate(faults):
+                if fault:
+                    raise NetlistError(fault[1], None, None, f"{part} {i}: {fault[2]}")
 
     def outcome_labels(self) -> tuple[str, ...]:
         return tuple([basis + mode for mode in self.detectors for basis in ("F", "S")])
@@ -219,20 +256,6 @@ def parse_netlist(text: str) -> Netlist:
             return int(tok[len(prefix) :])
         raise error(DiagnosticKind.INVALID_TOKEN, line, i, f"expected {prefix}<integer>, got {tok!r}")
 
-    def spin_index(toks, i: int, line: int, prefix: str) -> int:
-        """The spin a ``<prefix><k>`` token ``toks[i]`` names, after ``spins``."""
-        k = int_at(toks, i, line, prefix)
-        if n_spins is None:
-            raise error(DiagnosticKind.MISSING_DECLARATION, line, i, "spins must be declared first")
-        if not 0 <= k < n_spins:
-            raise error(DiagnosticKind.SPIN_RANGE, line, i, f"spin index {k} out of range for spins {n_spins}")
-        return k
-
-    def require_modes(toks, indices, line: int):
-        for i in indices:
-            if toks[i] not in modes:
-                raise error(DiagnosticKind.UNDECLARED_MODE, line, i, f"mode {toks[i]!r} is not declared")
-
     def check_size():
         n, n_modes = n_spins, max(len(modes), 1)
         if n is not None and _too_large(n, n_modes):
@@ -251,38 +274,28 @@ def parse_netlist(text: str) -> Netlist:
                 raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, f"{head} expects: {head} {FORMS[kind]}")
             if lay.arrow is not None and toks[lay.arrow] != "->":
                 raise error(DiagnosticKind.ARITY_MISMATCH, lineno, lay.arrow, f"{head} expects '->' here")
-            spin = None if lay.spin is None else spin_index(toks, lay.spin, lineno, lay.spin_prefix)
-            # The token count has fixed the operand shape, so of the wiring
-            # check only the overlap test is left; when it fails, _wires words
-            # the diagnostic.  An in-place kind has one wire, or none.
+            spin = None if lay.spin is None else int_at(toks, lay.spin, lineno, lay.spin_prefix)
+            if spin is not None and n_spins is None:
+                raise error(DiagnosticKind.MISSING_DECLARATION, lineno, lay.spin, "spins must be declared first")
             in_modes = tuple(toks[ins])
-            out_modes = in_modes if lay.in_place else tuple(toks[outs])
-            wires = in_modes if lay.in_place else in_modes + out_modes
-            if not lay.in_place and len(set(wires)) != len(wires):
-                try:
-                    _wires(kind, in_modes, out_modes, spin)
-                except WiringError as exc:
-                    raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, str(exc)) from None
-            for mode in wires:
-                if mode not in modes:
-                    require_modes(toks, lay.ins, lineno)
-                    require_modes(toks, lay.outs, lineno)
+            out_modes = in_modes if lay.in_place else tuple(toks[outs])  # an in-place kind has one wire, or none
+            el = Element(kind, in_modes, out_modes, spin)
+            if fault := _element_fault(el, n_spins, modes):
+                raise error(fault[1], lineno, (0, *lay.ins, *lay.outs, lay.spin)[fault[0]], fault[2])
             for i, mode in zip(lay.ins, in_modes):
                 if mode not in written and mode not in unwritten:
                     unwritten[mode] = (lineno, i)
             if not lay.in_place:  # an in-place element introduces nothing: its wire is not written
                 written.update(out_modes)
-            elements.append(Element(kind, in_modes, out_modes, spin))
+            elements.append(el)
             element_lines.append(lineno)
 
         elif head == "detect":
             if len(toks) != 2:
                 raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, "detect expects: detect m")
             tok = toks[1]
-            if tok not in modes:
-                require_modes(toks, (1,), lineno)
-            if tok in detectors:
-                raise error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, 1, f"detector on {tok!r} redeclared")
+            if fault := _detector_fault(tok, modes, detectors):
+                raise error(fault[1], lineno, fault[0], fault[2])
             if tok not in written and tok not in unwritten:
                 unwritten[tok] = (lineno, 1)
             detectors[tok] = None
@@ -322,7 +335,9 @@ def parse_netlist(text: str) -> Netlist:
             ops = [Pauli.I] * n_spins
             seen: set[int] = set()
             for i in range(2, len(toks), 2):
-                k = spin_index(toks, i, lineno, "spin_")
+                k = int_at(toks, i, lineno, "spin_")
+                if not 0 <= k < n_spins:
+                    raise error(DiagnosticKind.SPIN_RANGE, lineno, i, f"spin index {k} out of range for spins {n_spins}")
                 if k in seen:
                     raise error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, i, f"spin_{k} listed twice")
                 seen.add(k)
@@ -332,8 +347,8 @@ def parse_netlist(text: str) -> Netlist:
                     raise error(
                         DiagnosticKind.INVALID_TOKEN, lineno, i + 1, f"unknown operator {toks[i + 1]!r}"
                     ) from None
-            if label in feedforward:
-                raise error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, 1, f"outcome {label!r} listed twice")
+            if fault := _rule_fault(label, feedforward):
+                raise error(fault[1], lineno, fault[0], fault[2])
             feedforward[label] = (tuple(ops), lineno)
 
         else:
@@ -353,10 +368,13 @@ def parse_netlist(text: str) -> Netlist:
         if mode in written:
             raise error(DiagnosticKind.NON_TOPOLOGICAL, line, i, f"mode {mode!r} is read here but only written later")
     for label, (_, line) in feedforward.items():
-        if label[1:] not in detectors:  # the label is F or S, then a mode
-            raise error(DiagnosticKind.UNKNOWN_OUTCOME, line, 1, f"feedforward outcome {label!r} matches no detector")
-    rules = tuple((label, ops) for label, (ops, _) in feedforward.items())
-    return Netlist(n_spins, tuple(modes), tuple(elements), tuple(detectors), rules, tuple(element_lines))
+        if fault := _outcome_fault(label, detectors):
+            raise error(fault[1], line, fault[0], fault[2])
+    net = object.__new__(Netlist)  # every fact and field is checked above, so not again by Netlist.__post_init__
+    vars(net).update(n_spins=n_spins, modes=tuple(modes), elements=tuple(elements), detectors=tuple(detectors),
+                     feedforward=tuple((label, ops) for label, (ops, _) in feedforward.items()),
+                     lines=tuple(element_lines), _compiled={})
+    return net
 
 
 def serialize_netlist(net: Netlist) -> str:

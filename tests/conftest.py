@@ -7,6 +7,7 @@ import io
 import math
 import random
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from nvgates.cavity import ReflectionPair
 from nvgates.cli import main
 from nvgates.elements import Element, Kind
-from nvgates.netlist import Netlist
+from nvgates.netlist import Netlist, NetlistError, parse_netlist, serialize_netlist
 
 
 def run_cli(argv) -> tuple[int, str, str]:
@@ -128,6 +129,16 @@ MUTATION_TOKENS = (
     "spin_0", "spin_1", "spin_2", "spin_3", "spin_x", "0", "1", "2", "3", "-1", "24", "I", "Z", "-Z", "X",
     "F9:", "S9:", "Fnope:", ":", "in", "vac", "m0", "f1", "\u03b1",
 )
+
+
+def text_refusal(n_spins, modes, elements, detectors, feedforward=()) -> NetlistError:
+    """The error that parsing the text of these ``Netlist`` fields raises;
+    the fields need not make a ``Netlist``, since the serializer reads only
+    them."""
+    fields = SimpleNamespace(n_spins=n_spins, modes=modes, elements=elements, detectors=detectors, feedforward=feedforward)
+    with pytest.raises(NetlistError) as err:
+        parse_netlist(serialize_netlist(fields))
+    return err.value
 
 
 def mutate_netlist_text(rng: random.Random, text: str) -> str:

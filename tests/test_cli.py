@@ -11,7 +11,8 @@ import pytest
 from nvgates import analysis
 from nvgates.cli import main
 from nvgates.gates import GATE_NAMES, build_gate_circuit
-from nvgates.netlist import MAX_AMPLITUDES
+from nvgates.elements import apply_hwp
+from nvgates.netlist import MAX_AMPLITUDES, run_netlist
 
 from conftest import run_cli
 
@@ -160,6 +161,7 @@ def test_run_input_pairs_of_tiny_or_huge_amplitudes_are_normalized(tmp_path):
 def test_sweep_writes_deterministic_csv(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
+    out1.write_text("an older, longer file\n" * 1000)  # replaced whole
     args = ["sweep", "--min", "0.5", "--max", "2.0", "--steps", "4", "--seed", "7"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
@@ -199,6 +201,19 @@ def test_sweep_rejects_bad_steps(tmp_path):
 def test_sweep_unwritable_path_runtime_error():
     assert main(["sweep", "--min", "0.5", "--max", "1", "--steps", "2",
                  "--out", "/nonexistent-dir/x.csv"]) == 1
+
+
+def test_sweep_refuses_an_unwritable_output_before_it_prints_or_runs(tmp_path, monkeypatch):
+    # the header line and the whole sweep used to come before the refusal
+    monkeypatch.setattr(analysis, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+    args = ["sweep", "--min", "0.5", "--max", "1", "--steps", "2"]
+    csv, report = str(tmp_path / "x.csv"), str(tmp_path / "r.txt")
+    for outputs in (["--out", "/nonexistent-dir/x.csv"], ["--out", csv, "--fidelity-report", "/nonexistent-dir/r.txt"],
+                    ["--out", "/nonexistent-dir/x.csv", "--fidelity-report", report]):
+        code, out, err = run_cli(args + outputs)
+        assert (code, out) == (1, ""), err
+        assert "nonexistent-dir" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_out_dir_env(tmp_path, monkeypatch):
@@ -393,6 +408,26 @@ def test_python_dash_m_runs_the_cli():
     assert "PASS" in done.stdout
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_that_has_gone_ends_the_command_quietly(unbuffered):
+    # the read end is closed before the child writes, so every write fails with EPIPE: buffered, in the
+    # flush at exit, which printed "Exception ignored ... BrokenPipeError" and exited 120; unbuffered, in
+    # print, which printed "error: [Errno 32] Broken pipe"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "nvgates", "truth-table", "fredkin", "--r-hot", "0"],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
 def test_csv_is_imported_only_to_write_a_sweep_csv():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
@@ -407,6 +442,21 @@ def test_csv_is_imported_only_to_write_a_sweep_csv():
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "False False True\n")
+
+
+def test_run_applies_the_circuit_once(tmp_path, monkeypatch):
+    # the norm on undetected modes comes from the one run, which detects them too
+    from nvgates import cli, elements
+
+    calls = []
+    monkeypatch.setattr(cli, "run_netlist", lambda *args: calls.append(args[0].detectors) or run_netlist(*args))
+    monkeypatch.setattr(elements, "apply_hwp", lambda *args: calls.append("hwp") or apply_hwp(*args))
+    path = tmp_path / "hwp.nv"
+    path.write_text("spins 1\nmodes a b c d\npbs a b -> c d\nhwp d\ndetect c\n", encoding="utf-8")
+    code, out, err = run_cli(["run", str(path)])
+    assert (code, err) == (0, "")
+    assert calls == [("c", "a", "b", "d"), "hwp"]
+    assert out.splitlines()[1:3] == ["photon survival probability: 1.000000000", "  of which on undetected modes: 0.500000000"]
 
 
 def test_run_survival_counts_the_photon_on_undetected_modes(tmp_path):

@@ -58,8 +58,9 @@ def test_pbs_single_input_rejected():
     # pbs takes exactly two inputs; an unused port is a never-occupied mode
     with pytest.raises(WiringError):
         apply_pbs_rl(_photon(BALANCED), ("in",), ("1", "2"))
-    with pytest.raises(WiringError):
+    with pytest.raises(NetlistError, match="^element 0: pbs takes") as err:
         Netlist(1, MODES, (Element(Kind.PBS_RL, ("in",), ("1", "2")),), ())
+    assert err.value.kind is DiagnosticKind.ARITY_MISMATCH
 
 
 @pytest.mark.parametrize(
@@ -77,8 +78,9 @@ def test_pbs_single_input_rejected():
 def test_element_rejects_operands_outside_its_form(kind, in_modes, out_modes, spin):
     # an Element is a plain record; the Netlist that holds it checks its form
     el = Element(kind, in_modes, out_modes, spin)
-    with pytest.raises(WiringError):
+    with pytest.raises(NetlistError) as err:
         Netlist(2, ("a", "b", "c", "d"), (el,), ())
+    assert err.value.kind is DiagnosticKind.ARITY_MISMATCH
 
 
 def test_pbs_overlapping_wiring_rejected():
@@ -274,8 +276,9 @@ def test_element_replace_checks_the_wiring_again():
     moved = el._replace(out_modes=("e", "d"))
     assert Netlist(1, tuple("abcde"), (moved,), ()).elements == (Element(Kind.PBS_RL, ("a", "b"), ("e", "d")),)
     for bad in (el._replace(out_modes=("c", "b")), el._replace(spin=0)):
-        with pytest.raises(WiringError):
+        with pytest.raises(NetlistError) as err:
             Netlist(1, tuple("abcde"), (bad,), ())
+        assert err.value.kind is DiagnosticKind.ARITY_MISMATCH
     with pytest.raises(AttributeError):
         el.in_modes = ("x", "y")
 

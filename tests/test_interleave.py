@@ -2,13 +2,14 @@
 
 The tool times each tree with the item runner of ``perfbench/worker.py``'s
 ``prepare``; these tests run it end to end on this checkout's ``src``
-against itself, and check that loading a tree leaves the names it borrows
-as it found them.
+against itself and against the ``src`` of its last commit, and check
+that loading a tree leaves the names it borrows as it found them.
 """
 
 import importlib.util
 import pathlib
 import pickle
+import shutil
 import subprocess
 import sys
 
@@ -24,6 +25,17 @@ def test_interleave_runs_a_tree_against_itself(workload):
     assert done.returncode == 0, done.stderr
     assert "differs from old on 0 of 2 items" in done.stdout
     assert done.stdout.splitlines()[-1].startswith("median new/old ")
+
+
+def test_interleave_takes_a_git_revision_for_a_tree():
+    # HEAD's src is unpacked with git archive; its outputs are this src's
+    git = ["git", "-C", str(ROOT), "rev-parse", "--is-inside-work-tree"]
+    if shutil.which("git") is None or subprocess.run(git, capture_output=True, text=True).stdout.strip() != "true":
+        pytest.skip("not in a git work tree")
+    argv = [sys.executable, "tools/interleave.py", "HEAD", "src", "--items", "2", "--rounds", "1"]
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "differs from old on 0 of 2 items" in done.stdout
 
 
 def test_loading_a_tree_restores_the_names_it_borrows(tmp_path, monkeypatch):

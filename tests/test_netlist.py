@@ -25,7 +25,7 @@ from nvgates.netlist import (
 from nvgates.state import DimensionMismatchError, HybridState
 
 import oracle
-from conftest import random_hybrid_input, random_netlist, random_reflection
+from conftest import random_hybrid_input, random_netlist, random_reflection, text_refusal
 
 SMALL = """\
 # toy circuit
@@ -382,10 +382,12 @@ def test_feedforward_label_must_name_an_outcome():
     # a rule that matches no outcome would never be applied by run_netlist
     net = build_gate_circuit("cnot")
     lowered = tuple((label.lower(), ops) for label, ops in net.feedforward)
-    with pytest.raises(ValueError, match=r"is not \(outcome label, 2-tuple of Pauli\)"):
+    with pytest.raises(NetlistError, match=r"^rule 0: feedforward outcome 'f9' matches no detector") as err:
         replace(net, feedforward=lowered)
-    with pytest.raises(ValueError, match=r"is not \(outcome label, 2-tuple of Pauli\)"):
+    assert (err.value.kind, err.value.line, err.value.column) == (DiagnosticKind.UNKNOWN_OUTCOME, None, None)
+    with pytest.raises(NetlistError, match=r"^rule 0: feedforward outcome 'F9' matches no detector") as err:
         replace(net, feedforward=net.feedforward, detectors=net.detectors[1:])
+    assert err.value.kind is DiagnosticKind.UNKNOWN_OUTCOME
     assert replace(net, feedforward=net.feedforward[1:]).feedforward == net.feedforward[1:]
 
 
@@ -393,17 +395,48 @@ def test_netlist_refuses_two_rules_for_one_outcome():
     # run_netlist could keep only one of them, and the parser refuses the text
     net = build_gate_circuit("cnot")
     twice = (("S9", (Pauli.MINUS_Z, Pauli.I)), ("S9", (Pauli.I, Pauli.I)))
-    with pytest.raises(ValueError, match=r"rule \('S9', .*\) is not \(outcome label, 2-tuple of Pauli\)"):
+    with pytest.raises(NetlistError, match=r"^rule 1: outcome 'S9' listed twice") as err:
         replace(net, feedforward=twice)
+    assert err.value.kind is DiagnosticKind.DUPLICATE_DECLARATION
     assert replace(net, feedforward=twice[:1]).feedforward == twice[:1]
 
 
 def test_netlist_refuses_a_detector_named_twice():
     # run_netlist would count its outcomes twice, and the parser refuses the text
     net = build_gate_circuit("cnot")
-    with pytest.raises(ValueError, match=r"Netlist.detectors \('9', '9'\) names a mode twice"):
+    with pytest.raises(NetlistError, match=r"^detector 1: detector on '9' redeclared") as err:
         replace(net, detectors=("9", "9"))
+    assert err.value.kind is DiagnosticKind.DUPLICATE_DECLARATION
     assert replace(net, detectors=net.detectors) == net
+
+
+HWP_X, NV_3 = Element(Kind.HWP, ("x",), ("x",)), Element(Kind.NV_SCATTER, ("a",), ("a",), 3)
+OVERLAP = Element(Kind.PBS_RL, ("a", "b"), ("c", "b"))
+FA, FB = ("Fa", (Pauli.Z,)), ("Fb", (Pauli.Z,))
+
+
+@pytest.mark.parametrize(
+    "fields, kind, where",
+    [
+        ((1, ("a", "b"), (HWP_X,), ("a",)), UNDECLARED, "element 0"),
+        ((1, ("a",), (Element(Kind.HWP, ("a",), ("a",)), NV_3), ()), SPIN_RANGE, "element 1"),
+        ((1, tuple("abc"), (OVERLAP,), ()), ARITY, "element 0"),
+        ((1, ("a",), (), ("x",)), UNDECLARED, "detector 0"),
+        ((1, ("a", "b"), (), ("a", "b", "a")), DiagnosticKind.DUPLICATE_DECLARATION, "detector 2"),
+        ((1, ("a", "b"), (), ("a",), (FB,)), DiagnosticKind.UNKNOWN_OUTCOME, "rule 0"),
+        ((1, ("a",), (), ("a",), (FA, FA)), DiagnosticKind.DUPLICATE_DECLARATION, "rule 1"),
+    ],
+    ids=["undeclared-wire", "spin-range", "overlap", "undeclared-detector", "detector-twice", "no-outcome", "rule-twice"],
+)
+def test_a_fault_built_in_code_fails_as_its_text_does(fields, kind, where):
+    # one rule per fact: the Netlist and the parser call the same check, so
+    # both refuse with one kind; the Netlist names the part by its position
+    with pytest.raises(NetlistError, match=f"^{where}: ") as built:
+        Netlist(*fields)
+    assert (built.value.kind, built.value.line, built.value.column) == (kind, None, None)
+    assert str(built.value) == f"{built.value.detail} [{kind.value}]"  # no line or column
+    parsed = text_refusal(*fields)
+    assert parsed.kind is kind and parsed.detail == built.value.detail.removeprefix(f"{where}: "), parsed
 
 
 def test_apply_spin_ops_needs_one_operator_per_spin():

@@ -1,7 +1,8 @@
 """Property tests: serializing a netlist and parsing the text gives it back,
 the parser's tokens and columns are those of the pattern ``\\S+``, a
 mutated circuit text parses or raises a located diagnostic, never anything
-else, and a netlist built in code is refused when it is made, or runs.
+else, and a netlist built in code is refused when it is made, with the
+diagnostic kind its text gets, or runs.
 
 Generated netlists use every element kind, declared modes that nothing
 occupies (vacuum ports), detectors in any order and feedforward tables of
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nvgates.cavity import resonant_pair
-from nvgates.elements import LAYOUTS, Element, Kind, Pauli, WiringError
+from nvgates.elements import LAYOUTS, Element, Kind, Pauli
 from nvgates.gates import GATE_NAMES, shipped_circuit_text
 from nvgates.netlist import (
     DiagnosticKind,
@@ -34,7 +35,7 @@ from nvgates.netlist import (
     serialize_netlist,
 )
 
-from conftest import mutate_netlist_text, random_netlist
+from conftest import mutate_netlist_text, random_netlist, text_refusal
 
 _HEAD = string.ascii_letters + "_"
 LABELS = st.builds(str.__add__, st.sampled_from(_HEAD), st.text(_HEAD + string.digits, max_size=5))
@@ -99,7 +100,8 @@ WIRES = st.lists(st.sampled_from("abcdef"), max_size=2, unique=True).map(tuple)
 def test_every_element_a_netlist_accepts_serializes(kind, in_modes, out_modes, spin):
     try:
         net = Netlist(3, tuple("abcdef"), (Element(kind, in_modes, out_modes, spin),), ())
-    except WiringError:
+    except NetlistError as exc:
+        assert exc.kind is DiagnosticKind.ARITY_MISMATCH, exc
         return
     assert parse_netlist(serialize_netlist(net)) == net
 
@@ -136,7 +138,10 @@ def code_built(draw):
 def test_a_netlist_built_in_code_is_refused_when_made_or_runs(fields):
     try:
         net = Netlist(*fields)
-    except ValueError:
+    except NetlistError as exc:  # a circuit fact: its text is refused with the same kind
+        assert text_refusal(*fields).kind is exc.kind, exc
+        return
+    except ValueError:  # a malformed field, such as a bool spin or a mode declared twice
         return
     # the text format expresses it, unless the text's feed-forward order
     # refuses it, and a run finds on the detectors all the norm that reaches them

@@ -3,8 +3,10 @@
     python3 tools/interleave.py OLD_SRC NEW_SRC [--workload W] [--seed S] [--items N] [--rounds R]
 
 OLD_SRC and NEW_SRC are ``src`` directories, each holding an ``nvgates``
-package: this checkout's ``src`` and, say, the ``src`` of ``git archive``
-of its parent commit.  Each tree is copied into a temporary directory under
+package, or git revisions of this checkout: an argument that is not an
+existing path is unpacked with ``git archive <rev> src`` into a temporary
+directory, so ``tools/interleave.py HEAD src`` times the working tree
+against its last commit.  Each tree is copied into a temporary directory under
 a package name of its own, which works because every import inside the
 package is relative; OLD_SRC is copied twice, and the second copy, timed
 like the others, gives the A/A ratio that shows the noise floor.
@@ -34,10 +36,13 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import io
 import pickle
 import shutil
 import statistics
+import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -68,6 +73,20 @@ def line_count(src: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (src / "nvgates").glob("*.py"))
 
 
+def resolve_src(arg: str, tmp: Path) -> Path | None:
+    """``arg`` if it is an existing path, else the ``src`` of git revision
+    ``arg`` unpacked under ``tmp``, or None if git cannot archive it."""
+    if Path(arg).exists():
+        return Path(arg)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", arg, "src"], capture_output=True)
+    if archive.returncode != 0:
+        return None
+    dest = Path(tempfile.mkdtemp(dir=tmp))
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
 def load_tree(src: Path, name: str, tmp: Path, workload: str):
     """``worker.prepare``'s runner of one ``workload`` item on the nvgates package under ``src``, imported as ``name``."""
     shutil.copytree(src / "nvgates", tmp / name)
@@ -90,30 +109,31 @@ def load_tree(src: Path, name: str, tmp: Path, workload: str):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="In-process A/B timing of two nvgates source trees.")
-    parser.add_argument("old_src", type=Path)
-    parser.add_argument("new_src", type=Path)
+    parser.add_argument("old_src", help="a src directory, or a git revision")
+    parser.add_argument("new_src", help="a src directory, or a git revision")
     parser.add_argument("--workload", choices=sorted(_perfbench("items").STREAMS), default="netlist-oneshot")
     parser.add_argument("--seed", type=int, default=20131001)
     parser.add_argument("--items", type=int, default=300)
     parser.add_argument("--rounds", type=int, default=6)
     args = parser.parse_args(argv)
-    for src in (args.old_src, args.new_src):
-        if not (src / "nvgates" / "__init__.py").is_file():
-            parser.error(f"{src} holds no nvgates package")
     if args.items < 1 or args.rounds < 1:
         parser.error("--items and --rounds must be at least 1")
 
     items = load_items(args.workload, args.seed, args.items)
     with tempfile.TemporaryDirectory() as tmp:
+        old_src, new_src = (resolve_src(arg, Path(tmp)) for arg in (args.old_src, args.new_src))
+        for arg, src in ((args.old_src, old_src), (args.new_src, new_src)):
+            if src is None or not (src / "nvgates" / "__init__.py").is_file():
+                parser.error(f"{arg} is neither a src directory holding an nvgates package nor a git revision")
         sys.path.insert(0, tmp)
-        srcs = {"old": args.old_src, "new": args.new_src, "aa": args.old_src}
+        srcs = {"old": old_src, "new": new_src, "aa": old_src}
         runs = {tree: load_tree(srcs[tree], f"nvgates_{tree}", Path(tmp), args.workload) for tree in TREES}
         differ = sum(pickle.dumps(runs["old"](item)) != pickle.dumps(runs["new"](item)) for item in items)
         for item in items:
             runs["aa"](item)
         print(f"{args.workload} seed={args.seed} items={args.items} rounds={args.rounds}: "
               f"new output differs from old on {differ} of {args.items} items; "
-              f"nvgates/*.py lines old {line_count(args.old_src)}, new {line_count(args.new_src)}")
+              f"nvgates/*.py lines old {line_count(old_src)}, new {line_count(new_src)}")
         print(f"{'round':>5} {'old us':>9} {'new us':>9} {'aa us':>9} {'new/old':>8} {'aa/old':>8}")
         ratios = []
         for rnd in range(args.rounds):
