@@ -123,28 +123,23 @@ def _spin_inputs(n: int, convention: str, trials: int, seed) -> np.ndarray:
 
 
 class _FormalHot:
-    """A reflection pair whose r_hot is a formal variable, itself, at a
-    numeric ``r_cold``.  The last log2(slots) spin bits are a coefficient
-    register: entry j of each run of ``slots`` entries along the last axis
-    holds the coefficient of r_hot**j.  ``np.multiply(x, r_hot, out=y)``, as
-    in :func:`cavity.scatter`, writes x into y with each coefficient one entry
-    up, raising rather than drop an occupied top entry; other arithmetic,
-    r_hot first or no ``out`` included, is a TypeError."""
+    """A reflection pair whose r_hot is a formal variable, at a numeric
+    ``r_cold``.  The last log2(slots) spin bits are a coefficient register:
+    entry j of each run of ``slots`` entries along the last axis holds the
+    coefficient of r_hot**j."""
 
     def __init__(self, slots: int, r_cold: complex):
-        self.slots, self.r_hot, self.r_cold = slots, self, r_cold
+        self.slots, self.r_cold = slots, r_cold
 
-    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
-        if ufunc is not np.multiply or method != "__call__" or out is None or inputs[1] is not self:
-            return NotImplemented
-        (source, _), (target,) = inputs, out
-        coeffs = source.reshape(source.shape[:-1] + (-1, self.slots))
+    def times_hot(self, x: np.ndarray) -> np.ndarray:
+        """``x`` with each coefficient one entry up, a new array; raises
+        rather than drop an occupied top entry."""
+        coeffs = x.reshape(x.shape[:-1] + (-1, self.slots))
         if np.any(coeffs[..., -1]):
             raise OverflowError(f"an r_hot**{self.slots} term does not fit the {self.slots}-slot coefficient register")
         shifted = np.zeros_like(coeffs)
         shifted[..., 1:] = coeffs[..., :-1]
-        target[...] = shifted.reshape(target.shape)
-        return target
+        return shifted.reshape(x.shape)
 
 
 class CompiledCircuit:

@@ -80,6 +80,10 @@ class ReflectionPair:
             name = "r_cold" if abs(self.r_hot) <= 1 + NORM_ATOL else "r_hot"
             raise ParameterError(f"reflection amplitude must satisfy |{name}| <= 1, got {getattr(self, name)}")
 
+    def times_hot(self, x: np.ndarray) -> np.ndarray:
+        """``x * r_hot``, a new array: the hot factor :func:`scatter` applies."""
+        return x * self.r_hot
+
 
 #: Idealization r -> 1, r0 = -1; used for exact ideal-circuit checks rather
 #: than a large-g limit.
@@ -185,18 +189,15 @@ def scatter(state: HybridState, nv_index: int, mode, r: ReflectionPair) -> Hybri
 
     (R,+) and (L,-) amplitudes pick up r_hot, (R,-) and (L,+) pick up r_cold;
     amplitudes in other modes are untouched.  The mode's (pol, config) block is
-    multiplied whole by each, and the hot products are kept where spin
-    ``nv_index`` equals the pol (R = PLUS, L = MINUS; :func:`state.spin_flip`).
-    r_hot is only the second operand of ``np.multiply`` with ``out=`` given: the
-    one use in which :class:`nvgates.analysis._FormalHot`, a pair whose r_hot
-    is itself, can stand in for ``r``.
+    multiplied whole by each, by r_hot through ``r.times_hot``, and the hot
+    products are kept where spin ``nv_index`` equals the pol (R = PLUS,
+    L = MINUS; :func:`state.spin_flip`).
     """
-    if not 0 <= nv_index < state.n_spins:
-        raise ParameterError(f"spin index {nv_index} out of range for {state.n_spins} spins")
     mi = state.mode_index(mode)
+    hot_at = spin_flip(state.n_spins, nv_index)[1]
     a = state.amps.copy()
     block = a[:, mi]
-    hot = np.multiply(block, r.r_hot, out=np.empty_like(block))
+    hot = r.times_hot(block)
     np.multiply(block, r.r_cold, out=block)
-    np.copyto(block, hot, where=spin_flip(state.n_spins, nv_index)[1])
+    np.copyto(block, hot, where=hot_at)
     return state.with_amps(a)

@@ -268,6 +268,14 @@ def cmd_params(args) -> int:
     return 0
 
 
+def _gate_name(name: str) -> str:
+    """``name`` in the one spelling of :func:`gates._canon`, for argparse."""
+    try:
+        return _canon(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 @functools.cache  # built once per process, shared by every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -289,13 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_regime(p_run)
 
     p_verify = sub.add_parser("verify", help="check a gate against its ideal unitary")
-    p_verify.add_argument("gate", choices=GATE_NAMES)
+    p_verify.add_argument("gate", type=_gate_name, choices=GATE_NAMES)
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     add_regime(p_verify)
 
     p_tt = sub.add_parser("truth-table", help="print the gate action on all basis inputs")
-    p_tt.add_argument("gate", choices=GATE_NAMES)
+    p_tt.add_argument("gate", type=_gate_name, choices=GATE_NAMES)
     add_regime(p_tt)
 
     p_sweep = sub.add_parser("sweep", help="write fidelity/efficiency CSV over a ratio grid")

@@ -229,8 +229,6 @@ def apply_pbs_fs(state: HybridState, in_mode, out_modes) -> HybridState:
 
 def apply_spin_hadamard(state: HybridState, spin_index: int) -> HybridState:
     """Hadamard on one electron spin: (a+ + a-)/sqrt2 at |+>, (a+ - a-)/sqrt2 at |->."""
-    if not 0 <= spin_index < state.n_spins:
-        raise StateError(f"spin index {spin_index} out of range for {state.n_spins} spins")
     partner, spin_is = spin_flip(state.n_spins, spin_index)
     a = state.amps
     u, v = np.empty_like(a), np.empty_like(a)

@@ -122,6 +122,14 @@ def _rule_fault(label: str, labels) -> Fault | None:
     return (1, DiagnosticKind.DUPLICATE_DECLARATION, f"outcome {label!r} listed twice") if label in labels else None
 
 
+def _running(fault, items, *context):
+    """``fault(item, *context, earlier)`` for each of ``items``, ``earlier`` the set of the items before it."""
+    earlier = set()
+    for item in items:
+        yield fault(item, *context, earlier)
+        earlier.add(item)
+
+
 def _outcome_fault(label: str, detectors) -> Fault | None:
     """A feedforward rule's ``label``: F or S, then one of ``detectors``."""
     named = label[:1] in ("F", "S") and label[1:] in detectors
@@ -171,8 +179,8 @@ class Netlist:
                 raise ValueError(f"Netlist.feedforward rule {rule!r} is not (outcome label, {n}-tuple of Pauli)")
         labels, detectors = [label for label, _ in self.feedforward], self.detectors
         for part, faults in (("element", (_element_fault(el, n, modes) for el in self.elements)),
-                             ("detector", (_detector_fault(m, modes, detectors[:i]) for i, m in enumerate(detectors))),
-                             ("rule", (_rule_fault(label, labels[:i]) for i, label in enumerate(labels))),
+                             ("detector", _running(_detector_fault, detectors, modes)),
+                             ("rule", _running(_rule_fault, labels)),
                              ("rule", (_outcome_fault(label, detectors) for label in labels))):
             for i, fault in enumerate(faults):
                 if fault:

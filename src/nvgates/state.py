@@ -81,7 +81,11 @@ def spin_axis(amps: np.ndarray, n: int, k: int) -> np.ndarray:
 def spin_flip(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only tables of spin ``k`` of ``n``, built on :func:`spin_axis`: each
     configuration with spin k flipped (a take of it pairs every amplitude with
-    its spin-k partner), and ``spin_is``, whose row b marks where spin k is b."""
+    its spin-k partner), and ``spin_is``, whose row b marks where spin k is b.
+    Raises StateError unless 0 <= k < n; the cache makes that check free for
+    the spin kernels, which read these tables."""
+    if not 0 <= k < n:
+        raise StateError(f"spin index {k} out of range for {n} spins")
     partner = spin_axis(np.arange(1 << n), n, k)[:, ::-1].ravel()
     spin_is = np.zeros((2, 1 << n), dtype=bool)
     for b in (PLUS, MINUS):
@@ -104,7 +108,9 @@ class HybridState:
     """Photon (polarization x mode) tensor spin register state.
 
     ``amps[pol, mode, config]`` with pol in {R, L}, mode indexed by position
-    in ``modes``, and config per :func:`spin_config_index`.
+    in ``modes``, and config per :func:`spin_config_index`.  Construction
+    raises StateError unless ``modes`` are one or more distinct ``str`` and
+    ``n_spins`` is an ``int`` >= 0, not a ``bool``.
     """
 
     modes: tuple[str, ...]
@@ -114,6 +120,10 @@ class HybridState:
 
     def __post_init__(self):
         modes, index = _mode_labels(self.modes)
+        if not modes:
+            raise StateError("a state needs at least one mode")
+        if not (type(self.n_spins) is int and self.n_spins >= 0):  # not a bool either
+            raise StateError(f"spin count must be an int >= 0, got {self.n_spins!r}")
         a = np.asarray(self.amps, dtype=complex)
         expected = (2, len(modes), 2**self.n_spins)
         if a.shape != expected:

@@ -20,7 +20,7 @@ from nvgates.cavity import (
     scatter,
 )
 from nvgates.elements import apply_hwp, apply_spin_hadamard
-from nvgates.state import L, MINUS, PLUS, R, make_product_state, spin_config_index
+from nvgates.state import L, MINUS, PLUS, R, StateError, make_product_state, spin_config_index
 
 from conftest import BALANCED, random_spin_pairs
 
@@ -259,5 +259,22 @@ def test_scatter_untouched_modes_and_spins():
 
 def test_scatter_spin_index_validated():
     st = _single((1, 0), (1, 0))
-    with pytest.raises(ParameterError):
+    with pytest.raises(StateError, match="spin index 3 out of range for 1 spins"):
         scatter(st, 3, "m", IDEAL_PAIR)
+
+
+@pytest.mark.parametrize("spin", [3, -1])
+def test_both_spin_kernels_refuse_a_spin_out_of_range_alike(spin):
+    # spin_flip, the table both kernels read, holds the one check, so the fault reads the same from each
+    st = make_product_state((1, 0), "m", [(1, 0)], ("m",))
+    for call in (lambda: scatter(st, spin, "m", IDEAL_PAIR), lambda: apply_spin_hadamard(st, spin)):
+        with pytest.raises(StateError, match=f"^spin index {spin} out of range for 1 spins$"):
+            call()
+
+
+def test_times_hot_is_the_hot_product_as_a_new_array():
+    x = np.array([[1.0, 2j], [-0.5, 0.0]])
+    pair = ReflectionPair(0.6 * np.exp(0.7j), -1.0)
+    hot = pair.times_hot(x)
+    assert hot is not x and np.array_equal(hot, x * pair.r_hot)
+    assert np.array_equal(x, [[1.0, 2j], [-0.5, 0.0]])

@@ -38,6 +38,18 @@ def test_verify_unknown_gate_usage_error():
     assert main(["verify", "hadamard"]) == 2
 
 
+def test_gate_names_follow_one_rule_on_every_command(capsys):
+    # verify and truth-table take a gate in any letter case, as sweep --gates and build_gate_circuit do
+    for command in (["verify", "{}", "--trials", "2"], ["truth-table", "{}", "--ratio", "2"]):
+        outputs = []
+        for gate in ("cnot", "CNOT", "CNot"):
+            assert main([word.format(gate) for word in command]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[2] == outputs[0]
+    assert main(["truth-table", "hadamard"]) == 2
+    assert "unknown gate 'hadamard'; expected one of ('cnot', 'toffoli', 'fredkin')" in capsys.readouterr().err
+
+
 def test_verify_rejects_zero_trials(capsys):
     assert main(["verify", "cnot", "--trials", "0"]) == 2
     assert "PASS" not in capsys.readouterr().out

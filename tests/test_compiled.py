@@ -169,8 +169,9 @@ def test_formal_shift_moves_each_coefficient_up_one_slot():
     amps[0, 0], amps[1, 5], amps[2, 6] = 2.0, 3j, 4.0
     expected = np.zeros_like(amps)
     expected[0, 1], expected[1, 6], expected[2, 7] = 2.0, 3j, 4.0
-    amps *= _FormalHot(4, -1.0)
-    assert np.array_equal(amps, expected)
+    before = amps.copy()
+    assert np.array_equal(_FormalHot(4, -1.0).times_hot(amps), expected)
+    assert np.array_equal(amps, before)  # the shift is a new array
 
 
 def test_formal_shift_raises_instead_of_dropping_the_top_slot():

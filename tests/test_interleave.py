@@ -7,6 +7,7 @@ that loading a tree leaves the names it borrows as it found them.
 """
 
 import importlib.util
+import os
 import pathlib
 import pickle
 import shutil
@@ -36,6 +37,22 @@ def test_interleave_takes_a_git_revision_for_a_tree():
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "differs from old on 0 of 2 items" in done.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_interleave_ends_quietly_when_its_reader_has_gone(unbuffered):
+    # the read end is closed before the tool writes, as when piped into "head -1" that has exited
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        argv = [sys.executable, "tools/interleave.py", "src", "src", "--items", "2", "--rounds", "1"]
+        done = subprocess.run(argv, cwd=ROOT, stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def test_loading_a_tree_restores_the_names_it_borrows(tmp_path, monkeypatch):

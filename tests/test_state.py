@@ -1,6 +1,7 @@
 """Hybrid-state construction, overlap, collapse, and global invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -291,3 +292,13 @@ def test_states_are_immutable():
     st = make_product_state((1, 0), "in", [(1, 0)], MODES2)
     with pytest.raises(ValueError):
         st.amps[0, 0, 0] = 5.0
+
+
+@pytest.mark.parametrize("modes, n_spins", [(("a",), 2.0), (("a",), True), (("a",), np.int64(2)), (("a",), -1), ((), 1)])
+def test_state_refuses_the_fields_a_netlist_refuses(modes, n_spins):
+    # a float or bool count once built, and failed later in a kernel (1 << 2.0, a bare TypeError)
+    match = "a state needs at least one mode" if not modes else f"spin count must be an int >= 0, got {n_spins!r}"
+    shape = (2, len(modes), 4 if n_spins == 2 else 2)
+    with pytest.raises(StateError, match=f"^{re.escape(match)}$"):
+        HybridState(modes, n_spins, np.zeros(shape, dtype=complex))
+    assert HybridState(("a",), 0, np.ones((2, 1, 1))).n_spins == 0  # no spin is a count too

@@ -30,6 +30,8 @@ NaN and -0.0 differs from 0.0.  The header line also gives each tree's
 size and a timing come from one run.  One line per round gives
 the microseconds per item of each tree and the ratios new/old and
 A/A (old copy / old); the last line gives their medians over the rounds.
+If the reader of the output goes away, the tool stops with exit status 1
+and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import io
+import os
 import pickle
 import shutil
 import statistics
@@ -108,6 +111,16 @@ def load_tree(src: Path, name: str, tmp: Path, workload: str):
 
 
 def main(argv=None) -> int:
+    try:
+        code = interleave(argv)
+        sys.stdout.flush()  # so a reader that has gone fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # the reader has gone: nothing on stderr, exit 1, and the flush at exit writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def interleave(argv=None) -> int:
     parser = argparse.ArgumentParser(description="In-process A/B timing of two nvgates source trees.")
     parser.add_argument("old_src", help="a src directory, or a git revision")
     parser.add_argument("new_src", help="a src directory, or a git revision")
