@@ -175,11 +175,13 @@ def compile_circuit(net: Netlist, r_cold: complex) -> CompiledCircuit:
     which bounds the degree.  The run makes the interpreter's own float
     operations, so exact zeros stay exact; all-zero undetected rows and
     slots above the degree are dropped.  Compiled on first use and kept on
-    ``net``, for the last r_cold only.
+    ``net``, for the last r_cold only.  An r_cold no passive cavity gives
+    raises :class:`ParameterError`, as in :class:`ReflectionPair`.
     """
     memo = net._compiled
     compiled = memo.get(r_cold)
     if compiled is None:
+        ReflectionPair(0.0, r_cold)  # refuses |r_cold| > 1 + NORM_ATOL, NaN and inf
         extra = nv_element_count(net).bit_length()
         undetected = tuple(m for m in net.modes if m not in net.detectors)
         wide = replace(widen(net, extra), detectors=net.detectors + undetected)

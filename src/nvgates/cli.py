@@ -97,18 +97,18 @@ def cmd_run(args) -> int:
         usage = (f"--input needs {2 * net.n_spins} comma-separated amplitudes "
                  f"(alpha,beta per spin) or 'balanced'")
         try:
-            amps = [complex(tok) for tok in args.input.split(",")]
+            amps = np.array([complex(tok) for tok in args.input.split(",")])
         except ValueError:
             raise UsageError(f"{usage}, got {args.input!r}") from None
         if len(amps) != 2 * net.n_spins:
             raise UsageError(usage)
-        pairs = [np.array(amps[2 * k : 2 * k + 2]) for k in range(net.n_spins)]
-        # each pair over its largest real or imaginary part first, so no norm underflows or overflows
-        scales = [np.abs(p.view(float)).max() for p in pairs]
-        if not all(0 < s < math.inf for s in scales):
+        # each spin's 4 parts over their largest in real division (complex takes 1/s), so no norm under- or overflows
+        parts = amps.view(float).reshape(net.n_spins, 4)
+        scales = abs(parts).max(axis=1, keepdims=True)
+        if not (np.isfinite(scales).all() and scales.all()):
             raise UsageError("--input: every spin's (alpha,beta) pair needs a finite, nonzero norm")
-        pairs = [p / s for p, s in zip(pairs, scales)]
-        state = product_input(net, [p / np.linalg.norm(p) for p in pairs])
+        parts = parts / scales
+        state = product_input(net, (parts / np.sqrt((parts**2).sum(axis=1, keepdims=True))).view(complex))
     # one run, with a detector added on each undetected mode: its outcomes, after the circuit's, hold the norm there
     undetected = tuple(m for m in net.modes if m not in net.detectors)
     outcomes = run_netlist(replace(net, detectors=net.detectors + undetected), state, reflection)
@@ -157,9 +157,9 @@ def cmd_verify(args) -> int:
     # (outcome, trial, config): the unnormalized output of every input on every outcome
     out = (_outcome_maps(net, reflection) @ inputs.T).swapaxes(1, 2)
     probs = (abs(out) ** 2).sum(axis=-1)
-    seen = probs > 0.0
-    states = out[seen] / np.sqrt(probs[seen])[:, None]
-    expected = np.broadcast_to(inputs @ target.T, out.shape)[seen]
+    o, t = (probs > 0.0).nonzero()  # the (outcome, trial) pairs that click
+    states = out[o, t] / np.sqrt(probs[o, t])[:, None]
+    expected = (inputs @ target.T)[t]
     max_dev = phase_aligned_deviation(states, expected) if states.size else 0.0
     fids = abs((expected.conj() * states).sum(axis=-1)) ** 2
     avg_fid = float(fids.sum() / fids.size) if fids.size else math.nan
@@ -177,9 +177,8 @@ def cmd_truth_table(args) -> int:
     reflection = _reflection_from_args(args)
     n = net.n_spins
     labels = net.outcome_labels()
-    # (input, outcome, output), column c of a map being basis input c's output; copied in C
-    # order, so a cell's sum adds its entries as np.sum of the one column does, bit for bit
-    mags = abs(_outcome_maps(net, reflection).transpose(2, 0, 1).copy())
+    # (input, outcome, output), column c of a map being basis input c's output
+    mags = abs(_outcome_maps(net, reflection).transpose(2, 0, 1))
     probs, tops = (mags**2).sum(axis=-1).tolist(), mags.argmax(axis=-1).tolist()
     print(f"truth table for {args.gate} ({_regime_label(reflection)})")
     for cfg in range(2**n):
@@ -215,6 +214,8 @@ def cmd_sweep(args) -> int:
     rp = _resolve_out(args.fidelity_report) if args.fidelity_report else None
     if rp is not None and not rp.parent.is_dir():
         raise FileNotFoundError(f"--fidelity-report: no directory {str(rp.parent)!r}")
+    if rp is not None and rp.is_dir():
+        raise IsADirectoryError(f"--fidelity-report: {str(rp)!r} is a directory")
     with open(out, "a", encoding="utf-8", newline="") as fh:  # emptied once the rows are ready, not if interrupted
         print(f"sweep: gates={','.join(gates)} ratios=[{args.min},{args.max}] "
               f"steps={args.steps} convention={args.convention} seed={args.seed}")

@@ -161,8 +161,8 @@ def test_run_input_pairs_of_tiny_or_huge_amplitudes_are_normalized(tmp_path):
     path.write_text(shipped_circuit_text("cnot"), encoding="utf-8")
     code, expected, err = run_cli(["run", str(path), "--input", "1,1,1,0"])
     assert (code, err) == (0, "")
-    # each pair's squared norm underflows to a subnormal, to 0, or overflows
-    for scale in ("1e-160", "1e-200", "1e154", "1e300"):
+    # each pair's squared norm underflows to a subnormal, to 0, or overflows; 1/1e-310 overflows too
+    for scale in ("1e-160", "1e-200", "1e-310", "1e154", "1e300"):
         assert run_cli(["run", str(path), "--input", f"{scale},{scale},1,0"]) == (0, expected, ""), scale
     for bad in ("0,0,1,0", "1,0,nan,1", "inf,1,1,0", "1,0,-infj,1", "1e-400,0,1,0"):
         code, out, err = run_cli(["run", str(path), "--input", bad])
@@ -219,13 +219,16 @@ def test_sweep_refuses_an_unwritable_output_before_it_prints_or_runs(tmp_path, m
     # the header line and the whole sweep used to come before the refusal
     monkeypatch.setattr(analysis, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
     args = ["sweep", "--min", "0.5", "--max", "1", "--steps", "2"]
-    csv, report = str(tmp_path / "x.csv"), str(tmp_path / "r.txt")
-    for outputs in (["--out", "/nonexistent-dir/x.csv"], ["--out", csv, "--fidelity-report", "/nonexistent-dir/r.txt"],
-                    ["--out", "/nonexistent-dir/x.csv", "--fidelity-report", report]):
+    csv, report, folder = str(tmp_path / "x.csv"), str(tmp_path / "r.txt"), tmp_path / "existing-dir"
+    folder.mkdir()
+    for outputs, named in ((["--out", "/nonexistent-dir/x.csv"], "nonexistent-dir"),
+                           (["--out", csv, "--fidelity-report", "/nonexistent-dir/r.txt"], "nonexistent-dir"),
+                           (["--out", "/nonexistent-dir/x.csv", "--fidelity-report", report], "nonexistent-dir"),
+                           (["--out", csv, "--fidelity-report", str(folder)], "existing-dir")):
         code, out, err = run_cli(args + outputs)
         assert (code, out) == (1, ""), err
-        assert "nonexistent-dir" in err
-        assert list(tmp_path.iterdir()) == []
+        assert named in err
+        assert list(tmp_path.rglob("*")) == [folder]
 
 
 def test_sweep_out_dir_env(tmp_path, monkeypatch):

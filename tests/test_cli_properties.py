@@ -64,6 +64,8 @@ def argvs(draw) -> list[str]:
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=argvs())
 @example(argv=["run", CIRCUITS[0], "--input=1e-160,1e-160,1,0"])
+@example(argv=["run", CIRCUITS[0], "--input=5e-324,0,1,0"])
+@example(argv=["run", CIRCUITS[0], "--input=0,3e-320j,1,0"])
 @example(argv=["sweep", "--min=1e308", "--max=1.7e308", "--steps=3"])
 def test_any_command_line_succeeds_quietly_or_fails_in_one_line(argv, tmp_path, monkeypatch):
     monkeypatch.setenv("NVGATES_OUT_DIR", str(tmp_path))

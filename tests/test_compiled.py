@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvgates.analysis import _FormalHot, compile_circuit
-from nvgates.cavity import IDEAL_PAIR, ReflectionPair, resonant_pair, scatter
+from nvgates.cavity import IDEAL_PAIR, ParameterError, ReflectionPair, resonant_pair, scatter
 from nvgates.elements import Kind
 from nvgates.gates import GATE_NAMES, build_gate_circuit, shipped_circuit_text
 from nvgates.netlist import apply_elements, basis_response_input, parse_netlist, run_netlist, widen
@@ -162,6 +162,16 @@ def test_compile_is_kept_for_the_last_r_cold_only():
     assert len(net._compiled) == 1
     # the cache is no part of the netlist's value
     assert net == build_gate_circuit("cnot") and hash(net) == hash(build_gate_circuit("cnot"))
+
+
+def test_compile_refuses_an_r_cold_no_passive_cavity_gives():
+    # 5.0 used to compile, its basis input 0 then carrying a row power of 117.6; NaN raised an OverflowError
+    net = _fresh("cnot")
+    for r_cold in (5.0, 1.5j, math.nan, math.inf, complex(math.nan, 0.0)):
+        with pytest.raises(ParameterError, match=r"^reflection amplitude must satisfy \|r_cold\| <= 1, got "):
+            compile_circuit(net, r_cold)
+        assert not net._compiled
+    assert compile_circuit(net, -(1 + 1e-13)).n_outcomes == len(net.outcome_labels())  # within the rounding allowed
 
 
 def test_formal_shift_moves_each_coefficient_up_one_slot():
