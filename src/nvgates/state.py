@@ -197,7 +197,9 @@ def kron_pairs(pairs) -> np.ndarray:
     broadcast; the result then has shape (..., 2**n).
     """
     pairs = iter(pairs)
-    vec = next(pairs, np.array([1.0], dtype=complex))
+    vec = next(pairs, None)
+    if vec is None:
+        return np.ones(1, dtype=complex)
     for pair in pairs:
         prod = vec[..., :, None] * pair[..., None, :]
         vec = prod.reshape(prod.shape[:-2] + (-1,))

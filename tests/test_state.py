@@ -19,6 +19,7 @@ from nvgates.state import (
     PLUS,
     R,
     StateError,
+    kron_pairs as state_kron_pairs,
     make_product_state,
     overlap,
     partial_trace_photon_collapse,
@@ -39,6 +40,12 @@ def test_spin_config_indexing_roundtrip():
     assert spin_config_index((MINUS, PLUS)) == 2
     for idx in range(8):
         assert spin_config_index(spin_config_bits(idx, 3)) == idx
+
+
+def test_kron_pairs_of_no_spins_is_a_new_unit_vector_on_each_call():
+    first, second = state_kron_pairs(()), state_kron_pairs(())
+    assert first.dtype == complex and first.tolist() == [1 + 0j]
+    assert first.flags.writeable and not np.shares_memory(first, second)
 
 
 @pytest.mark.parametrize(

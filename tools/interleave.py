@@ -19,22 +19,18 @@ runs, the name ``nvgates`` points at the tree and ``worker.import_nvgates``,
 which ties the worker to this checkout's ``src``, stands aside; both are
 restored afterwards.  For ``sweep-random`` and ``verify-cli`` each tree also builds
 the three gates while that name is in place, since a tree may read its
-circuit files through it; they are cached, so no item reads a file.  Each
-round makes two passes, each running every item once per tree, one tree
-after another, the order rotating from item to item.  The warm pass times
-each run by ``time.process_time``, one run right after another, so a tree's
-code and data stay in the caches.  The cold pass times each run by
+circuit files through it; they are cached, so no item reads a file.
+A first, untimed pass compares the trees' outputs by their pickled bytes,
+so arrays match to the last bit, a NaN matches a NaN and -0.0 differs from
+0.0.  Each round then runs every item once per tree, one tree after
+another, the order rotating from item to item, and times each run by
 ``worker.cpu_seconds`` right after a call of ``perfbench/reference.py``'s
 ``reference_task``, as ``worker.serve`` runs an item after the last one's
-reference task; the benchmark's gated item times are cold in this sense.
-The first pass is an untimed warm-up that also compares the trees' outputs
-by their pickled bytes, so arrays match to the last bit, a NaN matches a
-NaN and -0.0 differs from 0.0.  The header line also gives each tree's
-``nvgates/*.py`` line count (newlines, as ``wc -l`` counts them), so a
-size and a timing come from one run.  One line per round gives, warm
-and then cold, the microseconds per item of each tree and the ratios
-new/old and A/A (old copy / old); the last line gives their medians over
-the rounds.
+reference task.  The header line also gives each tree's ``nvgates/*.py``
+line count (newlines, as ``wc -l`` counts them), so a size and a timing
+come from one run.  One line per round gives the microseconds per item of
+each tree and the ratios new/old and A/A (old copy / old); the last line
+gives their medians over the rounds.
 If the reader of the output goes away, the tool stops with exit status 1
 and nothing on stderr.
 """
@@ -52,7 +48,6 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 from pathlib import Path
 
 sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/ or in the trees read
@@ -115,18 +110,18 @@ def load_tree(src: Path, name: str, tmp: Path, workload: str):
         worker.import_nvgates = guard
 
 
-def time_pass(runs: dict, items: list, rnd: int, clock, before=None) -> dict:
+def time_pass(runs: dict, items: list, rnd: int) -> dict:
     """Microseconds per item of each tree over one pass of ``items`` in round
-    ``rnd``, each run timed by ``clock`` and, if given, right after ``before()``."""
+    ``rnd``, each run timed by ``worker.cpu_seconds`` right after ``worker.reference_task()``."""
+    worker = _perfbench("worker")
     spent = dict.fromkeys(TREES, 0.0)
     for i, item in enumerate(items):
         k = (i + rnd) % len(TREES)
         for tree in TREES[k:] + TREES[:k]:
-            if before is not None:
-                before()
-            start = clock()
+            worker.reference_task()
+            start = worker.cpu_seconds()
             runs[tree](item)
-            spent[tree] += clock() - start
+            spent[tree] += worker.cpu_seconds() - start
     return {tree: 1e6 * spent[tree] / len(items) for tree in TREES}
 
 
@@ -167,20 +162,15 @@ def interleave(argv=None) -> int:
         print(f"{args.workload} seed={args.seed} items={args.items} rounds={args.rounds}: "
               f"new output differs from old on {differ} of {args.items} items; "
               f"nvgates/*.py lines old {line_count(old_src)}, new {line_count(new_src)}")
-        columns = f"{'old us':>9} {'new us':>9} {'aa us':>9} {'new/old':>8} {'aa/old':>8}"
-        print(f"{'':>5} {'warm':^45}   {'cold':^45}\n{'round':>5} {columns}   {columns}")
-        worker = _perfbench("worker")
+        print(f"{'round':>5} {'old us':>9} {'new us':>9} {'aa us':>9} {'new/old':>8} {'aa/old':>8}")
         ratios = []
         for rnd in range(args.rounds):
-            passes = (time_pass(runs, items, rnd, time.process_time),
-                      time_pass(runs, items, rnd, worker.cpu_seconds, worker.reference_task))
-            ratios.append(tuple(us[tree] / us["old"] for us in passes for tree in ("new", "aa")))
-            print(f"{rnd + 1:>5} " + "   ".join(f"{us['old']:>9.1f} {us['new']:>9.1f} {us['aa']:>9.1f} "
-                                               f"{us['new'] / us['old']:>8.4f} {us['aa'] / us['old']:>8.4f}"
-                                               for us in passes))
-    warm_new, warm_aa, cold_new, cold_aa = (f"{statistics.median(r):.4f} (rounds {min(r):.4f}-{max(r):.4f})"
-                                            for r in zip(*ratios))
-    print(f"median new/old {warm_new}, A/A {warm_aa}; cold new/old {cold_new}, A/A {cold_aa}")
+            us = time_pass(runs, items, rnd)
+            ratios.append((us["new"] / us["old"], us["aa"] / us["old"]))
+            print(f"{rnd + 1:>5} {us['old']:>9.1f} {us['new']:>9.1f} {us['aa']:>9.1f} "
+                  f"{ratios[-1][0]:>8.4f} {ratios[-1][1]:>8.4f}")
+    new, aa = (f"{statistics.median(r):.4f} (rounds {min(r):.4f}-{max(r):.4f})" for r in zip(*ratios))
+    print(f"median new/old {new}, A/A {aa}")
     return 0
 
 
