@@ -32,18 +32,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import IDEAL_PAIR, ReflectionPair, coupling_ratio_to_r, resonant_pair, scatter
+from .elements import Pauli
 from .gates import GATE_NAMES, _canon, build_gate_circuit, ideal_gate_unitary
 from .netlist import (
     Netlist,
     apply_elements,  # noqa: F401 -- unused here, but perfbench/tracing.py wraps it at this name
-    basis_response_input,
     iter_element_states,
     nv_element_count,
     nv_runs,
+    product_input,
     run_netlist,
-    widen,
 )
-from .state import _SQRT1_2, kron_pairs
+from .state import _SQRT1_2, HybridState, kron_pairs
 
 INPUT_CONVENTIONS = ("balanced", "random")
 NORMALIZATIONS = ("postselected", "unnormalized")
@@ -122,6 +122,30 @@ def _spin_inputs(n: int, convention: str, trials: int, seed) -> np.ndarray:
     return kron_pairs(pairs[:, :, 0].swapaxes(0, 1))
 
 
+def _basis_run(net: Netlist, extra: int = 0) -> tuple[Netlist, HybridState]:
+    """``net`` widened to run every spin-basis input at once, and its start state.
+
+    The netlist has 2n + ``extra`` spins: the circuit's n, n idle ancillas,
+    then ``extra`` idle spins for a coefficient register.  Elements keep
+    their spins, each feedforward rule gets ``I`` on the idle spins, and
+    every mode is detected: the circuit's detectors, then its undetected
+    modes in declaration order.  The state is sum_c |input_c>|c>, of squared
+    norm 2**n: ancilla configuration c carries ``product_input(net, basis
+    config c)``, the same photon amplitudes at circuit configuration c, and
+    the ``extra`` spins are |+...+>.  The circuit is linear and leaves the
+    ancillas idle, so after any run the amplitudes at ancilla configuration
+    c are its response to basis input c.
+    """
+    n, dim, idle = net.n_spins, 2**net.n_spins, net.n_spins + extra
+    undetected = tuple(m for m in net.modes if m not in net.detectors)
+    feedforward = tuple((label, ops + (Pauli.I,) * idle) for label, ops in net.feedforward)
+    wide = replace(net, n_spins=n + idle, detectors=net.detectors + undetected, feedforward=feedforward)
+    photon = product_input(net, [(1.0, 0.0)] * n).amps[:, :, :1]
+    amps = np.zeros((2, len(net.modes), dim, dim, 1 << extra), dtype=complex)
+    amps[:, :, range(dim), range(dim), 0] = photon
+    return wide, HybridState(net.modes, wide.n_spins, amps.reshape(2, len(net.modes), -1))
+
+
 class _FormalHot:
     """A reflection pair whose r_hot is a formal variable, at a numeric
     ``r_cold``.  The last log2(slots) spin bits are a coefficient register:
@@ -168,11 +192,10 @@ class CompiledCircuit:
 def compile_circuit(net: Netlist, r_cold: complex) -> CompiledCircuit:
     """``net``'s detection rows as polynomials in r_hot, from one run.
 
-    The run is :func:`run_netlist` on ``widen(net, extra)`` from
-    ``basis_response_input(net, extra)``, every mode detected, r_hot the
-    formal variable of :class:`_FormalHot`.  The ``extra`` spins hold K =
-    2**extra coefficients, K the smallest power of two above the NV count,
-    which bounds the degree.  The run makes the interpreter's own float
+    The run is :func:`run_netlist` on ``_basis_run(net, extra)``, every
+    mode detected, r_hot the formal variable of :class:`_FormalHot`.  The
+    ``extra`` spins hold K = 2**extra coefficients, K the smallest power
+    of two above the NV count, which bounds the degree.  The run makes the interpreter's own float
     operations, so exact zeros stay exact; all-zero undetected rows and
     slots above the degree are dropped.  Compiled on first use and kept on
     ``net``, for the last r_cold only.  An r_cold no passive cavity gives
@@ -183,9 +206,7 @@ def compile_circuit(net: Netlist, r_cold: complex) -> CompiledCircuit:
     if compiled is None:
         ReflectionPair(0.0, r_cold)  # refuses |r_cold| > 1 + NORM_ATOL, NaN and inf
         extra = nv_element_count(net).bit_length()
-        undetected = tuple(m for m in net.modes if m not in net.detectors)
-        wide = replace(widen(net, extra), detectors=net.detectors + undetected)
-        outcomes = run_netlist(wide, basis_response_input(net, extra), _FormalHot(1 << extra, r_cold))
+        outcomes = run_netlist(*_basis_run(net, extra), _FormalHot(1 << extra, r_cold))
         dim, n_outcomes = 2**net.n_spins, 2 * len(net.detectors)
         coefficients = np.moveaxis(np.stack([o.amps for o in outcomes]).reshape(-1, dim, dim, 1 << extra), -1, 0)
         reached = np.any(coefficients, axis=(0, 2, 3))
@@ -273,11 +294,11 @@ def efficiency_factorized(gate: str, r_mag: float) -> float:
     increasing depth are traversed in sequence.
 
     The model takes every state from one pass of the *ideal* circuit over
-    all spin basis inputs at once (:func:`basis_response_input`, photon
-    balanced).  Each run's reflections are applied, at
-    ``resonant_pair(r_mag)``, to the ideal state before the run; the norm
-    they remove, over the 2**n inputs, is the run's loss.  A pass loses the
-    sum over its runs, and the pass survivals multiply.  Matches :func:`efficiency_closed_form` to
+    all spin basis inputs at once (:func:`_basis_run`, photon balanced).
+    Each run's reflections are applied, at ``resonant_pair(r_mag)``, to
+    the ideal state before the run; the norm they remove, over the 2**n
+    inputs, is the run's loss.  A pass loses the sum over its runs, and the
+    pass survivals multiply.  Matches :func:`efficiency_closed_form` to
     machine precision for all three gates, which identifies the modeling
     assumption behind the closed-form efficiencies; an exact simulation
     deviates because loss correlates the photon with the spins between
@@ -286,8 +307,8 @@ def efficiency_factorized(gate: str, r_mag: float) -> float:
     _check_r(r_mag)
     net = build_gate_circuit(gate)
     pair = resonant_pair(r_mag)
-    start = basis_response_input(net)
-    before = [start] + [state for _, state in iter_element_states(widen(net), start, IDEAL_PAIR)]
+    wide, start = _basis_run(net)
+    before = [start] + [state for _, state in iter_element_states(wide, start, IDEAL_PAIR)]
     pass_loss: dict[int, float] = {}
     for d, pos, nvs in nv_runs(net)[0]:
         lossy = before[pos]

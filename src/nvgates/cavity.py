@@ -143,7 +143,7 @@ def kappa_from_quality_factor(q: float, wavelength: float) -> float:
 
     The result carries the same frequency convention as c/lambda (an ordinary
     frequency in Hz for wavelength in meters).  See
-    :func:`quality_factor_conventions` for the angular/ordinary variants; the
+    :func:`quality_factor_conversions` for the angular/ordinary variants; the
     literature is not consistent about which is meant.
     """
     if not 0 < q < math.inf:

@@ -197,6 +197,8 @@ def cmd_sweep(args) -> int:
         names = [_canon(g) for g in gates]
     except ValueError as exc:
         raise UsageError(exc) from None
+    if twice := [name for name in GATE_NAMES if names.count(name) > 1]:  # each would give its rows twice
+        raise UsageError(f"--gates names the gate {twice[0]!r} twice")
     # the random convention samples the chosen gates, the convention report every gate
     sampled = (names if args.convention == "random" else []) + (list(GATE_NAMES) if args.fidelity_report else [])
     _check_sampling(args, [build_gate_circuit(name) for name in dict.fromkeys(sampled)])

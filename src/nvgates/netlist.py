@@ -43,7 +43,7 @@ feeding two ideal detectors) on mode ``m``; outcome labels are ``F<m>`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -510,36 +510,3 @@ def product_input(net: Netlist, spin_pairs) -> HybridState:
     """Photon (|R>+|L>)/sqrt2 at the input mode, modes[0], with the given spin pairs."""
     return make_product_state((_SQRT1_2, _SQRT1_2), net.modes[0], spin_pairs, net.modes)
 
-
-def widen(net: Netlist, extra: int = 0) -> Netlist:
-    """``net`` on 2n + ``extra`` spins, where spins n.. are idle ancillas.
-
-    Elements keep their spin indices, and every feedforward rule gets ``I``
-    on the ancillas, so no operation touches them.  See
-    :func:`basis_response_input` for the state that makes this useful.
-    """
-    idle = net.n_spins + extra
-    feedforward = tuple((label, ops + (Pauli.I,) * idle) for label, ops in net.feedforward)
-    return replace(net, n_spins=net.n_spins + idle, feedforward=feedforward)
-
-
-def basis_response_input(net: Netlist, extra: int = 0) -> HybridState:
-    """Start state of ``widen(net, extra)`` that runs every spin-basis input at once.
-
-    Ancilla configuration c carries ``product_input(net, basis config c)``,
-    so the state is sum_c |input_c>|c>, with squared norm 2**n.  The circuit
-    is linear and leaves the ancillas idle, so after any run the amplitudes
-    at ancilla configuration c are its response to basis input c, and its
-    response to a spin input vector v is the contraction with v over the
-    ancilla axis (the last axis of ``amps.reshape(..., 2**n)`` when
-    ``extra`` is 0).  The ``extra`` idle spins start in |+...+>.
-
-    Every basis input holds the same photon amplitudes, at its own spin
-    configuration, so they are taken from the all-|+> input and put on the
-    diagonal (circuit configuration c, ancilla configuration c).
-    """
-    dim = 2**net.n_spins
-    photon = product_input(net, [(1.0, 0.0)] * net.n_spins).amps[:, :, :1]
-    amps = np.zeros((2, len(net.modes), dim, dim, 1 << extra), dtype=complex)
-    amps[:, :, range(dim), range(dim), 0] = photon
-    return HybridState(net.modes, 2 * net.n_spins + extra, amps.reshape(2, len(net.modes), -1))

@@ -538,6 +538,19 @@ def test_sweep_unknown_gate_is_usage_error_with_gate_rule_message(tmp_path, caps
     assert not out.exists()
 
 
+def test_sweep_refuses_a_gate_named_twice_before_it_prints_or_runs(tmp_path, capsys, monkeypatch):
+    # cnot,CNOT used to write every (ratio, cnot) row twice
+    monkeypatch.setattr(analysis, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+    out = tmp_path / "x.csv"
+    for gates in ("cnot,CNOT", "toffoli,cnot,Toffoli", "fredkin,fredkin"):
+        assert main(["sweep", "--gates", gates, "--steps", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        name = gates.split(",")[0].lower()
+        assert captured.err == f"error: --gates names the gate {name!r} twice\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
 def test_sweep_header_keeps_gate_names_as_given(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["sweep", "--gates", "CNOT,Fredkin", "--steps", "2", "--out", str(out)]) == 0

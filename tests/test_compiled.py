@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvgates.analysis import _FormalHot, compile_circuit
+from nvgates import netlist
+from nvgates.analysis import _basis_run, _FormalHot, compile_circuit
 from nvgates.cavity import IDEAL_PAIR, ParameterError, ReflectionPair, resonant_pair, scatter
 from nvgates.elements import Kind
 from nvgates.gates import GATE_NAMES, build_gate_circuit, shipped_circuit_text
-from nvgates.netlist import apply_elements, basis_response_input, parse_netlist, run_netlist, widen
+from nvgates.netlist import parse_netlist, run_netlist
 from nvgates.state import HybridState, PLUS, R
 
 import oracle
@@ -37,13 +38,11 @@ TOL = 1e-12
 
 def _interpreter(net, pair):
     """Outcome maps, shape (outcomes, 2**n, 2**n), and the pre-detection
-    squared norm per basis input, from widened interpreter runs."""
+    squared norm per basis input, from one widened interpreter run; every
+    mode is detected, so all its rows together hold the norm."""
     dim = 2**net.n_spins
-    outcomes = run_netlist(widen(net), basis_response_input(net), pair)
-    maps = np.array([o.amps for o in outcomes]).reshape(-1, dim, dim)
-    final = apply_elements(widen(net), basis_response_input(net), pair)
-    norms = np.sum(np.abs(final.amps.reshape(-1, dim, dim)) ** 2, axis=(0, 1))
-    return maps, norms
+    rows = np.array([o.amps for o in run_netlist(*_basis_run(net), pair)]).reshape(-1, dim, dim)
+    return rows[: 2 * len(net.detectors)], np.sum(np.abs(rows) ** 2, axis=(0, 1))
 
 
 def _oracle(net, pair):
@@ -162,6 +161,18 @@ def test_compile_is_kept_for_the_last_r_cold_only():
     assert len(net._compiled) == 1
     # the cache is no part of the netlist's value
     assert net == build_gate_circuit("cnot") and hash(net) == hash(build_gate_circuit("cnot"))
+
+
+def test_compile_checks_one_netlist(monkeypatch):
+    # the widened netlist is built in one replace, so Netlist.__post_init__ runs once per compile
+    checks = []
+    original = netlist.Netlist.__post_init__
+    monkeypatch.setattr(netlist.Netlist, "__post_init__", lambda net: checks.append(net) or original(net))
+    for gate in GATE_NAMES:
+        net = _fresh(gate)
+        checks.clear()
+        compile_circuit(net, -1.0)
+        assert len(checks) == 1, gate
 
 
 def test_compile_refuses_an_r_cold_no_passive_cavity_gives():

@@ -25,13 +25,7 @@ from nvgates.elements import (
     apply_spin_hadamard,
 )
 from nvgates.gates import GATE_NAMES, build_gate_circuit, ideal_gate_unitary, shipped_circuit_text
-from nvgates.netlist import (
-    apply_elements,
-    basis_response_input,
-    product_input,
-    run_netlist,
-    widen,
-)
+from nvgates.netlist import apply_elements, parse_netlist, product_input, run_netlist
 from nvgates.state import DimensionMismatchError, make_product_state, phase_aligned_deviation
 
 import oracle
@@ -123,31 +117,44 @@ def test_widened_metrics_match_both_references(gate, pair_name):
                 assert eff == pytest.approx(ref_eff, abs=TOL), where
 
 
+def _basis_pairs(n, cfg):
+    """Spin pairs of basis configuration ``cfg``, spin 0 most significant."""
+    return [((1.0, 0.0), (0.0, 1.0))[(cfg >> (n - 1 - k)) & 1] for k in range(n)]
+
+
 def test_widened_run_holds_every_basis_response(rng):
     # random circuits exercise every routing kind, pbsfs and bs included
     for _ in range(10):
         net = random_netlist(rng, n_elements=10)
         n = net.n_spins
         pair = ReflectionPair(r_hot=0.7 * np.exp(1.1j), r_cold=-0.95 + 0.1j)
-        wide = apply_elements(widen(net), basis_response_input(net), pair)
+        wide = apply_elements(*analysis._basis_run(net), pair)
         columns = wide.amps.reshape(2, len(net.modes), 2**n, 2**n)
         for cfg in range(2**n):
-            pairs = [((1.0, 0.0), (0.0, 1.0))[(cfg >> (n - 1 - k)) & 1] for k in range(n)]
-            single = apply_elements(net, product_input(net, pairs), pair)
+            single = apply_elements(net, product_input(net, _basis_pairs(n, cfg)), pair)
             assert np.array_equal(columns[..., cfg], single.amps)
 
 
-def test_widen_pads_feedforward_with_identity():
-    net = build_gate_circuit("toffoli")
-    wide = widen(net)
-    assert wide.n_spins == 6
-    assert wide.elements == net.elements
-    for (label, ops), (wide_label, wide_ops) in zip(net.feedforward, wide.feedforward):
-        assert wide_label == label
-        assert wide_ops == ops + (Pauli.I,) * 3
-    start = basis_response_input(net)
-    assert start.n_spins == 6
-    assert start.norm2() == pytest.approx(2**3, abs=1e-12)
+def test_basis_run_with_coefficient_slots():
+    # two detectors out of declaration order and four undetected modes
+    net = parse_netlist(
+        "spins 2\nmodes a b c d e f\npbs a b -> c d\nnv c spin_1\nbs c d -> e f\n"
+        "detect f\ndetect e\nfeedforward Ff: spin_0 Z spin_1 -Z\nfeedforward Se: spin_1 Z\n"
+    )
+    n, extra = net.n_spins, 3
+    wide, start = analysis._basis_run(net, extra)
+    assert wide.n_spins == 2 * n + extra
+    assert (wide.modes, wide.elements) == (net.modes, net.elements)
+    assert wide.detectors == ("f", "e", "a", "b", "c", "d")
+    assert [label for label, _ in wide.feedforward] == [label for label, _ in net.feedforward]
+    for (_, ops), (_, wide_ops) in zip(net.feedforward, wide.feedforward):
+        assert wide_ops == ops + (Pauli.I,) * (n + extra)
+    assert (start.modes, start.n_spins) == (net.modes, wide.n_spins)
+    assert start.norm2() == pytest.approx(2**n, abs=1e-12)
+    slots = start.amps.reshape(2, len(net.modes), 2**n, 2**n, 2**extra)
+    assert not np.any(slots[..., 1:])
+    for cfg in range(2**n):
+        assert np.array_equal(slots[..., cfg, 0], product_input(net, _basis_pairs(n, cfg)).amps)
 
 
 def test_full_loss_is_nan_in_both_conventions(monkeypatch):
