@@ -4,14 +4,14 @@ Fidelity is the squared overlap of a realistic gate output with the ideal
 gate output; efficiency is the probability that the photon survives the
 circuit (pre-detection squared norm).  Both are available two ways:
 
-- closed forms in the hot-reflection magnitude |r| (functions of |r| only,
-  with the cold reflection at its resonant value -1), and
+- closed forms in the signed resonant hot reflection r in [-1, 1] (the
+  r of :func:`resonant_pair`, negative below coupling ratio 0.5), and
 - direct simulation of the gate circuits at an arbitrary reflection pair,
   evaluated from each circuit's exact polynomial in r_hot
   (:func:`compile_circuit`).
 
 The closed-form fidelity is the squared overlap of the whole photon-spin
-state before detection with its ideal (|r| = 1) counterpart, balanced
+state before detection with its ideal (r = 1) counterpart, balanced
 input, so it keeps the photon-spin correlations between cavity passes.
 The closed-form efficiency does NOT: it treats every pass as an independent
 branch-averaged attenuation, whereas in an exact simulation the loss at one
@@ -49,19 +49,20 @@ INPUT_CONVENTIONS = ("balanced", "random")
 NORMALIZATIONS = ("postselected", "unnormalized")
 
 
-def _check_r(r_mag) -> None:
-    if not 0 <= r_mag <= 1:
-        raise ValueError(f"reflection magnitude must lie in [0, 1], got {r_mag}")
+def _check_r(r) -> None:
+    if not -1 <= r <= 1:
+        raise ValueError(f"resonant hot reflection must lie in [-1, 1], got {r}")
 
 
-def fidelity_closed_form(gate: str, r_mag):
-    """Closed-form gate fidelity as a function of |r|.
+def fidelity_closed_form(gate: str, r):
+    """Closed-form gate fidelity at the signed resonant hot reflection r.
 
     Accepts floats or :class:`fractions.Fraction` (exact arithmetic for
-    endpoint checks).  Equals 1 at |r| = 1 for all gates.
+    endpoint checks).  Equals 1 at r = 1 for all gates, and 1/4 (CNOT) or
+    1/16 (Toffoli, Fredkin) at r = -1, where the spins are uncoupled.
     """
-    _check_r(r_mag)
-    x = r_mag
+    _check_r(r)
+    x = r
     gate = _canon(gate)
     if gate == "cnot":
         return (2 + x + x**2) ** 2 / (2 * (5 - 2 * x + 2 * x**2 + 2 * x**3 + x**4))
@@ -81,13 +82,14 @@ def fidelity_closed_form(gate: str, r_mag):
     return zeta / xi
 
 
-def efficiency_closed_form(gate: str, r_mag):
-    """Closed-form photon yield as a function of |r|.
+def efficiency_closed_form(gate: str, r):
+    """Closed-form photon yield at the signed resonant hot reflection r.
 
-    Accepts floats or Fractions.  Equals 1 at |r| = 1 for all gates.
+    Accepts floats or Fractions.  Even in r: equals 1 at r = 1 and at
+    r = -1 for all gates.
     """
-    _check_r(r_mag)
-    x2 = r_mag * r_mag
+    _check_r(r)
+    x2 = r * r
     gate = _canon(gate)
     if gate == "cnot":
         return ((3 + x2) ** 2) / 16
@@ -286,7 +288,7 @@ def efficiency_simulated(
     return _simulate(gate, r, convention, trials, seed)[-1]
 
 
-def efficiency_factorized(gate: str, r_mag: float) -> float:
+def efficiency_factorized(gate: str, r: float) -> float:
     """Independent-pass reconstruction of the closed-form efficiency.
 
     The circuit's NV runs are those of :func:`nv_runs`.  Runs at the same
@@ -295,7 +297,7 @@ def efficiency_factorized(gate: str, r_mag: float) -> float:
 
     The model takes every state from one pass of the *ideal* circuit over
     all spin basis inputs at once (:func:`_basis_run`, photon balanced).
-    Each run's reflections are applied, at ``resonant_pair(r_mag)``, to
+    Each run's reflections are applied, at ``resonant_pair(r)``, to
     the ideal state before the run; the norm they remove, over the 2**n
     inputs, is the run's loss.  A pass loses the sum over its runs, and the
     pass survivals multiply.  Matches :func:`efficiency_closed_form` to
@@ -304,9 +306,9 @@ def efficiency_factorized(gate: str, r_mag: float) -> float:
     deviates because loss correlates the photon with the spins between
     passes.
     """
-    _check_r(r_mag)
+    _check_r(r)
     net = build_gate_circuit(gate)
-    pair = resonant_pair(r_mag)
+    pair = resonant_pair(r)
     wide, start = _basis_run(net)
     before = [start] + [state for _, state in iter_element_states(wide, start, IDEAL_PAIR)]
     pass_loss: dict[int, float] = {}
@@ -322,7 +324,7 @@ class SweepRecord(NamedTuple):
     """One (coupling ratio, gate) row of a figure-reproduction sweep."""
 
     coupling_ratio: float
-    r_magnitude: float
+    r: float
     gate: str
     fidelity_closed: float
     fidelity_sim: float
@@ -339,26 +341,25 @@ def sweep(
 ) -> list[SweepRecord]:
     """Closed-form and simulated metrics over a grid of coupling ratios.
 
-    The resonant mapping ratio -> r is used throughout; records are sorted
-    by ratio, then gate name.  Deterministic for fixed inputs.  With an int
-    seed, each point's fidelity and efficiency come from one product of
-    :func:`_simulate`.
+    Each ratio's signed resonant r feeds the closed forms, the simulation
+    and the record alike; records are sorted by ratio, then gate name.
+    Deterministic for fixed inputs.  With an int seed, each point's
+    fidelity and efficiency come from one product of :func:`_simulate`.
     """
     gates = [_canon(gate) for gate in gates]
     records = []
     for ratio in coupling_ratios:
-        r_val = coupling_ratio_to_r(ratio)
-        r_mag = abs(r_val)
-        pair = resonant_pair(r_val)
+        r = coupling_ratio_to_r(ratio)
+        pair = resonant_pair(r)
         for gate in gates:
             records.append(
                 SweepRecord(
                     coupling_ratio=float(ratio),
-                    r_magnitude=r_mag,
+                    r=r,
                     gate=gate,
-                    fidelity_closed=float(fidelity_closed_form(gate, r_mag)),
+                    fidelity_closed=float(fidelity_closed_form(gate, r)),
                     fidelity_sim=fidelity_simulated(gate, pair, convention, "postselected", trials, seed),
-                    efficiency_closed=float(efficiency_closed_form(gate, r_mag)),
+                    efficiency_closed=float(efficiency_closed_form(gate, r)),
                     efficiency_sim=efficiency_simulated(gate, pair, convention, trials, seed),
                 )
             )
@@ -437,17 +438,17 @@ class ConventionReport(NamedTuple):
 def fidelity_convention_report(trials: int = 16, seed: int | None = 0) -> ConventionReport:
     """Compare simulated fidelity/efficiency to the closed forms for every
     gate and every input convention x normalization mode, on 21 points of
-    |r| from 0 to exactly 1."""
+    r from 0 to exactly 1."""
     r_grid = tuple(float(x) for x in np.linspace(0.0, 1.0, 21))
-    # (convention, gate, |r|, metric): each fidelity of NORMALIZATIONS, then the efficiency
-    sim = np.array([[[_simulate(gate, resonant_pair(r_mag), convention, trials, seed) for r_mag in r_grid]
+    # (convention, gate, r, metric): each fidelity of NORMALIZATIONS, then the efficiency
+    sim = np.array([[[_simulate(gate, resonant_pair(r), convention, trials, seed) for r in r_grid]
                      for gate in GATE_NAMES] for convention in INPUT_CONVENTIONS])
-    closed = np.array([[(fidelity_closed_form(gate, r_mag), efficiency_closed_form(gate, r_mag)) for r_mag in r_grid]
+    closed = np.array([[(fidelity_closed_form(gate, r), efficiency_closed_form(gate, r)) for r in r_grid]
                        for gate in GATE_NAMES])[..., [0, 0, 1]]
-    worst = np.fmax.reduce(abs(sim - closed), axis=2, initial=0.0)  # over |r|, a NaN residual skipped
+    worst = np.fmax.reduce(abs(sim - closed), axis=2, initial=0.0)  # over r, a NaN residual skipped
     worst_f = worst[..., :-1].max(axis=1)  # (convention, normalization), over every gate
     c, k = np.unravel_index(np.argmin(worst_f), worst_f.shape)  # the first mode with the smallest
-    residuals = tuple(  # at_r1: the last grid point, |r| = 1
+    residuals = tuple(  # at_r1: the last grid point, r = 1
         ConventionResidual(gate, convention, normalization, w[j], w[-1], at_r1[j], at_r1[-1])
         for convention, worst_c, at_r1_c in zip(INPUT_CONVENTIONS, worst.tolist(), sim[:, :, -1].tolist())
         for j, normalization in enumerate(NORMALIZATIONS)

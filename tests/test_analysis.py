@@ -55,10 +55,43 @@ def test_efficiency_closed_form_values():
 
 
 def test_closed_forms_reject_out_of_range():
-    with pytest.raises(ValueError):
-        fidelity_closed_form("cnot", 1.5)
-    with pytest.raises(ValueError):
-        efficiency_closed_form("toffoli", -0.1)
+    for r in (-1.5, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            fidelity_closed_form("cnot", r)
+        with pytest.raises(ValueError):
+            efficiency_closed_form("toffoli", r)
+        with pytest.raises(ValueError):
+            efficiency_factorized("fredkin", r)
+
+
+def _balanced_overlap(gate: str, r: float) -> float:
+    """|<psi_1|psi_r>|^2 / (|psi_1|^2 |psi_r|^2), psi the whole state after
+    the gate's elements on the balanced input at r = 1 and at r."""
+    from nvgates.gates import build_gate_circuit
+    from nvgates.netlist import apply_elements, balanced_product_input
+    from nvgates.state import overlap
+
+    net = build_gate_circuit(gate)
+    state = balanced_product_input(net)
+    ideal, real = apply_elements(net, state, IDEAL_PAIR), apply_elements(net, state, resonant_pair(r))
+    return abs(overlap(ideal, real)) ** 2 / (ideal.norm2() * real.norm2())
+
+
+def test_closed_forms_hold_at_negative_r():
+    # below coupling ratio 0.5 the resonant r is negative; the closed forms
+    # are polynomials in the signed r and still equal what they model
+    for gate in GATE_NAMES:
+        for r in np.linspace(-1.0, 0.0, 21):
+            assert fidelity_closed_form(gate, r) == pytest.approx(_balanced_overlap(gate, r), abs=1e-12), (gate, r)
+            assert efficiency_factorized(gate, r) == pytest.approx(efficiency_closed_form(gate, r), abs=1e-12), (gate, r)
+    exact = {gate: fidelity_closed_form(gate, Fraction(-1)) for gate in GATE_NAMES}
+    assert exact == {"cnot": Fraction(1, 4), "toffoli": Fraction(1, 16), "fredkin": Fraction(1, 16)}
+
+
+def test_sweep_closed_fidelity_is_the_overlap_at_the_simulated_r():
+    for rec in sweep(GATE_NAMES, [0.0, 0.1, 0.25, 0.4, 0.49], trials=2):
+        assert rec.r == coupling_ratio_to_r(rec.coupling_ratio) < 0
+        assert rec.fidelity_closed == pytest.approx(_balanced_overlap(rec.gate, rec.r), abs=1e-12), rec
 
 
 def test_simulated_ideal_is_one():
@@ -179,7 +212,7 @@ def test_sweep_records_sorted_and_bounded():
             rec.efficiency_sim,
         ):
             assert -1e-9 <= value <= 1 + 1e-9
-        assert rec.r_magnitude == pytest.approx(abs(coupling_ratio_to_r(rec.coupling_ratio)))
+        assert rec.r == coupling_ratio_to_r(rec.coupling_ratio)
 
 
 def test_sweep_headline_point():
@@ -209,8 +242,8 @@ def test_csv_format():
 
 def test_records_unpack_to_their_fields_in_order():
     rec = sweep(["toffoli"], [2.0], trials=2)[0]
-    ratio, r_mag, gate, f_closed, f_sim, eta_closed, eta_sim = rec
-    assert (ratio, r_mag, gate) == (rec.coupling_ratio, rec.r_magnitude, rec.gate)
+    ratio, r, gate, f_closed, f_sim, eta_closed, eta_sim = rec
+    assert (ratio, r, gate) == (rec.coupling_ratio, rec.r, rec.gate)
     assert (ratio, gate) == (2.0, "toffoli")
     assert (f_closed, f_sim, eta_closed, eta_sim) == (
         rec.fidelity_closed, rec.fidelity_sim, rec.efficiency_closed, rec.efficiency_sim)
@@ -278,10 +311,12 @@ def test_convention_report_skips_nan_residuals_and_names_the_first_best_mode(mon
 
 def test_sweep_zero_ratio_edge():
     # g = 0 gives r_hot = -1: unit magnitude but NOT the ideal pair, so the
-    # photon always survives while the gate logic breaks
+    # photon always survives while the gate logic breaks, in the closed
+    # form as in the simulation
     records = sweep(["cnot"], [0.0], trials=2)
     rec = records[0]
-    assert rec.r_magnitude == pytest.approx(1.0, abs=1e-15)
+    assert rec.r == -1.0
+    assert rec.fidelity_closed == 0.25
     assert rec.efficiency_sim == pytest.approx(1.0, abs=1e-12)
     assert rec.fidelity_sim < 0.999
 

@@ -419,8 +419,8 @@ def test_python_dash_m_runs_the_cli():
         [sys.executable, "-m", "nvgates", "verify", "cnot", "--ideal", "--trials", "2"],
         env=env, capture_output=True, text=True, timeout=60,
     )
-    assert done.returncode == 0, done.stderr
-    assert "PASS" in done.stdout
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "ideal-regime check: PASS (tolerance 1e-10)" in done.stdout.splitlines()
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

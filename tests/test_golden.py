@@ -72,6 +72,7 @@ def _cases() -> dict[str, tuple[list[str], str]]:
     cases = {
         "sweep_default": (["sweep"], "files"),
         "sweep_random": (["sweep", *_RANDOM_SWEEP], "files"),
+        "sweep_below_half": (["sweep", "--min", "0", "--max", "0.5", "--steps", "3"], "files"),
         "params_ratio2": (["params", "--ratio", "2"], "stdout"),
         "run_cnot_input": (["run", _circuit("cnot"), "--input", "3,4j,1,1", "--ratio", "0.7"], "run"),
         "truth_table_toffoli_rhot0": (["truth-table", "toffoli", "--r-hot", "0"], "stdout"),
