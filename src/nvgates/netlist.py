@@ -141,9 +141,9 @@ class Netlist:
     """A checked circuit: spins, declared modes (the first is the input),
     ordered elements, F/S detector stations, and a feedforward table of
     (outcome label, one Pauli per spin) rules, ``()`` for none.  All are
-    tuples; ``lines``, not compared, holds each element's source line, or is
-    ``()`` when built in code, so ``dataclasses.replace(parsed, elements=...)``
-    must also pass ``lines=()``.  Construction raises ValueError for a bad
+    tuples.  ``lines``, set only by :func:`parse_netlist` and not compared,
+    holds each element's source line; it is ``()`` for a netlist built in code
+    or by ``dataclasses.replace``.  Construction raises ValueError for a bad
     field, then :class:`NetlistError` for the first fault in the parser's
     order, with the parser's kind and no line, naming the part by position."""
 
@@ -152,12 +152,12 @@ class Netlist:
     elements: tuple[Element, ...]
     detectors: tuple[str, ...]
     feedforward: tuple[FeedforwardRule, ...] = ()
-    lines: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    lines: tuple[int, ...] = field(default=(), init=False, compare=False, repr=False)
     # memo of nvgates.analysis.compile_circuit, keyed by r_cold; one entry at most
     _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("modes", "elements", "detectors", "feedforward", "lines"):
+        for name in ("modes", "elements", "detectors", "feedforward"):
             if not isinstance(getattr(self, name), tuple):
                 raise ValueError(f"Netlist.{name} must be a tuple, got {getattr(self, name)!r}")
         n, modes = self.n_spins, set(self.modes)
@@ -167,8 +167,6 @@ class Netlist:
             raise ValueError(f"Netlist.modes must be a non-empty tuple of distinct str, got {self.modes!r}")
         if _too_large(n, len(modes)):
             raise ValueError(f"Netlist of {n} spins and {len(modes)} modes exceeds {MAX_AMPLITUDES} amplitudes")
-        if self.lines and (len(self.lines) != len(self.elements) or not all(type(k) is int and k > 0 for k in self.lines)):
-            raise ValueError(f"Netlist.lines {self.lines!r} must give one line per element, each a positive int, or be ()")
         for el in self.elements:
             kind, ins, outs, spin = el if type(el) is Element else (None,) * 4
             if type(kind) is not Kind or type(ins) is not tuple or type(outs) is not tuple or not (spin is None or type(spin) is int):

@@ -346,19 +346,20 @@ def test_netlist_fields_checked_when_built():
         with pytest.raises(ValueError, match="Netlist.feedforward rule"):
             replace(net, feedforward=(rule,))
     assert replace(net, feedforward=net.feedforward) == net
-    # a parsed circuit's lines survive replace, so other elements need other lines
-    with pytest.raises(ValueError, match=r"Netlist\.lines .* must give one line per element"):
-        replace(net, elements=net.elements[:-1])
-    assert replace(net, elements=net.elements[:-1], lines=()).lines == ()
 
 
-def test_netlist_lines_are_positive_ints():
-    # a source line number counts from 1; a str, a bool or a float is no line number
+def test_netlist_lines_are_set_by_the_parser_only():
+    # source lines belong to the parsed text: a replaced or hand-built netlist has none
+    net = build_gate_circuit("cnot")
+    assert net.lines == (11, 12, 13, 17, 18, 19, 20, 21, 22)
+    assert replace(net, elements=net.elements[::-1]).lines == ()
+    assert replace(net, elements=net.elements[:-1]).lines == ()
     el = Element(Kind.HWP, ("a",), ("a",))
-    for bad in (("x",), (-3,), (0,), (True,), (1.0,)):
-        with pytest.raises(ValueError, match=r"Netlist\.lines .* each a positive int"):
-            Netlist(1, ("a",), (el,), ("a",), lines=bad)
-    assert Netlist(1, ("a",), (el,), ("a",), lines=(7,)).lines == (7,)
+    assert Netlist(1, ("a",), (el,), ("a",)).lines == ()
+    with pytest.raises(TypeError, match="lines"):
+        Netlist(1, ("a",), (el,), ("a",), lines=(7,))
+    with pytest.raises(ValueError, match="lines"):
+        replace(net, lines=(7,))
 
 
 @pytest.mark.parametrize(
