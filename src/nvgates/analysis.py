@@ -228,13 +228,13 @@ def _simulate(gate: str, r: ReflectionPair, convention: str, trials: int, seed: 
     The inputs of ``convention`` are drawn once, the gate's
     :func:`compile_circuit` is evaluated once at r_hot, and every metric is
     read from their one product, which holds every row's output for every
-    input.  The result of the last call with an int seed, which draws the
-    same inputs every time, is kept on the compiled circuit, so the
-    fidelity and efficiency of one sweep point make one product.
+    input.  The result of the last call with an ``int`` or ``np.integer``
+    seed, which draws the same inputs every time, is kept on the compiled
+    circuit, so the fidelity and efficiency of one sweep point make one product.
     """
     net = build_gate_circuit(gate)
     compiled = compile_circuit(net, r.r_cold)
-    key = (gate, r.r_hot, convention, trials, seed) if isinstance(seed, int) else None
+    key = (gate, r.r_hot, convention, trials, seed) if isinstance(seed, (int, np.integer)) else None
     if key is not None and compiled.last is not None and compiled.last[0] == key:
         return compiled.last[1]
     inputs = _spin_inputs(net.n_spins, convention, trials, seed)

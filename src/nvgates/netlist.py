@@ -30,9 +30,10 @@ Elements execute in file order.  The photon's path must be feed-forward: no
 directive may read a mode whose only writers appear later in the file (PBS
 and BS write their outputs; hwp and nv read and rewrite their mode in place,
 so a wire keeps its label through them; ``detect m`` reads ``m``).  This
-check, and that each feedforward outcome names a detector, run after every
-line has passed its own checks; the ordering diagnostic blames the earliest
-read, in file order, of a mode whose first writer comes later.
+rule, and that each feedforward outcome names a detector, run after every
+line has passed its own checks, and :class:`Netlist` checks them too; the
+ordering diagnostic blames the earliest read, in file order, of a mode whose
+first writer comes later.
 
 ``detect m`` declares an F/S measurement station (a PBS in the F/S basis
 feeding two ideal detectors) on mode ``m``; outcome labels are ``F<m>`` and
@@ -89,9 +90,10 @@ class NetlistError(ValueError):
 
 
 FeedforwardRule = tuple[str, tuple[Pauli, ...]]
-# The circuit facts, each written only here, as a function that returns None or a Fault.  The parser calls
-# each on what its lines have declared so far, Netlist.__post_init__ on the whole circuit.  An element's
-# operands are (kind, *in_modes, *out_modes, spin); a detector's or a rule's are the tokens of its line.
+# The circuit facts, each written only here, as a function that returns None or a Fault (the order, over all
+# steps, yields its faults).  The parser calls each on what its lines have declared so far, Netlist.__post_init__
+# on the whole circuit.  An element's operands are (kind, *in_modes, *out_modes, spin); a detector's or a
+# rule's are the tokens of its line.
 Fault = tuple[int, DiagnosticKind, str]  # (operand position, kind, message)
 
 
@@ -130,6 +132,21 @@ def _running(fault, items, *context):
         earlier.add(item)
 
 
+def _order_faults(steps):
+    """The feed-forward order over ``steps`` in run order, each (wires read, wires written, ...): (step index,
+    Fault) at the first read of each mode that is read before any step writes it and written by that step or
+    a later one, the earliest read first."""
+    first_read, written = {}, set()  # mode -> (step index, its wires read) of a read before any write
+    for i, step in enumerate(steps):
+        for mode in step[0]:
+            if mode not in written and mode not in first_read:
+                first_read[mode] = i, step[0]
+        written.update(step[1])
+    for mode, (i, reads) in first_read.items():
+        if mode in written:
+            yield i, (reads.index(mode) + 1, DiagnosticKind.NON_TOPOLOGICAL, f"mode {mode!r} is read here but only written later")
+
+
 def _outcome_fault(label: str, detectors) -> Fault | None:
     """A feedforward rule's ``label``: F or S, then one of ``detectors``."""
     named = label[:1] in ("F", "S") and label[1:] in detectors
@@ -138,14 +155,15 @@ def _outcome_fault(label: str, detectors) -> Fault | None:
 
 @dataclass(frozen=True)
 class Netlist:
-    """A checked circuit: spins, declared modes (the first is the input),
-    ordered elements, F/S detector stations, and a feedforward table of
-    (outcome label, one Pauli per spin) rules, ``()`` for none.  All are
-    tuples.  ``lines``, set only by :func:`parse_netlist` and not compared,
-    holds each element's source line; it is ``()`` for a netlist built in code
-    or by ``dataclasses.replace``.  Construction raises ValueError for a bad
-    field, then :class:`NetlistError` for the first fault in the parser's
-    order, with the parser's kind and no line, naming the part by position."""
+    """A checked circuit: spins, declared modes (the first is the input; each
+    one ``.nv`` token without ``#``), elements in feed-forward order, F/S
+    detector stations, and a feedforward table of (outcome label, one Pauli
+    per spin) rules, ``()`` for none.  All are tuples.  ``lines``, set only by
+    :func:`parse_netlist` and not compared, holds each element's source line;
+    it is ``()`` for a netlist built in code or by ``dataclasses.replace``.
+    Construction raises ValueError for a bad field, then :class:`NetlistError`
+    for the first fault in the parser's order, with the parser's kind and no
+    line, naming the part by position."""
 
     n_spins: int
     modes: tuple[str, ...]
@@ -165,6 +183,9 @@ class Netlist:
             raise ValueError(f"Netlist.n_spins must be a positive int, got {n!r}")
         if not (self.modes and all(isinstance(m, str) for m in self.modes) and len(modes) == len(self.modes)):
             raise ValueError(f"Netlist.modes must be a non-empty tuple of distinct str, got {self.modes!r}")
+        for m in self.modes:
+            if m.split() != [m] or "#" in m:
+                raise ValueError(f"Netlist mode {m!r} is not one .nv token: empty, or with whitespace or '#'")
         if _too_large(n, len(modes)):
             raise ValueError(f"Netlist of {n} spins and {len(modes)} modes exceeds {MAX_AMPLITUDES} amplitudes")
         for el in self.elements:
@@ -176,11 +197,13 @@ class Netlist:
             if not (isinstance(label, str) and isinstance(ops, tuple) and len(ops) == n and all(isinstance(o, Pauli) for o in ops)):
                 raise ValueError(f"Netlist.feedforward rule {rule!r} is not (outcome label, {n}-tuple of Pauli)")
         labels, detectors = [label for label, _ in self.feedforward], self.detectors
-        for part, faults in (("element", (_element_fault(el, n, modes) for el in self.elements)),
-                             ("detector", _running(_detector_fault, detectors, modes)),
-                             ("rule", _running(_rule_fault, labels)),
-                             ("rule", (_outcome_fault(label, detectors) for label in labels))):
-            for i, fault in enumerate(faults):
+        for part, faults in (("element", enumerate(_element_fault(el, n, modes) for el in self.elements)),
+                             ("detector", enumerate(_running(_detector_fault, detectors, modes))),
+                             ("rule", enumerate(_running(_rule_fault, labels))),
+                             ("element", _order_faults((el.in_modes, () if LAYOUTS[el.kind].in_place else el.out_modes)
+                                                       for el in self.elements)),
+                             ("rule", enumerate(_outcome_fault(label, detectors) for label in labels))):
+            for i, fault in faults:
                 if fault:
                     raise NetlistError(fault[1], None, None, f"{part} {i}: {fault[2]}")
 
@@ -227,9 +250,10 @@ def _column(raw: str, index: int) -> int:
     return start + 1
 
 
-# directive -> (kind, layout, slices of its input and output wire tokens)
+# directive -> (kind, layout, slices of its input and output wire tokens, the token of each element operand)
 _DIRECTIVES = {
-    kind.value: (kind, lay, slice(lay.ins.start, lay.ins.stop), slice(lay.outs.start, lay.outs.stop))
+    kind.value: (kind, lay, slice(lay.ins.start, lay.ins.stop), slice(lay.outs.start, lay.outs.stop),
+                 (0, *lay.ins, *lay.outs, lay.spin))
     for kind, lay in LAYOUTS.items()
 }
 
@@ -247,8 +271,7 @@ def parse_netlist(text: str) -> Netlist:
     element_lines: list[int] = []
     detectors: dict[str, None] = {}
     feedforward: dict[str, tuple[tuple[Pauli, ...], int]] = {}  # label -> (ops, line); the label is token 1
-    unwritten: dict[str, tuple[int, int]] = {}  # mode -> (line, token) of its first read before any write
-    written: set[str] = set()
+    steps: list[tuple] = []  # each element's and detector's (wires read, wires written, line, token of each operand)
 
     def error(kind: DiagnosticKind, line: int, index: int, message: str) -> NetlistError:
         """A diagnostic at token ``index`` of ``line``; its column is found here."""
@@ -275,7 +298,7 @@ def parse_netlist(text: str) -> Netlist:
         head = toks[0]
 
         if head in _DIRECTIVES:
-            kind, lay, ins, outs = _DIRECTIVES[head]
+            kind, lay, ins, outs, at = _DIRECTIVES[head]
             if len(toks) != lay.n_tokens:
                 raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, f"{head} expects: {head} {FORMS[kind]}")
             if lay.arrow is not None and toks[lay.arrow] != "->":
@@ -287,12 +310,8 @@ def parse_netlist(text: str) -> Netlist:
             out_modes = in_modes if lay.in_place else tuple(toks[outs])  # an in-place kind has one wire, or none
             el = Element(kind, in_modes, out_modes, spin)
             if fault := _element_fault(el, n_spins, modes):
-                raise error(fault[1], lineno, (0, *lay.ins, *lay.outs, lay.spin)[fault[0]], fault[2])
-            for i, mode in zip(lay.ins, in_modes):
-                if mode not in written and mode not in unwritten:
-                    unwritten[mode] = (lineno, i)
-            if not lay.in_place:  # an in-place element introduces nothing: its wire is not written
-                written.update(out_modes)
+                raise error(fault[1], lineno, at[fault[0]], fault[2])
+            steps.append((in_modes, () if lay.in_place else out_modes, lineno, at))  # an in-place element writes nothing
             elements.append(el)
             element_lines.append(lineno)
 
@@ -302,8 +321,7 @@ def parse_netlist(text: str) -> Netlist:
             tok = toks[1]
             if fault := _detector_fault(tok, modes, detectors):
                 raise error(fault[1], lineno, fault[0], fault[2])
-            if tok not in written and tok not in unwritten:
-                unwritten[tok] = (lineno, 1)
+            steps.append(((tok,), (), lineno, (0, 1)))
             detectors[tok] = None
 
         elif head == "spins":
@@ -369,10 +387,10 @@ def parse_netlist(text: str) -> Netlist:
         raise NetlistError(
             DiagnosticKind.MISSING_DECLARATION, last_line, 1, "missing modes declaration"
         )
-    # every line is checked first; then the earliest read of a mode whose first writer comes later is blamed
-    for mode, (line, i) in unwritten.items():
-        if mode in written:
-            raise error(DiagnosticKind.NON_TOPOLOGICAL, line, i, f"mode {mode!r} is read here but only written later")
+    # every line is checked first; then the feed-forward order, then the outcomes
+    for i, fault in _order_faults(steps):
+        line, at = steps[i][2:]
+        raise error(fault[1], line, at[fault[0]], fault[2])
     for label, (_, line) in feedforward.items():
         if fault := _outcome_fault(label, detectors):
             raise error(fault[1], line, fault[0], fault[2])
@@ -385,9 +403,8 @@ def parse_netlist(text: str) -> Netlist:
 
 def serialize_netlist(net: Netlist) -> str:
     """Canonical text form; ``parse_netlist(serialize_netlist(n)) == n`` for
-    every netlist the parser can make: labels that are single tokens without
-    ``#``, and elements in feed-forward order.  A ``Netlist`` built in code
-    may break either, and then the text does not parse back to it."""
+    every ``Netlist``, whose labels are single tokens without ``#`` and whose
+    elements are in feed-forward order."""
     lines = [f"spins {net.n_spins}", "modes " + " ".join(net.modes)]
     lines += [LAYOUTS[el.kind].template.format(*el.in_modes, *el.out_modes, el.spin) for el in net.elements]
     lines += [f"detect {mode}" for mode in net.detectors]

@@ -164,11 +164,13 @@ def test_sweep_point_draws_its_inputs_once(monkeypatch):
     draws = []
     spin_inputs = analysis._spin_inputs
     monkeypatch.setattr(analysis, "_spin_inputs", lambda *args: draws.append(args) or spin_inputs(*args))
-    records = sweep(["cnot"], [2.0, 3.0], "random", trials=4, seed=9)
-    assert len(draws) == 2  # one per point, for its fidelity and its efficiency
     pair = resonant_pair(coupling_ratio_to_r(3.0))
-    assert records[1].fidelity_sim == fidelity_simulated("cnot", pair, "random", trials=4, seed=9)
-    assert records[1].efficiency_sim == efficiency_simulated("cnot", pair, "random", trials=4, seed=9)
+    for seed in (9, np.int64(9)):  # a numpy integer seed draws the same inputs every time too
+        draws.clear()
+        records = sweep(["cnot"], [2.0, 3.0], "random", trials=4, seed=seed)
+        assert len(draws) == 2, seed  # one per point, for its fidelity and its efficiency
+        assert records[1].fidelity_sim == fidelity_simulated("cnot", pair, "random", trials=4, seed=9)
+        assert records[1].efficiency_sim == efficiency_simulated("cnot", pair, "random", trials=4, seed=9)
     # a Generator seed draws new inputs on every call, so no result is kept
     rng = np.random.default_rng(1)
     first = fidelity_simulated("cnot", pair, "random", trials=4, seed=rng)

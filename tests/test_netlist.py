@@ -352,7 +352,8 @@ def test_netlist_lines_are_set_by_the_parser_only():
     # source lines belong to the parsed text: a replaced or hand-built netlist has none
     net = build_gate_circuit("cnot")
     assert net.lines == (11, 12, 13, 17, 18, 19, 20, 21, 22)
-    assert replace(net, elements=net.elements[::-1]).lines == ()
+    swapped = net.elements[:3] + net.elements[4:2:-1] + net.elements[5:]  # hwp 4 and spinh 1: still feed-forward
+    assert replace(net, elements=swapped).lines == ()
     assert replace(net, elements=net.elements[:-1]).lines == ()
     el = Element(Kind.HWP, ("a",), ("a",))
     assert Netlist(1, ("a",), (el,), ("a",)).lines == ()
@@ -371,12 +372,31 @@ def test_netlist_lines_are_set_by_the_parser_only():
         (1, (0, 1), r"Netlist.modes must be a non-empty tuple of distinct str, got \(0, 1\)"),  # no state matches
         (True, ("a",), "Netlist.n_spins must be a positive int, got True"),  # would run as one spin
         (1, ("a", "a"), r"Netlist.modes must be a non-empty tuple of distinct str, got \('a', 'a'\)"),
+        # a label the text format cannot carry: two tokens, a comment, no token at all
+        (1, ("a b",), "Netlist mode 'a b' is not one .nv token"),
+        (1, ("in", "a#b"), "Netlist mode 'a#b' is not one .nv token"),
+        (1, ("",), "Netlist mode '' is not one .nv token"),
+        (1, ("a\xa0b",), r"Netlist mode 'a\\xa0b' is not one .nv token"),  # str.split() splits at U+00A0
     ],
-    ids=["float-spins", "zero-spins", "no-modes", "int-modes", "bool-spins", "duplicate-modes"],
+    ids=["float-spins", "zero-spins", "no-modes", "int-modes", "bool-spins", "duplicate-modes",
+         "spaced-mode", "comment-mode", "empty-mode", "nbsp-mode"],
 )
 def test_netlist_refuses_a_spin_count_or_modes_that_cannot_run(n_spins, modes, match):
     with pytest.raises(ValueError, match=match):
         Netlist(n_spins, modes, (), modes[:1], ())
+
+
+def test_netlist_refuses_an_element_order_that_is_not_feed_forward():
+    # the reversed CNOT reads wire 7 at element 1, while only element 3 writes it
+    net = build_gate_circuit("cnot")
+    with pytest.raises(NetlistError, match=r"^element 1: mode '7' is read here but only written later") as err:
+        replace(net, elements=net.elements[::-1])
+    assert (err.value.kind, err.value.line, err.value.column) == (DiagnosticKind.NON_TOPOLOGICAL, None, None)
+    fields = (1, ("a", "b", "c", "d"), (Element(Kind.HWP, ("c",), ("c",)), Element(Kind.PBS_RL, ("a", "b"), ("c", "d"))),
+              ("c", "d"))
+    with pytest.raises(NetlistError, match=r"^element 0: mode 'c' is read here but only written later") as err:
+        Netlist(*fields)
+    assert err.value.kind is text_refusal(*fields).kind is DiagnosticKind.NON_TOPOLOGICAL
 
 
 def test_feedforward_label_must_name_an_outcome():
