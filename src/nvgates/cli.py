@@ -17,6 +17,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ from .cavity import (
     IDEAL_PAIR,
     ParameterError,
     ReflectionPair,
-    kappa_from_quality_factor,
     quality_factor_conversions,
     reflection_at_ratio,
     reflection_coefficient,
@@ -87,8 +87,6 @@ def _fmt_spin_state(amps, n: int) -> str:
 
 
 def cmd_run(args) -> int:
-    from dataclasses import replace
-
     net = load_netlist(args.netlist)
     reflection = _reflection_from_args(args)
     if args.input == "balanced":
@@ -250,7 +248,7 @@ def cmd_params(args) -> int:
     if args.g is not None:
         kappa = args.kappa
         if kappa is None:
-            kappa = kappa_from_quality_factor(args.q, args.wavelength) if args.q else 1.0
+            kappa = conv["ordinary"] if args.q else 1.0
         params = CavityParams(
             g=args.g,
             kappa=kappa,

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import IDEAL_PAIR, ReflectionPair, scatter
+from .cavity import ReflectionPair, scatter
 from .state import L, MINUS, R, HybridState, StateError, butterfly, spin_flip
 
 
@@ -149,7 +149,6 @@ class Element(NamedTuple):
 
 
 _PAULI_DIAG = {
-    Pauli.I: np.array([1.0, 1.0], dtype=complex),
     Pauli.Z: np.array([1.0, -1.0], dtype=complex),
     Pauli.MINUS_Z: np.array([-1.0, 1.0], dtype=complex),
 }
@@ -240,7 +239,7 @@ def apply_spin_hadamard(state: HybridState, spin_index: int) -> HybridState:
 _PBS_RL, _PBS_FS, _HWP, _BS5050, _NV_SCATTER, _SPIN_H = Kind  # in definition order; cheaper than Kind.* lookups
 
 
-def _apply_element(state: HybridState, el: Element, reflection: ReflectionPair = IDEAL_PAIR) -> HybridState:
+def _apply_element(state: HybridState, el: Element, reflection: ReflectionPair) -> HybridState:
     """Dispatch one element of a checked :class:`nvgates.netlist.Netlist`;
     NV scattering uses the given reflection pair."""
     kind = el.kind

@@ -31,9 +31,10 @@ directive may read a mode whose only writers appear later in the file (PBS
 and BS write their outputs; hwp and nv read and rewrite their mode in place,
 so a wire keeps its label through them; ``detect m`` reads ``m``).  This
 rule, and that each feedforward outcome names a detector, run after every
-line has passed its own checks, and :class:`Netlist` checks them too; the
-ordering diagnostic blames the earliest read, in file order, of a mode whose
-first writer comes later.
+line has passed its own checks; the ordering diagnostic blames the earliest
+read, in file order, of a mode whose first writer comes later.  The parser
+is the one checker of these facts: a :class:`Netlist` built in code is
+checked by parsing its own text.
 
 ``detect m`` declares an F/S measurement station (a PBS in the F/S basis
 feeding two ideal detectors) on mode ``m``; outcome labels are ``F<m>`` and
@@ -90,10 +91,10 @@ class NetlistError(ValueError):
 
 
 FeedforwardRule = tuple[str, tuple[Pauli, ...]]
-# The circuit facts, each written only here, as a function that returns None or a Fault (the order, over all
-# steps, yields its faults).  The parser calls each on what its lines have declared so far, Netlist.__post_init__
-# on the whole circuit.  An element's operands are (kind, *in_modes, *out_modes, spin); a detector's or a
-# rule's are the tokens of its line.
+# An element's fault is a function because an element has two callers: the parser, on each element line, and
+# Netlist.__post_init__, on each element before it writes the netlist's text, which a malformed element cannot
+# have.  Every other circuit fact is checked in parse_netlist alone.  An element's operands are (kind, *in_modes,
+# *out_modes, spin).
 Fault = tuple[int, DiagnosticKind, str]  # (operand position, kind, message)
 
 
@@ -112,26 +113,6 @@ def _element_fault(el: Element, n_spins: int | None, modes) -> Fault | None:
     return None
 
 
-def _detector_fault(mode: str, modes, detectors) -> Fault | None:
-    """A detector on ``mode``: declared, then not among the earlier ``detectors``."""
-    if mode not in modes:
-        return 1, DiagnosticKind.UNDECLARED_MODE, f"mode {mode!r} is not declared"
-    return (1, DiagnosticKind.DUPLICATE_DECLARATION, f"detector on {mode!r} redeclared") if mode in detectors else None
-
-
-def _rule_fault(label: str, labels) -> Fault | None:
-    """A feedforward rule for outcome ``label``: not among the earlier rules' ``labels``."""
-    return (1, DiagnosticKind.DUPLICATE_DECLARATION, f"outcome {label!r} listed twice") if label in labels else None
-
-
-def _running(fault, items, *context):
-    """``fault(item, *context, earlier)`` for each of ``items``, ``earlier`` the set of the items before it."""
-    earlier = set()
-    for item in items:
-        yield fault(item, *context, earlier)
-        earlier.add(item)
-
-
 def _order_faults(steps):
     """The feed-forward order over ``steps`` in run order, each (wires read, wires written, ...): (step index,
     Fault) at the first read of each mode that is read before any step writes it and written by that step or
@@ -147,10 +128,11 @@ def _order_faults(steps):
             yield i, (reads.index(mode) + 1, DiagnosticKind.NON_TOPOLOGICAL, f"mode {mode!r} is read here but only written later")
 
 
-def _outcome_fault(label: str, detectors) -> Fault | None:
-    """A feedforward rule's ``label``: F or S, then one of ``detectors``."""
-    named = label[:1] in ("F", "S") and label[1:] in detectors
-    return None if named else (1, DiagnosticKind.UNKNOWN_OUTCOME, f"feedforward outcome {label!r} matches no detector")
+def _check_tokens(part: str, labels) -> None:
+    """Raise ValueError for a label a ``.nv`` text cannot hold as one token."""
+    for m in labels:
+        if not isinstance(m, str) or m.split() != [m] or "#" in m:
+            raise ValueError(f"Netlist {part} {m!r} is not one .nv token: empty, or with whitespace or '#'")
 
 
 @dataclass(frozen=True)
@@ -161,9 +143,10 @@ class Netlist:
     per spin) rules, ``()`` for none.  All are tuples.  ``lines``, set only by
     :func:`parse_netlist` and not compared, holds each element's source line;
     it is ``()`` for a netlist built in code or by ``dataclasses.replace``.
-    Construction raises ValueError for a bad field, then :class:`NetlistError`
-    for the first fault in the parser's order, with the parser's kind and no
-    line, naming the part by position."""
+    Construction raises ValueError for a bad field or a label that is not one
+    ``.nv`` token, then :class:`NetlistError` for a malformed element, then
+    whatever :func:`parse_netlist` raises on the netlist's own text, with no
+    line and the part named by position."""
 
     n_spins: int
     modes: tuple[str, ...]
@@ -183,9 +166,7 @@ class Netlist:
             raise ValueError(f"Netlist.n_spins must be a positive int, got {n!r}")
         if not (self.modes and all(isinstance(m, str) for m in self.modes) and len(modes) == len(self.modes)):
             raise ValueError(f"Netlist.modes must be a non-empty tuple of distinct str, got {self.modes!r}")
-        for m in self.modes:
-            if m.split() != [m] or "#" in m:
-                raise ValueError(f"Netlist mode {m!r} is not one .nv token: empty, or with whitespace or '#'")
+        _check_tokens("mode", self.modes)
         if _too_large(n, len(modes)):
             raise ValueError(f"Netlist of {n} spins and {len(modes)} modes exceeds {MAX_AMPLITUDES} amplitudes")
         for el in self.elements:
@@ -196,16 +177,20 @@ class Netlist:
             label, ops = rule if isinstance(rule, tuple) and len(rule) == 2 else (None, None)
             if not (isinstance(label, str) and isinstance(ops, tuple) and len(ops) == n and all(isinstance(o, Pauli) for o in ops)):
                 raise ValueError(f"Netlist.feedforward rule {rule!r} is not (outcome label, {n}-tuple of Pauli)")
-        labels, detectors = [label for label, _ in self.feedforward], self.detectors
-        for part, faults in (("element", enumerate(_element_fault(el, n, modes) for el in self.elements)),
-                             ("detector", enumerate(_running(_detector_fault, detectors, modes))),
-                             ("rule", enumerate(_running(_rule_fault, labels))),
-                             ("element", _order_faults((el.in_modes, () if LAYOUTS[el.kind].in_place else el.out_modes)
-                                                       for el in self.elements)),
-                             ("rule", enumerate(_outcome_fault(label, detectors) for label in labels))):
-            for i, fault in faults:
-                if fault:
-                    raise NetlistError(fault[1], None, None, f"{part} {i}: {fault[2]}")
+        _check_tokens("detector", self.detectors)
+        _check_tokens("outcome label", [label for label, _ in self.feedforward])
+        for i, el in enumerate(self.elements):
+            if fault := _element_fault(el, n, modes):
+                raise NetlistError(fault[1], None, None, f"element {i}: {fault[2]}")
+        try:
+            parse_netlist(serialize_netlist(self))
+        except NetlistError as exc:  # lines 1 and 2 are the spins and modes, which pass, as checked above
+            at = exc.line - 3
+            for part, items in (("element", self.elements), ("detector", self.detectors), ("rule", self.feedforward)):
+                if at < len(items):
+                    break
+                at -= len(items)
+            raise NetlistError(exc.kind, None, None, f"{part} {at}: {exc.detail}") from None
 
     def outcome_labels(self) -> tuple[str, ...]:
         return tuple([basis + mode for mode in self.detectors for basis in ("F", "S")])
@@ -319,8 +304,10 @@ def parse_netlist(text: str) -> Netlist:
             if len(toks) != 2:
                 raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, "detect expects: detect m")
             tok = toks[1]
-            if fault := _detector_fault(tok, modes, detectors):
-                raise error(fault[1], lineno, fault[0], fault[2])
+            if tok not in modes:
+                raise error(DiagnosticKind.UNDECLARED_MODE, lineno, 1, f"mode {tok!r} is not declared")
+            if tok in detectors:
+                raise error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, 1, f"detector on {tok!r} redeclared")
             steps.append(((tok,), (), lineno, (0, 1)))
             detectors[tok] = None
 
@@ -371,8 +358,8 @@ def parse_netlist(text: str) -> Netlist:
                     raise error(
                         DiagnosticKind.INVALID_TOKEN, lineno, i + 1, f"unknown operator {toks[i + 1]!r}"
                     ) from None
-            if fault := _rule_fault(label, feedforward):
-                raise error(fault[1], lineno, fault[0], fault[2])
+            if label in feedforward:
+                raise error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, 1, f"outcome {label!r} listed twice")
             feedforward[label] = (tuple(ops), lineno)
 
         else:
@@ -392,8 +379,8 @@ def parse_netlist(text: str) -> Netlist:
         line, at = steps[i][2:]
         raise error(fault[1], line, at[fault[0]], fault[2])
     for label, (_, line) in feedforward.items():
-        if fault := _outcome_fault(label, detectors):
-            raise error(fault[1], line, fault[0], fault[2])
+        if label[1:] not in detectors:  # its F or S is checked on its line
+            raise error(DiagnosticKind.UNKNOWN_OUTCOME, line, 1, f"feedforward outcome {label!r} matches no detector")
     net = object.__new__(Netlist)  # every fact and field is checked above, so not again by Netlist.__post_init__
     vars(net).update(n_spins=n_spins, modes=tuple(modes), elements=tuple(elements), detectors=tuple(detectors),
                      feedforward=tuple((label, ops) for label, (ops, _) in feedforward.items()),

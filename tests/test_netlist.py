@@ -386,6 +386,26 @@ def test_netlist_refuses_a_spin_count_or_modes_that_cannot_run(n_spins, modes, m
         Netlist(n_spins, modes, (), modes[:1], ())
 
 
+@pytest.mark.parametrize(
+    "detectors, feedforward, match",
+    [
+        # the detector or label would be split, or run into the next line, when its text is written
+        (("a b",), (), "Netlist detector 'a b' is not one .nv token"),
+        (("a\ndetect b",), (), r"Netlist detector 'a\\ndetect b' is not one .nv token"),
+        ((1,), (), "Netlist detector 1 is not one .nv token"),
+        (("a",), (("", (Pauli.Z,)),), "Netlist outcome label '' is not one .nv token"),
+        (("a",), (("F a", (Pauli.Z,)),), "Netlist outcome label 'F a' is not one .nv token"),
+        (("a",), (("Fa: spin_0 I\nfeedforward Sa", (Pauli.Z,)),),
+         r"Netlist outcome label 'Fa: spin_0 I\\nfeedforward Sa' is not one .nv token"),
+    ],
+    ids=["spaced-detector", "newline-detector", "int-detector", "empty-label", "spaced-label", "newline-label"],
+)
+def test_netlist_refuses_a_detector_or_outcome_label_that_is_not_a_token(detectors, feedforward, match):
+    with pytest.raises(ValueError, match=match) as err:
+        Netlist(1, ("a", "b"), (), detectors, feedforward)
+    assert not isinstance(err.value, NetlistError)
+
+
 def test_netlist_refuses_an_element_order_that_is_not_feed_forward():
     # the reversed CNOT reads wire 7 at element 1, while only element 3 writes it
     net = build_gate_circuit("cnot")
@@ -400,12 +420,13 @@ def test_netlist_refuses_an_element_order_that_is_not_feed_forward():
 
 
 def test_feedforward_label_must_name_an_outcome():
-    # a rule that matches no outcome would never be applied by run_netlist
+    # a rule that matches no outcome would never be applied by run_netlist;
+    # a label that is not F or S then a mode is refused as its text is, a bad token
     net = build_gate_circuit("cnot")
     lowered = tuple((label.lower(), ops) for label, ops in net.feedforward)
-    with pytest.raises(NetlistError, match=r"^rule 0: feedforward outcome 'f9' matches no detector") as err:
+    with pytest.raises(NetlistError, match=r"^rule 0: bad outcome label 'f9'") as err:
         replace(net, feedforward=lowered)
-    assert (err.value.kind, err.value.line, err.value.column) == (DiagnosticKind.UNKNOWN_OUTCOME, None, None)
+    assert (err.value.kind, err.value.line, err.value.column) == (DiagnosticKind.INVALID_TOKEN, None, None)
     with pytest.raises(NetlistError, match=r"^rule 0: feedforward outcome 'F9' matches no detector") as err:
         replace(net, feedforward=net.feedforward, detectors=net.detectors[1:])
     assert err.value.kind is DiagnosticKind.UNKNOWN_OUTCOME
@@ -446,8 +467,10 @@ FA, FB = ("Fa", (Pauli.Z,)), ("Fb", (Pauli.Z,))
         ((1, ("a", "b"), (), ("a", "b", "a")), DiagnosticKind.DUPLICATE_DECLARATION, "detector 2"),
         ((1, ("a", "b"), (), ("a",), (FB,)), DiagnosticKind.UNKNOWN_OUTCOME, "rule 0"),
         ((1, ("a",), (), ("a",), (FA, FA)), DiagnosticKind.DUPLICATE_DECLARATION, "rule 1"),
+        ((1, ("a",), (), ("a",), (("Xa", (Pauli.Z,)),)), DiagnosticKind.INVALID_TOKEN, "rule 0"),
     ],
-    ids=["undeclared-wire", "spin-range", "overlap", "undeclared-detector", "detector-twice", "no-outcome", "rule-twice"],
+    ids=["undeclared-wire", "spin-range", "overlap", "undeclared-detector", "detector-twice", "no-outcome", "rule-twice",
+         "not-f-or-s"],
 )
 def test_a_fault_built_in_code_fails_as_its_text_does(fields, kind, where):
     # one rule per fact: the Netlist and the parser call the same check, so

@@ -112,11 +112,13 @@ NON_TOKENS = ("a b", "a#b", "", "a\xa0b")  # labels that a .nv text cannot hold 
 
 @st.composite
 def code_built(draw):
-    """(n_spins, modes, elements, detectors) of a netlist built in code: any
-    kinds, with wires in the kind's form, and detectors.  Half of them may
-    also name undeclared labels ``x`` and ``y``, and spins -1, n and True,
-    so that the other half mostly runs.  Some also declare one of
-    :data:`NON_TOKENS`."""
+    """(n_spins, modes, elements, detectors, feedforward) of a netlist built
+    in code: any kinds, with wires in the kind's form, detectors, and rules
+    of one Pauli per spin labelled ``F``, ``S``, ``f`` or ``X`` and then a
+    detector or the undeclared ``z``.  Half of them may also name
+    undeclared labels ``x`` and ``y``, and spins -1, n and True, so that the
+    other half mostly runs.  Some also declare one of :data:`NON_TOKENS`,
+    and some detect one or label a rule with one."""
     n_spins = draw(st.integers(1, 3))
     stray = draw(st.booleans())
     declared = DECLARED + ((draw(st.sampled_from(NON_TOKENS)),) if draw(st.integers(0, 4)) == 0 else ())
@@ -128,7 +130,16 @@ def code_built(draw):
         ins = tuple(draw(st.lists(labels, min_size=len(lay.ins), max_size=len(lay.ins))))
         outs = ins if lay.in_place else tuple(draw(st.lists(labels, min_size=len(lay.outs), max_size=len(lay.outs))))
         elements.append(Element(kind, ins, outs, None if lay.spin is None else draw(spins)))
-    return n_spins, declared, tuple(elements), tuple(draw(st.lists(labels, unique=True, max_size=3)))
+    detectors = draw(st.lists(labels, unique=True, max_size=3))
+    # mostly outcome labels; z is never declared
+    outcome = st.builds(str.__add__, st.sampled_from(("F", "S") * 3 + ("f", "X")), st.sampled_from(detectors + ["z"]))
+    feedforward = draw(st.lists(st.tuples(outcome, st.tuples(*[st.sampled_from(list(Pauli))] * n_spins)), max_size=2))
+    part = draw(st.sampled_from((None,) * 4 + ("detector", "rule")))  # a non-token there in about one draw in five
+    if part == "detector":
+        detectors.append(draw(st.sampled_from(NON_TOKENS)))
+    elif part == "rule":
+        feedforward.append((draw(st.sampled_from(NON_TOKENS)), (Pauli.I,) * n_spins))
+    return n_spins, declared, tuple(elements), tuple(detectors), tuple(feedforward)
 
 
 @settings(max_examples=150, deadline=None)
