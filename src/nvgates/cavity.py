@@ -60,7 +60,8 @@ class CavityParams:
 
     @property
     def coupling_ratio(self) -> float:
-        return self.g / np.sqrt(self.kappa * self.gamma)
+        # one root each: kappa * gamma can underflow to 0 and give inf or NaN
+        return self.g / math.sqrt(self.kappa) / math.sqrt(self.gamma)
 
 
 @dataclass(frozen=True)

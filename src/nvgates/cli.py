@@ -342,8 +342,15 @@ def main(argv=None) -> int:
         for i in range((argv + ["--"]).index("--") - 1, 0, -1):
             if argv[i - 1][:2] == "--" and re.fullmatch(r"-\.?\d[\d.]*[^\d.\s]\S*", argv[i]):
                 argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in commands:  # what the subparsers action does, without the top-level pass over argv
+            args, extra = commands[argv[0]].parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = argv[0]
+        else:  # help, no command or an unknown one
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:  # looked up now, so the current cmd_<command> runs

@@ -136,6 +136,15 @@ def test_huge_numpy_ratio_squares_without_a_warning():
         assert coupling_ratio_to_r(np.linspace(1e308, 1.7e308, 3)[1]) == 1.0
 
 
+def test_coupling_ratio_survives_an_underflowing_kappa_gamma_product():
+    # kappa * gamma underflows to 0 here; the ratio is finite, and 0 for g = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert CavityParams(g=5e-324, kappa=6e-146, gamma=1.1e-308).coupling_ratio == pytest.approx(1.94e-97, rel=1e-2)
+        assert CavityParams(g=0.0, kappa=6e-146, gamma=1.1e-308).coupling_ratio == 0.0
+        assert CavityParams(g=3.0, kappa=4.0, gamma=0.25).coupling_ratio == 3.0
+
+
 def test_overflowing_reflection_coefficient_rejected():
     for params in (
         CavityParams(g=1e200, kappa=1e-200, gamma=1.0),  # g*g overflows

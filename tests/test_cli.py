@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, output formats."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -8,13 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nvgates import analysis
-from nvgates.cli import main
+from nvgates import analysis, cli
+from nvgates.cli import build_parser, main
 from nvgates.gates import GATE_NAMES, build_gate_circuit
 from nvgates.elements import apply_hwp
 from nvgates.netlist import MAX_AMPLITUDES, run_netlist
 
 from conftest import run_cli
+
+
+def test_every_command_has_a_handler_and_every_handler_a_command():
+    # main dispatches to cmd_<command>, "-" read as "_"; a command without one would end in a KeyError traceback
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert {"cmd_" + c.replace("-", "_") for c in commands} == {name for name in vars(cli) if name.startswith("cmd_")}
 
 
 def test_verify_ideal_exits_zero(capsys):

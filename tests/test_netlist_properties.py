@@ -153,16 +153,25 @@ def code_built(draw):
           ("c",)))  # c read before its writer
 @example((1, ("a", "a b"), (), ("a",)))  # a label of two tokens
 def test_a_netlist_built_in_code_is_refused_when_made_or_runs(fields):
-    if set(fields[1]) & set(NON_TOKENS):
-        with pytest.raises(ValueError, match="is not one .nv token"):
+    n_spins, modes, elements, detectors, feedforward = (*fields, ())[:5]  # an example may leave out feedforward
+    bad_fields = (  # (drawn bad, the start of its message), in the order Netlist checks them
+        (type(n_spins) is not int, "Netlist.n_spins must be a positive int"),
+        (len(set(modes)) < len(modes) or not all(isinstance(m, str) for m in modes), "Netlist.modes must be"),
+        (set(modes) & set(NON_TOKENS), "Netlist mode .* is not one .nv token"),
+        (any(type(el.spin) is bool for el in elements), "Netlist element .* is not an Element"),
+        (set(detectors) & set(NON_TOKENS), "Netlist detector .* is not one .nv token"),
+        (any(label in NON_TOKENS for label, _ in feedforward), "Netlist outcome label .* is not one .nv token"),
+    )
+    message = next((message for drawn, message in bad_fields if drawn), None)
+    if message is not None:  # a malformed field: refused as that field, before any circuit fact is checked
+        with pytest.raises(ValueError, match=f"^{message}") as err:
             Netlist(*fields)
+        assert type(err.value) is ValueError
         return
     try:
         net = Netlist(*fields)
     except NetlistError as exc:  # a circuit fact: its text is refused with the same kind
         assert text_refusal(*fields).kind is exc.kind, exc
-        return
-    except ValueError:  # a malformed field, such as a bool spin or a mode declared twice
         return
     # the text format expresses it, and a run finds on the detectors all the norm that reaches them
     assert parse_netlist(serialize_netlist(net)) == net
