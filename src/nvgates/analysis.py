@@ -43,7 +43,7 @@ from .netlist import (
     product_input,
     run_netlist,
 )
-from .state import _SQRT1_2, HybridState, kron_pairs
+from .state import _SQRT1_2, HybridState, kron_pairs, phase_aligned_deviation
 
 INPUT_CONVENTIONS = ("balanced", "random")
 NORMALIZATIONS = ("postselected", "unnormalized")
@@ -221,34 +221,64 @@ def compile_circuit(net: Netlist, r_cold: complex) -> CompiledCircuit:
     return compiled
 
 
-def _simulate(gate: str, r: ReflectionPair, convention: str, trials: int, seed: int | None) -> tuple:
-    """The fidelity of ``gate`` at ``r`` in each of :data:`NORMALIZATIONS`,
-    in that order, then its efficiency.
+class GateRun(NamedTuple):
+    """One gate's outputs on one set of spin inputs: the one product that
+    every simulated gate number is read from (:func:`evaluate`)."""
 
-    The inputs of ``convention`` are drawn once, the gate's
-    :func:`compile_circuit` is evaluated once at r_hot, and every metric is
-    read from their one product, which holds every row's output for every
-    input.  The result of the last call with an ``int`` or ``np.integer``
-    seed, which draws the same inputs every time, is kept on the compiled
-    circuit, so the fidelity and efficiency of one sweep point make one product.
-    """
+    out: np.ndarray  # (row, 2**n, input): each compiled row's unnormalized output
+    power: np.ndarray  # abs(out)**2
+    ideal: np.ndarray  # (2**n, input): the ideal gate's outputs
+    overlap: np.ndarray  # (outcome, input): <ideal|out> on each detector row
+
+    def metrics(self) -> tuple[float, float, float]:
+        """The fidelity in each of :data:`NORMALIZATIONS`, then the efficiency,
+        averaged over the inputs; NaN fidelities if some input loses the photon."""
+        inputs = self.out.shape[-1]
+        weighted = (abs(self.overlap) ** 2).sum(axis=0)  # p_o F_o = |<ideal|unnormalized outcome state>|^2
+        total = self.power[: len(self.overlap)].sum(axis=(0, 1))
+        efficiency = float(self.power.sum(axis=(0, 1)).sum() / inputs)
+        if (total > 0.0).all():
+            return float((weighted / total).sum() / inputs), float(weighted.sum() / inputs), efficiency
+        return math.nan, math.nan, efficiency
+
+    def max_deviation(self) -> float:
+        """:func:`state.phase_aligned_deviation` of every clicking outcome's
+        renormalized spin state from the ideal output; 0.0 if none clicks."""
+        probs = self.power[: len(self.overlap)].sum(axis=1)  # (outcome, input)
+        o, i = (probs > 0.0).nonzero()
+        states = self.out[o, :, i] / np.sqrt(probs[o, i])[:, None]
+        return phase_aligned_deviation(states, self.ideal[:, i].T) if o.size else 0.0
+
+
+def evaluate(gate: str, r: ReflectionPair, convention: str, trials: int, seed: int | None) -> GateRun:
+    """``gate``'s :class:`GateRun` at ``r``: the inputs of ``convention`` drawn once,
+    :func:`compile_circuit` evaluated once at r_hot, and one product of the two."""
     net = build_gate_circuit(gate)
     compiled = compile_circuit(net, r.r_cold)
+    inputs = _spin_inputs(net.n_spins, convention, trials, seed).T
+    out = compiled.maps(r.r_hot) @ inputs
+    ideal = ideal_gate_unitary(gate) @ inputs
+    return GateRun(out, abs(out) ** 2, ideal, (ideal.conj() * out[: compiled.n_outcomes]).sum(axis=1))
+
+
+def basis_outcomes(gate: str, r: ReflectionPair) -> tuple[np.ndarray, np.ndarray]:
+    """Each outcome's probability on each spin-basis input, and its most likely
+    output configuration, both shape (input, outcome), from the compiled maps."""
+    compiled = compile_circuit(build_gate_circuit(gate), r.r_cold)
+    mags = abs(compiled.maps(r.r_hot)[: compiled.n_outcomes].transpose(2, 0, 1))  # (input, outcome, output)
+    return (mags**2).sum(axis=-1), mags.argmax(axis=-1)
+
+
+def _simulate(gate: str, r: ReflectionPair, convention: str, trials: int, seed: int | None) -> tuple:
+    """:meth:`GateRun.metrics` of :func:`evaluate`.  The result of the last call
+    with an ``int`` or ``np.integer`` seed, which draws the same inputs every
+    time, is kept on the compiled circuit, so the fidelity and efficiency of
+    one sweep point make one product."""
+    compiled = compile_circuit(build_gate_circuit(gate), r.r_cold)
     key = (gate, r.r_hot, convention, trials, seed) if isinstance(seed, (int, np.integer)) else None
     if key is not None and compiled.last is not None and compiled.last[0] == key:
         return compiled.last[1]
-    inputs = _spin_inputs(net.n_spins, convention, trials, seed)
-    out = compiled.maps(r.r_hot) @ inputs.T  # (row, config, input)
-    power = abs(out) ** 2
-    ideal = ideal_gate_unitary(gate) @ inputs.T
-    # p_o F_o = |<ideal|unnormalized outcome state>|^2
-    weighted = (abs((ideal.conj() * out[: compiled.n_outcomes]).sum(axis=1)) ** 2).sum(axis=0)
-    total = power[: compiled.n_outcomes].sum(axis=(0, 1))
-    efficiency = float(power.sum(axis=(0, 1)).sum() / len(inputs))
-    if (total > 0.0).all():
-        metrics = float((weighted / total).sum() / len(inputs)), float(weighted.sum() / len(inputs)), efficiency
-    else:
-        metrics = math.nan, math.nan, efficiency
+    metrics = evaluate(gate, r, convention, trials, seed).metrics()
     compiled.last = None if key is None else (key, metrics)
     return metrics
 

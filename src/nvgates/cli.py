@@ -33,7 +33,8 @@ from .cavity import (
     reflection_coefficient,
     resonant_pair,
 )
-from .gates import GATE_NAMES, _canon, build_gate_circuit, ideal_gate_unitary
+# ideal_gate_unitary is unused here, but perfbench/tracing.py wraps it at this name
+from .gates import GATE_NAMES, _canon, build_gate_circuit, ideal_gate_unitary  # noqa: F401
 from .netlist import (
     MAX_AMPLITUDES,
     balanced_product_input,
@@ -41,7 +42,7 @@ from .netlist import (
     product_input,
     run_netlist,
 )
-from .state import phase_aligned_deviation, spin_config_bits
+from .state import spin_config_bits
 
 IDEAL_TOLERANCE = 1e-10
 MAX_SWEEP_STEPS = 2**16  # sweep --steps cap: analysis.sweep keeps steps x gates records in memory
@@ -121,12 +122,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _outcome_maps(net, reflection) -> np.ndarray:
-    """Per-outcome spin maps of ``net``, from its compiled circuit."""
-    compiled = analysis.compile_circuit(net, reflection.r_cold)
-    return compiled.maps(reflection.r_hot)[: compiled.n_outcomes]
-
-
 def _check_sampling(args, nets) -> None:
     """Refuse ``--trials`` and ``--seed`` before anything is printed or drawn;
     ``nets`` are the circuits evaluated on ``--trials`` random inputs, each
@@ -146,23 +141,13 @@ def _check_sampling(args, nets) -> None:
 
 
 def cmd_verify(args) -> int:
-    net = build_gate_circuit(args.gate)
-    _check_sampling(args, [net])
+    _check_sampling(args, [build_gate_circuit(args.gate)])
     reflection = _reflection_from_args(args)
-    target = ideal_gate_unitary(args.gate)
     print(f"verify {args.gate}: trials={args.trials} seed={args.seed} regime={_regime_label(reflection)}")
-    inputs = analysis._spin_inputs(net.n_spins, "random", args.trials, args.seed)
-    # (outcome, trial, config): the unnormalized output of every input on every outcome
-    out = (_outcome_maps(net, reflection) @ inputs.T).swapaxes(1, 2)
-    probs = (abs(out) ** 2).sum(axis=-1)
-    o, t = (probs > 0.0).nonzero()  # the (outcome, trial) pairs that click
-    states = out[o, t] / np.sqrt(probs[o, t])[:, None]
-    expected = (inputs @ target.T)[t]
-    max_dev = phase_aligned_deviation(states, expected) if states.size else 0.0
-    fids = abs((expected.conj() * states).sum(axis=-1)) ** 2
-    avg_fid = float(fids.sum() / fids.size) if fids.size else math.nan
+    run = analysis.evaluate(args.gate, reflection, "random", args.trials, args.seed)
+    max_dev = run.max_deviation()
     print(f"max deviation from ideal gate (per outcome, up to global phase): {max_dev:.3e}")
-    print(f"mean post-selected outcome fidelity: {avg_fid:.9f}")
+    print(f"post-selected fidelity, outcomes weighted by probability: {run.metrics()[0]:.9f}")
     if reflection == IDEAL_PAIR:
         ok = max_dev <= IDEAL_TOLERANCE
         print(f"ideal-regime check: {'PASS' if ok else 'FAIL'} (tolerance {IDEAL_TOLERANCE:g})")
@@ -173,13 +158,10 @@ def cmd_verify(args) -> int:
 def cmd_truth_table(args) -> int:
     net = build_gate_circuit(args.gate)
     reflection = _reflection_from_args(args)
-    n = net.n_spins
-    labels = net.outcome_labels()
-    # (input, outcome, output), column c of a map being basis input c's output
-    mags = abs(_outcome_maps(net, reflection).transpose(2, 0, 1))
-    probs, tops = (mags**2).sum(axis=-1).tolist(), mags.argmax(axis=-1).tolist()
+    n, labels = net.n_spins, net.outcome_labels()
+    probs, tops = (a.tolist() for a in analysis.basis_outcomes(args.gate, reflection))
     print(f"truth table for {args.gate} ({_regime_label(reflection)})")
-    for cfg in range(2**n):
+    for cfg in range(len(probs)):  # each spin-basis input
         cells = [f"{label}: |{_ket(top, n)}> p={prob:.6f}"
                  for label, prob, top in zip(labels, probs[cfg], tops[cfg]) if prob >= 1e-12]
         print(f"  |{_ket(cfg, n)}> -> " + " ; ".join(cells))

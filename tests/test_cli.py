@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, output formats."""
 
 import argparse
+import ast
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from nvgates import analysis, cli
+from nvgates.cavity import IDEAL_PAIR, reflection_at_ratio
 from nvgates.cli import build_parser, main
 from nvgates.gates import GATE_NAMES, build_gate_circuit
 from nvgates.elements import apply_hwp
@@ -38,7 +40,33 @@ def test_verify_fredkin_ideal(capsys):
 def test_verify_realistic_exits_zero_with_report(capsys):
     assert main(["verify", "cnot", "--ratio", "2", "--trials", "10"]) == 0
     out = capsys.readouterr().out
-    assert "mean post-selected outcome fidelity" in out
+    assert "post-selected fidelity, outcomes weighted by probability" in out
+
+
+@pytest.mark.parametrize("gate", GATE_NAMES)
+@pytest.mark.parametrize("regime", [["--ratio", "2"], ["--ratio", "6"], ["--ideal"]], ids=" ".join)
+def test_verify_prints_the_library_post_selected_fidelity(capsys, gate, regime):
+    # verify reads the product fidelity_simulated reads, so it prints that number at the same inputs
+    assert main(["verify", gate, "--trials", "7", "--seed", "11", *regime]) == 0
+    line = capsys.readouterr().out.splitlines()[2]
+    pair = reflection_at_ratio(float(regime[1])) if regime[0] == "--ratio" else IDEAL_PAIR
+    expected = analysis.fidelity_simulated(gate, pair, "random", "postselected", 7, 11)
+    assert line == f"post-selected fidelity, outcomes weighted by probability: {expected:.9f}"
+
+
+def test_cli_formats_and_leaves_the_gate_arithmetic_to_analysis():
+    # one evaluation path: cli reads analysis's public functions, and verify and truth-table only format
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id == "analysis" and node.attr.startswith("_")]
+    private += [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "analysis" for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+    for func in (node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name in ("cmd_verify", "cmd_truth_table")):
+        for node in ast.walk(func):
+            assert not (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.MatMult, ast.Pow))), func.name
+            assert not (isinstance(node, ast.Name) and node.id == "np"), func.name
 
 
 def test_verify_unknown_gate_usage_error():

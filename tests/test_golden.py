@@ -5,7 +5,7 @@ under ``tests/golden/``.  The files pin every printed digit, including the
 signed zeros that ``nvgates run`` prints, so a refactor that claims to leave
 the numbers unchanged is checked rather than eyeballed.  Nine printed digits
 cannot see a change in the last bit, so ``simulate_bits.txt`` also pins the
-exact floats (``float.hex``) of the simulated metrics and of the mean
+exact floats (``float.hex``) of the simulated metrics, among them the
 fidelity that ``nvgates verify`` prints, ``factorized_bits.txt`` those of
 :func:`analysis.efficiency_factorized`, and ``interpreter_bits.txt`` pins
 the element interpreter: the bytes of every kernel's output on full states
@@ -22,7 +22,6 @@ a stray run cannot hide a changed bit.
 
 from __future__ import annotations
 
-import builtins
 import contextlib
 import hashlib
 import io
@@ -36,8 +35,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nvgates import analysis, cli
-from nvgates.cavity import resonant_pair, scatter
+from nvgates import analysis
+from nvgates.cavity import reflection_at_ratio, resonant_pair, scatter
 from nvgates.cli import main
 from nvgates.elements import Pauli, apply_bs, apply_hwp, apply_pbs_fs, apply_pbs_rl, apply_spin_hadamard
 from nvgates.gates import GATE_NAMES, build_gate_circuit, shipped_circuit_text
@@ -122,31 +121,10 @@ BITS_TRIALS = 16
 VERIFY_ARGS = ["--trials", "20", "--seed", "3", "--ratio", "2"]
 
 
-def _verify_mean_fidelity(gate: str) -> float:
-    """The mean fidelity ``nvgates verify`` prints for ``gate``, as the float
-    before rounding: ``cmd_verify`` makes it with its one ``float()`` call,
-    which a module-level ``float`` in ``cli`` records.  The parser is built
-    first, so its ``type=float`` options keep the builtin."""
-    cli.build_parser()
-    seen = []
-
-    def record(x):
-        seen.append(builtins.float(x))
-        return seen[-1]
-
-    cli.float = record
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["verify", gate, *VERIFY_ARGS])
-    finally:
-        del cli.float
-    assert code == 0 and len(seen) == 1, (code, seen)
-    return seen[0]
-
-
 def simulate_bits() -> str:
     """One line per evaluated point: its arguments, then ``float.hex`` of
-    each :func:`analysis._simulate` metric, or of verify's mean fidelity."""
+    each :func:`analysis._simulate` metric, or of the post-selected
+    fidelity that ``nvgates verify`` prints with those arguments."""
     lines = []
     for gate in GATE_NAMES:
         for r_hot in BITS_R_HOT:
@@ -155,7 +133,8 @@ def simulate_bits() -> str:
                 lines.append(f"simulate {gate} r_hot={r_hot} {convention} seed={seed} "
                              + " ".join(float.hex(m) for m in metrics))
     for gate in GATE_NAMES:
-        lines.append(f"verify {gate} {' '.join(VERIFY_ARGS)} {float.hex(_verify_mean_fidelity(gate))}")
+        fidelity = analysis.fidelity_simulated(gate, reflection_at_ratio(2), "random", "postselected", 20, 3)
+        lines.append(f"verify {gate} {' '.join(VERIFY_ARGS)} {float.hex(fidelity)}")
     return "\n".join(lines) + "\n"
 
 

@@ -249,11 +249,11 @@ def test_sweep_item_runs_at_most_two_passes(monkeypatch, gate):
 
 @pytest.mark.parametrize("gate", GATE_NAMES)
 def test_verify_runs_at_most_one_pass(monkeypatch, capsys, gate):
-    _fresh_circuits(monkeypatch, cli)
+    _fresh_circuits(monkeypatch, analysis, cli)
     calls = _count_passes(monkeypatch)
     assert cli.main(["verify", gate, "--trials", "20", "--seed", "4", "--ratio", "2.5"]) == 0
     assert len(calls) <= len(build_gate_circuit(gate).elements)
-    assert "mean post-selected outcome fidelity" in capsys.readouterr().out
+    assert "post-selected fidelity, outcomes weighted by probability" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("gate", GATE_NAMES)
