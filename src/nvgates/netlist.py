@@ -113,21 +113,6 @@ def _element_fault(el: Element, n_spins: int | None, modes) -> Fault | None:
     return None
 
 
-def _order_faults(steps):
-    """The feed-forward order over ``steps`` in run order, each (wires read, wires written, ...): (step index,
-    Fault) at the first read of each mode that is read before any step writes it and written by that step or
-    a later one, the earliest read first."""
-    first_read, written = {}, set()  # mode -> (step index, its wires read) of a read before any write
-    for i, step in enumerate(steps):
-        for mode in step[0]:
-            if mode not in written and mode not in first_read:
-                first_read[mode] = i, step[0]
-        written.update(step[1])
-    for mode, (i, reads) in first_read.items():
-        if mode in written:
-            yield i, (reads.index(mode) + 1, DiagnosticKind.NON_TOPOLOGICAL, f"mode {mode!r} is read here but only written later")
-
-
 def _check_tokens(part: str, labels) -> None:
     """Raise ValueError for a label a ``.nv`` text cannot hold as one token."""
     for m in labels:
@@ -217,7 +202,7 @@ class Outcome(NamedTuple):
 
 def _tokens(raw: str) -> list[str]:
     """The whitespace-separated tokens of a source line, comment dropped."""
-    return raw.split("#", 1)[0].split() if "#" in raw else raw.split()
+    return raw.split("#", 1)[0].split()
 
 
 def _column(raw: str, index: int) -> int:
@@ -256,7 +241,8 @@ def parse_netlist(text: str) -> Netlist:
     element_lines: list[int] = []
     detectors: dict[str, None] = {}
     feedforward: dict[str, tuple[tuple[Pauli, ...], int]] = {}  # label -> (ops, line); the label is token 1
-    steps: list[tuple] = []  # each element's and detector's (wires read, wires written, line, token of each operand)
+    first_read: dict[str, tuple[int, int]] = {}  # mode -> (line, token) of its first read before any line writes it
+    written: set[str] = set()  # modes written by the element lines read so far
 
     def error(kind: DiagnosticKind, line: int, index: int, message: str) -> NetlistError:
         """A diagnostic at token ``index`` of ``line``; its column is found here."""
@@ -296,7 +282,11 @@ def parse_netlist(text: str) -> Netlist:
             el = Element(kind, in_modes, out_modes, spin)
             if fault := _element_fault(el, n_spins, modes):
                 raise error(fault[1], lineno, at[fault[0]], fault[2])
-            steps.append((in_modes, () if lay.in_place else out_modes, lineno, at))  # an in-place element writes nothing
+            for pos, mode in enumerate(in_modes, 1):  # inputs are read before the outputs are written
+                if mode not in written and mode not in first_read:
+                    first_read[mode] = lineno, at[pos]
+            if not lay.in_place:  # an in-place element rewrites its wire, so it writes nothing new
+                written.update(out_modes)
             elements.append(el)
             element_lines.append(lineno)
 
@@ -308,7 +298,8 @@ def parse_netlist(text: str) -> Netlist:
                 raise error(DiagnosticKind.UNDECLARED_MODE, lineno, 1, f"mode {tok!r} is not declared")
             if tok in detectors:
                 raise error(DiagnosticKind.DUPLICATE_DECLARATION, lineno, 1, f"detector on {tok!r} redeclared")
-            steps.append(((tok,), (), lineno, (0, 1)))
+            if tok not in written and tok not in first_read:
+                first_read[tok] = lineno, 1
             detectors[tok] = None
 
         elif head == "spins":
@@ -375,9 +366,9 @@ def parse_netlist(text: str) -> Netlist:
             DiagnosticKind.MISSING_DECLARATION, last_line, 1, "missing modes declaration"
         )
     # every line is checked first; then the feed-forward order, then the outcomes
-    for i, fault in _order_faults(steps):
-        line, at = steps[i][2:]
-        raise error(fault[1], line, at[fault[0]], fault[2])
+    for mode, (line, index) in first_read.items():  # in file order, so the earliest read is blamed
+        if mode in written:
+            raise error(DiagnosticKind.NON_TOPOLOGICAL, line, index, f"mode {mode!r} is read here but only written later")
     for label, (_, line) in feedforward.items():
         if label[1:] not in detectors:  # its F or S is checked on its line
             raise error(DiagnosticKind.UNKNOWN_OUTCOME, line, 1, f"feedforward outcome {label!r} matches no detector")

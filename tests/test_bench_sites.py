@@ -6,9 +6,11 @@ missing.  This pins those names in the fast suite, so that deleting or
 renaming a traced function fails here rather than only in ``python3 -m
 pytest -q perfbench``.  Items of every workload also run under the tracer,
 so that code which stops calling a traced name where the tracer wraps it
-fails here, not only in a ``--trace 1`` run.
+fails here, not only in a ``--trace 1`` run.  Those sites are also the only
+imports in ``src/nvgates`` that a module may keep without reading them.
 """
 
+import ast
 import functools
 import importlib
 import pathlib
@@ -21,6 +23,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 import tracing  # noqa: E402
 
 SITES = [(layer, module, attr) for layer, sites in tracing.LAYERS.items() for module, attr in sites]
+MODULES = sorted(p for p in (pathlib.Path(__file__).resolve().parents[1] / "src" / "nvgates").glob("*.py")
+                 if p.name != "__init__.py")
 
 
 @pytest.mark.parametrize("layer, module, attr", SITES, ids=[f"{m}.{a}" for _, m, a in SITES])
@@ -79,3 +83,19 @@ def test_compiled_workload_items_record_every_required_layer(workload, monkeypat
     outs, silent = _run_traced(workload, per_gate.values())
     assert workload == "sweep-random" or all(out[0] == 0 for out in outs), outs
     assert not silent, f"layers with no call: {silent}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_reads_every_name_it_imports(path):
+    # no linter is installed, so an unused import is caught here; a traced site may be imported for the tracer alone
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    traced = {attr for _, module, attr in SITES if module == f"nvgates.{path.stem}"}
+    unread = imported - read - traced
+    assert not unread, f"{path.name} imports {sorted(unread)} and never reads them"

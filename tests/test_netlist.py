@@ -236,10 +236,12 @@ def test_state_size_at_the_cap_accepted():
 
 
 def test_diagnostic_non_topological():
-    # the column points at the mode read too early
-    for reader, column in [("hwp c", 5), ("\t hwp  c # x c", 8), ("  nv  c\tspin_0", 7)]:
+    # the column points at the mode read too early, on any input of the reader
+    readers = [("hwp c", 5), ("\t hwp  c # x c", 8), ("  nv  c\tspin_0", 7),
+               ("bs b c -> x y", 6), (" bs\tb  c -> x y", 8), ("pbsfs c -> x y", 7), ("pbsfs\t c ->  x y # c", 8)]
+    for reader, column in readers:
         for eol in ("\n", "\r\n"):
-            text = eol.join(["spins 1", "modes in a b c d", reader, "pbs in a -> c d", ""])
+            text = eol.join(["spins 1", "modes in a b c d x y", reader, "pbs in a -> c d", ""])
             err = _expect_error(text, DiagnosticKind.NON_TOPOLOGICAL, 3)
             assert "c" in err.detail
             assert err.column == column, (reader, err)
