@@ -182,7 +182,7 @@ class CompiledCircuit:
     def __init__(self, n_outcomes: int, coefficients: np.ndarray):
         self.n_outcomes = n_outcomes
         self.coefficients = coefficients  # (degree + 1, rows, 2**n, 2**n), read-only
-        self.last = None  # (arguments, metrics) of the last int-seeded _simulate call
+        self.last = None  # (arguments, GateRun) of the last int-seeded evaluate call
 
     def maps(self, r_hot) -> np.ndarray:
         """Every row's map at ``r_hot``, shape (rows, 2**n, 2**n)."""
@@ -222,29 +222,20 @@ def compile_circuit(net: Netlist, r_cold: complex) -> CompiledCircuit:
 
 
 class GateRun(NamedTuple):
-    """One gate's outputs on one set of spin inputs: the one product that
-    every simulated gate number is read from (:func:`evaluate`)."""
+    """One gate's outputs on one set of spin inputs, and their metrics: the one
+    product that every simulated gate number is read from (:func:`evaluate`).
+    A kept run is served to later calls as it is, so its arrays are not written."""
 
     out: np.ndarray  # (row, 2**n, input): each compiled row's unnormalized output
     power: np.ndarray  # abs(out)**2
     ideal: np.ndarray  # (2**n, input): the ideal gate's outputs
-    overlap: np.ndarray  # (outcome, input): <ideal|out> on each detector row
-
-    def metrics(self) -> tuple[float, float, float]:
-        """The fidelity in each of :data:`NORMALIZATIONS`, then the efficiency,
-        averaged over the inputs; NaN fidelities if some input loses the photon."""
-        inputs = self.out.shape[-1]
-        weighted = (abs(self.overlap) ** 2).sum(axis=0)  # p_o F_o = |<ideal|unnormalized outcome state>|^2
-        total = self.power[: len(self.overlap)].sum(axis=(0, 1))
-        efficiency = float(self.power.sum(axis=(0, 1)).sum() / inputs)
-        if (total > 0.0).all():
-            return float((weighted / total).sum() / inputs), float(weighted.sum() / inputs), efficiency
-        return math.nan, math.nan, efficiency
+    outcomes: int  # how many rows, the first, are the detectors'
+    metrics: tuple[float, float, float]  # the fidelity in each of NORMALIZATIONS, then the efficiency
 
     def max_deviation(self) -> float:
         """:func:`state.phase_aligned_deviation` of every clicking outcome's
         renormalized spin state from the ideal output; 0.0 if none clicks."""
-        probs = self.power[: len(self.overlap)].sum(axis=1)  # (outcome, input)
+        probs = self.power[: self.outcomes].sum(axis=1)  # (outcome, input)
         o, i = (probs > 0.0).nonzero()
         states = self.out[o, :, i] / np.sqrt(probs[o, i])[:, None]
         return phase_aligned_deviation(states, self.ideal[:, i].T) if o.size else 0.0
@@ -252,13 +243,25 @@ class GateRun(NamedTuple):
 
 def evaluate(gate: str, r: ReflectionPair, convention: str, trials: int, seed: int | None) -> GateRun:
     """``gate``'s :class:`GateRun` at ``r``: the inputs of ``convention`` drawn once,
-    :func:`compile_circuit` evaluated once at r_hot, and one product of the two."""
+    :func:`compile_circuit` evaluated once at r_hot, one product of the two, and its
+    metrics, averaged over the inputs (NaN fidelities if some input loses the photon).
+    The run of the last call with an ``int`` or ``np.integer`` seed, which draws the
+    same inputs every time, is kept on the compiled circuit for the next such call."""
     net = build_gate_circuit(gate)
     compiled = compile_circuit(net, r.r_cold)
+    key = (gate, r.r_hot, convention, trials, seed) if isinstance(seed, (int, np.integer)) else None
+    if key is not None and compiled.last is not None and compiled.last[0] == key:
+        return compiled.last[1]
     inputs = _spin_inputs(net.n_spins, convention, trials, seed).T
     out = compiled.maps(r.r_hot) @ inputs
     ideal = ideal_gate_unitary(gate) @ inputs
-    return GateRun(out, abs(out) ** 2, ideal, (ideal.conj() * out[: compiled.n_outcomes]).sum(axis=1))
+    k, n, power = compiled.n_outcomes, inputs.shape[1], abs(out) ** 2
+    weighted = (abs((ideal.conj() * out[:k]).sum(axis=1)) ** 2).sum(axis=0)  # p_o F_o = |<ideal|outcome o>|^2
+    total = power[:k].sum(axis=(0, 1))
+    f = ((weighted / total).sum(), weighted.sum()) if (total > 0.0).all() else (math.nan, math.nan)
+    run = GateRun(out, power, ideal, k, (float(f[0] / n), float(f[1] / n), float(power.sum(axis=(0, 1)).sum() / n)))
+    compiled.last = None if key is None else (key, run)
+    return run
 
 
 def basis_outcomes(gate: str, r: ReflectionPair) -> tuple[np.ndarray, np.ndarray]:
@@ -267,20 +270,6 @@ def basis_outcomes(gate: str, r: ReflectionPair) -> tuple[np.ndarray, np.ndarray
     compiled = compile_circuit(build_gate_circuit(gate), r.r_cold)
     mags = abs(compiled.maps(r.r_hot)[: compiled.n_outcomes].transpose(2, 0, 1))  # (input, outcome, output)
     return (mags**2).sum(axis=-1), mags.argmax(axis=-1)
-
-
-def _simulate(gate: str, r: ReflectionPair, convention: str, trials: int, seed: int | None) -> tuple:
-    """:meth:`GateRun.metrics` of :func:`evaluate`.  The result of the last call
-    with an ``int`` or ``np.integer`` seed, which draws the same inputs every
-    time, is kept on the compiled circuit, so the fidelity and efficiency of
-    one sweep point make one product."""
-    compiled = compile_circuit(build_gate_circuit(gate), r.r_cold)
-    key = (gate, r.r_hot, convention, trials, seed) if isinstance(seed, (int, np.integer)) else None
-    if key is not None and compiled.last is not None and compiled.last[0] == key:
-        return compiled.last[1]
-    metrics = evaluate(gate, r, convention, trials, seed).metrics()
-    compiled.last = None if key is None else (key, metrics)
-    return metrics
 
 
 def fidelity_simulated(
@@ -298,11 +287,11 @@ def fidelity_simulated(
     ideal gate output.  ``postselected`` returns sum_o p_o F_o / sum_o p_o
     (loss is accounted separately, in the efficiency); ``unnormalized``
     returns sum_o p_o F_o (loss counts as infidelity).  Returns NaN if the
-    photon is lost with certainty.  Read from :func:`_simulate`.
+    photon is lost with certainty.  Read from :func:`evaluate`.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
-    return _simulate(gate, r, convention, trials, seed)[NORMALIZATIONS.index(normalization)]
+    return evaluate(gate, r, convention, trials, seed).metrics[NORMALIZATIONS.index(normalization)]
 
 
 def efficiency_simulated(
@@ -314,8 +303,8 @@ def efficiency_simulated(
 ) -> float:
     """Photon survival probability from full circuit simulation: the
     pre-detection squared norm, averaged over the input convention, read
-    from every row of the gate's compiled circuit by :func:`_simulate`."""
-    return _simulate(gate, r, convention, trials, seed)[-1]
+    from every row of the gate's compiled circuit by :func:`evaluate`."""
+    return evaluate(gate, r, convention, trials, seed).metrics[-1]
 
 
 def efficiency_factorized(gate: str, r: float) -> float:
@@ -374,7 +363,7 @@ def sweep(
     Each ratio's signed resonant r feeds the closed forms, the simulation
     and the record alike; records are sorted by ratio, then gate name.
     Deterministic for fixed inputs.  With an int seed, each point's
-    fidelity and efficiency come from one product of :func:`_simulate`.
+    fidelity and efficiency come from one product of :func:`evaluate`.
     """
     gates = [_canon(gate) for gate in gates]
     records = []
@@ -471,7 +460,7 @@ def fidelity_convention_report(trials: int = 16, seed: int | None = 0) -> Conven
     r from 0 to exactly 1."""
     r_grid = tuple(float(x) for x in np.linspace(0.0, 1.0, 21))
     # (convention, gate, r, metric): each fidelity of NORMALIZATIONS, then the efficiency
-    sim = np.array([[[_simulate(gate, resonant_pair(r), convention, trials, seed) for r in r_grid]
+    sim = np.array([[[evaluate(gate, resonant_pair(r), convention, trials, seed).metrics for r in r_grid]
                      for gate in GATE_NAMES] for convention in INPUT_CONVENTIONS])
     closed = np.array([[(fidelity_closed_form(gate, r), efficiency_closed_form(gate, r)) for r in r_grid]
                        for gate in GATE_NAMES])[..., [0, 0, 1]]

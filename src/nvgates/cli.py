@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
     run = analysis.evaluate(args.gate, reflection, "random", args.trials, args.seed)
     max_dev = run.max_deviation()
     print(f"max deviation from ideal gate (per outcome, up to global phase): {max_dev:.3e}")
-    print(f"post-selected fidelity, outcomes weighted by probability: {run.metrics()[0]:.9f}")
+    print(f"post-selected fidelity, outcomes weighted by probability: {run.metrics[0]:.9f}")
     if reflection == IDEAL_PAIR:
         ok = max_dev <= IDEAL_TOLERANCE
         print(f"ideal-regime check: {'PASS' if ok else 'FAIL'} (tolerance {IDEAL_TOLERANCE:g})")
@@ -172,7 +172,7 @@ def cmd_sweep(args) -> int:
     for flag, value in (("--min", args.min), ("--max", args.max)):
         if not math.isfinite(value):
             raise UsageError(f"{flag} must be finite, got {value}")
-    gates = args.gates.split(",") if args.gates else list(GATE_NAMES)
+    gates = args.gates.split(",") if args.gates is not None else list(GATE_NAMES)  # "" names no gate
     try:
         names = [_canon(g) for g in gates]
     except ValueError as exc:
@@ -194,6 +194,8 @@ def cmd_sweep(args) -> int:
     # an output that cannot be written is refused before anything is printed or computed
     out = _resolve_out(args.out)
     rp = _resolve_out(args.fidelity_report) if args.fidelity_report else None
+    if rp is not None and rp.resolve() == out.resolve():
+        raise UsageError(f"--out and --fidelity-report both name {str(out)!r}")
     if rp is not None and not rp.parent.is_dir():
         raise FileNotFoundError(f"--fidelity-report: no directory {str(rp.parent)!r}")
     if rp is not None and rp.is_dir():

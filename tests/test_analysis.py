@@ -161,20 +161,63 @@ def test_random_inputs_equal_a_pair_by_pair_draw_bit_for_bit(n):
 def test_sweep_point_draws_its_inputs_once(monkeypatch):
     from nvgates import analysis
 
-    draws = []
-    spin_inputs = analysis._spin_inputs
+    draws, builds = [], []
+    spin_inputs, build = analysis._spin_inputs, analysis.build_gate_circuit
     monkeypatch.setattr(analysis, "_spin_inputs", lambda *args: draws.append(args) or spin_inputs(*args))
+    monkeypatch.setattr(analysis, "build_gate_circuit", lambda gate: builds.append(gate) or build(gate))
     pair = resonant_pair(coupling_ratio_to_r(3.0))
     for seed in (9, np.int64(9)):  # a numpy integer seed draws the same inputs every time too
         draws.clear()
+        builds.clear()
         records = sweep(["cnot"], [2.0, 3.0], "random", trials=4, seed=seed)
         assert len(draws) == 2, seed  # one per point, for its fidelity and its efficiency
+        assert len(builds) == 4, seed  # two per point: one evaluate call for each metric
         assert records[1].fidelity_sim == fidelity_simulated("cnot", pair, "random", trials=4, seed=9)
         assert records[1].efficiency_sim == efficiency_simulated("cnot", pair, "random", trials=4, seed=9)
     # a Generator seed draws new inputs on every call, so no result is kept
     rng = np.random.default_rng(1)
     first = fidelity_simulated("cnot", pair, "random", trials=4, seed=rng)
     assert fidelity_simulated("cnot", pair, "random", trials=4, seed=rng) != first
+
+
+def test_evaluate_metrics_are_the_simulated_fidelity_and_efficiency_bit_for_bit():
+    for gate in GATE_NAMES:
+        for r_hot in (0.0, 0.45, 1.0):
+            pair = resonant_pair(r_hot)
+            for convention, seed in (("balanced", None), ("random", 3), ("random", 4)):
+                # a Generator seeded alike draws the same inputs, and its run is never kept
+                rng = None if seed is None else np.random.default_rng(seed)
+                metrics = analysis.evaluate(gate, pair, convention, 8, rng).metrics
+                assert metrics == (
+                    fidelity_simulated(gate, pair, convention, "postselected", 8, seed),
+                    fidelity_simulated(gate, pair, convention, "unnormalized", 8, seed),
+                    efficiency_simulated(gate, pair, convention, 8, seed),
+                ), (gate, r_hot, convention, seed)
+
+
+def test_evaluate_keeps_its_last_run_for_an_integer_seed_only():
+    pair = resonant_pair(0.3)
+    kept = analysis.evaluate("toffoli", pair, "random", 4, 7)
+    assert analysis.evaluate("toffoli", pair, "random", 4, 7) is kept
+    assert analysis.evaluate("toffoli", pair, "random", 4, np.int64(7)) is kept
+    assert analysis.evaluate("toffoli", pair, "random", 4, 8) is not kept
+    for seed in (lambda: np.random.default_rng(7), lambda: None):
+        first = analysis.evaluate("toffoli", pair, "random", 4, seed())
+        assert analysis.evaluate("toffoli", pair, "random", 4, seed()) is not first
+
+
+def test_evaluate_never_serves_a_run_kept_for_another_circuit(monkeypatch):
+    import math
+
+    from nvgates.cavity import ReflectionPair
+    from nvgates.netlist import parse_netlist
+
+    pair = ReflectionPair(0.0, 0.0)
+    assert not math.isnan(analysis.evaluate("cnot", pair, "balanced", 32, 0).metrics[0])
+    # the absorber of test_fidelity_simulated_full_loss_returns_nan, under the same gate name
+    dead = parse_netlist("spins 2\nmodes in\nnv in spin_0\ndetect in\n")
+    monkeypatch.setattr(analysis, "build_gate_circuit", lambda gate: dead)
+    assert math.isnan(analysis.evaluate("cnot", pair, "balanced", 32, 0).metrics[0])
 
 
 def test_factorized_matches_closed_form_exactly():
@@ -291,14 +334,13 @@ def test_convention_report_skips_nan_residuals_and_names_the_first_best_mode(mon
     # simulated fidelities off their closed form by 1/8 (postselected) or 1/16
     # (unnormalized) in both conventions, NaN at both ends of the grid, where
     # the efficiency is off by 1/2; the modes tie, so the first smallest wins
-    def simulate(gate, pair, convention, trials, seed):
+    def evaluate(gate, pair, convention, trials, seed):
         r_mag = abs(pair.r_hot)
         f, e = fidelity_closed_form(gate, r_mag), efficiency_closed_form(gate, r_mag)
-        if r_mag in (0.0, 1.0):
-            return np.nan, np.nan, e + 0.5
-        return f - 0.125, f - 0.0625, e
+        metrics = (np.nan, np.nan, e + 0.5) if r_mag in (0.0, 1.0) else (f - 0.125, f - 0.0625, e)
+        return analysis.GateRun(None, None, None, 0, metrics)
 
-    monkeypatch.setattr(analysis, "_simulate", simulate)
+    monkeypatch.setattr(analysis, "evaluate", evaluate)
     report = fidelity_convention_report()
     assert [(r.convention, r.normalization, r.gate) for r in report.residuals] == [
         (c, n, g) for c in analysis.INPUT_CONVENTIONS for n in analysis.NORMALIZATIONS for g in GATE_NAMES]

@@ -586,6 +586,29 @@ def test_sweep_refuses_a_gate_named_twice_before_it_prints_or_runs(tmp_path, cap
         assert not out.exists()
 
 
+def test_sweep_refuses_an_empty_gate_list_before_it_prints_or_runs(tmp_path, monkeypatch):
+    # --gates "" used to sweep every gate and exit 0; an explicit empty value names no gate, as --gates , does
+    monkeypatch.setattr(analysis, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+    out = tmp_path / "x.csv"
+    for gates in ("", ","):
+        assert run_cli(["sweep", "--gates", gates, "--steps", "2", "--out", str(out)]) == (
+            2, "", f"error: unknown gate ''; expected one of {GATE_NAMES}\n")
+        assert not out.exists()
+
+
+def test_sweep_refuses_one_path_for_both_outputs_before_it_prints_or_runs(tmp_path, monkeypatch):
+    # --out r.txt --fidelity-report r.txt used to write the CSV, then overwrite it with the report, and exit 0
+    monkeypatch.setattr(analysis, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+    monkeypatch.setenv("NVGATES_OUT_DIR", str(tmp_path))
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.txt").symlink_to(tmp_path / "r.txt")
+    for out, report in (("r.txt", "r.txt"), ("r.txt", str(tmp_path / "r.txt")), ("sub/../r.txt", "link.txt")):
+        code, stdout, err = run_cli(["sweep", "--steps", "2", "--out", out, "--fidelity-report", report])
+        assert (code, stdout) == (2, ""), err
+        assert "--out and --fidelity-report both name" in err
+        assert not (tmp_path / "r.txt").exists()
+
+
 def test_sweep_header_keeps_gate_names_as_given(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["sweep", "--gates", "CNOT,Fredkin", "--steps", "2", "--out", str(out)]) == 0

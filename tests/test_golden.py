@@ -123,13 +123,13 @@ VERIFY_ARGS = ["--trials", "20", "--seed", "3", "--ratio", "2"]
 
 def simulate_bits() -> str:
     """One line per evaluated point: its arguments, then ``float.hex`` of
-    each :func:`analysis._simulate` metric, or of the post-selected
+    each :func:`analysis.evaluate` metric, or of the post-selected
     fidelity that ``nvgates verify`` prints with those arguments."""
     lines = []
     for gate in GATE_NAMES:
         for r_hot in BITS_R_HOT:
             for convention, seed in BITS_INPUTS:
-                metrics = analysis._simulate(gate, resonant_pair(r_hot), convention, BITS_TRIALS, seed)
+                metrics = analysis.evaluate(gate, resonant_pair(r_hot), convention, BITS_TRIALS, seed).metrics
                 lines.append(f"simulate {gate} r_hot={r_hot} {convention} seed={seed} "
                              + " ".join(float.hex(m) for m in metrics))
     for gate in GATE_NAMES:
