@@ -70,7 +70,6 @@ from .state import (
     make_product_state,
     overlap,
     partial_trace_photon_collapse,
-    phase_aligned_deviation,
     spin_config_bits,
     spin_config_index,
 )

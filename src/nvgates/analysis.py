@@ -43,7 +43,7 @@ from .netlist import (
     product_input,
     run_netlist,
 )
-from .state import _SQRT1_2, HybridState, kron_pairs, phase_aligned_deviation
+from .state import _SQRT1_2, HybridState, kron_pairs
 
 INPUT_CONVENTIONS = ("balanced", "random")
 NORMALIZATIONS = ("postselected", "unnormalized")
@@ -142,7 +142,7 @@ def _basis_run(net: Netlist, extra: int = 0) -> tuple[Netlist, HybridState]:
     undetected = tuple(m for m in net.modes if m not in net.detectors)
     feedforward = tuple((label, ops + (Pauli.I,) * idle) for label, ops in net.feedforward)
     wide = replace(net, n_spins=n + idle, detectors=net.detectors + undetected, feedforward=feedforward)
-    photon = product_input(net, [(1.0, 0.0)] * n).amps[:, :, :1]
+    photon = product_input(net, ()).amps  # (2, modes, 1): the photon with no spin
     amps = np.zeros((2, len(net.modes), dim, dim, 1 << extra), dtype=complex)
     amps[:, :, range(dim), range(dim), 0] = photon
     return wide, HybridState(net.modes, wide.n_spins, amps.reshape(2, len(net.modes), -1))
@@ -229,16 +229,19 @@ class GateRun(NamedTuple):
     out: np.ndarray  # (row, 2**n, input): each compiled row's unnormalized output
     power: np.ndarray  # abs(out)**2
     ideal: np.ndarray  # (2**n, input): the ideal gate's outputs
-    outcomes: int  # how many rows, the first, are the detectors'
+    overlaps: np.ndarray  # (outcome, input): <ideal|row> of the detector rows, out's first len(overlaps)
     metrics: tuple[float, float, float]  # the fidelity in each of NORMALIZATIONS, then the efficiency
 
     def max_deviation(self) -> float:
-        """:func:`state.phase_aligned_deviation` of every clicking outcome's
-        renormalized spin state from the ideal output; 0.0 if none clicks."""
-        probs = self.power[: self.outcomes].sum(axis=1)  # (outcome, input)
-        o, i = (probs > 0.0).nonzero()
-        states = self.out[o, :, i] / np.sqrt(probs[o, i])[:, None]
-        return phase_aligned_deviation(states, self.ideal[:, i].T) if o.size else 0.0
+        """The largest amplitude deviation of a clicking outcome's renormalized
+        spin state from the ideal output, after removing the unit phase of its
+        overlap (1 where the overlap is 0); 0.0 if none clicks."""
+        k = len(self.overlaps)
+        probs = self.power[:k].sum(axis=1)[:, None]  # (outcome, 1, input)
+        clicks, mag = probs > 0.0, abs(self.overlaps)[:, None]
+        phase = np.divide(self.overlaps[:, None], mag, out=np.ones(mag.shape, dtype=complex), where=mag > 0.0)
+        states = np.divide(self.out[:k], np.sqrt(probs), out=np.zeros_like(self.out[:k]), where=clicks)
+        return float(abs(states - phase * self.ideal).max(initial=0.0, where=clicks))
 
 
 def evaluate(gate: str, r: ReflectionPair, convention: str, trials: int, seed: int | None) -> GateRun:
@@ -256,10 +259,11 @@ def evaluate(gate: str, r: ReflectionPair, convention: str, trials: int, seed: i
     out = compiled.maps(r.r_hot) @ inputs
     ideal = ideal_gate_unitary(gate) @ inputs
     k, n, power = compiled.n_outcomes, inputs.shape[1], abs(out) ** 2
-    weighted = (abs((ideal.conj() * out[:k]).sum(axis=1)) ** 2).sum(axis=0)  # p_o F_o = |<ideal|outcome o>|^2
+    overlaps = (ideal.conj() * out[:k]).sum(axis=1)
+    weighted = (abs(overlaps) ** 2).sum(axis=0)  # p_o F_o = |<ideal|outcome o>|^2
     total = power[:k].sum(axis=(0, 1))
     f = ((weighted / total).sum(), weighted.sum()) if (total > 0.0).all() else (math.nan, math.nan)
-    run = GateRun(out, power, ideal, k, (float(f[0] / n), float(f[1] / n), float(power.sum(axis=(0, 1)).sum() / n)))
+    run = GateRun(out, power, ideal, overlaps, (float(f[0] / n), float(f[1] / n), float(power.sum(axis=(0, 1)).sum() / n)))
     compiled.last = None if key is None else (key, run)
     return run
 

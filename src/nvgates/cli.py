@@ -172,6 +172,9 @@ def cmd_sweep(args) -> int:
     for flag, value in (("--min", args.min), ("--max", args.max)):
         if not math.isfinite(value):
             raise UsageError(f"{flag} must be finite, got {value}")
+    for flag, path in (("--out", args.out), ("--fidelity-report", args.fidelity_report)):
+        if path == "":  # Path("") is the current directory
+            raise UsageError(f"{flag} needs a file path, got ''")
     gates = args.gates.split(",") if args.gates is not None else list(GATE_NAMES)  # "" names no gate
     try:
         names = [_canon(g) for g in gates]

@@ -244,20 +244,3 @@ def partial_trace_photon_collapse(state: HybridState, modes) -> np.ndarray:
     butterfly(a[R], a[L], out[:, 0], out[:, 1])
     return out
 
-
-def phase_aligned_deviation(actual: np.ndarray, expected: np.ndarray) -> float:
-    """Max amplitude deviation after removing one optimal global phase.
-
-    Gate-equivalence assertions permit a single global phase; everything else
-    (relative phases, moduli) must match.  Stacked vectors, shape (..., d),
-    are each aligned with their own phase, and the largest deviation over
-    all of them is returned.
-    """
-    actual = np.asarray(actual, dtype=complex)
-    expected = np.asarray(expected, dtype=complex)
-    if actual.shape != expected.shape:
-        raise DimensionMismatchError("cannot compare vectors of different shapes")
-    ov = (expected.conj() * actual).sum(axis=-1, keepdims=True)
-    mag = abs(ov)
-    phase = np.divide(ov, mag, out=np.ones(ov.shape, dtype=complex), where=mag > 0)
-    return float(abs(actual - phase * expected).max())

@@ -46,6 +46,22 @@ def kron_pairs(pairs) -> np.ndarray:
     return v
 
 
+def phase_aligned_deviation(actual, expected) -> float:
+    """Max amplitude deviation after removing one optimal global phase.
+
+    A gate may differ from its ideal by a global phase; everything else
+    (relative phases, moduli) must match.  Stacked vectors, shape (..., d),
+    are each aligned with their own phase, and the largest deviation over
+    all of them is returned.
+    """
+    actual, expected = np.asarray(actual, dtype=complex), np.asarray(expected, dtype=complex)
+    assert actual.shape == expected.shape, (actual.shape, expected.shape)
+    ov = (expected.conj() * actual).sum(axis=-1, keepdims=True)
+    mag = abs(ov)
+    phase = np.divide(ov, mag, out=np.ones(ov.shape, dtype=complex), where=mag > 0)
+    return float(abs(actual - phase * expected).max())
+
+
 def random_reflection(rng: np.random.Generator, resonant_cold: bool = True) -> ReflectionPair:
     """Random physical pair with |r_hot| <= 1 (and |r_cold| <= 1)."""
     r_hot = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))

@@ -39,10 +39,11 @@ from nvgates.netlist import (
     run_netlist,
     serialize_netlist,
 )
-from nvgates.state import L, R, phase_aligned_deviation
+from nvgates.state import L, R
 
 from conftest import (
     kron_pairs,
+    phase_aligned_deviation,
     random_hybrid_input,
     random_netlist,
     random_reflection,

@@ -220,6 +220,31 @@ def test_evaluate_never_serves_a_run_kept_for_another_circuit(monkeypatch):
     assert math.isnan(analysis.evaluate("cnot", pair, "balanced", 32, 0).metrics[0])
 
 
+def test_max_deviation_is_the_phase_aligned_deviation_of_the_outcomes_that_click(monkeypatch):
+    import math
+
+    from nvgates.cavity import ReflectionPair
+    from nvgates.gates import build_gate_circuit
+    from nvgates.netlist import parse_netlist
+
+    from conftest import phase_aligned_deviation
+
+    for gate in GATE_NAMES:
+        k = len(build_gate_circuit(gate).outcome_labels())  # the detector rows come first
+        run = analysis.evaluate(gate, resonant_pair(0.3), "random", 12, 5)
+        expected = max(phase_aligned_deviation(run.out[o, :, i] / math.sqrt(p), run.ideal[:, i])
+                       for (o, i), p in np.ndenumerate(run.power[:k].sum(axis=1)) if p > 0.0)
+        assert expected > 1e-3, gate
+        assert run.max_deviation() == pytest.approx(expected, rel=0.0, abs=1e-12), gate
+        assert analysis.evaluate(gate, IDEAL_PAIR, "random", 12, 5).max_deviation() <= 1e-10, gate
+    # the absorber of test_fidelity_simulated_full_loss_returns_nan: no outcome clicks
+    dead = parse_netlist("spins 2\nmodes in\nnv in spin_0\ndetect in\n")
+    monkeypatch.setattr(analysis, "build_gate_circuit", lambda gate: dead)
+    run = analysis.evaluate("cnot", ReflectionPair(0.0, 0.0), "random", 4, 0)
+    assert not run.power.any()
+    assert run.max_deviation() == 0.0
+
+
 def test_factorized_matches_closed_form_exactly():
     # the independent-pass reconstruction IS the closed-form model
     for gate in GATE_NAMES:
@@ -338,7 +363,7 @@ def test_convention_report_skips_nan_residuals_and_names_the_first_best_mode(mon
         r_mag = abs(pair.r_hot)
         f, e = fidelity_closed_form(gate, r_mag), efficiency_closed_form(gate, r_mag)
         metrics = (np.nan, np.nan, e + 0.5) if r_mag in (0.0, 1.0) else (f - 0.125, f - 0.0625, e)
-        return analysis.GateRun(None, None, None, 0, metrics)
+        return analysis.GateRun(None, None, None, None, metrics)
 
     monkeypatch.setattr(analysis, "evaluate", evaluate)
     report = fidelity_convention_report()

@@ -596,6 +596,19 @@ def test_sweep_refuses_an_empty_gate_list_before_it_prints_or_runs(tmp_path, mon
         assert not out.exists()
 
 
+def test_sweep_refuses_an_empty_output_path_before_it_prints_or_runs(tmp_path, monkeypatch):
+    # --fidelity-report "" used to write the CSV, no report, and exit 0; --out "" ended in
+    # "[Errno 21] Is a directory: '.'" (exit 1)
+    monkeypatch.setattr(analysis, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+    monkeypatch.delenv("NVGATES_OUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    for outputs, flag in ((["--fidelity-report", ""], "--fidelity-report"), (["--out", ""], "--out"),
+                          (["--out", "", "--fidelity-report", "r.txt"], "--out"),
+                          (["--out", "x.csv", "--fidelity-report", ""], "--fidelity-report")):
+        assert run_cli(["sweep", "--steps", "2", *outputs]) == (2, "", f"error: {flag} needs a file path, got ''\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_refuses_one_path_for_both_outputs_before_it_prints_or_runs(tmp_path, monkeypatch):
     # --out r.txt --fidelity-report r.txt used to write the CSV, then overwrite it with the report, and exit 0
     monkeypatch.setattr(analysis, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))

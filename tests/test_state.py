@@ -23,7 +23,6 @@ from nvgates.state import (
     make_product_state,
     overlap,
     partial_trace_photon_collapse,
-    phase_aligned_deviation,
     spin_config_bits,
     spin_config_index,
 )
@@ -56,8 +55,6 @@ def test_kron_pairs_of_no_spins_is_a_new_unit_vector_on_each_call():
          r"shape \(2, 3, 4\), expected \(2, 3, 2\)"),
         (lambda: make_product_state((1, 0), "in", [(1, 0, 0)], MODES2), DimensionMismatchError,
          r"spin 0 pair must be a pair of amplitudes, got shape \(3,\)"),
-        (lambda: phase_aligned_deviation(np.ones(2), np.ones(4)), DimensionMismatchError,
-         "cannot compare vectors of different shapes"),
     ],
 )
 def test_state_helpers_refuse_bad_bits_and_shapes(call, error, match):

@@ -26,10 +26,10 @@ from nvgates.elements import (
 )
 from nvgates.gates import GATE_NAMES, build_gate_circuit, ideal_gate_unitary, shipped_circuit_text
 from nvgates.netlist import apply_elements, parse_netlist, product_input, run_netlist
-from nvgates.state import DimensionMismatchError, make_product_state, phase_aligned_deviation
+from nvgates.state import DimensionMismatchError, make_product_state
 
 import oracle
-from conftest import BALANCED, kron_pairs, random_netlist, random_spin_pairs
+from conftest import BALANCED, kron_pairs, phase_aligned_deviation, random_netlist, random_spin_pairs
 
 PAIRS = {
     "ideal": IDEAL_PAIR,
