@@ -91,10 +91,10 @@ class NetlistError(ValueError):
 
 
 FeedforwardRule = tuple[str, tuple[Pauli, ...]]
-# An element's fault is a function because an element has two callers: the parser, on each element line, and
-# Netlist.__post_init__, on each element before it writes the netlist's text, which a malformed element cannot
-# have.  Every other circuit fact is checked in parse_netlist alone.  An element's operands are (kind, *in_modes,
-# *out_modes, spin).
+# An element's fault is a function because an element has two callers: the parser, on an element line that fails
+# its own tests, and Netlist.__post_init__, on each element before it writes the netlist's text, which a malformed
+# element cannot have.  It alone orders and words an element fault; every other circuit fact is checked in
+# parse_netlist alone.  An element's operands are (kind, *in_modes, *out_modes, spin).
 Fault = tuple[int, DiagnosticKind, str]  # (operand position, kind, message)
 
 
@@ -220,10 +220,11 @@ def _column(raw: str, index: int) -> int:
     return start + 1
 
 
-# directive -> (kind, layout, slices of its input and output wire tokens, the token of each element operand)
+# directive -> (kind, layout, slices of its input and output wire tokens, its number of distinct wires, the token
+# of each element operand)
 _DIRECTIVES = {
     kind.value: (kind, lay, slice(lay.ins.start, lay.ins.stop), slice(lay.outs.start, lay.outs.stop),
-                 (0, *lay.ins, *lay.outs, lay.spin))
+                 len(lay.ins) + (0 if lay.in_place else len(lay.outs)), (0, *lay.ins, *lay.outs, lay.spin))
     for kind, lay in LAYOUTS.items()
 }
 
@@ -262,35 +263,14 @@ def parse_netlist(text: str) -> Netlist:
             raise error(DiagnosticKind.SPIN_RANGE, spins_line, 1,
                         f"spins {n} with {n_modes} modes exceeds the cap of {MAX_AMPLITUDES} amplitudes (2*modes*2**spins)")
 
+    declared = modes.keys()  # a live view: it sees every later modes line
     for lineno, raw in enumerate(lines, 1):
-        toks = _tokens(raw)
+        toks = raw.split("#", 1)[0].split()  # _tokens(raw), without a call per line
         if not toks:
             continue
         head = toks[0]
 
-        if head in _DIRECTIVES:
-            kind, lay, ins, outs, at = _DIRECTIVES[head]
-            if len(toks) != lay.n_tokens:
-                raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, f"{head} expects: {head} {FORMS[kind]}")
-            if lay.arrow is not None and toks[lay.arrow] != "->":
-                raise error(DiagnosticKind.ARITY_MISMATCH, lineno, lay.arrow, f"{head} expects '->' here")
-            spin = None if lay.spin is None else int_at(toks, lay.spin, lineno, lay.spin_prefix)
-            if spin is not None and n_spins is None:
-                raise error(DiagnosticKind.MISSING_DECLARATION, lineno, lay.spin, "spins must be declared first")
-            in_modes = tuple(toks[ins])
-            out_modes = in_modes if lay.in_place else tuple(toks[outs])  # an in-place kind has one wire, or none
-            el = Element(kind, in_modes, out_modes, spin)
-            if fault := _element_fault(el, n_spins, modes):
-                raise error(fault[1], lineno, at[fault[0]], fault[2])
-            for pos, mode in enumerate(in_modes, 1):  # inputs are read before the outputs are written
-                if mode not in written and mode not in first_read:
-                    first_read[mode] = lineno, at[pos]
-            if not lay.in_place:  # an in-place element rewrites its wire, so it writes nothing new
-                written.update(out_modes)
-            elements.append(el)
-            element_lines.append(lineno)
-
-        elif head == "detect":
+        if head == "detect":  # tested first: a circuit has a detect line per mode
             if len(toks) != 2:
                 raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, "detect expects: detect m")
             tok = toks[1]
@@ -301,6 +281,31 @@ def parse_netlist(text: str) -> Netlist:
             if tok not in written and tok not in first_read:
                 first_read[tok] = lineno, 1
             detectors[tok] = None
+
+        elif head in _DIRECTIVES:
+            kind, lay, ins, outs, n_wires, at = _DIRECTIVES[head]
+            if len(toks) != lay.n_tokens:
+                raise error(DiagnosticKind.ARITY_MISMATCH, lineno, 0, f"{head} expects: {head} {FORMS[kind]}")
+            if lay.arrow is not None and toks[lay.arrow] != "->":
+                raise error(DiagnosticKind.ARITY_MISMATCH, lineno, lay.arrow, f"{head} expects '->' here")
+            spin = None if lay.spin is None else int_at(toks, lay.spin, lineno, lay.spin_prefix)
+            if spin is not None and n_spins is None:
+                raise error(DiagnosticKind.MISSING_DECLARATION, lineno, lay.spin, "spins must be declared first")
+            in_modes = tuple(toks[ins])
+            out_modes = in_modes if lay.in_place else tuple(toks[outs])  # an in-place kind has one wire, or none
+            wires = {*in_modes, *out_modes}
+            # The token count has fixed the element's form, so only its spin range, a shared wire and an
+            # undeclared wire are left to test; _element_fault finds and words the first fault.
+            if (spin is not None and not 0 <= spin < n_spins) or len(wires) != n_wires or not declared >= wires:
+                fault = _element_fault(Element(kind, in_modes, out_modes, spin), n_spins, modes)
+                raise error(fault[1], lineno, at[fault[0]], fault[2])
+            for pos, mode in enumerate(in_modes, 1):  # inputs are read before the outputs are written
+                if mode not in written and mode not in first_read:
+                    first_read[mode] = lineno, at[pos]
+            if not lay.in_place:  # an in-place element rewrites its wire, so it writes nothing new
+                written.update(out_modes)
+            elements.append(tuple.__new__(Element, (kind, in_modes, out_modes, spin)))  # checked: no __new__ call
+            element_lines.append(lineno)
 
         elif head == "spins":
             if len(toks) != 2:

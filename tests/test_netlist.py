@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nvgates import netlist
-from nvgates.elements import Element, Kind, Pauli
+from nvgates.elements import LAYOUTS, Element, Kind, Pauli
 from nvgates.gates import GATE_NAMES, build_gate_circuit, shipped_circuit_text
 from nvgates.netlist import (
     MAX_AMPLITUDES,
@@ -483,6 +483,90 @@ def test_a_fault_built_in_code_fails_as_its_text_does(fields, kind, where):
     assert str(built.value) == f"{built.value.detail} [{kind.value}]"  # no line or column
     parsed = text_refusal(*fields)
     assert parsed.kind is kind and parsed.detail == built.value.detail.removeprefix(f"{where}: "), parsed
+
+
+def test_a_well_formed_element_line_is_never_sent_to_the_fault_finder(monkeypatch, rng):
+    # the parser tests only what a line's token count leaves open, and calls
+    # _element_fault only when one of those tests fails
+    texts = [shipped_circuit_text(gate) for gate in GATE_NAMES]
+    texts += [serialize_netlist(random_netlist(rng, int(rng.integers(1, 30)))) for _ in range(60)]
+
+    def refuse(*args):
+        raise AssertionError(f"_element_fault{args} called on a well-formed line")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(netlist, "_element_fault", refuse)
+        for text in texts:
+            parse_netlist(text)
+    # a malformed element built in code still gets _element_fault's wording
+    el = Element(Kind.BS5050, ("a", "a"), ("b", "c"))
+    fault = netlist._element_fault(el, 1, {"a", "b", "c"})
+    with pytest.raises(NetlistError) as built:
+        Netlist(1, ("a", "b", "c"), (el,), ())
+    assert (built.value.kind, built.value.detail) == (fault[1], f"element 0: {fault[2]}")
+
+
+def _element_of(line: str) -> Element:
+    """The unchecked Element whose operands are ``line``'s tokens, placed by its kind's layout."""
+    toks = line.split()
+    kind = Kind(toks[0])
+    lay = LAYOUTS[kind]
+    ins = tuple(toks[lay.ins.start : lay.ins.stop])
+    outs = ins if lay.in_place else tuple(toks[lay.outs.start : lay.outs.stop])
+    return Element(kind, ins, outs, None if lay.spin is None else int(toks[lay.spin].removeprefix(lay.spin_prefix)))
+
+
+SHARED = "must be one wire in place, or distinct: a shared wire would merge occupied modes"
+Q_UNDECLARED = "mode 'q' is not declared"
+
+
+# (element line, kind, column, message): each as the parser gave it when every element line went through
+# _element_fault; the line follows "hwp a", so it is line 4 of the text and element 1 of a Netlist built in code
+@pytest.mark.parametrize(
+    "line, kind, column, detail",
+    [
+        # spin k = n and k = -1
+        ("nv a spin_2", SPIN_RANGE, 6, "spin index 2 out of range for spins 2"),
+        ("nv a spin_-1", SPIN_RANGE, 6, "spin index -1 out of range for spins 2"),
+        ("spinh 2", SPIN_RANGE, 7, "spin index 2 out of range for spins 2"),
+        ("spinh -1", SPIN_RANGE, 7, "spin index -1 out of range for spins 2"),
+        # a wire given twice as input, a wire both input and output, a wire given twice as output
+        ("pbs a a -> c d", ARITY, 1, f"pbs wires ('a', 'a') -> ('c', 'd') {SHARED}"),
+        ("pbs a b -> c a", ARITY, 1, f"pbs wires ('a', 'b') -> ('c', 'a') {SHARED}"),
+        ("pbs a b -> c c", ARITY, 1, f"pbs wires ('a', 'b') -> ('c', 'c') {SHARED}"),
+        ("bs a a -> c d", ARITY, 1, f"bs wires ('a', 'a') -> ('c', 'd') {SHARED}"),
+        ("bs a b -> b d", ARITY, 1, f"bs wires ('a', 'b') -> ('b', 'd') {SHARED}"),
+        ("bs a b -> c c", ARITY, 1, f"bs wires ('a', 'b') -> ('c', 'c') {SHARED}"),
+        ("pbsfs a -> a b", ARITY, 1, f"pbsfs wires ('a',) -> ('a', 'b') {SHARED}"),
+        ("pbsfs a -> b b", ARITY, 1, f"pbsfs wires ('a',) -> ('b', 'b') {SHARED}"),
+        # an undeclared wire at each operand position
+        ("pbs q b -> c d", UNDECLARED, 5, Q_UNDECLARED),
+        ("pbs a q -> c d", UNDECLARED, 7, Q_UNDECLARED),
+        ("pbs a b -> q d", UNDECLARED, 12, Q_UNDECLARED),
+        ("pbs a b -> c q", UNDECLARED, 14, Q_UNDECLARED),
+        ("bs q b -> c d", UNDECLARED, 4, Q_UNDECLARED),
+        ("bs a q -> c d", UNDECLARED, 6, Q_UNDECLARED),
+        ("bs a b -> q d", UNDECLARED, 11, Q_UNDECLARED),
+        ("bs a b -> c q", UNDECLARED, 13, Q_UNDECLARED),
+        ("pbsfs q -> b c", UNDECLARED, 7, Q_UNDECLARED),
+        ("pbsfs a -> q c", UNDECLARED, 12, Q_UNDECLARED),
+        ("pbsfs a -> b q", UNDECLARED, 14, Q_UNDECLARED),
+        ("hwp q", UNDECLARED, 5, Q_UNDECLARED),
+        ("nv q spin_0", UNDECLARED, 4, Q_UNDECLARED),
+        # two faults on one line: the spin before the wires, a shared wire before an undeclared one
+        ("nv q spin_9", SPIN_RANGE, 6, "spin index 9 out of range for spins 2"),
+        ("pbs a q -> c q", ARITY, 1, f"pbs wires ('a', 'q') -> ('c', 'q') {SHARED}"),
+        ("bs q q -> c d", ARITY, 1, f"bs wires ('q', 'q') -> ('c', 'd') {SHARED}"),
+        ("pbsfs q -> q b", ARITY, 1, f"pbsfs wires ('q',) -> ('q', 'b') {SHARED}"),
+    ],
+)
+def test_an_element_fault_is_located_and_worded_as_the_one_fault_finder_words_it(line, kind, column, detail):
+    err = _expect_error(f"{DIAGNOSTIC_HEADER}hwp a\n{line}\n", kind, 4)
+    assert (err.column, err.detail) == (column, detail), err
+    with pytest.raises(NetlistError) as built:
+        Netlist(2, ("a", "b", "c", "d"), (Element(Kind.HWP, ("a",), ("a",)), _element_of(line)), ())
+    assert (built.value.kind, built.value.line, built.value.column) == (kind, None, None)
+    assert built.value.detail == f"element 1: {detail}"
 
 
 def test_apply_spin_ops_needs_one_operator_per_spin():

@@ -110,6 +110,23 @@ def load_tree(src: Path, name: str, tmp: Path, workload: str):
         worker.import_nvgates = guard
 
 
+def load_runs(old_src: Path, new_src: Path, tmp: Path, workload: str, tag: str = "") -> dict:
+    """Each tree's runner of ``workload`` items: OLD_SRC as ``old`` and again
+    as ``aa``, NEW_SRC as ``new``, each imported as ``nvgates_<tree><tag>``
+    from ``tmp``, which must be on ``sys.path``."""
+    srcs = {"old": old_src, "new": new_src, "aa": old_src}
+    return {tree: load_tree(srcs[tree], f"nvgates_{tree}{tag}", tmp, workload) for tree in TREES}
+
+
+def outputs_differ(runs: dict, items: list) -> int:
+    """The untimed first pass: how many items the new tree's output differs
+    from the old tree's on, by pickled bytes; the A/A tree runs them too."""
+    differ = sum(pickle.dumps(runs["old"](item)) != pickle.dumps(runs["new"](item)) for item in items)
+    for item in items:
+        runs["aa"](item)
+    return differ
+
+
 def time_pass(runs: dict, items: list, rnd: int) -> dict:
     """Microseconds per item of each tree over one pass of ``items`` in round
     ``rnd``, each run timed by ``worker.cpu_seconds`` right after ``worker.reference_task()``."""
@@ -154,11 +171,8 @@ def interleave(argv=None) -> int:
             if src is None or not (src / "nvgates" / "__init__.py").is_file():
                 parser.error(f"{arg} is neither a src directory holding an nvgates package nor a git revision")
         sys.path.insert(0, tmp)
-        srcs = {"old": old_src, "new": new_src, "aa": old_src}
-        runs = {tree: load_tree(srcs[tree], f"nvgates_{tree}", Path(tmp), args.workload) for tree in TREES}
-        differ = sum(pickle.dumps(runs["old"](item)) != pickle.dumps(runs["new"](item)) for item in items)
-        for item in items:
-            runs["aa"](item)
+        runs = load_runs(old_src, new_src, Path(tmp), args.workload)
+        differ = outputs_differ(runs, items)
         print(f"{args.workload} seed={args.seed} items={args.items} rounds={args.rounds}: "
               f"new output differs from old on {differ} of {args.items} items; "
               f"nvgates/*.py lines old {line_count(old_src)}, new {line_count(new_src)}")
