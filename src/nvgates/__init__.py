@@ -15,61 +15,37 @@ from .cavity import (
     ParameterError,
     ReflectionPair,
     coupling_ratio_to_r,
-    kappa_from_quality_factor,
     quality_factor_conversions,
     reflection_at_ratio,
     reflection_coefficient,
     resonant_pair,
     scatter,
 )
-from .elements import (
-    Element,
-    Kind,
-    Pauli,
-    WiringError,
-    apply_bs,
-    apply_hwp,
-    apply_pbs_fs,
-    apply_pbs_rl,
-    apply_spin_hadamard,
-)
-from .gates import (
-    GATE_NAMES,
-    build_gate_circuit,
-    build_mz_block,
-    build_two_nv_mz_block,
-    ideal_gate_unitary,
-)
+from .elements import Element, Kind, Pauli
+from .gates import GATE_NAMES, build_gate_circuit, ideal_gate_unitary
 from .netlist import (
     DiagnosticKind,
     Netlist,
     NetlistError,
     Outcome,
     apply_elements,
-    apply_spin_ops,
     balanced_product_input,
     iter_element_states,
     load_netlist,
     max_nv_path_depth,
-    nv_element_count,
     parse_netlist,
     product_input,
     run_netlist,
     serialize_netlist,
 )
 from .state import (
-    DimensionMismatchError,
     HybridState,
     L,
     MINUS,
-    ModeError,
-    NormalizationError,
     PLUS,
     R,
     StateError,
-    make_product_state,
     overlap,
-    partial_trace_photon_collapse,
     spin_config_bits,
     spin_config_index,
 )

@@ -25,9 +25,11 @@ space: besides the forward routing above, content already sitting on an
 output wire routes back to the matching input wire (a lossless device is
 bidirectional).  In a well-formed feed-forward circuit output wires are
 vacuum, so the backward direction never carries amplitude; the completion
-matters only for norm preservation on arbitrary states.  To keep the
-routing well defined, input and output wire sets must not partially
-overlap.
+matters only for norm preservation on arbitrary states.  The routing is
+well defined only when an element's wires fit its form and its input and
+output wires are one wire in place or all distinct.  The kernels do not
+check this: an element reaches them only through the
+:class:`nvgates.netlist.Netlist` that holds it, which has checked it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import ReflectionPair, scatter
-from .state import L, MINUS, R, HybridState, StateError, butterfly, spin_flip
+from .state import L, MINUS, R, HybridState, butterfly, spin_flip
 
 
 class Kind(Enum):
@@ -121,22 +123,6 @@ def _layout(kind: Kind, form: str) -> _Layout:
 LAYOUTS = {kind: _layout(kind, form) for kind, form in FORMS.items()}
 
 
-class WiringError(StateError):
-    """An element's operands do not fit its kind's form, or its in/out
-    wiring overlaps in a way that merges occupied modes."""
-
-
-def _wires(kind: Kind, in_modes, out_modes, spin) -> None:
-    """Raise :class:`WiringError` unless a ``kind`` element's input and output
-    wire labels, and its spin or None, fit its form and do not overlap."""
-    lay = LAYOUTS[kind]
-    if (len(in_modes), len(out_modes), spin is None) != lay.shape:
-        raise WiringError(f"{kind.value} takes: {kind.value} {FORMS[kind]}; got {in_modes} -> {out_modes}, spin {spin}")
-    if (out_modes != in_modes) if lay.in_place else (len({*in_modes, *out_modes}) != len(in_modes) + len(out_modes)):
-        raise WiringError(f"{kind.value} wires {in_modes} -> {out_modes} must be one wire in place, "
-                          "or distinct: a shared wire would merge occupied modes")
-
-
 class Element(NamedTuple):
     """One circuit component: its kind, input and output wire labels, and
     spin target, shaped as the kind's entry in :data:`FORMS`.  A plain
@@ -168,7 +154,6 @@ def apply_pbs_rl(state: HybridState, in_modes, out_modes) -> HybridState:
     slots, swapping each input slot with its destination, so the operation
     is exactly unitary.
     """
-    _wires(Kind.PBS_RL, in_modes, out_modes, None)
     idx = [state.mode_index(m) for m in in_modes]
     odx = [state.mode_index(m) for m in out_modes]
     src = state.amps
@@ -195,7 +180,6 @@ def apply_bs(state: HybridState, in_modes, out_modes) -> HybridState:
     backward direction is the Hermitian completion, making the element an
     involutory unitary on the four wires.
     """
-    _wires(Kind.BS5050, in_modes, out_modes, None)
     i0, i1 = (state.mode_index(m) for m in in_modes)
     o0, o1 = (state.mode_index(m) for m in out_modes)
     src = state.amps
@@ -212,7 +196,6 @@ def apply_pbs_fs(state: HybridState, in_mode, out_modes) -> HybridState:
     (|R>-|L>)/sqrt2.  Unitary completion: the F component of the F output
     and the S component of the S output swap back to the input wire.
     """
-    _wires(Kind.PBS_FS, (in_mode,), out_modes, None)
     i, f, s = map(state.mode_index, (in_mode, *out_modes))
     src = state.amps
     # (S out, F out, in, S out): the new F of (in, F out, S out) is the F of

@@ -16,9 +16,7 @@ labels 20-27, ``vac`` is a shared never-occupied input port and ``w`` a
 shared always-empty recombination port.
 
 Each circuit is defined only by its shipped data file ``circuits/<name>.nv``,
-feedforward table included; :func:`build_gate_circuit` parses it.  The
-block-matrix helpers give the closed-form operators of the interferometer
-building blocks for comparison with the simulated circuits.
+feedforward table included; :func:`build_gate_circuit` parses it.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from importlib import resources
 
 import numpy as np
 
-from .cavity import IDEAL_PAIR, ReflectionPair
 from .netlist import Netlist, parse_netlist
 
 GATE_NAMES = ("cnot", "toffoli", "fredkin")
@@ -65,44 +62,6 @@ def _target_gate(name: str) -> np.ndarray:
         u[dst, src] = 1.0
     u.setflags(write=False)
     return u
-
-
-def build_mz_block(routed_pol: str, r: ReflectionPair = IDEAL_PAIR) -> np.ndarray:
-    """Diagonal operator of one single-NV Mach-Zehnder block on
-    (polarization x one spin), basis {R+, R-, L+, L-}.
-
-    ``routed_pol`` names the polarization sent through the NV arm; the other
-    polarization takes the free arm.  Ideal case: L-routed gives
-    diag(1, 1, -1, 1), R-routed gives diag(1, -1, 1, 1).
-    """
-    if routed_pol not in ("R", "L"):
-        raise ValueError(f"routed_pol must be 'R' or 'L', got {routed_pol!r}")
-    if routed_pol == "L":
-        diag = [1.0, 1.0, r.r_cold, r.r_hot]
-    else:
-        diag = [r.r_hot, r.r_cold, 1.0, 1.0]
-    return np.diag(np.asarray(diag, dtype=complex))
-
-
-def build_two_nv_mz_block(
-    routed_pol: str,
-    r_first: ReflectionPair = IDEAL_PAIR,
-    r_second: ReflectionPair = IDEAL_PAIR,
-) -> np.ndarray:
-    """Diagonal operator of a Mach-Zehnder block whose NV arm holds two NVs
-    in sequence, on (polarization x two spins), basis
-    {R++, R+-, R-+, R--, L++, L+-, L-+, L--}.
-
-    It is the product of the two NVs' :func:`build_mz_block` diagonals,
-    the first on the first spin and the second on the second; the
-    reflections are scalar factors, so the opposite visiting order yields
-    the identical operator.  Ideal case: R-routed gives
-    diag(1, -1, -1, 1, 1, 1, 1, 1), L-routed gives
-    diag(1, 1, 1, 1, 1, -1, -1, 1).
-    """
-    first = np.diag(build_mz_block(routed_pol, r_first)).reshape(2, 2, 1)
-    second = np.diag(build_mz_block(routed_pol, r_second)).reshape(2, 1, 2)
-    return np.diag((first * second).ravel())
 
 
 def build_gate_circuit(name: str) -> Netlist:

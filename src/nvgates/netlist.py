@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import IDEAL_PAIR, ReflectionPair
-from .elements import _PAULI_DIAG, FORMS, LAYOUTS, Element, Kind, Pauli, WiringError, _apply_element, _wires
+from .elements import _PAULI_DIAG, FORMS, LAYOUTS, Element, Kind, Pauli, _apply_element
 from .state import (
     _SQRT1_2,
     DimensionMismatchError,
@@ -93,8 +93,9 @@ class NetlistError(ValueError):
 FeedforwardRule = tuple[str, tuple[Pauli, ...]]
 # An element's fault is a function because an element has two callers: the parser, on an element line that fails
 # its own tests, and Netlist.__post_init__, on each element before it writes the netlist's text, which a malformed
-# element cannot have.  It alone orders and words an element fault; every other circuit fact is checked in
-# parse_netlist alone.  An element's operands are (kind, *in_modes, *out_modes, spin).
+# element cannot have.  It is the one check of an element's form and wiring, which the element kernels trust, and it
+# alone orders and words an element fault; every other circuit fact is checked in parse_netlist alone.  An element's
+# operands are (kind, *in_modes, *out_modes, spin).
 Fault = tuple[int, DiagnosticKind, str]  # (operand position, kind, message)
 
 
@@ -103,10 +104,12 @@ def _element_fault(el: Element, n_spins: int | None, modes) -> Fault | None:
     kind, ins, outs, spin = el
     if spin is not None and not 0 <= spin < n_spins:
         return 1 + len(ins) + len(outs), DiagnosticKind.SPIN_RANGE, f"spin index {spin} out of range for spins {n_spins}"
-    try:
-        _wires(kind, ins, outs, spin)
-    except WiringError as exc:
-        return 0, DiagnosticKind.ARITY_MISMATCH, str(exc)
+    lay = LAYOUTS[kind]
+    if (len(ins), len(outs), spin is None) != lay.shape:
+        return 0, DiagnosticKind.ARITY_MISMATCH, f"{kind.value} takes: {kind.value} {FORMS[kind]}; got {ins} -> {outs}, spin {spin}"
+    if (outs != ins) if lay.in_place else (len({*ins, *outs}) != len(ins) + len(outs)):
+        return 0, DiagnosticKind.ARITY_MISMATCH, (f"{kind.value} wires {ins} -> {outs} must be one wire in place, "
+                                                  "or distinct: a shared wire would merge occupied modes")
     for pos, mode in enumerate(ins + outs, 1):
         if mode not in modes:
             return pos, DiagnosticKind.UNDECLARED_MODE, f"mode {mode!r} is not declared"

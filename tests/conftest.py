@@ -12,10 +12,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nvgates.cavity import ReflectionPair
+from nvgates.cavity import IDEAL_PAIR, ReflectionPair
 from nvgates.cli import main
-from nvgates.elements import Element, Kind
+from nvgates.elements import Element, Kind, _apply_element
 from nvgates.netlist import Netlist, NetlistError, parse_netlist, serialize_netlist
+from nvgates.state import HybridState
 
 
 def run_cli(argv) -> tuple[int, str, str]:
@@ -70,6 +71,30 @@ def random_reflection(rng: np.random.Generator, resonant_cold: bool = True) -> R
     else:
         r_cold = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     return ReflectionPair(r_hot=r_hot, r_cold=r_cold)
+
+
+def mz_block(routed: str, *pairs: ReflectionPair) -> np.ndarray:
+    """Operator of a Mach-Zehnder block on (polarization x spins), run
+    through the engine: a PBS pair around one ``nv`` per pair, NV k on spin
+    k with ``pairs[k]``, on the arm polarization ``routed`` ("R" or "L")
+    takes.  Column p * 2**n + c is the amplitude on mode ``out`` for the
+    photon entering mode ``m`` with polarization p and spins in configuration
+    c, indexed the same way; no amplitude may be left on another mode."""
+    arm = {"R": "arm0", "L": "arm1"}[routed]  # R transmits to the first output, L reflects to the second
+    n = len(pairs)
+    net = parse_netlist("\n".join([f"spins {n}", "modes m vac arm0 arm1 out w", "pbs m vac -> arm0 arm1",
+                                   *(f"nv {arm} spin_{k}" for k in range(n)), "pbs arm0 arm1 -> out w"]))
+    m, out, dim = net.modes.index("m"), net.modes.index("out"), 2 << n
+    block = np.empty((dim, dim), dtype=complex)
+    for col in range(dim):
+        amps = np.zeros((2, len(net.modes), dim // 2), dtype=complex)
+        amps[col // (dim // 2), m, col % (dim // 2)] = 1.0
+        state = HybridState(net.modes, n, amps)
+        for el in net.elements:
+            state = _apply_element(state, el, pairs[el.spin] if el.kind is Kind.NV_SCATTER else IDEAL_PAIR)
+        assert not np.any(np.delete(state.amps, out, axis=1))
+        block[:, col] = state.amps[:, out].ravel()
+    return block
 
 
 def random_netlist(rng: np.random.Generator, n_elements: int = 8) -> Netlist:

@@ -25,8 +25,6 @@ from nvgates.cavity import IDEAL_PAIR, resonant_pair
 from nvgates.gates import (
     GATE_NAMES,
     build_gate_circuit,
-    build_mz_block,
-    build_two_nv_mz_block,
     ideal_gate_unitary,
 )
 from nvgates.netlist import (
@@ -43,6 +41,7 @@ from nvgates.state import L, R
 
 from conftest import (
     kron_pairs,
+    mz_block,
     phase_aligned_deviation,
     random_hybrid_input,
     random_netlist,
@@ -181,14 +180,22 @@ def test_criterion_2_paper_traced_states():
 
 
 def test_criterion_3_mz_block_matrices():
-    """Ideal Mach-Zehnder blocks equal their stated diagonals exactly."""
-    assert np.array_equal(build_mz_block("L"), np.diag([1, 1, -1, 1]).astype(complex))
-    assert np.array_equal(build_mz_block("R"), np.diag([1, -1, 1, 1]).astype(complex))
+    """Ideal Mach-Zehnder blocks, run through the engine, equal their stated
+    diagonals exactly."""
+
+    def one_nv_block(routed):
+        return mz_block(routed, IDEAL_PAIR)
+
+    def two_nv_block(routed):
+        return mz_block(routed, IDEAL_PAIR, IDEAL_PAIR)
+
+    assert np.array_equal(one_nv_block("L"), np.diag([1, 1, -1, 1]).astype(complex))
+    assert np.array_equal(one_nv_block("R"), np.diag([1, -1, 1, 1]).astype(complex))
     assert np.array_equal(
-        build_two_nv_mz_block("R"), np.diag([1, -1, -1, 1, 1, 1, 1, 1]).astype(complex)
+        two_nv_block("R"), np.diag([1, -1, -1, 1, 1, 1, 1, 1]).astype(complex)
     )
     assert np.array_equal(
-        build_two_nv_mz_block("L"), np.diag([1, 1, 1, 1, 1, -1, -1, 1]).astype(complex)
+        two_nv_block("L"), np.diag([1, 1, 1, 1, 1, -1, -1, 1]).astype(complex)
     )
 
 

@@ -9,7 +9,6 @@ from nvgates.cavity import IDEAL_PAIR, ReflectionPair, resonant_pair, scatter
 from nvgates.elements import (
     Element,
     Kind,
-    WiringError,
     apply_bs,
     apply_hwp,
     apply_pbs_fs,
@@ -56,8 +55,6 @@ def test_pbs_splits_superposition_keeping_norm():
 
 def test_pbs_single_input_rejected():
     # pbs takes exactly two inputs; an unused port is a never-occupied mode
-    with pytest.raises(WiringError):
-        apply_pbs_rl(_photon(BALANCED), ("in",), ("1", "2"))
     with pytest.raises(NetlistError, match="^element 0: pbs takes") as err:
         Netlist(1, MODES, (Element(Kind.PBS_RL, ("in",), ("1", "2")),), ())
     assert err.value.kind is DiagnosticKind.ARITY_MISMATCH
@@ -81,18 +78,6 @@ def test_element_rejects_operands_outside_its_form(kind, in_modes, out_modes, sp
     with pytest.raises(NetlistError) as err:
         Netlist(2, ("a", "b", "c", "d"), (el,), ())
     assert err.value.kind is DiagnosticKind.ARITY_MISMATCH
-
-
-def test_pbs_overlapping_wiring_rejected():
-    st = _photon((1, 0))
-    with pytest.raises(WiringError):
-        apply_pbs_rl(st, ("in", "in"), ("1", "2"))
-    with pytest.raises(WiringError):
-        apply_pbs_rl(st, ("in", "3"), ("1", "1"))
-    with pytest.raises(WiringError):
-        apply_pbs_rl(st, ("in", "3"), ("3", "2"))
-    with pytest.raises(WiringError):
-        apply_bs(st, ("in", "1"), ("1", "2"))
 
 
 def test_hwp_maps_r_to_f():

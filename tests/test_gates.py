@@ -1,4 +1,4 @@
-"""Gate constructors: block matrices, ideal unitaries, circuit behavior."""
+"""Gate circuits: Mach-Zehnder blocks run through the engine, ideal unitaries, circuit behavior."""
 
 import math
 import os
@@ -17,8 +17,6 @@ from nvgates.cavity import IDEAL_PAIR, resonant_pair
 from nvgates.gates import (
     GATE_NAMES,
     build_gate_circuit,
-    build_mz_block,
-    build_two_nv_mz_block,
     ideal_gate_unitary,
 )
 from nvgates.netlist import (
@@ -32,7 +30,7 @@ from nvgates.netlist import (
 )
 from nvgates.state import spin_config_index, PLUS, MINUS
 
-from conftest import kron_pairs, random_reflection, random_spin_pairs
+from conftest import kron_pairs, mz_block, random_reflection, random_spin_pairs
 from oracle import circuit_matrix, flat
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -40,86 +38,59 @@ SQ2 = 1.0 / math.sqrt(2.0)
 
 # --- block matrices -------------------------------------------------------
 
+def _mz_diagonal(routed, pair):
+    """Closed-form diagonal of a one-NV block, basis {R+, R-, L+, L-}: the
+    routed polarization meets the NV, the other one takes the free arm."""
+    if routed == "L":
+        return np.array([1.0, 1.0, pair.r_cold, pair.r_hot], dtype=complex)
+    return np.array([pair.r_hot, pair.r_cold, 1.0, 1.0], dtype=complex)
+
+
 def test_mz_block_ideal_diagonals():
-    assert np.allclose(build_mz_block("L"), np.diag([1, 1, -1, 1]), atol=0)
-    assert np.allclose(build_mz_block("R"), np.diag([1, -1, 1, 1]), atol=0)
-
-
-def test_mz_block_refuses_a_bad_polarization():
-    with pytest.raises(ValueError, match="routed_pol must be 'R' or 'L', got 'F'"):
-        build_mz_block("F")
+    assert np.allclose(mz_block("L", IDEAL_PAIR), np.diag([1, 1, -1, 1]), atol=0)
+    assert np.allclose(mz_block("R", IDEAL_PAIR), np.diag([1, -1, 1, 1]), atol=0)
 
 
 def test_mz_block_realistic_entry():
-    block = build_mz_block("L", resonant_pair(0.5))
+    block = mz_block("L", resonant_pair(0.5))
     assert np.allclose(block, np.diag([1, 1, -1, 0.5]), atol=0)
 
 
 def test_two_nv_block_ideal_diagonals():
     assert np.allclose(
-        build_two_nv_mz_block("R"), np.diag([1, -1, -1, 1, 1, 1, 1, 1]), atol=0
+        mz_block("R", IDEAL_PAIR, IDEAL_PAIR), np.diag([1, -1, -1, 1, 1, 1, 1, 1]), atol=0
     )
     assert np.allclose(
-        build_two_nv_mz_block("L"), np.diag([1, 1, 1, 1, 1, -1, -1, 1]), atol=0
+        mz_block("L", IDEAL_PAIR, IDEAL_PAIR), np.diag([1, 1, 1, 1, 1, -1, -1, 1]), atol=0
     )
 
 
 def test_two_nv_block_realistic_entries():
     r = resonant_pair(0.7)
-    block = build_two_nv_mz_block("R", r, r)
+    block = mz_block("R", r, r)
     assert block[0, 0] == pytest.approx(0.49)          # R++ -> r^2
     assert block[3, 3] == pytest.approx(1.0)           # R-- -> r_cold^2
     assert block[1, 1] == pytest.approx(-0.7)          # R+- -> r*r_cold
 
 
 def test_mz_block_matches_circuit_fragment(rng):
-    # a PBS pair enclosing an NV reproduces the block matrix on (pol x spin)
-    from nvgates.elements import apply_pbs_rl
-    from nvgates.cavity import scatter
-    from nvgates.state import HybridState
-
+    # a PBS pair enclosing an NV is the closed-form diagonal on (pol x spin)
     pair = resonant_pair(rng.uniform(0, 1))
-    for routed, nv_arm_gets in (("L", 1), ("R", 0)):
-        block = build_mz_block(routed, pair)
-        modes = ("m", "arm0", "arm1", "out", "w")
-        for pol in (0, 1):
-            for spin in (0, 1):
-                amps = np.zeros((2, 5, 2), dtype=complex)
-                amps[pol, 0, spin] = 1.0
-                st = HybridState(modes, 1, amps)
-                # R -> arm0, L -> arm1; NV on the routed arm
-                st = apply_pbs_rl(st, ("m", "w"), ("arm0", "arm1"))
-                st = scatter(st, 0, ("arm0", "arm1")[nv_arm_gets], pair)
-                st = apply_pbs_rl(st, ("arm0", "arm1"), ("out", "w"))
-                expected = block[2 * pol + spin, 2 * pol + spin]
-                assert st.amps[pol, 3, spin] == pytest.approx(expected, abs=1e-12)
+    for routed in ("L", "R"):
+        assert np.allclose(mz_block(routed, pair), np.diag(_mz_diagonal(routed, pair)), rtol=0, atol=1e-12)
 
 
 def test_two_nv_block_matches_circuit_fragment(rng):
     # PBS -> nv spin_0 -> nv spin_1 -> PBS with two different lossy pairs,
-    # in both routings, reproduces the whole 8 x 8 block; swapping the NVs'
-    # pairs gives another block, so the order of the factors is pinned too
-    from nvgates.elements import apply_pbs_rl
-    from nvgates.cavity import scatter
-    from nvgates.state import HybridState
-
+    # in both routings, is the product of the two NVs' diagonals, the first
+    # on the first spin; swapping the NVs' pairs gives another block, so the
+    # order of the factors is pinned too
     first, second = random_reflection(rng, resonant_cold=False), random_reflection(rng, resonant_cold=False)
-    modes = ("m", "arm0", "arm1", "out", "w")
-    for routed, arm in (("R", "arm0"), ("L", "arm1")):  # R -> arm0, L -> arm1
-        block = build_two_nv_mz_block(routed, first, second)
-        assert not np.allclose(block, build_two_nv_mz_block(routed, second, first))
-        fragment = np.zeros((8, 8), dtype=complex)
-        for col in range(8):
-            amps = np.zeros((2, 5, 4), dtype=complex)
-            amps[col // 4, 0, col % 4] = 1.0
-            st = HybridState(modes, 2, amps)
-            st = apply_pbs_rl(st, ("m", "w"), ("arm0", "arm1"))
-            st = scatter(st, 0, arm, first)
-            st = scatter(st, 1, arm, second)
-            st = apply_pbs_rl(st, ("arm0", "arm1"), ("out", "w"))
-            assert not np.any(np.delete(st.amps, 3, axis=1))  # all of it reaches "out"
-            fragment[:, col] = st.amps[:, 3].ravel()
-        assert np.allclose(fragment, block, rtol=0, atol=1e-12)
+    for routed in ("R", "L"):
+        block = mz_block(routed, first, second)
+        assert not np.allclose(block, mz_block(routed, second, first))
+        product = _mz_diagonal(routed, first).reshape(2, 2, 1) * _mz_diagonal(routed, second).reshape(2, 1, 2)
+        assert np.allclose(block, np.diag(product.ravel()), rtol=0, atol=1e-12)
 
 
 # --- ideal unitaries ------------------------------------------------------
@@ -295,8 +266,8 @@ def test_block_level_cnot_equality():
     dst_mode = net.modes.index("9")
 
     # single-wire composition on (pol x control x target), index pol*4+c*2+t
-    mz1 = build_mz_block("L")      # on (pol, control)
-    mz2 = build_mz_block("R")      # on (pol, target)
+    mz1 = mz_block("L", IDEAL_PAIR)      # on (pol, control)
+    mz2 = mz_block("R", IDEAL_PAIR)      # on (pol, target)
     h_ph = np.kron(np.array([[1, 1], [1, -1]]) * SQ2, np.eye(4))
     h_el = np.array([[1, 1], [1, -1]]) * SQ2
     block1 = np.kron(mz1, np.eye(2))

@@ -14,9 +14,11 @@ from nvgates.netlist import (
     DiagnosticKind,
     Netlist,
     NetlistError,
+    Outcome,
     apply_spin_ops,
     balanced_product_input,
     iter_element_states,
+    load_netlist,
     nv_runs,
     parse_netlist,
     run_netlist,
@@ -574,6 +576,14 @@ def test_apply_spin_ops_needs_one_operator_per_spin():
         apply_spin_ops(np.ones(4, dtype=complex), (Pauli.Z,))
 
 
+def test_load_netlist_reads_the_shipped_files_with_or_without_a_bom(tmp_path):
+    for name in GATE_NAMES:
+        for encoding in ("utf-8", "utf-8-sig"):
+            path = tmp_path / f"{name}.nv"
+            path.write_text(shipped_circuit_text(name), encoding=encoding)
+            assert load_netlist(path) == build_gate_circuit(name)
+
+
 def test_run_netlist_zero_state_all_null():
     net = parse_netlist(SMALL)
     template = balanced_product_input(net)
@@ -598,6 +608,7 @@ def test_null_outcome_spins_shared_and_read_only():
 def test_outcome_and_spin_state_are_plain_records():
     net = parse_netlist("spins 2\nmodes a b\nhwp a\ndetect a\ndetect b\n")
     outcome = run_netlist(net, balanced_product_input(net))[0]
+    assert type(outcome) is Outcome and type(outcome.spins) is Outcome
     label, probability, amps = outcome
     assert label == "Fa" and probability == outcome.probability and amps is outcome.amps
     assert 0.0 < probability < 1.0
