@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import NORM_ATOL, HybridState, spin_flip
+from .state import NORM_ATOL, HybridState, in_place, spin_flip
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 _RESCALE_Q = "rescale Q and the wavelength to values nearer 1"
@@ -185,20 +185,20 @@ def quality_factor_conversions(q: float, wavelength: float) -> dict[str, float]:
     }
 
 
+@in_place
 def scatter(state: HybridState, nv_index: int, mode, r: ReflectionPair) -> HybridState:
     """Reflect the photon amplitude in ``mode`` off the NV at ``nv_index``.
 
     (R,+) and (L,-) amplitudes pick up r_hot, (R,-) and (L,+) pick up r_cold;
     amplitudes in other modes are untouched.  The mode's (pol, config) block is
-    multiplied whole by each, by r_hot through ``r.times_hot``, and the hot
-    products are kept where spin ``nv_index`` equals the pol (R = PLUS,
-    L = MINUS; :func:`state.spin_flip`).
+    multiplied whole by r_hot into a new array (``r.times_hot``) and by r_cold in
+    place, and the hot products are kept where spin ``nv_index`` equals the pol
+    (R = PLUS, L = MINUS; :func:`state.spin_flip`); see :func:`state.in_place`.
     """
     mi = state.mode_index(mode)
     hot_at = spin_flip(state.n_spins, nv_index)[1]
-    a = state.amps.copy()
-    block = a[:, mi]
+    block = state.amps[:, mi]
     hot = r.times_hot(block)
     np.multiply(block, r.r_cold, out=block)
     np.copyto(block, hot, where=hot_at)
-    return state.with_amps(a)
+    return state

@@ -27,9 +27,9 @@ bidirectional).  In a well-formed feed-forward circuit output wires are
 vacuum, so the backward direction never carries amplitude; the completion
 matters only for norm preservation on arbitrary states.  The routing is
 well defined only when an element's wires fit its form and its input and
-output wires are one wire in place or all distinct.  The kernels do not
-check this: an element reaches them only through the
-:class:`nvgates.netlist.Netlist` that holds it, which has checked it.
+output wires are one wire in place or all distinct; the kernels leave this
+to the :class:`nvgates.netlist.Netlist` holding the element, which checks it.
+Each rewrites a run's writable state in place and copies a read-only one first.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import ReflectionPair, scatter
-from .state import L, MINUS, R, HybridState, butterfly, spin_flip
+from .state import L, PLUS, R, HybridState, butterfly, in_place, spin_flip
 
 
 class Kind(Enum):
@@ -141,11 +141,11 @@ _PAULI_DIAG = {
 
 
 def _rows(amps: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Modes ``i`` and ``j`` (distinct) of ``amps``, in that order along axis
-    1, as one basic-slice view."""
+    """Modes ``i`` and ``j`` (distinct) of ``amps``, in that order, as one basic-slice view."""
     return amps[:, i :: j - i][:, :2]
 
 
+@in_place
 def apply_pbs_rl(state: HybridState, in_modes, out_modes) -> HybridState:
     """Route R to the same-index output and L to the opposite one.
 
@@ -154,25 +154,24 @@ def apply_pbs_rl(state: HybridState, in_modes, out_modes) -> HybridState:
     slots, swapping each input slot with its destination, so the operation
     is exactly unitary.
     """
-    idx = [state.mode_index(m) for m in in_modes]
-    odx = [state.mode_index(m) for m in out_modes]
-    src = state.amps
-    a = src.copy()
-    for k, i in enumerate(idx):  # the swapped slot pairs are disjoint
-        a[R, i], a[R, odx[k]] = src[R, odx[k]], src[R, i]
-        a[L, i], a[L, odx[1 - k]] = src[L, odx[1 - k]], src[L, i]
-    return state.with_amps(a)
+    i0, i1, o0, o1 = map(state.mode_index, (*in_modes, *out_modes))
+    a = state.amps
+    rows = a.take((o0, o1, i0, i1), axis=1)  # R swaps i0, o0 and i1, o1; L swaps i0, o1 and i1, o0
+    a[R, i0], a[R, i1], a[R, o0], a[R, o1] = rows[R, 0], rows[R, 1], rows[R, 2], rows[R, 3]
+    a[L, i0], a[L, i1], a[L, o1], a[L, o0] = rows[L, 1], rows[L, 0], rows[L, 2], rows[L, 3]
+    return state
 
 
+@in_place
 def apply_hwp(state: HybridState, mode) -> HybridState:
     """Photon Hadamard on one mode (half-wave plate at 22.5 degrees)."""
     mi = state.mode_index(mode)
-    src = state.amps
-    a = src.copy()
-    butterfly(src[R, mi], src[L, mi], a[R, mi], a[L, mi])
-    return state.with_amps(a)
+    a = state.amps
+    butterfly(a[R, mi], a[L, mi], a[R, mi], a[L, mi])
+    return state
 
 
+@in_place
 def apply_bs(state: HybridState, in_modes, out_modes) -> HybridState:
     """Polarization-independent 50:50 beam splitter.
 
@@ -180,15 +179,14 @@ def apply_bs(state: HybridState, in_modes, out_modes) -> HybridState:
     backward direction is the Hermitian completion, making the element an
     involutory unitary on the four wires.
     """
-    i0, i1 = (state.mode_index(m) for m in in_modes)
-    o0, o1 = (state.mode_index(m) for m in out_modes)
-    src = state.amps
-    a = src.copy()
+    i0, i1, o0, o1 = map(state.mode_index, (*in_modes, *out_modes))
+    a = state.amps
     # forward (i1, i0) -> (o0, o1) and backward (o0, o1) -> (i1, i0) at once
-    butterfly(_rows(src, i1, o0), _rows(src, i0, o1), _rows(a, o0, i1), _rows(a, o1, i0))
-    return state.with_amps(a)
+    butterfly(_rows(a, i1, o0), _rows(a, i0, o1), _rows(a, o0, i1), _rows(a, o1, i0))
+    return state
 
 
+@in_place
 def apply_pbs_fs(state: HybridState, in_mode, out_modes) -> HybridState:
     """Split one mode into its F and S polarization components.
 
@@ -197,34 +195,33 @@ def apply_pbs_fs(state: HybridState, in_mode, out_modes) -> HybridState:
     and the S component of the S output swap back to the input wire.
     """
     i, f, s = map(state.mode_index, (in_mode, *out_modes))
-    src = state.amps
-    # (S out, F out, in, S out): the new F of (in, F out, S out) is the F of
-    # rows 1:4 and the new S is the S of rows 0:3
-    rows = src.take((s, f, i, s), axis=1)
-    fs = np.empty_like(rows)
-    butterfly(rows[R], rows[L], fs[0], fs[1])
-    butterfly(fs[0, 1:], fs[1, :3], rows[R, :3], rows[L, :3])
-    a = src.copy()
+    a = state.amps
+    # (S out, F out, in, S out) in F/S: the new F of (in, F out, S out) is
+    # the F of rows 1:4 and the new S is the S of rows 0:3
+    rows = a.take((s, f, i, s), axis=1)
+    butterfly(rows[R], rows[L], rows[R], rows[L])
+    butterfly(rows[R, 1:], rows[L, :3], rows[R, :3], rows[L, :3])
     a[:, i], a[:, f], a[:, s] = rows[:, 0], rows[:, 1], rows[:, 2]
-    return state.with_amps(a)
+    return state
 
 
+@in_place
 def apply_spin_hadamard(state: HybridState, spin_index: int) -> HybridState:
     """Hadamard on one electron spin: (a+ + a-)/sqrt2 at |+>, (a+ - a-)/sqrt2 at |->."""
     partner, spin_is = spin_flip(state.n_spins, spin_index)
     a = state.amps
-    u, v = np.empty_like(a), np.empty_like(a)
-    butterfly(a.take(partner, axis=-1), a, u, v)  # u is right where spin k is |+>, v where |->
-    np.copyto(u, v, where=spin_is[MINUS])
-    return state.with_amps(u)
+    u = a.take(partner, axis=-1)
+    butterfly(u, a, u, a)  # u is right where spin k is |+>, a where |->
+    np.copyto(a, u, where=spin_is[PLUS])
+    return state
 
 
 _PBS_RL, _PBS_FS, _HWP, _BS5050, _NV_SCATTER, _SPIN_H = Kind  # in definition order; cheaper than Kind.* lookups
 
 
 def _apply_element(state: HybridState, el: Element, reflection: ReflectionPair) -> HybridState:
-    """Dispatch one element of a checked :class:`nvgates.netlist.Netlist`;
-    NV scattering uses the given reflection pair."""
+    """Dispatch one element of a checked :class:`nvgates.netlist.Netlist`, in place
+    on a writable ``state``; NV scattering uses the given reflection pair."""
     kind = el.kind
     if kind is _PBS_RL:
         return apply_pbs_rl(state, el.in_modes, el.out_modes)

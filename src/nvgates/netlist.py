@@ -60,6 +60,7 @@ from .state import (
     make_product_state,
     partial_trace_photon_collapse,
     spin_axis,
+    working_copy,
 )
 
 MAX_AMPLITUDES = 2**24  # largest state (2 * |modes| * 2**spins) a netlist may declare
@@ -406,7 +407,8 @@ def load_netlist(path) -> Netlist:
 
 
 def iter_element_states(net: Netlist, state: HybridState, reflection: ReflectionPair = IDEAL_PAIR):
-    """Yield (element, state-after-element) while applying every element."""
+    """Yield (element, state-after-element) while applying every element; each
+    kernel copies a read-only state, so each state yielded is a read-only snapshot."""
     if state.modes != net.modes or state.n_spins != net.n_spins:
         raise DimensionMismatchError(
             f"state on (modes={state.modes}, spins={state.n_spins}) does not match "
@@ -418,10 +420,11 @@ def iter_element_states(net: Netlist, state: HybridState, reflection: Reflection
 
 
 def apply_elements(net: Netlist, state: HybridState, reflection: ReflectionPair = IDEAL_PAIR) -> HybridState:
-    """Apply every element and return the state: the last one
-    :func:`iter_element_states` yields."""
-    for _, state in iter_element_states(net, state, reflection):
+    """Apply every element to one writable copy of ``state``, rewritten in place by
+    each kernel, and return it read-only: the last state :func:`iter_element_states` yields."""
+    for _, state in iter_element_states(net, working_copy(state), reflection):
         pass
+    state.amps.setflags(write=False)
     return state
 
 

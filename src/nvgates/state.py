@@ -8,7 +8,7 @@ the accumulated photon-loss probability.  Lossy reflections only attenuate
 amplitudes, and the lost fraction never re-interferes, so no explicit "lost
 photon" basis state is kept.
 
-States are immutable values; every operation returns a new state.
+States are read-only values; a circuit run rewrites one private copy in place.
 """
 
 from __future__ import annotations
@@ -96,11 +96,12 @@ def spin_flip(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def butterfly(x, y, u, v) -> None:
-    """Write (x + y)/sqrt2 into ``u`` and (x - y)/sqrt2 into ``v``, which must
-    not share memory with ``x`` or ``y``.  Its own inverse: the R/L <-> F/S
-    change of basis on a mode's amplitudes, and the Hadamard on a spin's."""
-    np.multiply(np.add(x, y, u), _SQRT1_2C, u)
+    """Write (x + y)/sqrt2 into ``u`` and (x - y)/sqrt2 into ``v``, which may overlap
+    ``x`` and ``y`` but not each other: the sum is formed first.  Its own inverse:
+    the R/L <-> F/S change of basis on a mode's amplitudes, and the Hadamard on a spin's."""
+    s = np.add(x, y)
     np.multiply(np.subtract(x, y, v), _SQRT1_2C, v)
+    np.multiply(s, _SQRT1_2C, u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,22 +145,6 @@ class HybridState:
     def norm2(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
 
-    def with_amps(self, amps: np.ndarray) -> HybridState:
-        """A state on the same (modes, spins) space holding ``amps``.
-
-        For element kernels: ``amps`` must be a fresh complex array that the
-        caller no longer writes to.  It is taken over without a copy and
-        made read-only; only its shape is checked.
-        """
-        if amps.shape != self.amps.shape:
-            raise DimensionMismatchError(
-                f"amplitude array has shape {amps.shape}, expected {self.amps.shape}"
-            )
-        amps.setflags(write=False)
-        new = object.__new__(HybridState)
-        vars(new).update(vars(self), amps=amps)
-        return new
-
 
 def _mode_labels(modes) -> tuple[tuple[str, ...], dict[str, int]]:
     """The labels of ``modes``, each a ``str``, and each one's position."""
@@ -177,6 +162,25 @@ def _adopt(labels: tuple[str, ...], index: dict[str, int], n_spins: int, amps: n
     new = object.__new__(HybridState)
     vars(new).update(modes=labels, _index=index, n_spins=n_spins, amps=amps)
     return new
+
+
+def working_copy(state: HybridState) -> HybridState:
+    """``state`` with a writable copy of its array, for element kernels to rewrite."""
+    return _adopt(state.modes, state._index, state.n_spins, state.amps.copy())
+
+
+def in_place(kernel):
+    """An element kernel, which rewrites ``state.amps`` and returns ``state``, given
+    value semantics: a writable state (a run's working copy) is rewritten; a read-only
+    one, as every state a caller holds is, is copied and the copy returned read-only."""
+    @functools.wraps(kernel)
+    def run(state, *args):
+        if state.amps.flags.writeable:
+            return kernel(state, *args)
+        new = kernel(working_copy(state), *args)
+        new.amps.setflags(write=False)
+        return new
+    return run
 
 
 def _check_pair(pair, what: str) -> np.ndarray:

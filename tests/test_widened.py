@@ -26,7 +26,7 @@ from nvgates.elements import (
 )
 from nvgates.gates import GATE_NAMES, build_gate_circuit, ideal_gate_unitary, shipped_circuit_text
 from nvgates.netlist import apply_elements, parse_netlist, product_input, run_netlist
-from nvgates.state import DimensionMismatchError, make_product_state
+from nvgates.state import make_product_state
 
 import oracle
 from conftest import BALANCED, kron_pairs, phase_aligned_deviation, random_netlist, random_spin_pairs
@@ -175,17 +175,6 @@ def test_random_convention_needs_a_trial():
             efficiency_simulated("cnot", IDEAL_PAIR, "random", trials=trials)
     # the balanced convention has one input and ignores the trial count
     assert efficiency_simulated("cnot", IDEAL_PAIR, "balanced", trials=0) == pytest.approx(1.0)
-
-
-def test_with_amps_takes_over_a_fresh_array_read_only():
-    st = make_product_state(BALANCED, "a", [BALANCED, BALANCED], ("a", "b"))
-    fresh = np.zeros_like(st.amps)
-    out = st.with_amps(fresh)
-    assert out.amps is fresh
-    assert not out.amps.flags.writeable
-    assert (out.modes, out.n_spins) == (st.modes, st.n_spins)
-    with pytest.raises(DimensionMismatchError):
-        st.with_amps(np.zeros((2, 2, 2), dtype=complex))
 
 
 def test_kernel_outputs_never_alias_their_input(rng):
