@@ -174,10 +174,10 @@ def in_place(kernel):
     value semantics: a writable state (a run's working copy) is rewritten; a read-only
     one, as every state a caller holds is, is copied and the copy returned read-only."""
     @functools.wraps(kernel)
-    def run(state, *args):
+    def run(state, *args, **kwargs):
         if state.amps.flags.writeable:
-            return kernel(state, *args)
-        new = kernel(working_copy(state), *args)
+            return kernel(state, *args, **kwargs)
+        new = kernel(working_copy(state), *args, **kwargs)
         new.amps.setflags(write=False)
         return new
     return run

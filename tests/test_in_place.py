@@ -103,6 +103,19 @@ def test_a_kernel_given_a_writable_state_rewrites_it_to_the_same_bytes(rng, name
     assert work.amps.tobytes() == KERNELS[name](st0).amps.tobytes()
 
 
+def test_public_scatter_takes_its_arguments_by_keyword(rng):
+    st0 = _dense_state(rng, MODES, 2)
+    by_position = nvgates.scatter(st0, 0, "d", PAIRS[2]).amps.tobytes()
+    for out in (
+        nvgates.scatter(st0, 0, "d", r=PAIRS[2]),
+        nvgates.scatter(state=st0, nv_index=0, mode="d", r=PAIRS[2]),
+    ):
+        assert not out.amps.flags.writeable and out.amps.tobytes() == by_position
+    work = working_copy(st0)
+    assert nvgates.scatter(state=work, nv_index=0, mode="d", r=PAIRS[2]) is work
+    assert work.amps.tobytes() == by_position
+
+
 def test_a_run_of_no_element_returns_a_read_only_state(rng):
     st0 = _dense_state(rng, MODES, 1)
     out = apply_elements(Netlist(1, MODES, (), ()), st0)

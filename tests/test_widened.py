@@ -26,7 +26,7 @@ from nvgates.elements import (
 )
 from nvgates.gates import GATE_NAMES, build_gate_circuit, ideal_gate_unitary, shipped_circuit_text
 from nvgates.netlist import apply_elements, parse_netlist, product_input, run_netlist
-from nvgates.state import make_product_state
+from nvgates.state import DimensionMismatchError, HybridState, in_place, make_product_state, working_copy
 
 import oracle
 from conftest import BALANCED, kron_pairs, phase_aligned_deviation, random_netlist, random_spin_pairs
@@ -175,6 +175,19 @@ def test_random_convention_needs_a_trial():
             efficiency_simulated("cnot", IDEAL_PAIR, "random", trials=trials)
     # the balanced convention has one input and ignores the trial count
     assert efficiency_simulated("cnot", IDEAL_PAIR, "balanced", trials=0) == pytest.approx(1.0)
+
+
+def test_a_working_copy_keeps_the_space_and_in_place_hands_back_read_only():
+    st = make_product_state(BALANCED, "a", [BALANCED, BALANCED], ("a", "b"))
+    work = working_copy(st)
+    assert work.amps.flags.writeable and not np.shares_memory(work.amps, st.amps)
+    assert (work.modes, work.n_spins) == (st.modes, st.n_spins)
+    out = in_place(lambda state: state)(st)
+    assert out is not st and not out.amps.flags.writeable
+    assert (out.modes, out.n_spins) == (st.modes, st.n_spins)
+    assert out.amps.tobytes() == st.amps.tobytes()
+    with pytest.raises(DimensionMismatchError):
+        HybridState(st.modes, st.n_spins, np.zeros((2, 2, 2), dtype=complex))
 
 
 def test_kernel_outputs_never_alias_their_input(rng):
