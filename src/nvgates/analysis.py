@@ -26,7 +26,6 @@ input/normalization convention.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +34,10 @@ from .cavity import IDEAL_PAIR, ReflectionPair, coupling_ratio_to_r, resonant_pa
 from .elements import Pauli
 from .gates import GATE_NAMES, _canon, build_gate_circuit, ideal_gate_unitary
 from .netlist import (
+    MAX_AMPLITUDES,
     Netlist,
+    _checked_netlist,
+    _too_large,
     apply_elements,  # noqa: F401 -- unused here, but perfbench/tracing.py wraps it at this name
     iter_element_states,
     nv_element_count,
@@ -139,9 +141,11 @@ def _basis_run(net: Netlist, extra: int = 0) -> tuple[Netlist, HybridState]:
     c are its response to basis input c.
     """
     n, dim, idle = net.n_spins, 2**net.n_spins, net.n_spins + extra
+    if _too_large(n + idle, len(net.modes)):  # the one checked fact that more spins can break
+        raise ValueError(f"Netlist of {n + idle} spins and {len(net.modes)} modes exceeds {MAX_AMPLITUDES} amplitudes")
     undetected = tuple(m for m in net.modes if m not in net.detectors)
     feedforward = tuple((label, ops + (Pauli.I,) * idle) for label, ops in net.feedforward)
-    wide = replace(net, n_spins=n + idle, detectors=net.detectors + undetected, feedforward=feedforward)
+    wide = _checked_netlist(n + idle, net.modes, net.elements, net.detectors + undetected, feedforward)
     photon = product_input(net, ()).amps  # (2, modes, 1): the photon with no spin
     amps = np.zeros((2, len(net.modes), dim, dim, 1 << extra), dtype=complex)
     amps[:, :, range(dim), range(dim), 0] = photon

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import NORM_ATOL, HybridState, in_place, spin_flip
+from .state import NORM_ATOL, HybridState, spin_flip, working_copy
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 _RESCALE_Q = "rescale Q and the wavelength to values nearer 1"
@@ -185,7 +185,6 @@ def quality_factor_conversions(q: float, wavelength: float) -> dict[str, float]:
     }
 
 
-@in_place
 def scatter(state: HybridState, nv_index: int, mode, r: ReflectionPair) -> HybridState:
     """Reflect the photon amplitude in ``mode`` off the NV at ``nv_index``.
 
@@ -193,8 +192,13 @@ def scatter(state: HybridState, nv_index: int, mode, r: ReflectionPair) -> Hybri
     amplitudes in other modes are untouched.  The mode's (pol, config) block is
     multiplied whole by r_hot into a new array (``r.times_hot``) and by r_cold in
     place, and the hot products are kept where spin ``nv_index`` equals the pol
-    (R = PLUS, L = MINUS; :func:`state.spin_flip`); see :func:`state.in_place`.
+    (R = PLUS, L = MINUS; :func:`state.spin_flip`).  A circuit run's writable state is
+    rewritten in place; a read-only one, as callers hold, is copied and returned read-only.
     """
+    if not state.amps.flags.writeable:
+        state = scatter(working_copy(state), nv_index, mode, r)
+        state.amps.setflags(write=False)
+        return state
     mi = state.mode_index(mode)
     hot_at = spin_flip(state.n_spins, nv_index)[1]
     block = state.amps[:, mi]

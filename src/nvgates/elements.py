@@ -29,7 +29,8 @@ matters only for norm preservation on arbitrary states.  The routing is
 well defined only when an element's wires fit its form and its input and
 output wires are one wire in place or all distinct; the kernels leave this
 to the :class:`nvgates.netlist.Netlist` holding the element, which checks it.
-Each rewrites a run's writable state in place and copies a read-only one first.
+Each kernel takes wire positions, rewrites a run's writable state in place and
+returns it; :func:`_apply_element` finds the positions of an element's labels.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import ReflectionPair, scatter
-from .state import L, PLUS, R, HybridState, butterfly, in_place, spin_flip
+from .state import L, PLUS, R, HybridState, butterfly, spin_flip
 
 
 class Kind(Enum):
@@ -145,8 +146,7 @@ def _rows(amps: np.ndarray, i: int, j: int) -> np.ndarray:
     return amps[:, i :: j - i][:, :2]
 
 
-@in_place
-def apply_pbs_rl(state: HybridState, in_modes, out_modes) -> HybridState:
+def apply_pbs_rl(state: HybridState, i0: int, i1: int, o0: int, o1: int) -> HybridState:
     """Route R to the same-index output and L to the opposite one.
 
     An input port that no photon reaches is a declared, never-occupied mode
@@ -154,7 +154,6 @@ def apply_pbs_rl(state: HybridState, in_modes, out_modes) -> HybridState:
     slots, swapping each input slot with its destination, so the operation
     is exactly unitary.
     """
-    i0, i1, o0, o1 = map(state.mode_index, (*in_modes, *out_modes))
     a = state.amps
     rows = a.take((o0, o1, i0, i1), axis=1)  # R swaps i0, o0 and i1, o1; L swaps i0, o1 and i1, o0
     a[R, i0], a[R, i1], a[R, o0], a[R, o1] = rows[R, 0], rows[R, 1], rows[R, 2], rows[R, 3]
@@ -162,39 +161,33 @@ def apply_pbs_rl(state: HybridState, in_modes, out_modes) -> HybridState:
     return state
 
 
-@in_place
-def apply_hwp(state: HybridState, mode) -> HybridState:
-    """Photon Hadamard on one mode (half-wave plate at 22.5 degrees)."""
-    mi = state.mode_index(mode)
+def apply_hwp(state: HybridState, m: int) -> HybridState:
+    """Photon Hadamard on mode ``m`` (half-wave plate at 22.5 degrees)."""
     a = state.amps
-    butterfly(a[R, mi], a[L, mi], a[R, mi], a[L, mi])
+    butterfly(a[R, m], a[L, m], a[R, m], a[L, m])
     return state
 
 
-@in_place
-def apply_bs(state: HybridState, in_modes, out_modes) -> HybridState:
+def apply_bs(state: HybridState, i0: int, i1: int, o0: int, o1: int) -> HybridState:
     """Polarization-independent 50:50 beam splitter.
 
     Forward: in0 -> (out0 - out1)/sqrt2, in1 -> (out0 + out1)/sqrt2.  The
     backward direction is the Hermitian completion, making the element an
     involutory unitary on the four wires.
     """
-    i0, i1, o0, o1 = map(state.mode_index, (*in_modes, *out_modes))
     a = state.amps
     # forward (i1, i0) -> (o0, o1) and backward (o0, o1) -> (i1, i0) at once
     butterfly(_rows(a, i1, o0), _rows(a, i0, o1), _rows(a, o0, i1), _rows(a, o1, i0))
     return state
 
 
-@in_place
-def apply_pbs_fs(state: HybridState, in_mode, out_modes) -> HybridState:
-    """Split one mode into its F and S polarization components.
+def apply_pbs_fs(state: HybridState, i: int, f: int, s: int) -> HybridState:
+    """Split mode ``i`` into its F and S polarization components, at ``f`` and ``s``.
 
     The F output carries polarization (|R>+|L>)/sqrt2, the S output
     (|R>-|L>)/sqrt2.  Unitary completion: the F component of the F output
     and the S component of the S output swap back to the input wire.
     """
-    i, f, s = map(state.mode_index, (in_mode, *out_modes))
     a = state.amps
     # (S out, F out, in, S out) in F/S: the new F of (in, F out, S out) is
     # the F of rows 1:4 and the new S is the S of rows 0:3
@@ -205,10 +198,9 @@ def apply_pbs_fs(state: HybridState, in_mode, out_modes) -> HybridState:
     return state
 
 
-@in_place
-def apply_spin_hadamard(state: HybridState, spin_index: int) -> HybridState:
-    """Hadamard on one electron spin: (a+ + a-)/sqrt2 at |+>, (a+ - a-)/sqrt2 at |->."""
-    partner, spin_is = spin_flip(state.n_spins, spin_index)
+def apply_spin_hadamard(state: HybridState, k: int) -> HybridState:
+    """Hadamard on electron spin ``k``: (a+ + a-)/sqrt2 at |+>, (a+ - a-)/sqrt2 at |->."""
+    partner, spin_is = spin_flip(state.n_spins, k)
     a = state.amps
     u = a.take(partner, axis=-1)
     butterfly(u, a, u, a)  # u is right where spin k is |+>, a where |->
@@ -220,17 +212,19 @@ _PBS_RL, _PBS_FS, _HWP, _BS5050, _NV_SCATTER, _SPIN_H = Kind  # in definition or
 
 
 def _apply_element(state: HybridState, el: Element, reflection: ReflectionPair) -> HybridState:
-    """Dispatch one element of a checked :class:`nvgates.netlist.Netlist`, in place
-    on a writable ``state``; NV scattering uses the given reflection pair."""
-    kind = el.kind
+    """Apply one element of a checked :class:`nvgates.netlist.Netlist` to a writable
+    ``state`` on its modes, in place: the one step that turns wire labels into the
+    positions a kernel takes.  NV scattering uses the given reflection pair."""
+    kind, ins, outs, spin = el
+    at = state._index
     if kind is _PBS_RL:
-        return apply_pbs_rl(state, el.in_modes, el.out_modes)
+        return apply_pbs_rl(state, at[ins[0]], at[ins[1]], at[outs[0]], at[outs[1]])
     if kind is _PBS_FS:
-        return apply_pbs_fs(state, el.in_modes[0], el.out_modes)
+        return apply_pbs_fs(state, at[ins[0]], at[outs[0]], at[outs[1]])
     if kind is _HWP:
-        return apply_hwp(state, el.in_modes[0])
+        return apply_hwp(state, at[ins[0]])
     if kind is _BS5050:
-        return apply_bs(state, el.in_modes, el.out_modes)
+        return apply_bs(state, at[ins[0]], at[ins[1]], at[outs[0]], at[outs[1]])
     if kind is _NV_SCATTER:
-        return scatter(state, el.spin, el.in_modes[0], reflection)
-    return apply_spin_hadamard(state, el.spin)  # _SPIN_H: a Netlist holds no other kind
+        return scatter(state, spin, ins[0], reflection)
+    return apply_spin_hadamard(state, spin)  # _SPIN_H: a Netlist holds no other kind

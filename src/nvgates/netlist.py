@@ -381,10 +381,16 @@ def parse_netlist(text: str) -> Netlist:
     for label, (_, line) in feedforward.items():
         if label[1:] not in detectors:  # its F or S is checked on its line
             raise error(DiagnosticKind.UNKNOWN_OUTCOME, line, 1, f"feedforward outcome {label!r} matches no detector")
-    net = object.__new__(Netlist)  # every fact and field is checked above, so not again by Netlist.__post_init__
-    vars(net).update(n_spins=n_spins, modes=tuple(modes), elements=tuple(elements), detectors=tuple(detectors),
-                     feedforward=tuple((label, ops) for label, (ops, _) in feedforward.items()),
-                     lines=tuple(element_lines), _compiled={})
+    # every fact and field is checked above, so not again by Netlist.__post_init__
+    return _checked_netlist(n_spins, tuple(modes), tuple(elements), tuple(detectors),
+                            tuple((label, ops) for label, (ops, _) in feedforward.items()), tuple(element_lines))
+
+
+def _checked_netlist(n_spins, modes, elements, detectors, feedforward, lines=()) -> Netlist:
+    """A :class:`Netlist` of fields checked, or derived from a checked one's, made without ``__post_init__``."""
+    net = object.__new__(Netlist)
+    vars(net).update(n_spins=n_spins, modes=modes, elements=elements, detectors=detectors,
+                     feedforward=feedforward, lines=lines, _compiled={})
     return net
 
 
@@ -406,26 +412,30 @@ def load_netlist(path) -> Netlist:
         return parse_netlist(fh.read())
 
 
-def iter_element_states(net: Netlist, state: HybridState, reflection: ReflectionPair = IDEAL_PAIR):
-    """Yield (element, state-after-element) while applying every element; each
-    kernel copies a read-only state, so each state yielded is a read-only snapshot."""
+def _run_in_place(net: Netlist, state: HybridState, reflection: ReflectionPair):
+    """The one element loop: each element of ``net`` and the writable ``state`` it has rewritten."""
     if state.modes != net.modes or state.n_spins != net.n_spins:
         raise DimensionMismatchError(
             f"state on (modes={state.modes}, spins={state.n_spins}) does not match "
             f"netlist (modes={net.modes}, spins={net.n_spins})"
         )
     for el in net.elements:
-        state = _apply_element(state, el, reflection)
-        yield el, state
+        yield el, _apply_element(state, el, reflection)
+
+
+def iter_element_states(net: Netlist, state: HybridState, reflection: ReflectionPair = IDEAL_PAIR):
+    """Yield (element, a read-only copy of the state after it), running on one copy of ``state``."""
+    for el, work in _run_in_place(net, working_copy(state), reflection):
+        yield el, HybridState(work.modes, work.n_spins, work.amps)  # which copies the array read-only
 
 
 def apply_elements(net: Netlist, state: HybridState, reflection: ReflectionPair = IDEAL_PAIR) -> HybridState:
-    """Apply every element to one writable copy of ``state``, rewritten in place by
-    each kernel, and return it read-only: the last state :func:`iter_element_states` yields."""
-    for _, state in iter_element_states(net, working_copy(state), reflection):
+    """Apply every element in place to one writable copy of ``state``, returned read-only."""
+    work = working_copy(state)
+    for _ in _run_in_place(net, work, reflection):
         pass
-    state.amps.setflags(write=False)
-    return state
+    work.amps.setflags(write=False)
+    return work
 
 
 def apply_spin_ops(amps: np.ndarray, ops) -> np.ndarray:

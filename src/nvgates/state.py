@@ -169,20 +169,6 @@ def working_copy(state: HybridState) -> HybridState:
     return _adopt(state.modes, state._index, state.n_spins, state.amps.copy())
 
 
-def in_place(kernel):
-    """An element kernel, which rewrites ``state.amps`` and returns ``state``, given
-    value semantics: a writable state (a run's working copy) is rewritten; a read-only
-    one, as every state a caller holds is, is copied and the copy returned read-only."""
-    @functools.wraps(kernel)
-    def run(state, *args, **kwargs):
-        if state.amps.flags.writeable:
-            return kernel(state, *args, **kwargs)
-        new = kernel(working_copy(state), *args, **kwargs)
-        new.amps.setflags(write=False)
-        return new
-    return run
-
-
 def _check_pair(pair, what: str) -> np.ndarray:
     v = np.asarray(pair, dtype=complex)
     if v.shape != (2,):

@@ -16,7 +16,7 @@ from nvgates.cavity import IDEAL_PAIR, ReflectionPair
 from nvgates.cli import main
 from nvgates.elements import Element, Kind, _apply_element
 from nvgates.netlist import Netlist, NetlistError, parse_netlist, serialize_netlist
-from nvgates.state import HybridState
+from nvgates.state import HybridState, working_copy
 
 
 def run_cli(argv) -> tuple[int, str, str]:
@@ -73,6 +73,17 @@ def random_reflection(rng: np.random.Generator, resonant_cold: bool = True) -> R
     return ReflectionPair(r_hot=r_hot, r_cold=r_cold)
 
 
+def apply_one(state: HybridState, el: Element, reflection: ReflectionPair = IDEAL_PAIR) -> HybridState:
+    """``el`` applied to a writable copy of the read-only ``state`` through
+    ``_apply_element``, as a circuit run applies it, and returned read-only;
+    ``state`` is left as it was.  The element is not checked: give it the
+    form and the declared wires a ``Netlist`` would hold."""
+    work = working_copy(state)
+    _apply_element(work, el, reflection)
+    work.amps.setflags(write=False)
+    return work
+
+
 def mz_block(routed: str, *pairs: ReflectionPair) -> np.ndarray:
     """Operator of a Mach-Zehnder block on (polarization x spins), run
     through the engine: a PBS pair around one ``nv`` per pair, NV k on spin
@@ -91,7 +102,7 @@ def mz_block(routed: str, *pairs: ReflectionPair) -> np.ndarray:
         amps[col // (dim // 2), m, col % (dim // 2)] = 1.0
         state = HybridState(net.modes, n, amps)
         for el in net.elements:
-            state = _apply_element(state, el, pairs[el.spin] if el.kind is Kind.NV_SCATTER else IDEAL_PAIR)
+            state = apply_one(state, el, pairs[el.spin] if el.kind is Kind.NV_SCATTER else IDEAL_PAIR)
         assert not np.any(np.delete(state.amps, out, axis=1))
         block[:, col] = state.amps[:, out].ravel()
     return block

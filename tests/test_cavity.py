@@ -19,10 +19,10 @@ from nvgates.cavity import (
     resonant_pair,
     scatter,
 )
-from nvgates.elements import apply_hwp, apply_spin_hadamard
+from nvgates.elements import Element, Kind
 from nvgates.state import L, MINUS, PLUS, R, StateError, make_product_state, spin_config_index
 
-from conftest import BALANCED, random_spin_pairs
+from conftest import BALANCED, apply_one, random_spin_pairs
 
 
 def test_cold_cavity_resonant_is_minus_one():
@@ -249,9 +249,9 @@ def test_scatter_commutes_with_disjoint_operations(rng):
     modes = ("x", "y")
     for _ in range(10):
         st = make_product_state(BALANCED, "x", random_spin_pairs(rng, 2), modes)
-        st = apply_hwp(st, "x")  # spread amplitude around
-        a = apply_spin_hadamard(scatter(st, 0, "x", IDEAL_PAIR), 1)
-        b = scatter(apply_spin_hadamard(st, 1), 0, "x", IDEAL_PAIR)
+        st = apply_one(st, Element(Kind.HWP, ("x",), ("x",)))  # spread amplitude around
+        a = apply_one(scatter(st, 0, "x", IDEAL_PAIR), Element(Kind.SPIN_H, spin=1))
+        b = scatter(apply_one(st, Element(Kind.SPIN_H, spin=1)), 0, "x", IDEAL_PAIR)
         assert np.abs(a.amps - b.amps).max() < 1e-12
         # scatter touches only its own mode
         c = scatter(st, 0, "y", IDEAL_PAIR)
@@ -276,7 +276,7 @@ def test_scatter_spin_index_validated():
 def test_both_spin_kernels_refuse_a_spin_out_of_range_alike(spin):
     # spin_flip, the table both kernels read, holds the one check, so the fault reads the same from each
     st = make_product_state((1, 0), "m", [(1, 0)], ("m",))
-    for call in (lambda: scatter(st, spin, "m", IDEAL_PAIR), lambda: apply_spin_hadamard(st, spin)):
+    for call in (lambda: scatter(st, spin, "m", IDEAL_PAIR), lambda: apply_one(st, Element(Kind.SPIN_H, spin=spin))):
         with pytest.raises(StateError, match=f"^spin index {spin} out of range for 1 spins$"):
             call()
 

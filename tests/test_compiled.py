@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from nvgates import netlist
 from nvgates.analysis import _basis_run, _FormalHot, compile_circuit
 from nvgates.cavity import IDEAL_PAIR, ParameterError, ReflectionPair, resonant_pair, scatter
-from nvgates.elements import Kind
+from nvgates.elements import Kind, Pauli
 from nvgates.gates import GATE_NAMES, build_gate_circuit, shipped_circuit_text
-from nvgates.netlist import parse_netlist, run_netlist
+from nvgates.netlist import nv_element_count, parse_netlist, run_netlist
 from nvgates.state import HybridState, PLUS, R
 
 import oracle
@@ -163,8 +163,8 @@ def test_compile_is_kept_for_the_last_r_cold_only():
     assert net == build_gate_circuit("cnot") and hash(net) == hash(build_gate_circuit("cnot"))
 
 
-def test_compile_checks_one_netlist(monkeypatch):
-    # the widened netlist is built in one replace, so Netlist.__post_init__ runs once per compile
+def test_compile_checks_no_netlist(monkeypatch):
+    # the widened netlist is made from the checked circuit's facts, so a compile runs no Netlist.__post_init__
     checks = []
     original = netlist.Netlist.__post_init__
     monkeypatch.setattr(netlist.Netlist, "__post_init__", lambda net: checks.append(net) or original(net))
@@ -172,7 +172,35 @@ def test_compile_checks_one_netlist(monkeypatch):
         net = _fresh(gate)
         checks.clear()
         compile_circuit(net, -1.0)
-        assert len(checks) == 1, gate
+        assert checks == [], gate
+
+
+def _checked_widening(net, extra):
+    """``_basis_run``'s netlist as the checked construction makes it: ``dataclasses.replace``."""
+    idle = net.n_spins + extra
+    undetected = tuple(m for m in net.modes if m not in net.detectors)
+    return replace(net, n_spins=net.n_spins + idle, detectors=net.detectors + undetected,
+                   feedforward=tuple((label, ops + (Pauli.I,) * idle) for label, ops in net.feedforward))
+
+
+def test_the_widened_netlist_is_the_checked_one(rng):
+    nets = [(_fresh(gate), extra) for gate in GATE_NAMES for extra in (0, nv_element_count(_fresh(gate)).bit_length())]
+    nets += [(random_netlist(rng, n_elements=int(rng.integers(1, 16))), int(rng.integers(0, 4))) for _ in range(24)]
+    for net, extra in nets:
+        wide, _ = _basis_run(net, extra)
+        reference = _checked_widening(net, extra)
+        assert wide == reference
+        assert wide.lines == reference.lines == () and wide._compiled == {}
+        assert all(type(getattr(wide, name)) is tuple for name in ("modes", "elements", "detectors", "feedforward"))
+
+
+def test_a_widening_past_the_amplitude_cap_is_refused_as_the_checked_one_is():
+    net = parse_netlist("spins 12\nmodes a\nhwp a\n")  # 2 * 2**24 amplitudes widened
+    with pytest.raises(ValueError) as checked:
+        _checked_widening(net, 0)
+    with pytest.raises(ValueError) as err:
+        _basis_run(net)
+    assert str(err.value) == str(checked.value) == "Netlist of 24 spins and 1 modes exceeds 16777216 amplitudes"
 
 
 def test_compile_refuses_an_r_cold_no_passive_cavity_gives():

@@ -6,19 +6,11 @@ import numpy as np
 import pytest
 
 from nvgates.cavity import IDEAL_PAIR, ReflectionPair, resonant_pair, scatter
-from nvgates.elements import (
-    Element,
-    Kind,
-    apply_bs,
-    apply_hwp,
-    apply_pbs_fs,
-    apply_pbs_rl,
-    apply_spin_hadamard,
-)
+from nvgates.elements import Element, Kind
 from nvgates.netlist import DiagnosticKind, Netlist, NetlistError, apply_elements, parse_netlist, serialize_netlist
 from nvgates.state import HybridState, L, MINUS, PLUS, R, StateError, make_product_state, spin_axis
 
-from conftest import BALANCED, random_reflection, random_spin_pairs
+from conftest import BALANCED, apply_one, random_reflection, random_spin_pairs
 from oracle import element_matrix
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -35,19 +27,19 @@ def _apply(st, element, pair=IDEAL_PAIR):
 
 
 def test_pbs_transmits_r():
-    out = apply_pbs_rl(_photon((1, 0)), ("in", "3"), ("1", "2"))
+    out = apply_one(_photon((1, 0)), Element(Kind.PBS_RL, ("in", "3"), ("1", "2")))
     assert out.amps[R, MODES.index("1"), 0] == 1.0
     assert np.count_nonzero(out.amps) == 1
 
 
 def test_pbs_reflects_l():
-    out = apply_pbs_rl(_photon((0, 1)), ("in", "3"), ("1", "2"))
+    out = apply_one(_photon((0, 1)), Element(Kind.PBS_RL, ("in", "3"), ("1", "2")))
     assert out.amps[L, MODES.index("2"), 0] == 1.0
     assert np.count_nonzero(out.amps) == 1
 
 
 def test_pbs_splits_superposition_keeping_norm():
-    out = apply_pbs_rl(_photon(BALANCED), ("in", "3"), ("1", "2"))
+    out = apply_one(_photon(BALANCED), Element(Kind.PBS_RL, ("in", "3"), ("1", "2")))
     assert out.amps[R, MODES.index("1"), 0] == pytest.approx(SQ2)
     assert out.amps[L, MODES.index("2"), 0] == pytest.approx(SQ2)
     assert out.norm2() == pytest.approx(1.0, abs=1e-12)
@@ -81,7 +73,7 @@ def test_element_rejects_operands_outside_its_form(kind, in_modes, out_modes, sp
 
 
 def test_hwp_maps_r_to_f():
-    out = apply_hwp(_photon((1, 0)), "in")
+    out = apply_one(_photon((1, 0)), Element(Kind.HWP, ("in",), ("in",)))
     assert out.amps[R, 0, 0] == pytest.approx(SQ2)
     assert out.amps[L, 0, 0] == pytest.approx(SQ2)
 
@@ -89,19 +81,19 @@ def test_hwp_maps_r_to_f():
 def test_hwp_involution(rng):
     amps = rng.normal(size=(2, 4, 2)) + 1j * rng.normal(size=(2, 4, 2))
     st = HybridState(MODES, 1, amps)
-    twice = apply_hwp(apply_hwp(st, "2"), "2")
+    twice = apply_one(apply_one(st, Element(Kind.HWP, ("2",), ("2",))), Element(Kind.HWP, ("2",), ("2",)))
     assert np.abs(twice.amps - st.amps).max() < 1e-12
 
 
 def test_bs_eq_maps():
     # second input port splits with two plus signs
     st = _photon((1, 0), mode="2")
-    out = apply_bs(st, ("1", "2"), ("3", "in"))
+    out = apply_one(st, Element(Kind.BS5050, ("1", "2"), ("3", "in")))
     assert out.amps[R, MODES.index("3"), 0] == pytest.approx(SQ2)
     assert out.amps[R, MODES.index("in"), 0] == pytest.approx(SQ2)
     # first input port carries the minus on the second output
     st = _photon((0, 1), mode="1")
-    out = apply_bs(st, ("1", "2"), ("3", "in"))
+    out = apply_one(st, Element(Kind.BS5050, ("1", "2"), ("3", "in")))
     assert out.amps[L, MODES.index("3"), 0] == pytest.approx(SQ2)
     assert out.amps[L, MODES.index("in"), 0] == pytest.approx(-SQ2)
 
@@ -112,14 +104,14 @@ def test_bs_constructive_port():
     amps[R, MODES.index("1"), 0] = SQ2
     amps[R, MODES.index("2"), 0] = SQ2
     st = HybridState(MODES, 1, amps)
-    out = apply_bs(st, ("1", "2"), ("3", "in"))
+    out = apply_one(st, Element(Kind.BS5050, ("1", "2"), ("3", "in")))
     assert out.amps[R, MODES.index("3"), 0] == pytest.approx(1.0, abs=1e-12)
     assert abs(out.amps[R, MODES.index("in"), 0]) < 1e-12
 
 
 def test_pbs_fs_routes_eigenstates():
     st = _photon(BALANCED)  # |F>
-    out = apply_pbs_fs(st, "in", ("1", "2"))
+    out = apply_one(st, Element(Kind.PBS_FS, ("in",), ("1", "2")))
     f_idx, s_idx = MODES.index("1"), MODES.index("2")
     assert np.sum(np.abs(out.amps[:, f_idx, :]) ** 2) == pytest.approx(1.0, abs=1e-12)
     assert np.sum(np.abs(out.amps[:, s_idx, :]) ** 2) == pytest.approx(0.0, abs=1e-12)
@@ -129,7 +121,7 @@ def test_pbs_fs_routes_eigenstates():
 
 
 def test_pbs_fs_splits_r_evenly():
-    out = apply_pbs_fs(_photon((1, 0)), "in", ("1", "2"))
+    out = apply_one(_photon((1, 0)), Element(Kind.PBS_FS, ("in",), ("1", "2")))
     for mode in ("1", "2"):
         weight = np.sum(np.abs(out.amps[:, MODES.index(mode), :]) ** 2)
         assert weight == pytest.approx(0.5, abs=1e-12)
@@ -142,22 +134,22 @@ def test_pbs_fs_equals_hwp_pbs_hwp(rng):
         blob = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         amps[:, 0, :] = blob / np.linalg.norm(blob)
         st = HybridState(MODES, 1, amps)
-        direct = apply_pbs_fs(st, "in", ("1", "2"))
-        composed = apply_hwp(st, "in")
-        composed = apply_pbs_rl(composed, ("in", "3"), ("1", "2"))
-        composed = apply_hwp(composed, "1")
-        composed = apply_hwp(composed, "2")
+        direct = apply_one(st, Element(Kind.PBS_FS, ("in",), ("1", "2")))
+        composed = apply_one(st, Element(Kind.HWP, ("in",), ("in",)))
+        composed = apply_one(composed, Element(Kind.PBS_RL, ("in", "3"), ("1", "2")))
+        composed = apply_one(composed, Element(Kind.HWP, ("1",), ("1",)))
+        composed = apply_one(composed, Element(Kind.HWP, ("2",), ("2",)))
         assert np.abs(direct.amps - composed.amps).max() < 1e-12
 
 
 def test_spin_hadamard_action_and_involution(rng):
     st = make_product_state((1, 0), "in", [(1, 0), (0, 1)], MODES)
-    out = apply_spin_hadamard(st, 0)
+    out = apply_one(st, Element(Kind.SPIN_H, spin=0))
     view = out.amps.reshape(2, len(MODES), 2, 2)  # (pol, mode, spin 0, spin 1)
     assert view[R, 0, PLUS, MINUS] == pytest.approx(SQ2)
     assert view[R, 0, MINUS, MINUS] == pytest.approx(SQ2)
     st2 = make_product_state(BALANCED, "1", random_spin_pairs(rng, 2), MODES)
-    twice = apply_spin_hadamard(apply_spin_hadamard(st2, 1), 1)
+    twice = apply_one(apply_one(st2, Element(Kind.SPIN_H, spin=1)), Element(Kind.SPIN_H, spin=1))
     assert np.abs(twice.amps - st2.amps).max() < 1e-12
 
 
@@ -165,13 +157,13 @@ def test_spin_hadamard_spin_out_of_range():
     st = make_product_state((1, 0), "in", [(1, 0), (0, 1)], MODES)
     for spin in (-1, 2):
         with pytest.raises(StateError, match=f"spin index {spin} out of range for 2 spins"):
-            apply_spin_hadamard(st, spin)
+            apply_one(st, Element(Kind.SPIN_H, spin=spin))
 
 
 def test_photon_spin_operations_commute(rng):
     st = make_product_state(BALANCED, "in", random_spin_pairs(rng, 2), MODES)
-    a = apply_spin_hadamard(apply_hwp(st, "in"), 0)
-    b = apply_hwp(apply_spin_hadamard(st, 0), "in")
+    a = apply_one(apply_one(st, Element(Kind.HWP, ("in",), ("in",))), Element(Kind.SPIN_H, spin=0))
+    b = apply_one(apply_one(st, Element(Kind.SPIN_H, spin=0)), Element(Kind.HWP, ("in",), ("in",)))
     assert np.abs(a.amps - b.amps).max() < 1e-12
 
 
@@ -323,7 +315,7 @@ def test_spin_kernels_match_the_view_formulas_bit_for_bit(n_spins):
             part[...] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=part.shape) if trial % 2 else rng.normal(size=part.shape)
         state = HybridState(modes, n_spins, amps)
         for k in range(n_spins):
-            got = apply_spin_hadamard(state, k).amps
+            got = apply_one(state, Element(Kind.SPIN_H, spin=k)).amps
             assert got.tobytes() == _spinh_on_views(state.amps, n_spins, k).tobytes(), (k, trial)
             for mi, pair in zip((0, 3, 6, 2), pairs):
                 got = scatter(state, k, modes[mi], pair).amps

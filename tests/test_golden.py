@@ -38,7 +38,7 @@ import pytest
 from nvgates import analysis
 from nvgates.cavity import reflection_at_ratio, resonant_pair, scatter
 from nvgates.cli import main
-from nvgates.elements import Pauli, apply_bs, apply_hwp, apply_pbs_fs, apply_pbs_rl, apply_spin_hadamard
+from nvgates.elements import Element, Kind, Pauli
 from nvgates.gates import GATE_NAMES, build_gate_circuit, shipped_circuit_text
 from nvgates.netlist import (
     DiagnosticKind,
@@ -50,7 +50,7 @@ from nvgates.netlist import (
 )
 from nvgates.state import HybridState, partial_trace_photon_collapse
 
-from conftest import mutate_netlist_text, random_hybrid_input, random_netlist, random_reflection
+from conftest import apply_one, mutate_netlist_text, random_hybrid_input, random_netlist, random_reflection
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -167,22 +167,22 @@ def _kernel_cases():
     small, wide = ("in", "1", "2", "3"), tuple(f"w{i}" for i in range(31))
     lossy = resonant_pair(0.6 * np.exp(0.7j))
     return [
-        ("pbs in 3 -> 1 2", small, 2, lambda s: apply_pbs_rl(s, ("in", "3"), ("1", "2"))),
-        ("pbsfs in -> 1 2", small, 2, lambda s: apply_pbs_fs(s, "in", ("1", "2"))),
-        ("hwp 2", small, 2, lambda s: apply_hwp(s, "2")),
-        ("bs 1 2 -> 3 in", small, 2, lambda s: apply_bs(s, ("1", "2"), ("3", "in"))),
+        ("pbs in 3 -> 1 2", small, 2, lambda s: apply_one(s, Element(Kind.PBS_RL, ("in", "3"), ("1", "2")))),
+        ("pbsfs in -> 1 2", small, 2, lambda s: apply_one(s, Element(Kind.PBS_FS, ("in",), ("1", "2")))),
+        ("hwp 2", small, 2, lambda s: apply_one(s, Element(Kind.HWP, ("2",), ("2",)))),
+        ("bs 1 2 -> 3 in", small, 2, lambda s: apply_one(s, Element(Kind.BS5050, ("1", "2"), ("3", "in")))),
         ("nv 1 spin_0", small, 2, lambda s: scatter(s, 0, "1", lossy)),
-        ("spinh 0", small, 2, lambda s: apply_spin_hadamard(s, 0)),
-        ("spinh 1", small, 2, lambda s: apply_spin_hadamard(s, 1)),
+        ("spinh 0", small, 2, lambda s: apply_one(s, Element(Kind.SPIN_H, spin=0))),
+        ("spinh 1", small, 2, lambda s: apply_one(s, Element(Kind.SPIN_H, spin=1))),
         ("collapse 2 in 3", small, 2, lambda s: partial_trace_photon_collapse(s, ("2", "in", "3"))),
-        ("pbs w27 w3 -> w9 w30", wide, 3, lambda s: apply_pbs_rl(s, ("w27", "w3"), ("w9", "w30"))),
-        ("pbsfs w14 -> w30 w2", wide, 3, lambda s: apply_pbs_fs(s, "w14", ("w30", "w2"))),
-        ("hwp w17", wide, 3, lambda s: apply_hwp(s, "w17")),
-        ("bs w27 w3 -> w30 w9", wide, 3, lambda s: apply_bs(s, ("w27", "w3"), ("w30", "w9"))),
+        ("pbs w27 w3 -> w9 w30", wide, 3, lambda s: apply_one(s, Element(Kind.PBS_RL, ("w27", "w3"), ("w9", "w30")))),
+        ("pbsfs w14 -> w30 w2", wide, 3, lambda s: apply_one(s, Element(Kind.PBS_FS, ("w14",), ("w30", "w2")))),
+        ("hwp w17", wide, 3, lambda s: apply_one(s, Element(Kind.HWP, ("w17",), ("w17",)))),
+        ("bs w27 w3 -> w30 w9", wide, 3, lambda s: apply_one(s, Element(Kind.BS5050, ("w27", "w3"), ("w30", "w9")))),
         ("nv w5 spin_1", wide, 3, lambda s: scatter(s, 1, "w5", lossy)),
-        ("spinh 0", wide, 3, lambda s: apply_spin_hadamard(s, 0)),
-        ("spinh 1", wide, 3, lambda s: apply_spin_hadamard(s, 1)),
-        ("spinh 2", wide, 3, lambda s: apply_spin_hadamard(s, 2)),
+        ("spinh 0", wide, 3, lambda s: apply_one(s, Element(Kind.SPIN_H, spin=0))),
+        ("spinh 1", wide, 3, lambda s: apply_one(s, Element(Kind.SPIN_H, spin=1))),
+        ("spinh 2", wide, 3, lambda s: apply_one(s, Element(Kind.SPIN_H, spin=2))),
         ("collapse w30 w0 w9 w3 w27", wide, 3,
          lambda s: partial_trace_photon_collapse(s, ("w30", "w0", "w9", "w3", "w27"))),
     ]

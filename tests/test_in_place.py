@@ -1,11 +1,13 @@
 """A circuit run rewrites one private copy of its input in place.
 
 ``apply_elements`` copies the caller's state once and hands that writable
-copy to every element kernel, which rewrites it; ``state.in_place`` gives
-each kernel value semantics on the read-only states callers hold.  These
-tests pin the in-place run to a fold of the kernels over read-only states,
-where every element copies, byte for byte, and check that no caller ever
-receives a writable array or sees its own state change.
+copy to every element kernel, which rewrites it.  Value semantics hold at
+the public boundary alone: ``apply_elements`` and ``run_netlist`` return
+read-only arrays, ``iter_element_states`` yields read-only snapshots, and
+``nvgates.scatter`` copies a read-only state first.  These tests pin the
+in-place run to a fold where every element works on its own copy, byte for
+byte, and check that no caller ever receives a writable array or sees its
+own state change.
 """
 
 import numpy as np
@@ -14,30 +16,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nvgates
-from nvgates.cavity import IDEAL_PAIR, ReflectionPair, resonant_pair, scatter
-from nvgates.elements import (
-    _apply_element,
-    apply_bs,
-    apply_hwp,
-    apply_pbs_fs,
-    apply_pbs_rl,
-    apply_spin_hadamard,
-)
+from nvgates.cavity import IDEAL_PAIR, ReflectionPair, resonant_pair
 from nvgates.netlist import Netlist, apply_elements, iter_element_states, parse_netlist, run_netlist
 from nvgates.state import HybridState, butterfly, working_copy
 
+from conftest import apply_one
 from test_netlist_properties import netlists
 
 PAIRS = (IDEAL_PAIR, resonant_pair(0.6), ReflectionPair(r_hot=0.4 + 0.5j, r_cold=-0.7 + 0.2j))
 MODES = ("a", "b", "c", "d")
-KERNELS = {
-    "pbs": lambda s: apply_pbs_rl(s, ("a", "b"), ("c", "d")),
-    "pbsfs": lambda s: apply_pbs_fs(s, "b", ("d", "a")),
-    "hwp": lambda s: apply_hwp(s, "c"),
-    "bs": lambda s: apply_bs(s, ("d", "a"), ("b", "c")),
-    "nv": lambda s: scatter(s, 1, "a", PAIRS[2]),
-    "nvgates.scatter": lambda s: nvgates.scatter(s, 0, "d", PAIRS[1]),
-    "spinh": lambda s: apply_spin_hadamard(s, 1),
+# every element kind, on wires out of declaration order
+EVERY_KIND = parse_netlist(
+    "spins 2\nmodes h g f e d c b a\nhwp a\nnv a spin_1\npbs a b -> c d\nspinh 1\nbs c d -> e f\npbsfs e -> g h\n"
+    "detect f\ndetect g\ndetect h\n"
+)
+SCATTER_CALLS = {
+    "positional": lambda s: nvgates.scatter(s, 1, "a", PAIRS[2]),
+    "keyword r": lambda s: nvgates.scatter(s, 1, "a", r=PAIRS[2]),
+    "keywords": lambda s: nvgates.scatter(state=s, nv_index=1, mode="a", r=PAIRS[2]),
+}
+# each public function that runs elements, mapped to the arrays it hands back
+BOUNDARY = {
+    **{f"scatter {name}": lambda s, call=call: [call(s).amps] for name, call in SCATTER_CALLS.items()},
+    "apply_elements": lambda s: [apply_elements(EVERY_KIND, s, PAIRS[2]).amps],
+    "run_netlist": lambda s: [o.amps for o in run_netlist(EVERY_KIND, s, PAIRS[2])],
+    "iter_element_states": lambda s: [state.amps for _, state in iter_element_states(EVERY_KIND, s, PAIRS[2])],
 }
 
 
@@ -48,10 +51,10 @@ def _dense_state(rng: np.random.Generator, modes, n_spins: int) -> HybridState:
 
 
 def _copying_fold(net: Netlist, state: HybridState, pair: ReflectionPair) -> list[HybridState]:
-    """The state after each element, every kernel given a read-only state, so each copies."""
+    """The state after each element, every element applied to its own copy."""
     states = []
     for el in net.elements:
-        state = _apply_element(state, el, pair)
+        state = apply_one(state, el, pair)
         assert not state.amps.flags.writeable
         states.append(state)
     return states
@@ -81,39 +84,29 @@ def test_an_in_place_run_is_the_copying_fold_and_leaves_its_input_alone(net, pai
         assert not any(np.shares_memory(snap.amps, other) for other in arrays[: k + 1])
 
 
-@pytest.mark.parametrize("name", list(KERNELS))
-def test_a_kernel_given_a_read_only_state_returns_a_new_read_only_one(rng, name):
-    st0 = _dense_state(rng, MODES, 2)
+@pytest.mark.parametrize("name", list(BOUNDARY))
+def test_the_boundary_given_a_read_only_state_hands_back_new_read_only_arrays(rng, name):
+    st0 = _dense_state(rng, EVERY_KIND.modes, 2)
     before = st0.amps.tobytes()
-    out = KERNELS[name](st0)
-    assert out is not st0 and not np.shares_memory(out.amps, st0.amps)
-    assert not out.amps.flags.writeable
-    assert (out.modes, out.n_spins) == (st0.modes, st0.n_spins)
+    arrays = BOUNDARY[name](st0)
+    assert arrays
+    for k, out in enumerate(arrays):
+        assert not out.flags.writeable
+        assert not any(np.shares_memory(out, other) for other in [st0.amps, *arrays[:k]])
     assert st0.amps.tobytes() == before
 
 
-@pytest.mark.parametrize("name", list(KERNELS))
-def test_a_kernel_given_a_writable_state_rewrites_it_to_the_same_bytes(rng, name):
+@pytest.mark.parametrize("call", list(SCATTER_CALLS))
+def test_scatter_keeps_the_space_and_rewrites_a_writable_state_to_the_same_bytes(rng, call):
     st0 = _dense_state(rng, MODES, 2)
+    out = SCATTER_CALLS[call](st0)
+    assert out is not st0 and (out.modes, out.n_spins) == (st0.modes, st0.n_spins)
+    assert out.amps.tobytes() == SCATTER_CALLS["positional"](st0).amps.tobytes()
     work = working_copy(st0)
-    assert work.amps.flags.writeable and not np.shares_memory(work.amps, st0.amps)
     array = work.amps
-    assert KERNELS[name](work) is work
+    assert SCATTER_CALLS[call](work) is work
     assert work.amps is array and work.amps.flags.writeable
-    assert work.amps.tobytes() == KERNELS[name](st0).amps.tobytes()
-
-
-def test_public_scatter_takes_its_arguments_by_keyword(rng):
-    st0 = _dense_state(rng, MODES, 2)
-    by_position = nvgates.scatter(st0, 0, "d", PAIRS[2]).amps.tobytes()
-    for out in (
-        nvgates.scatter(st0, 0, "d", r=PAIRS[2]),
-        nvgates.scatter(state=st0, nv_index=0, mode="d", r=PAIRS[2]),
-    ):
-        assert not out.amps.flags.writeable and out.amps.tobytes() == by_position
-    work = working_copy(st0)
-    assert nvgates.scatter(state=work, nv_index=0, mode="d", r=PAIRS[2]) is work
-    assert work.amps.tobytes() == by_position
+    assert work.amps.tobytes() == out.amps.tobytes()
 
 
 def test_a_run_of_no_element_returns_a_read_only_state(rng):

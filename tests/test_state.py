@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nvgates.cavity import IDEAL_PAIR, scatter
-from nvgates.elements import apply_hwp, apply_pbs_rl, apply_spin_hadamard
+from nvgates.elements import Element, Kind
 from nvgates.netlist import Netlist
 from nvgates.state import (
     DimensionMismatchError,
@@ -27,7 +27,7 @@ from nvgates.state import (
     spin_config_index,
 )
 
-from conftest import BALANCED, random_amplitude_pair, random_spin_pairs, kron_pairs
+from conftest import BALANCED, apply_one, random_amplitude_pair, random_spin_pairs, kron_pairs
 from oracle import detect
 
 MODES2 = ("in", "a", "b")
@@ -130,7 +130,7 @@ def test_mode_index_contract():
     with pytest.raises(StateError, match="duplicate mode labels"):
         HybridState(("in", "3", "3"), 1, np.zeros((2, 3, 2)))
     # states made from a state keep its labels
-    assert apply_hwp(st, "b").mode_index("b") == 2
+    assert apply_one(st, Element(Kind.HWP, ("b",), ("b",))).mode_index("b") == 2
 
 
 def test_overlap_self_and_orthogonal(rng):
@@ -248,7 +248,7 @@ def test_collapse_is_hwp_then_rl_readout_bit_for_bit(rng):
         st = HybridState(MODES2, 2, amps)
         rows = partial_trace_photon_collapse(st, ("b", "in"))
         for row, mode in zip(rows, ("b", "in")):
-            after = apply_hwp(st, mode).amps[:, st.mode_index(mode)]
+            after = apply_one(st, Element(Kind.HWP, (mode,), (mode,))).amps[:, st.mode_index(mode)]
             assert row[0].tobytes() == after[R].tobytes() and row[1].tobytes() == after[L].tobytes()
 
 
@@ -261,9 +261,9 @@ def test_linearity_of_elements(rng):
         za, zb = 0.6 - 0.2j, -0.1 + 0.9j
         combo = HybridState(MODES_VAC, 2, za * a + zb * b)
         for op in (
-            lambda s: apply_hwp(s, "a"),
-            lambda s: apply_pbs_rl(s, ("in", "vac"), ("a", "b")),
-            lambda s: apply_spin_hadamard(s, 1),
+            lambda s: apply_one(s, Element(Kind.HWP, ("a",), ("a",))),
+            lambda s: apply_one(s, Element(Kind.PBS_RL, ("in", "vac"), ("a", "b"))),
+            lambda s: apply_one(s, Element(Kind.SPIN_H, spin=1)),
             lambda s: scatter(s, 0, "in", IDEAL_PAIR),
         ):
             lhs = op(combo).amps
@@ -285,10 +285,10 @@ def test_norm_monotonic_under_scatter(rng):
 
 def test_ideal_unitarity_norm_preserved(rng):
     st = make_product_state(BALANCED, "in", random_spin_pairs(rng, 2), MODES_VAC)
-    st = apply_pbs_rl(st, ("in", "vac"), ("a", "b"))
+    st = apply_one(st, Element(Kind.PBS_RL, ("in", "vac"), ("a", "b")))
     st = scatter(st, 0, "a", IDEAL_PAIR)
-    st = apply_hwp(st, "a")
-    st = apply_spin_hadamard(st, 1)
+    st = apply_one(st, Element(Kind.HWP, ("a",), ("a",)))
+    st = apply_one(st, Element(Kind.SPIN_H, spin=1))
     assert st.norm2() == pytest.approx(1.0, abs=1e-12)
 
 

@@ -15,18 +15,11 @@ import pytest
 
 from nvgates import analysis, cli, netlist
 from nvgates.analysis import efficiency_simulated, fidelity_simulated
-from nvgates.cavity import IDEAL_PAIR, ReflectionPair, resonant_pair, scatter
-from nvgates.elements import (
-    Pauli,
-    apply_bs,
-    apply_hwp,
-    apply_pbs_fs,
-    apply_pbs_rl,
-    apply_spin_hadamard,
-)
+from nvgates.cavity import IDEAL_PAIR, ReflectionPair, resonant_pair
+from nvgates.elements import Pauli
 from nvgates.gates import GATE_NAMES, build_gate_circuit, ideal_gate_unitary, shipped_circuit_text
 from nvgates.netlist import apply_elements, parse_netlist, product_input, run_netlist
-from nvgates.state import DimensionMismatchError, HybridState, in_place, make_product_state, working_copy
+from nvgates.state import DimensionMismatchError, HybridState, make_product_state, working_copy
 
 import oracle
 from conftest import BALANCED, kron_pairs, phase_aligned_deviation, random_netlist, random_spin_pairs
@@ -177,36 +170,14 @@ def test_random_convention_needs_a_trial():
     assert efficiency_simulated("cnot", IDEAL_PAIR, "balanced", trials=0) == pytest.approx(1.0)
 
 
-def test_a_working_copy_keeps_the_space_and_in_place_hands_back_read_only():
+def test_a_working_copy_keeps_the_space_in_a_writable_copy():
     st = make_product_state(BALANCED, "a", [BALANCED, BALANCED], ("a", "b"))
     work = working_copy(st)
     assert work.amps.flags.writeable and not np.shares_memory(work.amps, st.amps)
     assert (work.modes, work.n_spins) == (st.modes, st.n_spins)
-    out = in_place(lambda state: state)(st)
-    assert out is not st and not out.amps.flags.writeable
-    assert (out.modes, out.n_spins) == (st.modes, st.n_spins)
-    assert out.amps.tobytes() == st.amps.tobytes()
+    assert work.amps.tobytes() == st.amps.tobytes()
     with pytest.raises(DimensionMismatchError):
         HybridState(st.modes, st.n_spins, np.zeros((2, 2, 2), dtype=complex))
-
-
-def test_kernel_outputs_never_alias_their_input(rng):
-    modes = ("a", "b", "c", "d")
-    st = make_product_state(BALANCED, "a", random_spin_pairs(rng, 2), modes)
-    kernels = [
-        lambda s: apply_pbs_rl(s, ("a", "b"), ("c", "d")),
-        lambda s: apply_pbs_fs(s, "a", ("c", "d")),
-        lambda s: apply_hwp(s, "a"),
-        lambda s: apply_bs(s, ("a", "b"), ("c", "d")),
-        lambda s: scatter(s, 1, "a", resonant_pair(0.4)),
-        lambda s: apply_spin_hadamard(s, 0),
-    ]
-    for kernel in kernels:
-        before = st.amps.copy()
-        out = kernel(st)
-        assert not np.shares_memory(out.amps, st.amps)
-        assert not out.amps.flags.writeable
-        assert np.array_equal(st.amps, before)
 
 
 def test_phase_aligned_deviation_aligns_each_stacked_vector():
