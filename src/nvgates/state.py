@@ -8,7 +8,7 @@ the accumulated photon-loss probability.  Lossy reflections only attenuate
 amplitudes, and the lost fraction never re-interferes, so no explicit "lost
 photon" basis state is kept.
 
-States are read-only values; a circuit run rewrites one private copy in place.
+States are read-only values; a circuit run rewrites one :func:`working_copy` in place.
 """
 
 from __future__ import annotations
