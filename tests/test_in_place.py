@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 import nvgates
 from nvgates.cavity import IDEAL_PAIR, ReflectionPair, resonant_pair
+from nvgates.elements import _apply_element
 from nvgates.netlist import Netlist, apply_elements, iter_element_states, parse_netlist, run_netlist
 from nvgates.state import HybridState, butterfly, working_copy
 
 from conftest import apply_one
+from oracle import element_matrix
 from test_netlist_properties import netlists
 
 PAIRS = (IDEAL_PAIR, resonant_pair(0.6), ReflectionPair(r_hot=0.4 + 0.5j, r_cold=-0.7 + 0.2j))
@@ -34,6 +36,16 @@ SCATTER_CALLS = {
     "positional": lambda s: nvgates.scatter(s, 1, "a", PAIRS[2]),
     "keyword r": lambda s: nvgates.scatter(s, 1, "a", r=PAIRS[2]),
     "keywords": lambda s: nvgates.scatter(state=s, nv_index=1, mode="a", r=PAIRS[2]),
+}
+# one element of each kind on MODES and two spins, wires out of declaration
+# order, with the pair its NV scatters by; nvgates.scatter is called directly
+KERNELS = {
+    "pbs": ("pbs a b -> c d", IDEAL_PAIR),
+    "pbsfs": ("pbsfs b -> d a", IDEAL_PAIR),
+    "hwp": ("hwp c", IDEAL_PAIR),
+    "bs": ("bs d a -> b c", IDEAL_PAIR),
+    "nv": ("nv a spin_1", PAIRS[2]),
+    "spinh": ("spinh 1", IDEAL_PAIR),
 }
 # each public function that runs elements, mapped to the arrays it hands back
 BOUNDARY = {
@@ -94,6 +106,26 @@ def test_the_boundary_given_a_read_only_state_hands_back_new_read_only_arrays(rn
         assert not out.flags.writeable
         assert not any(np.shares_memory(out, other) for other in [st0.amps, *arrays[:k]])
     assert st0.amps.tobytes() == before
+
+
+@pytest.mark.parametrize("name", [*KERNELS, "nvgates.scatter"])
+def test_a_kernel_given_a_writable_state_rewrites_it_to_the_same_bytes(rng, name):
+    st0 = _dense_state(rng, MODES, 2)
+    work = working_copy(st0)
+    assert work.amps.flags.writeable and not np.shares_memory(work.amps, st0.amps)
+    array = work.amps
+    if name == "nvgates.scatter":
+        assert nvgates.scatter(work, 0, "d", PAIRS[1]) is work
+        expected = nvgates.scatter(st0, 0, "d", PAIRS[1]).amps
+    else:
+        line, pair = KERNELS[name]
+        net = parse_netlist(f"spins 2\nmodes {' '.join(MODES)}\n{line}\n")
+        (el,) = net.elements
+        assert _apply_element(work, el, pair) is work
+        expected = apply_elements(net, st0, pair).amps
+        assert np.allclose(array.ravel(), element_matrix(el, MODES, 2, pair) @ st0.amps.ravel(), atol=1e-12)
+    assert work.amps is array and work.amps.flags.writeable
+    assert work.amps.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("call", list(SCATTER_CALLS))
