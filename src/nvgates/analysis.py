@@ -31,13 +31,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import IDEAL_PAIR, ReflectionPair, coupling_ratio_to_r, resonant_pair, scatter
-from .elements import Pauli
 from .gates import GATE_NAMES, _canon, build_gate_circuit, ideal_gate_unitary
 from .netlist import (
-    MAX_AMPLITUDES,
     Netlist,
-    _checked_netlist,
-    _too_large,
+    _every_mode_detected,
     apply_elements,  # noqa: F401 -- unused here, but perfbench/tracing.py wraps it at this name
     iter_element_states,
     nv_element_count,
@@ -129,23 +126,17 @@ def _spin_inputs(n: int, convention: str, trials: int, seed) -> np.ndarray:
 def _basis_run(net: Netlist, extra: int = 0) -> tuple[Netlist, HybridState]:
     """``net`` widened to run every spin-basis input at once, and its start state.
 
-    The netlist has 2n + ``extra`` spins: the circuit's n, n idle ancillas,
-    then ``extra`` idle spins for a coefficient register.  Elements keep
-    their spins, each feedforward rule gets ``I`` on the idle spins, and
-    every mode is detected: the circuit's detectors, then its undetected
-    modes in declaration order.  The state is sum_c |input_c>|c>, of squared
-    norm 2**n: ancilla configuration c carries ``product_input(net, basis
-    config c)``, the same photon amplitudes at circuit configuration c, and
-    the ``extra`` spins are |+...+>.  The circuit is linear and leaves the
-    ancillas idle, so after any run the amplitudes at ancilla configuration
-    c are its response to basis input c.
+    The netlist has 2n + ``extra`` spins, the circuit's n then n ancillas
+    and ``extra`` coefficient spins, all idle, with every mode detected
+    (:func:`~nvgates.netlist._every_mode_detected`).  The state is sum_c
+    |input_c>|c>, of squared norm 2**n: ancilla configuration c carries
+    ``product_input(net, basis config c)``, the same photon amplitudes at
+    circuit configuration c, and the ``extra`` spins are |+...+>.  The
+    circuit is linear and leaves the ancillas idle, so after any run the
+    amplitudes at ancilla configuration c are its response to basis input c.
     """
-    n, dim, idle = net.n_spins, 2**net.n_spins, net.n_spins + extra
-    if _too_large(n + idle, len(net.modes)):  # the one checked fact that more spins can break
-        raise ValueError(f"Netlist of {n + idle} spins and {len(net.modes)} modes exceeds {MAX_AMPLITUDES} amplitudes")
-    undetected = tuple(m for m in net.modes if m not in net.detectors)
-    feedforward = tuple((label, ops + (Pauli.I,) * idle) for label, ops in net.feedforward)
-    wide = _checked_netlist(n + idle, net.modes, net.elements, net.detectors + undetected, feedforward)
+    dim = 2**net.n_spins
+    wide = _every_mode_detected(net, net.n_spins + extra)
     photon = product_input(net, ()).amps  # (2, modes, 1): the photon with no spin
     amps = np.zeros((2, len(net.modes), dim, dim, 1 << extra), dtype=complex)
     amps[:, :, range(dim), range(dim), 0] = photon
@@ -199,7 +190,8 @@ def compile_circuit(net: Netlist, r_cold: complex) -> CompiledCircuit:
     """``net``'s detection rows as polynomials in r_hot, from one run.
 
     The run is :func:`run_netlist` on ``_basis_run(net, extra)``, every
-    mode detected, r_hot the formal variable of :class:`_FormalHot`.  The
+    mode detected as ``nvgates run`` detects them and no netlist checked
+    again, r_hot the formal variable of :class:`_FormalHot`.  The
     ``extra`` spins hold K = 2**extra coefficients, K the smallest power
     of two above the NV count, which bounds the degree.  The run makes the interpreter's own float
     operations, so exact zeros stay exact; all-zero undetected rows and

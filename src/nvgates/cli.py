@@ -17,7 +17,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,7 @@ from .cavity import (
 from .gates import GATE_NAMES, _canon, build_gate_circuit, ideal_gate_unitary  # noqa: F401
 from .netlist import (
     MAX_AMPLITUDES,
+    _every_mode_detected,
     balanced_product_input,
     load_netlist,
     product_input,
@@ -109,8 +109,7 @@ def cmd_run(args) -> int:
         parts = parts / scales
         state = product_input(net, (parts / np.sqrt((parts**2).sum(axis=1, keepdims=True))).view(complex))
     # one run, with a detector added on each undetected mode: its outcomes, after the circuit's, hold the norm there
-    undetected = tuple(m for m in net.modes if m not in net.detectors)
-    outcomes = run_netlist(replace(net, detectors=net.detectors + undetected), state, reflection)
+    outcomes = run_netlist(_every_mode_detected(net), state, reflection)
     own = 2 * len(net.detectors)
     outcomes, left = outcomes[:own], sum(o.probability for o in outcomes[own:])
     print(f"netlist: {args.netlist}  spins: {net.n_spins}  modes: {len(net.modes)}")

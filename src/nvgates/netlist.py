@@ -66,9 +66,12 @@ from .state import (
 MAX_AMPLITUDES = 2**24  # largest state (2 * |modes| * 2**spins) a netlist may declare
 
 
-def _too_large(n_spins: int, n_modes: int) -> bool:
-    """Whether 2 * n_modes * 2**n_spins exceeds MAX_AMPLITUDES; a huge n_spins is refused without forming 2**n."""
-    return n_spins >= MAX_AMPLITUDES.bit_length() or 2 * n_modes << n_spins > MAX_AMPLITUDES
+def _too_large(n_spins: int, n_modes: int) -> str | None:
+    """The refusal of a netlist whose 2 * n_modes * 2**n_spins amplitudes exceed MAX_AMPLITUDES, None if
+    they fit; a huge n_spins is refused without forming 2**n."""
+    if n_spins >= MAX_AMPLITUDES.bit_length() or 2 * n_modes << n_spins > MAX_AMPLITUDES:
+        return f"Netlist of {n_spins} spins and {n_modes} modes exceeds {MAX_AMPLITUDES} amplitudes"
+    return None
 
 
 class DiagnosticKind(Enum):
@@ -156,8 +159,8 @@ class Netlist:
         if not (self.modes and all(isinstance(m, str) for m in self.modes) and len(modes) == len(self.modes)):
             raise ValueError(f"Netlist.modes must be a non-empty tuple of distinct str, got {self.modes!r}")
         _check_tokens("mode", self.modes)
-        if _too_large(n, len(modes)):
-            raise ValueError(f"Netlist of {n} spins and {len(modes)} modes exceeds {MAX_AMPLITUDES} amplitudes")
+        if refusal := _too_large(n, len(modes)):
+            raise ValueError(refusal)
         for el in self.elements:
             kind, ins, outs, spin = el if type(el) is Element else (None,) * 4
             if type(kind) is not Kind or type(ins) is not tuple or type(outs) is not tuple or not (spin is None or type(spin) is int):
@@ -394,6 +397,18 @@ def _checked_netlist(n_spins, modes, elements, detectors, feedforward, lines=())
     return net
 
 
+def _every_mode_detected(net: Netlist, idle: int = 0) -> Netlist:
+    """Checked ``net`` on ``idle`` more spins, each feedforward rule given ``I`` on them, with every mode
+    detected: its own detectors, then its undetected modes in declaration order.  Made from ``net``'s
+    facts, not checked again, save the one that more spins can break: the amplitude cap."""
+    n = net.n_spins + idle
+    if refusal := _too_large(n, len(net.modes)):
+        raise ValueError(refusal)
+    undetected = tuple(m for m in net.modes if m not in net.detectors)
+    feedforward = tuple((label, ops + (Pauli.I,) * idle) for label, ops in net.feedforward)
+    return _checked_netlist(n, net.modes, net.elements, net.detectors + undetected, feedforward)
+
+
 def serialize_netlist(net: Netlist) -> str:
     """Canonical text form; ``parse_netlist(serialize_netlist(n)) == n`` for
     every ``Netlist``, whose labels are single tokens without ``#`` and whose
@@ -438,13 +453,10 @@ def apply_elements(net: Netlist, state: HybridState, reflection: ReflectionPair 
     return work
 
 
-def apply_spin_ops(amps: np.ndarray, ops) -> np.ndarray:
-    """Apply per-spin Pauli corrections (I, Z, -Z) to spin register
-    amplitudes of shape (..., 2**n), one operator per spin."""
-    ops = tuple(Pauli(op) for op in ops)
+def apply_spin_ops(amps: np.ndarray, ops: tuple[Pauli, ...]) -> np.ndarray:
+    """Apply a checked feedforward rule, one Pauli correction (I, Z, -Z) per
+    spin, to spin register amplitudes of shape (..., 2**n)."""
     n = len(ops)
-    if amps.shape[-1] != 1 << n:
-        raise DimensionMismatchError(f"{n} operators for {amps.shape[-1]} spin amplitudes")
     for k, op in enumerate(ops):
         if op is not Pauli.I:
             amps = (spin_axis(amps, n, k) * _PAULI_DIAG[op][:, None]).reshape(amps.shape)

@@ -65,7 +65,9 @@ def spin_config_index(bits) -> int:
 
 
 def spin_config_bits(index: int, n_spins: int) -> tuple[int, ...]:
-    """Inverse of :func:`spin_config_index`."""
+    """Inverse of :func:`spin_config_index`; raises StateError unless 0 <= index < 2**n_spins."""
+    if n_spins < 0 or not 0 <= index < 1 << n_spins:
+        raise StateError(f"spin configuration index {index} out of range for {n_spins} spins")
     return tuple((index >> (n_spins - 1 - k)) & 1 for k in range(n_spins))
 
 
@@ -110,8 +112,8 @@ class HybridState:
 
     ``amps[pol, mode, config]`` with pol in {R, L}, mode indexed by position
     in ``modes``, and config per :func:`spin_config_index`.  Construction
-    raises StateError unless ``modes`` are one or more distinct ``str`` and
-    ``n_spins`` is an ``int`` >= 0, not a ``bool``.
+    raises StateError unless ``modes`` are one or more distinct ``str``,
+    ``n_spins`` is an ``int`` >= 0, not a ``bool``, and every amplitude is finite.
     """
 
     modes: tuple[str, ...]
@@ -131,6 +133,8 @@ class HybridState:
             raise DimensionMismatchError(
                 f"amplitude array has shape {a.shape}, expected {expected}"
             )
+        if not np.isfinite(a).all():
+            raise StateError("amplitudes must be finite, got a NaN or an infinity")
         a = a.copy()
         a.setflags(write=False)
         vars(self).update(modes=modes, _index=index, amps=a)

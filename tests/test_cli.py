@@ -495,10 +495,12 @@ def test_csv_is_imported_only_to_write_a_sweep_csv():
 
 
 def test_run_applies_the_circuit_once(tmp_path, monkeypatch):
-    # the norm on undetected modes comes from the one run, which detects them too
-    from nvgates import cli, elements
+    # the norm on undetected modes comes from the one run, which detects them too, on a netlist not checked again
+    from nvgates import cli, elements, netlist
 
     calls = []
+    check = netlist.Netlist.__post_init__
+    monkeypatch.setattr(netlist.Netlist, "__post_init__", lambda net: calls.append("check") or check(net))
     monkeypatch.setattr(cli, "run_netlist", lambda *args: calls.append(args[0].detectors) or run_netlist(*args))
     monkeypatch.setattr(elements, "apply_hwp", lambda *args: calls.append("hwp") or apply_hwp(*args))
     path = tmp_path / "hwp.nv"
@@ -507,6 +509,10 @@ def test_run_applies_the_circuit_once(tmp_path, monkeypatch):
     assert (code, err) == (0, "")
     assert calls == [("c", "a", "b", "d"), "hwp"]
     assert out.splitlines()[1:3] == ["photon survival probability: 1.000000000", "  of which on undetected modes: 0.500000000"]
+    for gate in GATE_NAMES:  # each shipped gate, most of whose modes no detector reads
+        calls.clear()
+        assert run_cli(["run", str(Path(cli.__file__).parent / "circuits" / f"{gate}.nv")])[0] == 0
+        assert "check" not in calls, gate
 
 
 def test_run_survival_counts_the_photon_on_undetected_modes(tmp_path):

@@ -20,7 +20,7 @@ from nvgates.analysis import _basis_run, _FormalHot, compile_circuit
 from nvgates.cavity import IDEAL_PAIR, ParameterError, ReflectionPair, resonant_pair, scatter
 from nvgates.elements import Kind, Pauli
 from nvgates.gates import GATE_NAMES, build_gate_circuit, shipped_circuit_text
-from nvgates.netlist import nv_element_count, parse_netlist, run_netlist
+from nvgates.netlist import _every_mode_detected, nv_element_count, parse_netlist, run_netlist
 from nvgates.state import HybridState, PLUS, R
 
 import oracle
@@ -184,14 +184,15 @@ def _checked_widening(net, extra):
 
 
 def test_the_widened_netlist_is_the_checked_one(rng):
+    # a compile's widening, and nvgates run's: every mode detected on no idle spin (extra = -n)
     nets = [(_fresh(gate), extra) for gate in GATE_NAMES for extra in (0, nv_element_count(_fresh(gate)).bit_length())]
     nets += [(random_netlist(rng, n_elements=int(rng.integers(1, 16))), int(rng.integers(0, 4))) for _ in range(24)]
     for net, extra in nets:
-        wide, _ = _basis_run(net, extra)
-        reference = _checked_widening(net, extra)
-        assert wide == reference
-        assert wide.lines == reference.lines == () and wide._compiled == {}
-        assert all(type(getattr(wide, name)) is tuple for name in ("modes", "elements", "detectors", "feedforward"))
+        for extra, wide in ((extra, _basis_run(net, extra)[0]), (-net.n_spins, _every_mode_detected(net))):
+            reference = _checked_widening(net, extra)
+            assert wide == reference
+            assert wide.lines == reference.lines == () and wide._compiled == {}
+            assert all(type(getattr(wide, name)) is tuple for name in ("modes", "elements", "detectors", "feedforward"))
 
 
 def test_a_widening_past_the_amplitude_cap_is_refused_as_the_checked_one_is():

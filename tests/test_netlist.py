@@ -571,11 +571,6 @@ def test_an_element_fault_is_located_and_worded_as_the_one_fault_finder_words_it
     assert built.value.detail == f"element 1: {detail}"
 
 
-def test_apply_spin_ops_needs_one_operator_per_spin():
-    with pytest.raises(DimensionMismatchError, match="1 operators for 4 spin amplitudes"):
-        apply_spin_ops(np.ones(4, dtype=complex), (Pauli.Z,))
-
-
 def test_load_netlist_reads_the_shipped_files_with_or_without_a_bom(tmp_path):
     for name in GATE_NAMES:
         for encoding in ("utf-8", "utf-8-sig"):

@@ -51,6 +51,15 @@ def test_kron_pairs_of_no_spins_is_a_new_unit_vector_on_each_call():
     "call, error, match",
     [
         (lambda: spin_config_index((PLUS, 2)), StateError, "spin basis value must be PLUS or MINUS, got 2"),
+        # no configuration of n spins has these indices; they read (0, 1), (1, 1) and () unchecked
+        (lambda: spin_config_bits(5, 2), StateError, r"^spin configuration index 5 out of range for 2 spins$"),
+        (lambda: spin_config_bits(-1, 2), StateError, r"^spin configuration index -1 out of range for 2 spins$"),
+        (lambda: spin_config_bits(1, -1), StateError, r"^spin configuration index 1 out of range for -1 spins$"),
+        # one NaN or infinite amplitude would turn every probability of a run into NaN
+        (lambda: HybridState(MODES2, 1, np.r_[np.zeros(11), math.nan].reshape(2, 3, 2)), StateError,
+         r"^amplitudes must be finite, got a NaN or an infinity$"),
+        (lambda: HybridState(MODES2, 1, np.r_[complex(0, math.inf), np.zeros(11)].reshape(2, 3, 2)), StateError,
+         r"^amplitudes must be finite, got a NaN or an infinity$"),
         (lambda: HybridState(MODES2, 1, np.zeros((2, 3, 4))), DimensionMismatchError,
          r"shape \(2, 3, 4\), expected \(2, 3, 2\)"),
         (lambda: make_product_state((1, 0), "in", [(1, 0, 0)], MODES2), DimensionMismatchError,
